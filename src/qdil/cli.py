@@ -248,6 +248,9 @@ def cmd_verify_mc(args) -> int:
 
 def cmd_equiv(args) -> int:
     tol = _tolerance(args)
+    if args.order < 1:
+        raise _InputError({"error": "invalid-input",
+                           "detail": "order must be at least 1"})
     mps = []
     for path in args.inputs:
         data = _read_json_file(path)
@@ -262,7 +265,7 @@ def cmd_equiv(args) -> int:
         except ValueError as exc:
             raise _InputError({"error": "invalid-measuring-process",
                                "detail": str(exc)}) from None
-    config = RunConfig(tol, 0, max(args.order, 1), None)
+    config = RunConfig(tol, 0, args.order, None)
     orders = {}
     all_ok = True
     for n in range(1, args.order + 1):
@@ -556,10 +559,11 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except _InputError as exc:
-        _emit(exc.diagnostic)
+        _emit({**exc.diagnostic, "command": args.command})
         return 2
     except ValueError as exc:
-        _emit({"error": "invalid-input", "detail": str(exc)})
+        _emit({"error": "invalid-input", "detail": str(exc),
+               "command": args.command})
         return 2
 
 

@@ -28,9 +28,10 @@ from .algebra import (
     full_algebra,
 )
 from .instrument import (
+    IN,
     CPInstrument,
     OutcomeSpace,
-    kraus_from_dual_choi,
+    instrument_from_duals,
 )
 from .operator_core import (
     DEFAULT_TOL,
@@ -55,13 +56,10 @@ __all__ = [
     "induced_instrument",
     "from_instrument",
     "from_kernel_table",
-    "CorrelationTable",
     "table_from_system",
     "system_to_json",
     "system_from_json",
 ]
-
-IN = "in"
 
 
 @dataclass(frozen=True)
@@ -226,6 +224,14 @@ def _check_members(sys: CorrelationSystem, ms, tol: Tolerance) -> list[np.ndarra
     return out
 
 
+def _push(sys: CorrelationSystem, letters, ms, state: np.ndarray
+          ) -> np.ndarray:
+    """``Π_{t1}(M_1)···Π_{tk}(M_k) state``, the last letter applied first."""
+    for letter, m in zip(reversed(letters), reversed(ms)):
+        state = sys.letter_map(letter).apply(m) @ state
+    return state
+
+
 def eval_W(sys: CorrelationSystem, t: TimeWord, ms,
            tol: Tolerance = DEFAULT_TOL, check_membership: bool = True
            ) -> np.ndarray:
@@ -236,10 +242,7 @@ def eval_W(sys: CorrelationSystem, t: TimeWord, ms,
         raise ValueError(f"{len(letters)} letters but {len(ms)} operators")
     if check_membership:
         ms = _check_members(sys, ms, tol)
-    acc = sys.v
-    for letter, m in zip(reversed(letters), reversed(ms)):
-        acc = sys.letter_map(letter).apply(m) @ acc
-    return dagger(sys.v) @ acc
+    return dagger(sys.v) @ _push(sys, letters, ms, sys.v)
 
 
 @dataclass(frozen=True)
@@ -279,14 +282,6 @@ def _random_word(rng: np.random.Generator, sys: CorrelationSystem,
     return letters, ms
 
 
-def _word_matrix(sys: CorrelationSystem, letters, ms) -> np.ndarray:
-    """The bare product ``Π_{t1}(M_1)···Π_{tk}(M_k)`` without compression."""
-    acc = np.eye(sys.dim_l, dtype=complex)
-    for letter, m in zip(letters, ms):
-        acc = acc @ sys.letter_map(letter).apply(m)
-    return acc
-
-
 def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
                   tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     """Numerically verify the six correlation axioms plus adjoint symmetry.
@@ -301,32 +296,37 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     entries: dict[str, AxiomEntry] = {}
     n_checks = max(8, samples // 8)
 
+    def w(letters, ms) -> np.ndarray:
+        return eval_W(sys, TimeWord(tuple(letters)), ms, tol,
+                      check_membership=False)
+
+    def probe(name: str, residual, note: str = "", worst: float = 0.0
+              ) -> None:
+        """Enter the worst ``residual(letters, ms)`` over random words."""
+        for _ in range(n_checks):
+            letters, ms = _random_word(rng, sys, depth)
+            worst = max(worst, residual(letters, ms))
+        entries[name] = AxiomEntry(worst <= tol.abs * 100, float(worst), note)
+
     # MC1: separate linearity in each slot.
-    worst = 0.0
-    for _ in range(n_checks):
-        letters, ms = _random_word(rng, sys, depth)
+    def linearity(letters, ms) -> float:
         slot = int(rng.integers(len(ms)))
         a = _random_member(rng, sys.algebra)
         b = _random_member(rng, sys.algebra)
         alpha = complex(rng.standard_normal(), rng.standard_normal())
-        ms_ab = list(ms)
-        ms_ab[slot] = alpha * a + b
-        ms_a, ms_b = list(ms), list(ms)
-        ms_a[slot], ms_b[slot] = a, b
-        lhs = eval_W(sys, TimeWord(tuple(letters)), ms_ab, tol,
-                     check_membership=False)
-        rhs = (alpha * eval_W(sys, TimeWord(tuple(letters)), ms_a, tol,
-                              check_membership=False)
-               + eval_W(sys, TimeWord(tuple(letters)), ms_b, tol,
-                        check_membership=False))
-        worst = max(worst, spectral_norm(lhs - rhs))
-    entries["MC1"] = AxiomEntry(worst <= tol.abs * 100, float(worst),
-                                "linearity probes; ultraweak continuity is "
-                                "vacuous in finite dimension")
+        ms_ab, ms_a, ms_b = list(ms), list(ms), list(ms)
+        ms_ab[slot], ms_a[slot], ms_b[slot] = alpha * a + b, a, b
+        return spectral_norm(w(letters, ms_ab)
+                             - (alpha * w(letters, ms_a) + w(letters, ms_b)))
+
+    probe("MC1", linearity, "linearity probes; ultraweak continuity is "
+                            "vacuous in finite dimension")
 
     # MC2: positive definiteness of the sampled word Gram matrix.
     rows = np.zeros((samples, sys.dim_l), dtype=complex)
@@ -334,70 +334,52 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     for i in range(samples):
         letters, ms = _random_word(rng, sys, depth)
         xi = random_ginibre(rng, sys.dim_h, 1).reshape(-1)
-        xi = xi / np.linalg.norm(xi)
-        base = sys.v @ xi
-        rev_letters = list(reversed(letters))
-        rev_ms = _reverse_slots(ms)
-        rows[i] = dagger(base) @ _word_matrix(sys, rev_letters, rev_ms)
-        cols[:, i] = _word_matrix(sys, letters, ms) @ base
+        base = sys.v @ (xi / np.linalg.norm(xi))
+        # The row is pushed from the left through the reversed word, not
+        # taken as the adjoint of the column: that would make the Gram
+        # matrix PSD whatever the letter maps are.
+        row = dagger(base)
+        for letter, m in zip(reversed(letters), _reverse_slots(ms)):
+            row = row @ sys.letter_map(letter).apply(m)
+        rows[i] = row
+        cols[:, i] = _push(sys, letters, ms, base)
     gram = rows @ cols
     herm_res = spectral_norm(gram - dagger(gram))
     vals = np.linalg.eigvalsh((gram + dagger(gram)) / 2)
-    scale = float(np.abs(vals).max()) if vals.size else 0.0
-    min_eig = float(vals.min()) if vals.size else 0.0
+    scale = float(np.abs(vals).max())
+    min_eig = float(vals.min())
     mc2_res = max(0.0, -min_eig, herm_res)
     entries["MC2"] = AxiomEntry(
         min_eig >= -tol.psd_slack * (1 + scale) and herm_res <= tol.abs * 100,
         mc2_res, f"Gram of {samples} sampled words, min eigenvalue {min_eig:.3e}")
 
     # MC3: left module property over the input letter.
-    worst = 0.0
-    for _ in range(n_checks):
-        letters, ms = _random_word(rng, sys, depth)
+    def left_module(letters, ms) -> float:
         m = _random_member(rng, sys.algebra)
-        lhs = m @ eval_W(sys, TimeWord(tuple(letters)), ms, tol,
-                         check_membership=False)
-        rhs = eval_W(sys, TimeWord((IN,) + tuple(letters)), [m] + ms, tol,
-                     check_membership=False)
-        worst = max(worst, spectral_norm(lhs - rhs))
-    entries["MC3"] = AxiomEntry(worst <= tol.abs * 100, float(worst), "")
+        return spectral_norm(m @ w(letters, ms) - w([IN] + letters, [m] + ms))
+
+    probe("MC3", left_module)
 
     # MC4: merging adjacent equal letters with the operator product.
-    worst = 0.0
-    for _ in range(n_checks):
-        letters, ms = _random_word(rng, sys, depth)
+    def merge(letters, ms) -> float:
         pos = int(rng.integers(len(letters)))
-        letter = letters[pos]
         extra = _random_member(rng, sys.algebra)
-        doubled_letters = letters[:pos + 1] + [letter] + letters[pos + 1:]
-        doubled_ms = ms[:pos + 1] + [extra] + ms[pos + 1:]
-        merged_ms = list(ms)
-        merged_ms[pos] = ms[pos] @ extra
-        lhs = eval_W(sys, TimeWord(tuple(doubled_letters)), doubled_ms, tol,
-                     check_membership=False)
-        rhs = eval_W(sys, TimeWord(tuple(letters)), merged_ms, tol,
-                     check_membership=False)
-        worst = max(worst, spectral_norm(lhs - rhs))
-    entries["MC4"] = AxiomEntry(worst <= tol.abs * 100, float(worst), "")
+        merged = list(ms)
+        merged[pos] = ms[pos] @ extra
+        doubled = w(letters[:pos + 1] + [letters[pos]] + letters[pos + 1:],
+                    ms[:pos + 1] + [extra] + ms[pos + 1:])
+        return spectral_norm(doubled - w(letters, merged))
+
+    probe("MC4", merge)
 
     # MC5: unit normalization and unit-slot absorption.
     eye = np.eye(sys.dim_h)
-    res_in = spectral_norm(eval_W(sys, TimeWord((IN,)), [eye], tol,
-                                  check_membership=False) - eye)
-    res_s = spectral_norm(
-        eval_W(sys, TimeWord((tuple(sys.outcomes.labels),)), [eye], tol,
-               check_membership=False) - eye)
-    worst = max(res_in, res_s)
-    for _ in range(n_checks):
-        letters, ms = _random_word(rng, sys, depth)
-        lhs = eval_W(sys, TimeWord(tuple(letters) + (IN,)), ms + [eye], tol,
-                     check_membership=False)
-        rhs = eval_W(sys, TimeWord(tuple(letters)), ms, tol,
-                     check_membership=False)
-        worst = max(worst, spectral_norm(lhs - rhs))
-    entries["MC5"] = AxiomEntry(worst <= tol.abs * 100, float(worst),
-                                f"W_in(1) residual {res_in:.3e}, "
-                                f"W_S(1) residual {res_s:.3e}")
+    res_in = spectral_norm(w([IN], [eye]) - eye)
+    res_s = spectral_norm(w([tuple(sys.outcomes.labels)], [eye]) - eye)
+    probe("MC5", lambda letters, ms: spectral_norm(
+              w(letters + [IN], ms + [eye]) - w(letters, ms)),
+          f"W_in(1) residual {res_in:.3e}, W_S(1) residual {res_s:.3e}",
+          max(res_in, res_s))
 
     # MC6: additivity over atoms is structural here; what can break in a
     # stored system is the PVM property of the atom units, so that is
@@ -409,27 +391,14 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
         "the atom-unit PVM defect")
 
     # Adjoint symmetry of the correlation family.
-    worst = 0.0
-    for _ in range(n_checks):
-        letters, ms = _random_word(rng, sys, depth)
-        lhs = dagger(eval_W(sys, TimeWord(tuple(letters)), ms, tol,
-                            check_membership=False))
-        rhs = eval_W(sys, TimeWord(tuple(reversed(letters))),
-                     _reverse_slots(ms), tol, check_membership=False)
-        worst = max(worst, spectral_norm(lhs - rhs))
-    entries["adjoint_symmetry"] = AxiomEntry(worst <= tol.abs * 100,
-                                             float(worst), "")
+    probe("adjoint_symmetry", lambda letters, ms: spectral_norm(
+        dagger(w(letters, ms)) - w(letters[::-1], _reverse_slots(ms))))
 
     # Closure: compressions land in the algebra.
-    worst = 0.0
-    for _ in range(n_checks):
-        letters, ms = _random_word(rng, sys, depth)
-        w = eval_W(sys, TimeWord(tuple(letters)), ms, tol,
-                   check_membership=False)
-        worst = max(worst, contains(sys.algebra, w, tol).residual)
-    entries["closure"] = AxiomEntry(worst <= tol.abs * 100, float(worst),
-                                    "sampled W values projected onto the "
-                                    "algebra")
+    probe("closure",
+          lambda letters, ms: contains(sys.algebra, w(letters, ms),
+                                       tol).residual,
+          "sampled W values projected onto the algebra")
     return AxiomReport(entries)
 
 
@@ -437,22 +406,11 @@ def induced_instrument(sys: CorrelationSystem, tol: Tolerance = DEFAULT_TOL
                        ) -> CPInstrument:
     """The instrument ``I(M, {s}) = W_{(s)}(M)`` with extracted Kraus data."""
     v = sys.v
-    kraus = {}
-    for s in sys.outcomes.labels:
-        dual = np.einsum("xa,xyij,yb->abij", v.conj(), sys.pi_atom[s].tensor,
-                         v, optimize=True)
-        for b in sys.algebra.basis():
-            img = np.einsum("abij,ij->ab", dual, b)
-            rep = contains(sys.algebra, img, tol)
-            if rep.residual > tol.abs * 100:
-                raise ValueError(
-                    f"closure violation at atom '{s}': W value outside the "
-                    f"algebra (residual {rep.residual:.3e})")
-        # Choi of the predual: J[(i,a),(j,b)] = D(e_ba)[j,i]
-        choi = np.einsum("jiba->iajb", dual).reshape(
-            sys.dim_h ** 2, sys.dim_h ** 2)
-        kraus[s] = kraus_from_dual_choi(choi, sys.dim_h, tol)
-    return CPInstrument(sys.dim_h, sys.algebra, sys.outcomes, kraus)
+    duals = {s: np.einsum("xa,xyij,yb->abij", v.conj(), sys.pi_atom[s].tensor,
+                          v, optimize=True)
+             for s in sys.outcomes.labels}
+    return instrument_from_duals(sys.dim_h, sys.algebra, sys.outcomes, duals,
+                                 tol.abs * 100, tol)
 
 
 def from_instrument(inst: CPInstrument, anchor: str | None = None,
@@ -509,24 +467,9 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
                              PiMap(pi_in_t), pi_atom, v)
 
 
-class CorrelationTable:
-    """Bounded-depth oracle for correlation values.
+class _SystemTable:
+    """The correlation values of a system, for words up to ``max_len``."""
 
-    Subclasses (or duck-typed equivalents) expose ``dim_h``,
-    ``outcomes``, ``algebra``, ``max_len``, and
-    ``w(letters, ms) -> matrix`` for words up to ``max_len``.
-    """
-
-    dim_h: int
-    outcomes: OutcomeSpace
-    algebra: FiniteVonNeumannAlgebra
-    max_len: int
-
-    def w(self, letters, ms) -> np.ndarray:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class _SystemTable(CorrelationTable):
     def __init__(self, sys: CorrelationSystem, max_len: int):
         self.dim_h = sys.dim_h
         self.outcomes = sys.outcomes
@@ -541,7 +484,7 @@ class _SystemTable(CorrelationTable):
                       check_membership=False)
 
 
-def table_from_system(sys: CorrelationSystem, max_len: int) -> CorrelationTable:
+def table_from_system(sys: CorrelationSystem, max_len: int) -> _SystemTable:
     return _SystemTable(sys, max_len)
 
 
@@ -552,9 +495,13 @@ def _normalize_index(letters: tuple, ops: tuple[int, ...]) -> tuple:
     return letters, ops
 
 
-def from_kernel_table(table: CorrelationTable, depth: int, generators,
+def from_kernel_table(table, depth: int, generators,
                       tol: Tolerance = DEFAULT_TOL) -> CorrelationSystem:
     """Rebuild a correlation system from a bounded-depth value table.
+
+    The table (such as :func:`table_from_system` returns) exposes
+    ``dim_h``, ``outcomes``, ``algebra``, ``max_len`` and
+    ``w(letters, ms) -> matrix`` for words up to ``max_len`` letters.
 
     Index vectors are (word, operator-tuple) pairs over the generators
     plus the identity, with trailing identity-input pairs stripped (they
@@ -704,20 +651,33 @@ def system_from_json(data, validate: bool = True) -> CorrelationSystem:
     dim_h = int(data["dimH"])
     dim_l = int(data["dimL"])
 
-    def map_from(js) -> PiMap:
+    def map_from(name: str, js) -> PiMap:
+        if not (isinstance(js, list) and len(js) == dim_h
+                and all(isinstance(row, list) and len(row) == dim_h
+                        for row in js)):
+            raise ValueError(f"{name} must be a {dim_h}×{dim_h} nested list "
+                             "of matrices")
         t = np.zeros((dim_l, dim_l, dim_h, dim_h), dtype=complex)
         for i in range(dim_h):
             for j in range(dim_h):
-                t[:, :, i, j] = matrix_from_json(js[i][j])
+                m = matrix_from_json(js[i][j])
+                if m.shape != (dim_l, dim_l):
+                    raise ValueError(f"{name}[{i}][{j}] has shape {m.shape}, "
+                                     f"expected {(dim_l, dim_l)}")
+                t[:, :, i, j] = m
         return PiMap(t)
+
+    if not isinstance(data["pi_atoms"], dict):
+        raise ValueError("correlation-system JSON 'pi_atoms' must be an object")
 
     outcomes = OutcomeSpace(tuple(data["outcomes"]))
     algebra = (algebra_from_json(data["algebra"]) if data.get("algebra")
                else full_algebra(dim_h))
     return CorrelationSystem(
         dim_h, algebra, outcomes, dim_l,
-        map_from(data["pi_in"]),
-        {s: map_from(js) for s, js in data["pi_atoms"].items()},
+        map_from("pi_in", data["pi_in"]),
+        {s: map_from(f"pi_atoms[{s!r}]", js)
+         for s, js in data["pi_atoms"].items()},
         matrix_from_json(data["v"]),
         validate=validate,
         certified_depth=data.get("certified_depth"),

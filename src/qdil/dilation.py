@@ -19,6 +19,7 @@ import numpy as np
 
 from .algebra import (
     FiniteVonNeumannAlgebra,
+    _swap_matrix,
     algebra_from_json,
     algebra_to_json,
     conditional_expectation,
@@ -38,6 +39,8 @@ from .instrument import (
     OutcomeSpace,
     apply_dual,
     choi_of_dual,
+    choi_of_kraus,
+    instrument_from_duals,
     kraus_from_dual_choi,
 )
 from .operator_core import (
@@ -236,13 +239,7 @@ def minimal_stinespring(cp_map, dim_h: int, tol: Tolerance = DEFAULT_TOL
     if arr.ndim == 2 and arr.shape == (dim_h ** 2, dim_h ** 2):
         choi = arr
     else:
-        kraus_in = [np.asarray(k, dtype=complex) for k in cp_map]
-        choi = np.zeros((dim_h ** 2, dim_h ** 2), dtype=complex)
-        for k in kraus_in:
-            if k.shape != (dim_h, dim_h):
-                raise ValueError("Kraus operator has wrong shape")
-            w = k.T.reshape(-1)
-            choi += np.outer(w, w.conj())
+        choi = choi_of_kraus(cp_map, dim_h)
     kraus = kraus_from_dual_choi(choi, dim_h, tol)
     rank = len(kraus)
     v = np.zeros((dim_h * rank, dim_h), dtype=complex)
@@ -303,7 +300,7 @@ def instrument_representation(inst: CPInstrument,
     inst.require_valid(tol)
     dim_h = inst.dim_h
     parts = {s: minimal_stinespring(
-        choi_of_dual(lambda m, s=s: apply_dual(inst, m, (s,)), dim_h),
+        choi_of_kraus(inst.kraus[s], dim_h, inst.atom_weights(s)),
         dim_h, tol) for s in inst.outcomes.labels}
     ranks = {s: parts[s].rank for s in inst.outcomes.labels}
     dim_k = dim_h * sum(ranks.values())
@@ -450,17 +447,6 @@ def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
 # Correlation system -> measuring process
 
 
-def _swap23(dim_h: int, d2: int, d1: int) -> np.ndarray:
-    """Permutation H ⊗ C^d2 ⊗ C^d1 → H ⊗ C^d1 ⊗ C^d2."""
-    n = dim_h * d1 * d2
-    s = np.zeros((n, n), dtype=complex)
-    for i in range(dim_h):
-        for q in range(d2):
-            for p in range(d1):
-                s[(i * d1 + p) * d2 + q, (i * d2 + q) * d1 + p] = 1.0
-    return s
-
-
 def mp_from_correlations(sys: CorrelationSystem,
                          tol: Tolerance = DEFAULT_TOL,
                          completion_seed: int | None = None
@@ -491,7 +477,7 @@ def mp_from_correlations(sys: CorrelationSystem,
 
     # Populated block: swap ∘ (U₂U₁* ⊗ |η₁><η₂|) maps H⊗L₁⊗L₂ into the
     # slice of the final space whose L₁ leg is η₁.
-    swap = _swap23(dim_h, d2, d1)
+    swap = np.kron(np.eye(dim_h), _swap_matrix(d2, d1))
     uq = swap @ np.kron(u2 @ dagger(u1), np.outer(eta1, eta2.conj()))
 
     # Orthocomplement bases: initial = η₂-orthogonal meter directions,
@@ -543,12 +529,30 @@ def mp_from_correlations(sys: CorrelationSystem,
 # Measuring process -> instrument / correlation data
 
 
-def _pure_interaction(mp: MeasuringProcess, tol: Tolerance
-                      ) -> tuple[MeasuringProcess, np.ndarray]:
+def _purify(mp: MeasuringProcess, tol: Tolerance
+            ) -> tuple[MeasuringProcess, np.ndarray]:
+    """The purified process and its cyclic isometry ``ξ ↦ ξ ⊗ η``."""
     pure = mp.purified(tol)
     eta = pure.state_vector(tol)
-    b = pure.u @ np.kron(np.eye(pure.dim_h), eta.reshape(-1, 1))
-    return pure, b
+    return pure, np.kron(np.eye(pure.dim_h), eta.reshape(-1, 1))
+
+
+def _step(pure: MeasuringProcess, letter, m: np.ndarray, state: np.ndarray
+          ) -> np.ndarray:
+    """Apply one letter map of a purified process to columns in ``H ⊗ K``.
+
+    The input letter acts as ``m ⊗ 1``; an outcome letter (atom or
+    event) acts as ``U*(m ⊗ E)U``.
+    """
+    dim_h, dim_k = pure.dim_h, pure.dim_k
+    if letter == IN:
+        s3 = state.reshape(dim_h, dim_k, -1)
+        return np.einsum("ij,jkb->ikb", m, s3).reshape(state.shape)
+    e = pure.e[letter] if letter in pure.e else pure.pointer(letter)
+    t3 = (pure.u @ state).reshape(dim_h, dim_k, -1)
+    t2 = np.einsum("ij,kl,jlb->ikb", m, e, t3, optimize=True)
+    # U* t2 without forming U*: conj(Uᵀ conj(t2)).
+    return (pure.u.T @ t2.reshape(state.shape).conj()).conj()
 
 
 def induced_instrument_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
@@ -560,47 +564,31 @@ def induced_instrument_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
     factorization of each map. Raises when a compressed value leaves the
     algebra (closure violation).
     """
-    pure, b = _pure_interaction(mp, tol)
-    c = b.reshape(pure.dim_h, pure.dim_k, pure.dim_h)
-    kraus = {}
-    for s in mp.outcomes.labels:
-        dual = np.einsum("ika,kl,jlb->abij", c.conj(), pure.e[s], c,
-                         optimize=True)
-        for m in mp.algebra.basis():
-            img = np.einsum("abij,ij->ab", dual, m)
-            rep = contains(mp.algebra, img, tol)
-            if rep.residual > tol.abs * (1 + mp.dim_h) * 100:
-                raise ValueError(
-                    f"closure violation at atom {s!r}: compressed value "
-                    f"outside the algebra (residual {rep.residual:.3e})")
-        choi = np.einsum("jiba->iajb", dual).reshape(
-            mp.dim_h ** 2, mp.dim_h ** 2)
-        kraus[s] = kraus_from_dual_choi(choi, mp.dim_h, tol)
-    return CPInstrument(mp.dim_h, mp.algebra, mp.outcomes, kraus)
+    pure, iso = _purify(mp, tol)
+    c = (pure.u @ iso).reshape(pure.dim_h, pure.dim_k, pure.dim_h)
+    duals = {s: np.einsum("ika,kl,jlb->abij", c.conj(), pure.e[s], c,
+                          optimize=True)
+             for s in mp.outcomes.labels}
+    return instrument_from_duals(mp.dim_h, mp.algebra, mp.outcomes, duals,
+                                 tol.abs * (1 + mp.dim_h) * 100, tol)
 
 
 def correlations_of_mp(mp: MeasuringProcess, t: TimeWord, ms,
                        tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Correlation value of a word: multiply letter operators, compress.
+    """Correlation value of a word, evaluated on the purified process.
 
-    The input letter acts as ``M ⊗ 1``; an outcome letter (atom or
-    event) acts as ``U*(M ⊗ E)U``. The product is compressed by the
-    meter state at the end.
+    The letter maps (see :func:`_step`) push the cyclic isometry
+    ``ξ ↦ ξ ⊗ η`` right to left, and its adjoint compresses the result.
     """
     letters = t.letters if isinstance(t, TimeWord) else TimeWord(t).letters
     ms = [np.asarray(m, dtype=complex) for m in ms]
     if len(ms) != len(letters):
         raise ValueError(f"{len(letters)} letters but {len(ms)} operators")
-    n = mp.dim_h * mp.dim_k
-    eye_k = np.eye(mp.dim_k)
-    acc = np.eye(n, dtype=complex)
-    for letter, m in zip(letters, ms):
-        if letter == IN:
-            op = np.kron(m, eye_k)
-        else:
-            op = dagger(mp.u) @ np.kron(m, mp.pointer(letter)) @ mp.u
-        acc = acc @ op
-    return compress_by_state(acc, mp.sigma, mp.dim_h, mp.dim_k)
+    pure, iso = _purify(mp, tol)
+    state = iso
+    for letter, m in zip(reversed(letters), reversed(ms)):
+        state = _step(pure, letter, m, state)
+    return dagger(iso) @ state
 
 
 def system_of_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
@@ -610,8 +598,7 @@ def system_of_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
     Uses the purified meter, so the representation space is
     ``H ⊗ K_pure`` and the cyclic isometry is ``ξ ↦ ξ ⊗ η``.
     """
-    pure = mp.purified(tol)
-    eta = pure.state_vector(tol)
+    pure, v = _purify(mp, tol)
     dim_l = pure.dim_h * pure.dim_k
     eye_k = np.eye(pure.dim_k)
     udag = dagger(pure.u)
@@ -623,7 +610,6 @@ def system_of_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
         pi_atom[s] = PiMap.from_function(
             lambda x, s=s: udag @ np.kron(x, pure.e[s]) @ pure.u,
             pure.dim_h, dim_l)
-    v = np.kron(np.eye(pure.dim_h), eta.reshape(-1, 1))
     return CorrelationSystem(mp.dim_h, mp.algebra, mp.outcomes, dim_l,
                              pi_in, pi_atom, v)
 
@@ -652,28 +638,13 @@ def _word_values(mp: MeasuringProcess, choices, n: int,
     prepends a letter. Values compress against the cyclic isometry
     ``ξ ↦ ξ ⊗ η``; every letter map carries its own coupling factors.
     """
-    pure = mp.purified(tol)
-    eta = pure.state_vector(tol)
-    c = np.kron(np.eye(pure.dim_h), eta.reshape(-1, 1))
-    dim_h, dim_k = pure.dim_h, pure.dim_k
-    udag = dagger(pure.u)
-    e = pure.e
-
-    def step(letter, m, state):
-        if letter == IN:
-            s3 = state.reshape(dim_h, dim_k, -1)
-            return np.einsum("ij,jkb->ikb", m, s3).reshape(state.shape)
-        t1 = pure.u @ state
-        t3 = t1.reshape(dim_h, dim_k, -1)
-        t2 = np.einsum("ij,kl,jlb->ikb", m, e[letter], t3, optimize=True)
-        return udag @ t2.reshape(state.shape)
-
+    pure, c = _purify(mp, tol)
     out: list[np.ndarray] = []
     cdag = dagger(c)
 
     def dfs(state, depth):
         for letter, m in choices:
-            new = step(letter, m, state)
+            new = _step(pure, letter, m, state)
             out.append(cdag @ new)
             if depth + 1 < n:
                 dfs(new, depth + 1)
@@ -683,15 +654,13 @@ def _word_values(mp: MeasuringProcess, choices, n: int,
 
 
 def n_equivalent(mp1: MeasuringProcess, mp2: MeasuringProcess, n: int,
-                 samples: int | None = None, seed: int | None = None,
                  tol: Tolerance = DEFAULT_TOL) -> EquivalenceReport:
     """Compare correlation values of two processes up to word length n.
 
     By multilinearity it suffices to range the operator slots over a
     basis of the algebra and the letters over the input plus the atoms,
-    which this does exhaustively (every word of length ≤ n). Passing
-    ``samples`` switches to that many seeded random words instead. The
-    order-2 check is statistical equivalence.
+    which this does exhaustively (every word of length ≤ n). The order-2
+    check is statistical equivalence.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -703,23 +672,10 @@ def n_equivalent(mp1: MeasuringProcess, mp2: MeasuringProcess, n: int,
     letters = [IN] + list(mp1.outcomes.labels)
     choices = [(t, m) for t in letters for m in basis]
     note = "statistical equivalence" if n == 2 else ""
-    if samples is None:
-        vals1 = _word_values(mp1, choices, n, tol)
-        vals2 = _word_values(mp2, choices, n, tol)
-        worst = max((float(np.abs(a - b).max())
-                     for a, b in zip(vals1, vals2)), default=0.0)
-    else:
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(samples):
-            length = int(rng.integers(1, n + 1))
-            picks = [choices[int(rng.integers(len(choices)))]
-                     for _ in range(length)]
-            word = TimeWord(tuple(p[0] for p in picks))
-            ms = [p[1] for p in picks]
-            w1 = correlations_of_mp(mp1, word, ms, tol)
-            w2 = correlations_of_mp(mp2, word, ms, tol)
-            worst = max(worst, float(np.abs(w1 - w2).max()))
+    vals1 = _word_values(mp1, choices, n, tol)
+    vals2 = _word_values(mp2, choices, n, tol)
+    worst = max((float(np.abs(a - b).max())
+                 for a, b in zip(vals1, vals2)), default=0.0)
     return EquivalenceReport(worst <= tol.abs * 100, worst, n, note)
 
 
@@ -781,8 +737,7 @@ def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
             flat.append((s, kk))
     n_tot = len(flat)
     dim_m = n_tot + 2
-    gram = sum(dagger(k) @ k for _, k in flat)
-    defect = np.eye(dim_h) - gram
+    defect = np.eye(dim_h) - apply_dual(inst, np.eye(dim_h), None)
     vals = np.linalg.eigvalsh((defect + dagger(defect)) / 2)
     if vals.min() < -tol.psd_slack * (1 + abs(vals).max()) * 100:
         raise ValueError(f"completeness defect is not positive "
@@ -842,11 +797,8 @@ def faithful_mp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
     dim_h = inst.dim_h
     ext_kraus = {}
     for s in inst.outcomes.labels:
-        dual = np.zeros((dim_h, dim_h, dim_h, dim_h), dtype=complex)
-        for i, j, x in matrix_units(dim_h):
-            dual[:, :, i, j] = apply_dual(
-                inst, conditional_expectation(inst.algebra, x), (s,))
-        choi = np.einsum("jiba->iajb", dual).reshape(dim_h ** 2, dim_h ** 2)
+        choi = choi_of_dual(lambda x, s=s: apply_dual(
+            inst, conditional_expectation(inst.algebra, x), (s,)), dim_h)
         ext_kraus[s] = kraus_from_dual_choi(choi, dim_h, tol)
     extended = CPInstrument(dim_h, full_algebra(dim_h), inst.outcomes,
                             ext_kraus)

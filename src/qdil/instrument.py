@@ -14,7 +14,6 @@ which call :meth:`CPInstrument.require_valid` first.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,13 +30,16 @@ from .operator_core import (
     Tolerance,
     dagger,
     hermitize,
+    is_hermitian,
     matrix_from_json,
     matrix_to_json,
+    matrix_units,
     require_state,
     spectral_norm,
 )
 
 __all__ = [
+    "IN",
     "OutcomeSpace",
     "Indefinite",
     "INDEFINITE",
@@ -55,11 +57,17 @@ __all__ = [
     "coarse_grain",
     "sample_trajectory",
     "sample_first_steps",
+    "choi_of_kraus",
     "choi_of_dual",
+    "choi_of_dual_tensor",
     "kraus_from_dual_choi",
+    "instrument_from_duals",
     "instrument_to_json",
     "instrument_from_json",
 ]
+
+# The input letter of time words; no outcome may carry this label.
+IN = "in"
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,9 @@ class OutcomeSpace:
             raise ValueError("outcome space needs at least one label")
         if len(set(labels)) != len(labels):
             raise ValueError("outcome labels must be distinct")
+        if IN in labels:
+            raise ValueError(f"outcome label {IN!r} is reserved for the "
+                             "input letter")
         object.__setattr__(self, "labels", labels)
 
     def event(self, ev) -> tuple[str, ...]:
@@ -192,7 +203,7 @@ def instrument_from_choi(dim_h: int, outcomes: OutcomeSpace,
         j = np.asarray(chois[s], dtype=complex)
         if j.shape != (dim_h * dim_h, dim_h * dim_h):
             raise ValueError(f"Choi matrix for '{s}' has shape {j.shape}")
-        if spectral_norm(j - dagger(j)) > tol.abs * (1 + spectral_norm(j)):
+        if not is_hermitian(j, tol).ok:
             raise ValueError(f"Choi matrix for '{s}' is not Hermitian")
         vals, vecs = np.linalg.eigh(hermitize(j))
         scale = max(abs(float(vals[0])), abs(float(vals[-1]))) if vals.size else 0.0
@@ -224,16 +235,23 @@ def luders_instrument(projections: list[np.ndarray],
                         {s: [p] for s, p in zip(outcomes.labels, projs)})
 
 
+def _kraus_sum(inst: CPInstrument, atoms, x: np.ndarray, dual: bool
+               ) -> np.ndarray:
+    """``Σ_{s∈atoms} Σ_j w K* x K`` if ``dual``, else ``Σ w K x K*``."""
+    out = np.zeros(x.shape, dtype=complex)
+    for s in atoms:
+        for w, k in zip(inst.atom_weights(s), inst.kraus[s]):
+            left, right = (dagger(k), k) if dual else (k, dagger(k))
+            out += w * (left @ x @ right)
+    return out
+
+
 def apply_dual(inst: CPInstrument, m, event) -> np.ndarray:
     """Heisenberg action ``I(m, Δ) = Σ_{s∈Δ} Σ_j w K* m K``."""
     mm = np.asarray(m, dtype=complex)
     if mm.shape != (inst.dim_h, inst.dim_h):
         raise ValueError(f"operator has shape {mm.shape}")
-    out = np.zeros_like(mm)
-    for s in inst.outcomes.event(event):
-        for w, k in zip(inst.atom_weights(s), inst.kraus[s]):
-            out += w * (dagger(k) @ mm @ k)
-    return out
+    return _kraus_sum(inst, inst.outcomes.event(event), mm, dual=True)
 
 
 def apply_predual(inst: CPInstrument, rho, event,
@@ -242,11 +260,7 @@ def apply_predual(inst: CPInstrument, rho, event,
     rm = require_state(rho, tol)
     if rm.shape != (inst.dim_h, inst.dim_h):
         raise ValueError(f"state has shape {rm.shape}")
-    out = np.zeros_like(rm)
-    for s in inst.outcomes.event(event):
-        for w, k in zip(inst.atom_weights(s), inst.kraus[s]):
-            out += w * (k @ rm @ dagger(k))
-    return out
+    return _kraus_sum(inst, inst.outcomes.event(event), rm, dual=False)
 
 
 def outcome_probability(inst: CPInstrument, rho, event,
@@ -264,23 +278,40 @@ def posterior_state(inst: CPInstrument, rho, event,
     return sub / p
 
 
-def choi_of_dual(apply_fn, dim: int) -> np.ndarray:
+def choi_of_dual_tensor(dual: np.ndarray) -> np.ndarray:
     """Choi matrix ``Σ_ij e_ij ⊗ T(e_ij)`` of the PREDUAL of a dual map.
 
-    ``apply_fn`` is the Heisenberg map ``D``; the predual ``T`` is read
-    off through ``T(e_ij)[a,b] = D(e_ba)[j,i]``, so the returned matrix
-    is PSD exactly when the map pair is CP.
+    ``dual[a, b, i, j]`` is ``D(e_ij)[a, b]`` for the Heisenberg map
+    ``D``; the predual ``T`` is read off through
+    ``T(e_ij)[a,b] = D(e_ba)[j,i]``, so the returned matrix is PSD
+    exactly when the map pair is CP.
     """
-    j = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for b in range(dim):
-        for a in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[b, a] = 1.0
-            img = apply_fn(e)  # D(e_ba)
-            # J[(i,a),(j,b)] = T(e_ij)[a,b] = D(e_ba)[j,i]
-            j4 = j.reshape(dim, dim, dim, dim)
-            j4[:, a, :, b] += img.T
-    return j
+    dim = dual.shape[0]
+    # J[(i,a),(j,b)] = T(e_ij)[a,b] = D(e_ba)[j,i]
+    return np.einsum("jiba->iajb", dual).reshape(dim * dim, dim * dim)
+
+
+def choi_of_dual(apply_fn, dim: int) -> np.ndarray:
+    """:func:`choi_of_dual_tensor` of the Heisenberg map ``apply_fn``."""
+    dual = np.zeros((dim, dim, dim, dim), dtype=complex)
+    for i, j, e in matrix_units(dim):
+        dual[:, :, i, j] = apply_fn(e)
+    return choi_of_dual_tensor(dual)
+
+
+def choi_of_kraus(kraus, dim: int, weights=None) -> np.ndarray:
+    """:func:`choi_of_dual` of ``M ↦ Σ_j w_j K_j* M K_j``, from Kraus data.
+
+    It is ``Σ_j w_j z_j z_j*`` with ``z_j = vec(K_jᵀ)``; the weights
+    default to one.
+    """
+    ks = [np.asarray(k, dtype=complex) for k in kraus]
+    if any(k.shape != (dim, dim) for k in ks):
+        raise ValueError("Kraus operator has wrong shape")
+    w = np.ones(len(ks)) if weights is None else np.asarray(weights, dtype=float)
+    z = np.array([k.T.reshape(-1) for k in ks], dtype=complex).reshape(
+        len(ks), dim * dim)
+    return (z.T * w) @ z.conj()
 
 
 def kraus_from_dual_choi(j: np.ndarray, dim: int,
@@ -308,6 +339,32 @@ def kraus_from_dual_choi(j: np.ndarray, dim: int,
     return out
 
 
+def instrument_from_duals(dim_h: int, algebra: FiniteVonNeumannAlgebra,
+                          outcomes: OutcomeSpace, duals: dict[str, np.ndarray],
+                          bound: float, tol: Tolerance = DEFAULT_TOL
+                          ) -> CPInstrument:
+    """The instrument whose atom ``s`` has the dual tensor ``duals[s]``.
+
+    Tensors follow :func:`choi_of_dual_tensor`. Raises when a dual image
+    of a basis element of the algebra leaves the algebra by more than
+    ``bound`` (a closure violation); Kraus families come from
+    :func:`kraus_from_dual_choi`.
+    """
+    basis = algebra.basis()
+    kraus = {}
+    for s in outcomes.labels:
+        for b in basis:
+            img = np.einsum("abij,ij->ab", duals[s], b)
+            rep = contains(algebra, img, tol)
+            if rep.residual > bound:
+                raise ValueError(
+                    f"closure violation at atom {s!r}: value outside the "
+                    f"algebra (residual {rep.residual:.3e})")
+        kraus[s] = kraus_from_dual_choi(choi_of_dual_tensor(duals[s]), dim_h,
+                                        tol)
+    return CPInstrument(dim_h, algebra, outcomes, kraus)
+
+
 @dataclass(frozen=True)
 class CPReport:
     cp_ok: bool
@@ -332,7 +389,7 @@ def verify_cp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL) -> CPReport:
     """
     per_atom: dict[str, float] = {}
     for s in inst.outcomes.labels:
-        j = choi_of_dual(lambda m, _s=s: apply_dual(inst, m, (_s,)), inst.dim_h)
+        j = choi_of_kraus(inst.kraus[s], inst.dim_h, inst.atom_weights(s))
         vals = np.linalg.eigvalsh(hermitize(j))
         per_atom[s] = float(vals.min()) if vals.size else 0.0
     min_eig = min(per_atom.values())
@@ -368,7 +425,7 @@ def is_weakly_repeatable(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
         for s2 in inst.outcomes.labels:
             inner = apply_dual(inst, eye, (s2,))
             lhs = apply_dual(inst, inner, (s1,))
-            rhs = apply_dual(inst, eye, (s2,)) if s1 == s2 else 0.0
+            rhs = inner if s1 == s2 else 0.0
             worst = max(worst, spectral_norm(lhs - rhs))
     return worst <= tol.abs * 100, float(worst)
 
@@ -379,23 +436,11 @@ def is_repeatable(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
     worst = 0.0
     for s1 in inst.outcomes.labels:
         for s2 in inst.outcomes.labels:
-            for i in range(inst.dim_h):
-                for j in range(inst.dim_h):
-                    e = np.zeros((inst.dim_h, inst.dim_h), dtype=complex)
-                    e[i, j] = 1.0
-                    first = np.zeros_like(e)
-                    for w, k in zip(inst.atom_weights(s1), inst.kraus[s1]):
-                        first += w * (k @ e @ dagger(k))
-                    lhs = np.zeros_like(e)
-                    for w, k in zip(inst.atom_weights(s2), inst.kraus[s2]):
-                        lhs += w * (k @ first @ dagger(k))
-                    if s1 == s2:
-                        rhs = np.zeros_like(e)
-                        for w, k in zip(inst.atom_weights(s1), inst.kraus[s1]):
-                            rhs += w * (k @ e @ dagger(k))
-                    else:
-                        rhs = 0.0
-                    worst = max(worst, spectral_norm(lhs - rhs))
+            for _, _, e in matrix_units(inst.dim_h):
+                first = _kraus_sum(inst, (s1,), e, dual=False)
+                lhs = _kraus_sum(inst, (s2,), first, dual=False)
+                rhs = first if s1 == s2 else 0.0
+                worst = max(worst, spectral_norm(lhs - rhs))
     return worst <= tol.abs * 100, float(worst)
 
 
@@ -436,10 +481,7 @@ def coarse_grain(inst: CPInstrument, generating_events: list,
 
 def _atom_probabilities(inst: CPInstrument, rho: np.ndarray) -> np.ndarray:
     probs = np.array([
-        float(np.trace(sum((w * (k @ rho @ dagger(k))
-                            for w, k in zip(inst.atom_weights(s),
-                                            inst.kraus[s])),
-                           np.zeros_like(rho))).real)
+        float(np.trace(_kraus_sum(inst, (s,), rho, dual=False)).real)
         for s in inst.outcomes.labels])
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
@@ -465,9 +507,7 @@ def sample_trajectory(inst: CPInstrument, rho0, steps: int, seed: int
         probs = _atom_probabilities(inst, rho)
         idx = int(rng.choice(len(labels), p=probs))
         s = labels[idx]
-        sub = np.zeros_like(rho)
-        for w, k in zip(inst.atom_weights(s), inst.kraus[s]):
-            sub += w * (k @ rho @ dagger(k))
+        sub = _kraus_sum(inst, (s,), rho, dual=False)
         rho = sub / np.trace(sub).real
         out.append((s, rho))
     return out
@@ -519,12 +559,3 @@ def instrument_from_json(data, validate: bool = True) -> CPInstrument:
                    for s, ws in data["weights"].items()}
     return CPInstrument(dim, algebra, outcomes, kraus, weights,
                         validate=validate)
-
-
-def load_instrument_file(path, validate: bool = True) -> CPInstrument:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON: {exc}") from exc
-    return instrument_from_json(data, validate=validate)

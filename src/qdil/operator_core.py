@@ -13,6 +13,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -43,7 +44,6 @@ __all__ = [
     "is_density_matrix",
     "require_state",
     "random_unitary",
-    "random_hermitian",
     "random_psd",
     "random_density",
     "random_ginibre",
@@ -59,15 +59,17 @@ class Tolerance:
     ``abs`` is an operator-norm tolerance for residuals and equality
     checks; ``psd_slack`` is an eigenvalue tolerance below which small
     negative eigenvalues of nominally PSD matrices are forgiven (and
-    clamped to zero where a factorization needs them).
+    clamped to zero where a factorization needs them). Both are finite:
+    an infinite tolerance would pass every check.
     """
 
     abs: float = 1e-9
     psd_slack: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (self.abs > 0 and self.psd_slack > 0):
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0
+                   for t in (self.abs, self.psd_slack)):
+            raise ValueError("tolerances must be positive and finite")
 
 
 DEFAULT_TOL = Tolerance()
@@ -186,9 +188,10 @@ def sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     negative, or a non-Hermitian input, is an error.
     """
     m = _square(a)
-    herm_res = spectral_norm(m - m.conj().T)
-    if herm_res > tol.abs * (1 + spectral_norm(m)):
-        raise ValueError(f"matrix is not Hermitian (residual {herm_res:.3e})")
+    herm = is_hermitian(m, tol)
+    if not herm.ok:
+        raise ValueError(
+            f"matrix is not Hermitian (residual {herm.residual:.3e})")
     w, u = np.linalg.eigh(hermitize(m))
     if w.size and w.min() < -tol.psd_slack:
         raise ValueError(
@@ -210,9 +213,10 @@ def psd_factorize(g, block: int, tol: Tolerance = DEFAULT_TOL
     gm = _square(g)
     if block <= 0 or gm.shape[0] % block != 0:
         raise ValueError(f"block size {block} does not divide {gm.shape[0]}")
-    herm_res = spectral_norm(gm - gm.conj().T)
-    if herm_res > tol.abs * (1 + spectral_norm(gm)):
-        raise ValueError(f"Gram matrix is not Hermitian (residual {herm_res:.3e})")
+    herm = is_hermitian(gm, tol)
+    if not herm.ok:
+        raise ValueError(
+            f"Gram matrix is not Hermitian (residual {herm.residual:.3e})")
     w, u = np.linalg.eigh(hermitize(gm))
     scale = float(w[-1]) if w.size else 0.0
     if w.size and w.min() < -tol.psd_slack * (1 + abs(scale)):
@@ -332,10 +336,6 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return hermitize(random_ginibre(rng, dim))
-
-
 def random_psd(rng: np.random.Generator, dim: int, rank: int | None = None
                ) -> np.ndarray:
     c = random_ginibre(rng, dim, rank if rank is not None else dim)
@@ -357,7 +357,8 @@ def matrix_from_json(data) -> np.ndarray:
     """Decode the :func:`matrix_to_json` encoding.
 
     Bare numbers are also accepted in place of ``[re, im]`` pairs so that
-    hand-written real matrices stay readable.
+    hand-written real matrices stay readable. JSON ``true``/``false`` are
+    not numbers here, although Python's ``bool`` is an ``int``.
     """
     if not isinstance(data, list) or not data:
         raise ValueError("matrix JSON must be a nonempty list of rows")
@@ -368,13 +369,17 @@ def matrix_from_json(data) -> np.ndarray:
             raise ValueError("matrix JSON rows must be lists")
         entries = []
         for z in row:
-            if isinstance(z, (int, float)):
+            if isinstance(z, list) and len(z) == 2:
+                re, im = z
+                if (isinstance(re, (int, float)) and isinstance(im, (int, float))
+                        and not isinstance(re, bool)
+                        and not isinstance(im, bool)):
+                    entries.append(complex(re, im))
+                    continue
+            elif isinstance(z, (int, float)) and not isinstance(z, bool):
                 entries.append(complex(z))
-            elif (isinstance(z, list) and len(z) == 2
-                  and all(isinstance(p, (int, float)) for p in z)):
-                entries.append(complex(z[0], z[1]))
-            else:
-                raise ValueError(f"bad complex entry in matrix JSON: {z!r}")
+                continue
+            raise ValueError(f"bad complex entry in matrix JSON: {z!r}")
         if width is None:
             width = len(entries)
         elif len(entries) != width:

@@ -279,3 +279,61 @@ def test_output_flag_overrides_derived_path(tmp_path, capsys):
     code, _ = run(capsys, "dilate", "-i", str(inst), "-o", str(target))
     assert code == 0
     assert target.exists()
+
+
+def extended_system(tmp_path, capsys, name="luders-z"):
+    inst = write_fixture(tmp_path, name)
+    code, _ = run(capsys, "extend", "-i", str(inst))
+    assert code == 0
+    return tmp_path / f"{name}.sys.json"
+
+
+def test_verify_mc_rejects_zero_samples(tmp_path, capsys):
+    sys_path = extended_system(tmp_path, capsys)
+    code, report = run(capsys, "verify-mc", "-i", str(sys_path),
+                       "--samples", "0")
+    assert code == 2
+    assert report["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_equiv_rejects_non_positive_order(tmp_path, capsys, order):
+    inst = write_fixture(tmp_path, "luders-z")
+    run(capsys, "dilate", "-i", str(inst))
+    mp = str(tmp_path / "luders-z.mp.json")
+    code, report = run(capsys, "equiv", mp, mp, "--order", order)
+    assert code == 2
+    assert report["error"] == "invalid-input"
+
+
+def test_infinite_tolerance_is_input_error(tmp_path, capsys, monkeypatch):
+    sys_path = extended_system(tmp_path, capsys)
+    code, report = run(capsys, "verify-mc", "-i", str(sys_path),
+                       "--tol", "inf")
+    assert code == 2
+    assert "error" in report
+    monkeypatch.setenv("QDIL_TOL", "inf")
+    code, report = run(capsys, "verify-mc", "-i", str(sys_path))
+    assert code == 2
+    assert "error" in report
+
+
+def test_verify_mc_rejects_truncated_pi_in(tmp_path, capsys):
+    sys_path = extended_system(tmp_path, capsys)
+    data = json.loads(sys_path.read_text())
+    data["pi_in"] = data["pi_in"][:-1]
+    sys_path.write_text(json.dumps(data))
+    code, report = run(capsys, "verify-mc", "-i", str(sys_path))
+    assert code == 2
+    assert report["error"] == "schema"
+
+
+def test_boolean_matrix_entry_is_schema_error(tmp_path, capsys):
+    data = instrument_to_json(load_fixture("luders-z"))
+    assert data["kraus"]["0"][0][0][0] == [1.0, 0.0]
+    data["kraus"]["0"][0][0][0] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    code, report = run(capsys, "dilate", "-i", str(path))
+    assert code == 2
+    assert report["error"] == "schema"

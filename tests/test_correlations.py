@@ -211,3 +211,19 @@ def test_system_json_rejects_missing_key():
     del data["v"]
     with pytest.raises(ValueError):
         system_from_json(data)
+
+
+def test_mc2_flags_phase_twisted_atom_map():
+    """``Π_1 ↦ i·Π_1`` keeps every word's magnitude but breaks MC2.
+
+    Its Gram matrix is PSD only if the rows are computed as adjoints of
+    the columns, so the MC2 entry itself must fail.
+    """
+    good = from_instrument(luders_instrument([P0, P1]))
+    broken = CorrelationSystem(
+        good.dim_h, good.algebra, good.outcomes, good.dim_l, good.pi_in,
+        {"0": good.pi_atom["0"], "1": PiMap(1j * good.pi_atom["1"].tensor)},
+        good.v, validate=False)
+    entry = verify_axioms(broken, depth=3, samples=200, seed=0).entries["MC2"]
+    assert not entry.passed
+    assert entry.residual > 1e-3

@@ -243,3 +243,13 @@ def test_constructor_rejects_unknown_outcome_kraus():
         CPInstrument(2, full_algebra(2), OutcomeSpace(("a",)),
                      {"a": [np.eye(2)], "b": [np.eye(2)]},
                      validate=False)
+
+
+def test_outcome_label_in_is_reserved_for_the_input_letter():
+    from qdil.correlations import IN
+
+    assert IN == "in"
+    with pytest.raises(ValueError, match="reserved"):
+        OutcomeSpace((IN, "out"))
+    with pytest.raises(ValueError, match="reserved"):
+        luders_instrument([P0, P1], labels=[IN, "out"])

@@ -52,3 +52,11 @@ def test_pipeline_outputs_validate(tmp_path, capsys):
     jsonschema.validate(
         json.loads((tmp_path / "luders-z.traj.json").read_text()),
         schema("trajectory"))
+
+
+def test_error_report_validates(tmp_path, capsys):
+    assert main(["dilate", "-i", str(tmp_path / "absent.json")]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "dilate"
+    assert "error" in report
+    jsonschema.validate(report, schema("report"))
