@@ -29,6 +29,7 @@ from .correlations import (
     verify_axioms,
 )
 from .dilation import (
+    _order_note,
     faithful_mp,
     faithfulness_table,
     induced_instrument_mp,
@@ -266,27 +267,22 @@ def cmd_equiv(args) -> int:
             raise _InputError({"error": "invalid-measuring-process",
                                "detail": str(exc)}) from None
     config = RunConfig(tol, 0, args.order, None)
-    orders = {}
-    all_ok = True
-    for n in range(1, args.order + 1):
-        try:
-            rep = n_equivalent(mps[0], mps[1], n, tol=tol)
-        except ValueError as exc:
-            raise _InputError({"error": "mismatch",
-                               "detail": str(exc)}) from None
-        orders[str(n)] = {
-            "equivalent": rep.equivalent,
-            "worst_residual": rep.worst_residual,
-            "note": rep.note,
-        }
-        all_ok = all_ok and rep.equivalent
+    try:
+        rep = n_equivalent(mps[0], mps[1], args.order, tol=tol)
+    except ValueError as exc:
+        raise _InputError({"error": "mismatch",
+                           "detail": str(exc)}) from None
+    orders = {str(k): {"equivalent": res <= rep.bound,
+                       "worst_residual": res,
+                       "note": _order_note(k)}
+              for k, res in enumerate(rep.order_residuals, start=1)}
     _emit({
         "command": "equiv",
         "config": config.to_json(),
         "orders": orders,
-        "all_equivalent": all_ok,
+        "all_equivalent": rep.equivalent,
     })
-    return 0 if all_ok else 1
+    return 0 if rep.equivalent else 1
 
 
 def cmd_inner(args) -> int:

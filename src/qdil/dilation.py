@@ -198,6 +198,8 @@ def mp_from_json(data, validate: bool = True) -> MeasuringProcess:
     for key in ("dimH", "dimK", "sigma", "pvm", "u", "outcomes"):
         if key not in data:
             raise ValueError(f"measuring-process JSON is missing '{key}'")
+    if not isinstance(data["pvm"], dict):
+        raise ValueError("measuring-process JSON 'pvm' must be an object")
     dim_h = int(data["dimH"])
     algebra = (algebra_from_json(data["algebra"]) if data.get("algebra")
                else full_algebra(dim_h))
@@ -620,37 +622,104 @@ def system_of_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """Outcome of :func:`n_equivalent` for every order up to ``order``.
+
+    ``order_residuals[k - 1]`` is the worst value difference over the
+    words of length ≤ k; order k holds when it is at most ``bound``.
+    """
+
     equivalent: bool
     worst_residual: float
     order: int
+    order_residuals: tuple[float, ...]
+    bound: float
     note: str = ""
 
     def __bool__(self) -> bool:
         return self.equivalent
 
 
-def _word_values(mp: MeasuringProcess, choices, n: int,
-                 tol: Tolerance) -> list[np.ndarray]:
-    """Values of every word of length ≤ n in DFS order, sharing suffixes.
+def _order_note(n: int) -> str:
+    return "statistical equivalence" if n == 2 else ""
 
-    ``choices`` is the ordered list of (letter, operator) pairs used at
-    each position. States accumulate right-to-left so extending a word
-    prepends a letter. Values compress against the cyclic isometry
-    ``ξ ↦ ξ ⊗ η``; every letter map carries its own coupling factors.
+
+def _gram_blocks(mp: MeasuringProcess, ops: np.ndarray, n: int,
+                 tol: Tolerance):
+    """Values of every word of length ≤ n, split as prefix · suffix.
+
+    A word ``X_1···X_ℓ`` has the value
+    ``⟨(X_1···X_a)* c, (X_{a+1}···X_ℓ) c⟩`` with ``c`` the cyclic
+    isometry ``ξ ↦ ξ ⊗ η``. The prefix states
+    ``(X_1···X_a)* c`` for a ≤ ⌊n/2⌋ are stacked into ``L`` (ordered by
+    length); ``X(t, m)* = X(t, m*)`` since every pointer projection is
+    Hermitian. Suffix words of length ≤ ⌈n/2⌉ are walked depth first,
+    and each node yields ``(b, blocks)``: ``b`` the length of its
+    children's suffixes and ``blocks[a][w, p]`` the dimH×dimH value of
+    the p-th prefix of length a followed by child w. A child's values
+    are ``L*(m ⊗ 1)s`` or ``(UL)*(m ⊗ E_t)(Us)`` for the parent state s,
+    so leaf states are never formed; the root first yields its own
+    values with ``b = 0``. Letters run over the input and the atoms,
+    operators over ``ops``.
     """
     pure, c = _purify(mp, tol)
-    out: list[np.ndarray] = []
-    cdag = dagger(c)
+    dim_h, dim_k = pure.dim_h, pure.dim_k
+    dim = dim_h * dim_k
+    half = n // 2
+    u = pure.u
+    e = np.stack([pure.e[s] for s in mp.outcomes.labels])
 
-    def dfs(state, depth):
-        for letter, m in choices:
-            new = _step(pure, letter, m, state)
-            out.append(cdag @ new)
-            if depth + 1 < n:
-                dfs(new, depth + 1)
+    def children(ms, states):
+        # Every letter map with every operator of ms, input letter first;
+        # the atoms share one U·states and one U* multiply.
+        cols = states.shape[1]
+        s3 = states.reshape(dim_h, dim_k, cols)
+        inp = np.einsum("mij,jkb->ikmb", ms, s3).reshape(dim, -1)
+        y = (u @ states).reshape(dim_h, dim_k, cols)
+        z = np.einsum("mij,tkl,jlb->iktmb", ms, e, y, optimize=True)
+        atoms = (u.T @ z.reshape(dim, -1).conj()).conj()
+        return np.concatenate([inp, atoms], axis=1)
 
-    dfs(c, 0)
-    return out
+    level, levels = c, [c]
+    for _ in range(half):
+        level = children(ops.conj().transpose(0, 2, 1), level)
+        levels.append(level)
+    lstack = np.concatenate(levels, axis=1)
+    splits = np.cumsum([lv.shape[1] // dim_h for lv in levels])[:-1]
+    # Conjugated prefix states before and after U, rows (i, column of L)
+    # against the meter index k.
+    frames = [f.conj().reshape(dim_h, dim_k, -1).transpose(0, 2, 1)
+              .reshape(-1, dim_k) for f in (lstack, u @ lstack)]
+    width = lstack.shape[1]
+
+    def block(vals, cols):
+        # (children, prefixes·dimH, cols) -> per prefix length
+        # (children, prefixes, dimH, cols)
+        return np.split(vals.reshape(len(vals), -1, dim_h, cols), splits,
+                        axis=1)
+
+    def child_blocks(s):
+        # ⟨f_i, (m ⊗ E) w_j⟩ = Σ_k conj(f[i, k]) (E w)[j, k] m[i, j]: one
+        # product over the meter leg, then the operators over (i, j).
+        cols = s.shape[1]
+        ws = (s.reshape(1, dim_h, dim_k, cols),
+              e[:, None] @ (u @ s).reshape(dim_h, dim_k, cols))
+        vals = []
+        for f, w in zip(frames, ws):
+            g = f @ w.transpose(2, 0, 1, 3).reshape(dim_k, -1)
+            g = g.reshape(dim_h, width, len(w), dim_h, cols)
+            vals.append(np.einsum("mij,iqtjb->tmqb", ops, g, optimize=True)
+                        .reshape(-1, width, cols))
+        return block(np.concatenate(vals), cols)
+
+    def walk(s, depth):
+        yield depth + 1, child_blocks(s)
+        if depth + 1 < n - half:
+            kids = children(ops, s).reshape(dim, -1, s.shape[1])
+            for k in range(kids.shape[1]):
+                yield from walk(kids[:, k], depth + 1)
+
+    yield 0, block((lstack.conj().T @ c)[None], dim_h)
+    yield from walk(c, 0)
 
 
 def n_equivalent(mp1: MeasuringProcess, mp2: MeasuringProcess, n: int,
@@ -659,8 +728,15 @@ def n_equivalent(mp1: MeasuringProcess, mp2: MeasuringProcess, n: int,
 
     By multilinearity it suffices to range the operator slots over a
     basis of the algebra and the letters over the input plus the atoms,
-    which this does exhaustively (every word of length ≤ n). The order-2
-    check is statistical equivalence.
+    which this does exhaustively (every word of length ≤ n). One pass
+    answers every order 1..n: each word is a prefix of length ≤ ⌊n/2⌋
+    against a suffix of length ≤ ⌈n/2⌉ (see :func:`_gram_blocks`), so
+    the cost is about (choices)^⌈n/2⌉ state pushes and Gram blocks,
+    choices = (1 + #atoms)·dim(algebra), where evaluating every word
+    separately costs (choices)^n pushes. The two processes' suffix
+    streams are compared as they are produced, so memory holds the
+    prefix stacks and one node's children at a time. The order-2 check
+    is statistical equivalence.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -668,15 +744,18 @@ def n_equivalent(mp1: MeasuringProcess, mp2: MeasuringProcess, n: int,
         raise ValueError("system dimensions differ")
     if mp1.outcomes.labels != mp2.outcomes.labels:
         raise ValueError("outcome spaces differ")
-    basis = mp1.algebra.basis()
-    letters = [IN] + list(mp1.outcomes.labels)
-    choices = [(t, m) for t in letters for m in basis]
-    note = "statistical equivalence" if n == 2 else ""
-    vals1 = _word_values(mp1, choices, n, tol)
-    vals2 = _word_values(mp2, choices, n, tol)
-    worst = max((float(np.abs(a - b).max())
-                 for a, b in zip(vals1, vals2)), default=0.0)
-    return EquivalenceReport(worst <= tol.abs * 100, worst, n, note)
+    ops = np.stack(mp1.algebra.basis())
+    by_length = np.zeros(n + 1)
+    for (b, x1), (_, x2) in zip(_gram_blocks(mp1, ops, n, tol),
+                                _gram_blocks(mp2, ops, n, tol)):
+        for a, (y1, y2) in enumerate(zip(x1, x2)):
+            if a + b:
+                by_length[a + b] = max(by_length[a + b],
+                                       np.abs(y1 - y2).max())
+    residuals = tuple(float(r) for r in np.maximum.accumulate(by_length[1:]))
+    bound = tol.abs * 100
+    return EquivalenceReport(residuals[-1] <= bound, residuals[-1], n,
+                             residuals, bound, _order_note(n))
 
 
 # ---------------------------------------------------------------------------

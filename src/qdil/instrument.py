@@ -554,8 +554,11 @@ def instrument_from_json(data, validate: bool = True) -> CPInstrument:
     algebra = (algebra_from_json(data["algebra"])
                if data.get("algebra") else full_algebra(dim))
     weights = None
-    if data.get("weights"):
-        weights = {s: [float(w) for w in ws]
-                   for s, ws in data["weights"].items()}
+    if "weights" in data:
+        if not isinstance(data["weights"], dict):
+            raise ValueError("instrument JSON 'weights' must be an object")
+        if data["weights"]:
+            weights = {s: [float(w) for w in ws]
+                       for s, ws in data["weights"].items()}
     return CPInstrument(dim, algebra, outcomes, kraus, weights,
                         validate=validate)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from qdil.algebra import full_algebra
+from qdil.dilation import MeasuringProcess
 from qdil.instrument import CPInstrument, OutcomeSpace
+from qdil.vn_model import load_fixture
 
 
 def random_cp_instrument(rng, dim_h, n_outcomes, kraus_per_outcome=1,
@@ -35,3 +37,22 @@ def random_state(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def hand_built_amp_damp():
+    """The ``amp-damp-0.5`` channel on a hand-built two-level meter.
+
+    Its instrument equals the fixture's, so it is 2-equivalent to the
+    canonical dilation, but its order-3 correlations differ.
+    """
+    s = np.sqrt(0.5)
+    u = np.array([[1, 0, 0, 0],
+                  [0, -s, s, 0],
+                  [0, s, s, 0],
+                  [0, 0, 0, 1]], dtype=complex)
+    e = {"no-decay": np.diag([1.0, 0.0]).astype(complex),
+         "decay": np.diag([0.0, 1.0]).astype(complex)}
+    sigma = np.diag([1.0, 0.0]).astype(complex)
+    return MeasuringProcess(2, full_algebra(2),
+                            load_fixture("amp-damp-0.5").outcomes, 2,
+                            sigma, e, u)

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_cp_instrument
+import qdil.cli
+from conftest import hand_built_amp_damp, random_cp_instrument
 from qdil.cli import main
+from qdil.correlations import from_instrument
+from qdil.dilation import mp_from_correlations, mp_to_json
 from qdil.instrument import instrument_to_json
 from qdil.operator_core import matrix_to_json
 from qdil.vn_model import load_fixture
@@ -131,6 +134,57 @@ def test_equiv_mismatched_outcomes_is_input_error(tmp_path, capsys):
                        str(tmp_path / "amp-damp-0.5.mp.json"))
     assert code == 2
     assert report["error"] == "mismatch"
+
+
+def test_equiv_reports_every_order_from_one_pass(tmp_path, capsys,
+                                                 monkeypatch):
+    canonical = mp_from_correlations(from_instrument(
+        load_fixture("amp-damp-0.5")))
+    paths = []
+    for name, mp in (("canonical", canonical),
+                     ("hand", hand_built_amp_damp())):
+        paths.append(tmp_path / f"{name}.mp.json")
+        paths[-1].write_text(json.dumps(mp_to_json(mp)))
+    calls = []
+    original = qdil.cli.n_equivalent
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qdil.cli, "n_equivalent", counted)
+    code, report = run(capsys, "equiv", str(paths[0]), str(paths[1]),
+                       "--order", "3")
+    assert code == 1
+    assert calls == [3]
+    orders = report["orders"]
+    assert [orders[k]["equivalent"] for k in ("1", "2", "3")] == [
+        True, True, False]
+    assert orders["2"]["note"] == "statistical equivalence"
+    assert report["all_equivalent"] is False
+
+
+@pytest.mark.parametrize("pvm", [[], "x", 1, None, True])
+def test_equiv_non_object_pvm_is_schema_error(tmp_path, capsys, pvm):
+    inst = write_fixture(tmp_path, "luders-z")
+    run(capsys, "dilate", "-i", str(inst))
+    mp = tmp_path / "luders-z.mp.json"
+    data = json.loads(mp.read_text())
+    data["pvm"] = pvm
+    mp.write_text(json.dumps(data))
+    code, report = run(capsys, "equiv", str(mp), str(mp))
+    assert code == 2
+    assert report["error"] == "schema"
+
+
+def test_dilate_non_object_weights_is_schema_error(tmp_path, capsys):
+    inst = write_fixture(tmp_path, "luders-z")
+    data = json.loads(inst.read_text())
+    data["weights"] = [1.0]
+    inst.write_text(json.dumps(data))
+    code, report = run(capsys, "dilate", "-i", str(inst))
+    assert code == 2
+    assert report["error"] == "schema"
 
 
 def test_inner_succeeds_on_full_algebra(tmp_path, capsys):

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import random_cp_instrument
-from qdil.algebra import diagonal_algebra, full_algebra, tensor_with_full, contains
+from conftest import hand_built_amp_damp, random_cp_instrument
+from qdil.algebra import (
+    FiniteVonNeumannAlgebra,
+    contains,
+    diagonal_algebra,
+    full_algebra,
+    tensor_with_full,
+)
 from qdil.correlations import IN, TimeWord, eval_W, from_instrument, verify_axioms
 from qdil.dilation import (
     MeasuringProcess,
@@ -33,6 +42,7 @@ from qdil.operator_core import (
     random_unitary,
     spectral_norm,
 )
+from qdil.vn_model import load_fixture
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -212,6 +222,60 @@ def test_n_equivalent_rejects_mismatched_outcomes():
         luders_instrument([np.eye(2)], labels=["only"])))
     with pytest.raises(ValueError):
         n_equivalent(mp1, mp2, 2)
+
+
+def brute_force_order_residuals(mp_a, mp_b, n):
+    """Worst value difference up to each order, one word at a time."""
+    choices = [(t, m) for t in [IN] + list(mp_a.outcomes.labels)
+               for m in mp_a.algebra.basis()]
+    worst, out = 0.0, []
+    for length in range(1, n + 1):
+        for word in itertools.product(choices, repeat=length):
+            t = TimeWord(tuple(letter for letter, _ in word))
+            ms = [m for _, m in word]
+            diff = correlations_of_mp(mp_a, t, ms) - correlations_of_mp(
+                mp_b, t, ms)
+            worst = max(worst, float(np.abs(diff).max()))
+        out.append(worst)
+    return out
+
+
+def canonical_mp(name):
+    return mp_from_correlations(from_instrument(load_fixture(name)))
+
+
+class SkewSpannedAlgebra(FiniteVonNeumannAlgebra):
+    """M_2 spanned by a set that is not closed under adjoints."""
+
+    def basis(self):
+        rng = np.random.default_rng(89)
+        return [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                for _ in range(4)]
+
+
+def skew_spanned(mp):
+    return dataclasses.replace(
+        mp, algebra=SkewSpannedAlgebra(2, ((2, 1),), np.eye(2)))
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (canonical_mp("amp-damp-0.5"), hand_built_amp_damp()),
+    lambda: (canonical_mp("luders-z"),
+             inner_mp_from_kraus(load_fixture("luders-z"))),
+    lambda: (inner_mp_from_kraus(load_fixture("diag-luders-z")),
+             faithful_mp(load_fixture("diag-luders-z"))),
+    lambda: (skew_spanned(canonical_mp("amp-damp-0.5")),
+             skew_spanned(hand_built_amp_damp())),
+], ids=["amp-damp-canonical-vs-hand", "luders-z-canonical-vs-inner",
+        "diag-luders-z-inner-vs-faithful", "amp-damp-skew-spanning-set"])
+def test_n_equivalent_order_residuals_match_brute_force(pair):
+    mp_a, mp_b = pair()
+    rep = n_equivalent(mp_a, mp_b, 3)
+    want = brute_force_order_residuals(mp_a, mp_b, 3)
+    assert rep.order == 3
+    assert np.allclose(rep.order_residuals, want, rtol=0, atol=1e-12)
+    assert rep.worst_residual == rep.order_residuals[-1]
+    assert rep.equivalent == (want[-1] <= rep.bound)
 
 
 def test_canonical_and_inner_dilations_are_equivalent():
