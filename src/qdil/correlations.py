@@ -31,6 +31,8 @@ from .instrument import (
     IN,
     CPInstrument,
     OutcomeSpace,
+    _json_dim,
+    _json_outcomes,
     instrument_from_duals,
 )
 from .operator_core import (
@@ -40,6 +42,8 @@ from .operator_core import (
     is_pvm,
     matrix_from_json,
     matrix_to_json,
+    norm_within,
+    pvm_within,
     random_ginibre,
     spectral_norm,
 )
@@ -180,36 +184,47 @@ class CorrelationSystem:
         Checks each letter map is *-preserving and multiplicative on a
         basis of the algebra, that ``Π_in`` is unital with the atoms'
         units forming a PVM, and that ``v`` is an intertwining isometry.
+        Each letter map is applied to the whole basis stack with one
+        matrix product; products of basis pairs are formed one basis row
+        at a time, so memory stays linear in the basis size.
         """
-        eye_l = np.eye(self.dim_l)
         tol_scale = tol.abs * (1 + self.dim_l)
-        basis = self.algebra.basis()
+        basis = np.stack(self.algebra.basis())
+        n, dim_l = len(basis), self.dim_l
+
+        def apply_all(pm: PiMap, ms: np.ndarray) -> np.ndarray:
+            flat = pm.tensor.reshape(dim_l * dim_l, -1)
+            return (ms.reshape(len(ms), -1) @ flat.T).reshape(-1, dim_l,
+                                                              dim_l)
+
+        def adjoints(ms: np.ndarray) -> np.ndarray:
+            return ms.conj().transpose(0, 2, 1)
+
         for name, pm in [(IN, self.pi_in)] + sorted(self.pi_atom.items()):
-            images = [pm.apply(b) for b in basis]
-            for b, img in zip(basis, images):
-                if spectral_norm(pm.apply(dagger(b)) - dagger(img)) > tol_scale:
-                    raise ValueError(f"Π_{name} is not *-preserving")
-            for i, a in enumerate(basis):
-                for j, b in enumerate(basis):
-                    prod = pm.apply(a @ b)
-                    if spectral_norm(images[i] @ images[j] - prod) > tol_scale:
-                        raise ValueError(f"Π_{name} is not multiplicative "
-                                         "on the algebra")
-        if spectral_norm(self.pi_in.apply(np.eye(self.dim_h)) - eye_l) > tol_scale:
+            images = apply_all(pm, basis)
+            if not norm_within(apply_all(pm, adjoints(basis))
+                               - adjoints(images), tol_scale):
+                raise ValueError(f"Π_{name} is not *-preserving")
+            for i in range(n):
+                if not norm_within(images[i] @ images
+                                   - apply_all(pm, basis[i] @ basis),
+                                   tol_scale):
+                    raise ValueError(f"Π_{name} is not multiplicative "
+                                     "on the algebra")
+        if not norm_within(self.pi_in.apply(np.eye(self.dim_h))
+                           - np.eye(dim_l), tol_scale):
             raise ValueError("Π_in is not unital")
-        pvm = is_pvm(self.atom_units(), tol)
-        if pvm.residual > tol_scale:
+        units = self.atom_units()
+        if not pvm_within(units, tol_scale):
             raise ValueError(f"atom units are not a PVM "
-                             f"(residual {pvm.residual:.3e})")
-        if spectral_norm(dagger(self.v) @ self.v - np.eye(self.dim_h)) > tol_scale:
+                             f"(residual {is_pvm(units, tol).residual:.3e})")
+        if not norm_within(dagger(self.v) @ self.v - np.eye(self.dim_h),
+                           tol_scale):
             raise ValueError("v is not an isometry")
-        worst = 0.0
-        for b in basis:
-            worst = max(worst, spectral_norm(
-                self.pi_in.apply(b) @ self.v - self.v @ b))
-        if worst > tol_scale:
+        moved = apply_all(self.pi_in, basis) @ self.v - self.v @ basis
+        if not norm_within(moved, tol_scale):
             raise ValueError(f"v does not intertwine Π_in "
-                             f"(residual {worst:.3e})")
+                             f"(residual {spectral_norm(moved):.3e})")
 
 
 def _check_members(sys: CorrelationSystem, ms, tol: Tolerance) -> list[np.ndarray]:
@@ -423,10 +438,10 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
     unitary ``U = [[0, -V₀*], [V₀, 1-V₀V₀*]]``, letter maps
     ``Π_s(M) = U* Π_in(M) E({s}) U``, and the inclusion of ``H`` as the
     first summand for ``v``. Its induced instrument is the input again.
+    The input is validated once, by :func:`instrument_representation`.
     """
     from .dilation import instrument_representation
 
-    inst.require_valid(tol)
     anchor = inst.outcomes.labels[0] if anchor is None else str(anchor)
     if anchor not in inst.outcomes.labels:
         raise ValueError(f"unknown anchor label {anchor!r}")
@@ -648,8 +663,9 @@ def system_from_json(data, validate: bool = True) -> CorrelationSystem:
     for key in ("dimH", "dimL", "outcomes", "pi_in", "pi_atoms", "v"):
         if key not in data:
             raise ValueError(f"correlation-system JSON is missing '{key}'")
-    dim_h = int(data["dimH"])
-    dim_l = int(data["dimL"])
+    dim_h = _json_dim(data, "dimH", "correlation-system")
+    dim_l = _json_dim(data, "dimL", "correlation-system")
+    outcomes = _json_outcomes(data, "correlation-system")
 
     def map_from(name: str, js) -> PiMap:
         if not (isinstance(js, list) and len(js) == dim_h
@@ -670,7 +686,6 @@ def system_from_json(data, validate: bool = True) -> CorrelationSystem:
     if not isinstance(data["pi_atoms"], dict):
         raise ValueError("correlation-system JSON 'pi_atoms' must be an object")
 
-    outcomes = OutcomeSpace(tuple(data["outcomes"]))
     algebra = (algebra_from_json(data["algebra"]) if data.get("algebra")
                else full_algebra(dim_h))
     return CorrelationSystem(

@@ -37,6 +37,8 @@ from .correlations import (
 from .instrument import (
     CPInstrument,
     OutcomeSpace,
+    _json_dim,
+    _json_outcomes,
     apply_dual,
     choi_of_dual,
     choi_of_kraus,
@@ -54,7 +56,9 @@ from .operator_core import (
     matrix_from_json,
     matrix_to_json,
     matrix_units,
+    norm_within,
     proj,
+    pvm_within,
     random_unitary,
     require_state,
     spectral_norm,
@@ -129,12 +133,15 @@ class MeasuringProcess:
             self.require_valid()
 
     def require_valid(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        rep = is_unitary(self.u, tol)
-        if rep.residual > tol.abs * 100:
-            raise ValueError(f"u is not unitary (residual {rep.residual:.3e})")
-        rep = is_pvm(self.e, tol)
-        if rep.residual > tol.abs * 100:
-            raise ValueError(f"e is not a PVM (residual {rep.residual:.3e})")
+        bound = tol.abs * 100
+        eye = np.eye(len(self.u))
+        if not (norm_within(dagger(self.u) @ self.u - eye, bound)
+                and norm_within(self.u @ dagger(self.u) - eye, bound)):
+            res = is_unitary(self.u, tol).residual
+            raise ValueError(f"u is not unitary (residual {res:.3e})")
+        if not pvm_within(self.e, bound):
+            raise ValueError(f"e is not a PVM "
+                             f"(residual {is_pvm(self.e, tol).residual:.3e})")
         require_state(self.sigma, tol, what="sigma")
 
     def pointer(self, event) -> np.ndarray:
@@ -200,12 +207,13 @@ def mp_from_json(data, validate: bool = True) -> MeasuringProcess:
             raise ValueError(f"measuring-process JSON is missing '{key}'")
     if not isinstance(data["pvm"], dict):
         raise ValueError("measuring-process JSON 'pvm' must be an object")
-    dim_h = int(data["dimH"])
+    dim_h = _json_dim(data, "dimH", "measuring-process")
+    dim_k = _json_dim(data, "dimK", "measuring-process")
+    outcomes = _json_outcomes(data, "measuring-process")
     algebra = (algebra_from_json(data["algebra"]) if data.get("algebra")
                else full_algebra(dim_h))
     return MeasuringProcess(
-        dim_h, algebra, OutcomeSpace(tuple(data["outcomes"])),
-        int(data["dimK"]), matrix_from_json(data["sigma"]),
+        dim_h, algebra, outcomes, dim_k, matrix_from_json(data["sigma"]),
         {s: matrix_from_json(p) for s, p in data["pvm"].items()},
         matrix_from_json(data["u"]), validate=validate)
 
@@ -264,26 +272,24 @@ class InstrumentRepresentation:
     def require_valid(self, inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
                       ) -> None:
         scale = tol.abs * (1 + self.dim_k)
-        units = list(matrix_units(self.dim_h))
-        for _, _, x in units:
-            px = self.pi0.apply(x)
-            for s, e in self.e0.items():
-                if spectral_norm(px @ e - e @ px) > scale:
-                    raise ValueError(f"π₀ does not commute with E₀({s!r})")
-        cols = []
-        worst = 0.0
-        for i, j, x in units:
-            px = self.pi0.apply(x)
-            for s in inst.outcomes.labels:
-                block = px @ self.e0[s] @ self.v
-                cols.append(block)
-                got = dagger(self.v) @ block
-                worst = max(worst, spectral_norm(
-                    got - apply_dual(inst, x, (s,))))
-        if worst > scale:
+        units = [x for _, _, x in matrix_units(self.dim_h)]
+        # π₀ of every matrix unit, in the order of ``units``.
+        images = np.moveaxis(self.pi0.tensor.reshape(
+            self.dim_k, self.dim_k, -1), 2, 0)
+        for s, e in self.e0.items():
+            if not norm_within(images @ e - e @ images, scale):
+                raise ValueError(f"π₀ does not commute with E₀({s!r})")
+        labels = inst.outcomes.labels
+        # blocks[u, a] = π₀(x_u) E₀(s_a) V for unit x_u and atom s_a.
+        pointers = np.stack([self.e0[s] for s in labels])
+        blocks = images[:, None] @ pointers @ self.v
+        misfit = dagger(self.v) @ blocks - np.array(
+            [[apply_dual(inst, x, (s,)) for s in labels] for x in units])
+        if not norm_within(misfit, scale):
             raise ValueError(f"representation does not reconstruct the "
-                             f"instrument (residual {worst:.3e})")
-        stacked = np.hstack(cols) if cols else np.zeros((self.dim_k, 0))
+                             f"instrument "
+                             f"(residual {spectral_norm(misfit):.3e})")
+        stacked = blocks.transpose(2, 0, 1, 3).reshape(self.dim_k, -1)
         sv = np.linalg.svd(stacked, compute_uv=False)
         rank = int(np.count_nonzero(sv > tol.abs * (1 + (sv[0] if sv.size else 0))))
         if rank != self.dim_k:
@@ -361,17 +367,15 @@ def multiplicity_split(pi: PiMap, tol: Tolerance = DEFAULT_TOL
         ei0[i, 0] = 1.0
         w[:, i * dim_k:(i + 1) * dim_k] = pi.apply(ei0) @ f
     scale = tol.abs * (1 + dim_l) * 100
-    if spectral_norm(dagger(w) @ w - np.eye(dim_l)) > scale:
+    if not norm_within(dagger(w) @ w - np.eye(dim_l), scale):
         raise ValueError("π is not a representation: propagated basis is "
                          "not orthonormal")
     u1 = dagger(w)
-    worst = 0.0
-    for _, _, x in matrix_units(dim_h):
-        worst = max(worst, spectral_norm(
-            pi.apply(x) - w @ np.kron(x, np.eye(dim_k)) @ u1))
-    if worst > scale:
+    misfit = np.stack([pi.apply(x) - w @ np.kron(x, np.eye(dim_k)) @ u1
+                       for _, _, x in matrix_units(dim_h)])
+    if not norm_within(misfit, scale):
         raise ValueError(f"π is not a representation of the full matrix "
-                         f"algebra (residual {worst:.3e})")
+                         f"algebra (residual {spectral_norm(misfit):.3e})")
     return dim_k, u1
 
 
@@ -390,25 +394,24 @@ def commutant_pvm_lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray,
         raise ValueError("split dimensions do not divide")
     dim_k = dim_l // dim_h
     scale = tol.abs * (1 + dim_l) * 100
+    transported = np.stack([dagger(u2) @ np.kron(x, np.eye(dim_k)) @ u2
+                            for _, _, x in matrix_units(dim_h)])
     out = {}
     for s, p in pi_vals.items():
         p = np.asarray(p, dtype=complex)
-        for _, _, x in matrix_units(dim_h):
-            tx = dagger(u2) @ np.kron(x, np.eye(dim_k)) @ u2
-            if spectral_norm(p @ tx - tx @ p) > scale:
-                raise ValueError(f"projection {s!r} does not commute with "
-                                 "the transported algebra")
+        if not norm_within(p @ transported - transported @ p, scale):
+            raise ValueError(f"projection {s!r} does not commute with "
+                             "the transported algebra")
         t = (u2 @ p @ dagger(u2)).reshape(dim_h, dim_k, dim_h, dim_k)
         e0 = np.einsum("akal->kl", t) / dim_h
-        if spectral_norm(t.reshape(dim_l, dim_l)
-                         - np.kron(np.eye(dim_h), e0)) > scale:
+        if not norm_within(t.reshape(dim_l, dim_l)
+                           - np.kron(np.eye(dim_h), e0), scale):
             raise ValueError(f"transported projection {s!r} is not of the "
                              "form 1 ⊗ (·)")
         out[s] = e0
-    rep = is_pvm(out, tol)
-    if rep.residual > scale:
+    if not pvm_within(out, scale):
         raise ValueError(f"lifted family is not a PVM "
-                         f"(residual {rep.residual:.3e})")
+                         f"(residual {is_pvm(out, tol).residual:.3e})")
     return out
 
 
@@ -428,12 +431,13 @@ def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
     dim_l1 = v.shape[0] // dim_h
     scale = tol.abs * (1 + v.shape[0]) * 100
     for _, _, x in matrix_units(dim_h):
-        res = spectral_norm(np.kron(x, np.eye(dim_l1)) @ v - v @ x)
-        if res > scale:
+        moved = np.kron(x, np.eye(dim_l1)) @ v - v @ x
+        if not norm_within(moved, scale):
             raise ValueError(f"V does not intertwine the system action "
-                             f"(residual {res:.3e})")
+                             f"(residual {spectral_norm(moved):.3e})")
     eta_raw = v[:dim_l1, 0].copy()
-    if spectral_norm(v - np.kron(np.eye(dim_h), eta_raw.reshape(-1, 1))) > scale:
+    if not norm_within(v - np.kron(np.eye(dim_h), eta_raw.reshape(-1, 1)),
+                       scale):
         raise ValueError("V is not of the form ξ ↦ ξ ⊗ η")
     norm = np.linalg.norm(eta_raw)
     if abs(norm - 1.0) > scale:
@@ -498,10 +502,7 @@ def mp_from_correlations(sys: CorrelationSystem,
         rot = random_unitary(rng, b_init.shape[1])
     u = uq + b_final @ rot @ dagger(b_init)
 
-    rep = is_unitary(u, tol)
-    if rep.residual > tol.abs * (1 + u.shape[0]) * 100:
-        raise ValueError(f"assembled coupling is not unitary "
-                         f"(residual {rep.residual:.3e})")
+    # The MeasuringProcess constructor below checks that u is unitary.
     dim_k = d1 * d2
     sigma = proj(np.kron(eta1, eta2))
     e = {s: np.kron(np.eye(d1), e0[s]) for s in sys.outcomes.labels}
@@ -509,7 +510,7 @@ def mp_from_correlations(sys: CorrelationSystem,
 
     # Spot check: the process reproduces the system's correlation values.
     rng = np.random.default_rng(7)
-    worst = 0.0
+    diffs = []
     labels = list(sys.outcomes.labels)
     for _ in range(6):
         length = int(rng.integers(1, 3))
@@ -520,10 +521,12 @@ def mp_from_correlations(sys: CorrelationSystem,
               for _ in range(length)]
         lhs = correlations_of_mp(mp, TimeWord(letters), ms, tol)
         rhs = eval_W(sys, TimeWord(letters), ms, tol, check_membership=False)
-        worst = max(worst, spectral_norm(lhs - rhs))
-    if worst > tol.abs * (1 + dim_h * dim_k) * 100:
+        diffs.append(lhs - rhs)
+    misfit = np.stack(diffs)
+    if not norm_within(misfit, tol.abs * (1 + dim_h * dim_k) * 100):
         raise ValueError(f"constructed process fails to reproduce the "
-                         f"correlation values (residual {worst:.3e})")
+                         f"correlation values "
+                         f"(residual {spectral_norm(misfit):.3e})")
     return mp
 
 
@@ -774,7 +777,7 @@ def halmos_unitary(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("partial isometry must be square")
     vvd = v @ dagger(v)
     vdv = dagger(v) @ v
-    if spectral_norm(vdv @ vdv - vdv) > tol.abs * (1 + n) * 100:
+    if not norm_within(vdv @ vdv - vdv, tol.abs * (1 + n) * 100):
         raise ValueError("input is not a partial isometry")
     eye = np.eye(n)
     e = [[np.zeros((2, 2)) for _ in range(2)] for _ in range(2)]

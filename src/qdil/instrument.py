@@ -22,6 +22,7 @@ from .algebra import (
     FiniteVonNeumannAlgebra,
     algebra_from_json,
     algebra_to_json,
+    conditional_expectation,
     contains,
     full_algebra,
 )
@@ -34,6 +35,7 @@ from .operator_core import (
     matrix_from_json,
     matrix_to_json,
     matrix_units,
+    norm_within,
     require_state,
     spectral_norm,
 )
@@ -355,11 +357,12 @@ def instrument_from_duals(dim_h: int, algebra: FiniteVonNeumannAlgebra,
     for s in outcomes.labels:
         for b in basis:
             img = np.einsum("abij,ij->ab", duals[s], b)
-            rep = contains(algebra, img, tol)
-            if rep.residual > bound:
+            if not norm_within(img - conditional_expectation(algebra, img),
+                               bound):
+                res = contains(algebra, img, tol).residual
                 raise ValueError(
                     f"closure violation at atom {s!r}: value outside the "
-                    f"algebra (residual {rep.residual:.3e})")
+                    f"algebra (residual {res:.3e})")
         kraus[s] = kraus_from_dual_choi(choi_of_dual_tensor(duals[s]), dim_h,
                                         tol)
     return CPInstrument(dim_h, algebra, outcomes, kraus)
@@ -525,6 +528,21 @@ def sample_first_steps(inst: CPInstrument, rho0, n: int, seed: int
     return {s: int(c) for s, c in zip(inst.outcomes.labels, counts)}
 
 
+def _json_dim(data: dict, key: str, what: str) -> int:
+    """``data[key]``, which must be a JSON integer of at least 1."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} JSON '{key}' must be a positive integer")
+    return value
+
+
+def _json_outcomes(data: dict, what: str) -> OutcomeSpace:
+    """The outcome space of ``data["outcomes"]``, which must be an array."""
+    if not isinstance(data["outcomes"], list):
+        raise ValueError(f"{what} JSON 'outcomes' must be an array")
+    return OutcomeSpace(tuple(data["outcomes"]))
+
+
 def instrument_to_json(inst: CPInstrument) -> dict:
     data = {
         "dim": inst.dim_h,
@@ -545,8 +563,8 @@ def instrument_from_json(data, validate: bool = True) -> CPInstrument:
     for key in ("dim", "outcomes", "kraus"):
         if key not in data:
             raise ValueError(f"instrument JSON is missing '{key}'")
-    dim = int(data["dim"])
-    outcomes = OutcomeSpace(tuple(data["outcomes"]))
+    dim = _json_dim(data, "dim", "instrument")
+    outcomes = _json_outcomes(data, "instrument")
     if not isinstance(data["kraus"], dict):
         raise ValueError("instrument JSON 'kraus' must be an object")
     kraus = {s: [matrix_from_json(k) for k in ops]

@@ -27,6 +27,7 @@ __all__ = [
     "dagger",
     "hermitize",
     "spectral_norm",
+    "norm_within",
     "vec",
     "unvec",
     "matrix_units",
@@ -41,6 +42,7 @@ __all__ = [
     "is_isometry",
     "is_projection",
     "is_pvm",
+    "pvm_within",
     "is_density_matrix",
     "require_state",
     "random_unitary",
@@ -120,11 +122,42 @@ def hermitize(a) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Operator (2-)norm; 0.0 for empty matrices."""
+    """Operator (2-)norm; the largest over a stack of matrices; 0.0 if empty."""
     m = np.asarray(a)
     if m.size == 0:
         return 0.0
+    if m.ndim > 2:
+        return float(np.linalg.norm(m, 2, axis=(-2, -1)).max())
     return float(np.linalg.norm(m, 2))
+
+
+# ‖x‖₂ ≤ ‖x‖_F holds exactly, but both norms are computed with relative
+# rounding errors of order dim·eps; a Frobenius norm this close to a
+# bound is left to the exact norm, so the verdict is always its verdict.
+_FROBENIUS_MARGIN = 1 - 1e-10
+
+
+def norm_within(a, bound: float) -> bool:
+    """Whether ``‖x‖₂ ≤ bound`` for a matrix, or for every matrix of a stack.
+
+    The Frobenius norm is never smaller than the spectral norm, so a
+    Frobenius norm within the bound accepts without an SVD; the exact
+    :func:`spectral_norm` is computed only for the matrices whose
+    Frobenius norm exceeds the bound, and a whole stack within the bound
+    is accepted with one reduction. Accept/reject verdicts are those of
+    the exact spectral norm, and a non-finite entry rejects. Callers
+    that report a residual compute it with :func:`spectral_norm`.
+    """
+    m = np.asarray(a)
+    if m.size == 0:
+        return True
+    cut = bound * _FROBENIUS_MARGIN
+    if np.linalg.norm(m.reshape(-1)) <= cut:
+        return True
+    if m.ndim > 2:
+        m = m.reshape(-1, *m.shape[-2:])
+        m = m[~(np.linalg.norm(m, axis=(1, 2)) <= cut)]
+    return bool(np.isfinite(m).all()) and spectral_norm(m) <= bound
 
 
 def vec(a) -> np.ndarray:
@@ -271,13 +304,7 @@ def is_projection(p, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     return CheckReport(res <= tol.abs, res, {})
 
 
-def is_pvm(family, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Check that a family of matrices is a projection-valued measure.
-
-    ``family`` is a sequence or mapping of square matrices on a common
-    space. Reports per-element projection residuals, mutual
-    orthogonality, and the completeness residual ``||Σ E - I||``.
-    """
+def _pvm_members(family) -> list[np.ndarray]:
     if isinstance(family, Mapping):
         mats = [_square(m) for m in family.values()]
     else:
@@ -287,19 +314,45 @@ def is_pvm(family, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     dim = mats[0].shape[0]
     if any(m.shape[0] != dim for m in mats):
         raise ValueError("PVM elements live on different spaces")
+    return mats
+
+
+def is_pvm(family, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """Check that a family of matrices is a projection-valued measure.
+
+    ``family`` is a sequence or mapping of square matrices on a common
+    space. Reports per-element projection residuals, mutual
+    orthogonality, and the completeness residual ``||Σ E - I||``.
+    """
+    mats = _pvm_members(family)
     proj_res = max(max(spectral_norm(m @ m - m), spectral_norm(m - m.conj().T))
                    for m in mats)
     ortho_res = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             ortho_res = max(ortho_res, spectral_norm(mats[i] @ mats[j]))
-    comp_res = spectral_norm(sum(mats) - np.eye(dim))
+    comp_res = spectral_norm(sum(mats) - np.eye(mats[0].shape[0]))
     res = max(proj_res, ortho_res, comp_res)
     return CheckReport(res <= tol.abs, res, {
         "projection_residual": proj_res,
         "orthogonality_residual": ortho_res,
         "completeness_residual": comp_res,
     })
+
+
+def pvm_within(family, bound: float) -> bool:
+    """Whether :func:`is_pvm`'s residual is at most ``bound``.
+
+    Every defect goes through :func:`norm_within`, one member or one
+    pair at a time, so no more than :func:`is_pvm` is held in memory.
+    """
+    mats = _pvm_members(family)
+    return (all(norm_within(m @ m - m, bound)
+                and norm_within(m - m.conj().T, bound) for m in mats)
+            and all(norm_within(mats[i] @ mats[j], bound)
+                    for i in range(len(mats))
+                    for j in range(i + 1, len(mats)))
+            and norm_within(sum(mats) - np.eye(mats[0].shape[0]), bound))
 
 
 def is_density_matrix(rho, tol: Tolerance = DEFAULT_TOL) -> CheckReport:

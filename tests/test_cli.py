@@ -391,3 +391,58 @@ def test_boolean_matrix_entry_is_schema_error(tmp_path, capsys):
     code, report = run(capsys, "dilate", "-i", str(path))
     assert code == 2
     assert report["error"] == "schema"
+
+
+# A string outcome list and non-integer dimensions, each against the
+# loader of every command that reads the file.
+BAD_SHAPE_FIELDS = [("outcomes", "01"), ("outcomes", {"0": 1}),
+                    ("dim", 2.7), ("dim", 2.0), ("dim", True), ("dim", "2")]
+
+
+@pytest.mark.parametrize("command", ["dilate", "extend", "inner", "faithful",
+                                     "sample"])
+@pytest.mark.parametrize("key,value", BAD_SHAPE_FIELDS)
+def test_instrument_loader_rejects_bad_shape_fields(tmp_path, capsys, command,
+                                                    key, value):
+    inst = write_fixture(tmp_path, "luders-z")
+    data = json.loads(inst.read_text())
+    data[key] = value
+    inst.write_text(json.dumps(data))
+    extra = (["--state", str(write_plus_state(tmp_path))]
+             if command == "sample" else [])
+    code, report = run(capsys, command, "-i", str(inst), *extra)
+    assert code == 2
+    assert report["error"] == "schema"
+    assert f"'{key}'" in report["detail"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("outcomes", "01"), ("dimH", 2.7), ("dimH", False), ("dimK", 2.0),
+    ("dimK", "4")])
+def test_equiv_loader_rejects_bad_shape_fields(tmp_path, capsys, key, value):
+    inst = write_fixture(tmp_path, "luders-z")
+    run(capsys, "dilate", "-i", str(inst))
+    mp = tmp_path / "luders-z.mp.json"
+    data = json.loads(mp.read_text())
+    data[key] = value
+    bad = tmp_path / "bad.mp.json"
+    bad.write_text(json.dumps(data))
+    code, report = run(capsys, "equiv", str(mp), str(bad))
+    assert code == 2
+    assert report["error"] == "schema"
+    assert f"'{key}'" in report["detail"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("outcomes", "01"), ("dimH", 2.7), ("dimH", True), ("dimL", 6.0),
+    ("dimL", None)])
+def test_verify_mc_loader_rejects_bad_shape_fields(tmp_path, capsys, key,
+                                                   value):
+    sys_path = extended_system(tmp_path, capsys)
+    data = json.loads(sys_path.read_text())
+    data[key] = value
+    sys_path.write_text(json.dumps(data))
+    code, report = run(capsys, "verify-mc", "-i", str(sys_path))
+    assert code == 2
+    assert report["error"] == "schema"
+    assert f"'{key}'" in report["detail"]

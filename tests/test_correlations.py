@@ -20,7 +20,7 @@ from qdil.correlations import (
     verify_axioms,
 )
 from qdil.instrument import apply_dual, luders_instrument
-from qdil.operator_core import dagger, spectral_norm
+from qdil.operator_core import dagger, is_pvm, spectral_norm
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -227,3 +227,82 @@ def test_mc2_flags_phase_twisted_atom_map():
     entry = verify_axioms(broken, depth=3, samples=200, seed=0).entries["MC2"]
     assert not entry.passed
     assert entry.residual > 1e-3
+
+
+def _corrupt(good, branch):
+    """``good`` with one invariant of `CorrelationSystem.require_valid` broken."""
+    pi_in, pi_atom, v = good.pi_in, dict(good.pi_atom), good.v
+    if branch == "star":
+        pi_in = PiMap(1j * pi_in.tensor)
+    elif branch == "multiplicative":
+        pi_atom["1"] = PiMap(2 * pi_atom["1"].tensor)
+    elif branch == "unital":
+        # Π_in(M) = M ⊕ 0: still a *-homomorphism, but not unital.
+        t = pi_in.tensor.copy()
+        t[good.dim_h:, good.dim_h:] = 0
+        pi_in = PiMap(t)
+    elif branch == "pvm":
+        pi_atom["1"] = pi_atom["0"]
+    elif branch == "isometry":
+        v = 2 * v
+    elif branch == "intertwine":
+        v = v @ SX
+    return pi_in, pi_atom, v
+
+
+@pytest.mark.parametrize("algebra", [full_algebra(2), diagonal_algebra(2)],
+                         ids=["full", "diagonal"])
+@pytest.mark.parametrize("branch,message", [
+    ("star", r"Π_in is not \*-preserving"),
+    ("multiplicative", "Π_1 is not multiplicative on the algebra"),
+    ("unital", "Π_in is not unital"),
+    ("pvm", r"atom units are not a PVM \(residual "),
+    ("isometry", "v is not an isometry"),
+    ("intertwine", r"v does not intertwine Π_in \(residual "),
+])
+def test_system_validation_names_each_broken_invariant(algebra, branch,
+                                                       message):
+    good = from_instrument(luders_instrument([P0, P1], algebra=algebra))
+    pi_in, pi_atom, v = _corrupt(good, branch)
+    bad = CorrelationSystem(good.dim_h, good.algebra, good.outcomes,
+                            good.dim_l, pi_in, pi_atom, v, validate=False)
+    with pytest.raises(ValueError, match=message) as err:
+        bad.require_valid()
+    # A printed residual is the exact spectral norm, not a cheaper bound.
+    if branch == "pvm":
+        exact = is_pvm(bad.atom_units()).residual
+    elif branch == "intertwine":
+        exact = max(spectral_norm(bad.pi_in.apply(b) @ bad.v - bad.v @ b)
+                    for b in algebra.basis())
+    else:
+        return
+    assert f"(residual {exact:.3e})" in str(err.value)
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0])
+@pytest.mark.parametrize("algebra", [full_algebra(3), diagonal_algebra(3)],
+                         ids=["full", "diagonal"])
+def test_system_validation_verdict_matches_exact_spectral_norm(algebra,
+                                                                factor):
+    """Scaling v by (1+ε) leaves every invariant but the isometry intact.
+
+    The isometry defect is ((1+ε)² - 1)·1, whose Frobenius norm is √dimH
+    times its spectral norm, so at 0.99× the bound the Frobenius norm
+    exceeds the bound and only the exact norm can accept.
+    """
+    projections = [np.diag(np.eye(3)[k]).astype(complex) for k in range(3)]
+    good = from_instrument(luders_instrument(projections, algebra=algebra))
+    bound = 1e-9 * (1 + good.dim_l)
+    v = good.v * np.sqrt(1 + factor * bound)
+    defect = dagger(v) @ v - np.eye(3)
+    if factor == 0.99:
+        assert np.linalg.norm(defect) > bound
+    exact_ok = spectral_norm(defect) <= bound
+    assert exact_ok == (factor < 1)
+    if exact_ok:
+        CorrelationSystem(good.dim_h, good.algebra, good.outcomes, good.dim_l,
+                          good.pi_in, good.pi_atom, v)
+    else:
+        with pytest.raises(ValueError, match="v is not an isometry"):
+            CorrelationSystem(good.dim_h, good.algebra, good.outcomes,
+                              good.dim_l, good.pi_in, good.pi_atom, v)

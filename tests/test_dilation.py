@@ -33,7 +33,7 @@ from qdil.dilation import (
     n_equivalent,
     system_of_mp,
 )
-from qdil.correlations import PiMap
+from qdil.correlations import CorrelationSystem, PiMap
 from qdil.instrument import OutcomeSpace, apply_dual, luders_instrument
 from qdil.operator_core import (
     dagger,
@@ -384,3 +384,67 @@ def test_inner_unitary_lives_in_tensor_algebra():
     mp = inner_mp_from_kraus(inst)
     big = tensor_with_full(inst.algebra, mp.dim_k)
     assert contains(big, mp.u)
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0])
+def test_process_validation_verdict_matches_exact_spectral_norm(factor):
+    """Scaling u by √(1 + f·bound) makes both unitarity defects f·bound·1.
+
+    Their Frobenius norm is √(dimH·dimK) times the spectral norm, so
+    below the bound only the exact norm can accept; above it, the error
+    prints the exact residual.
+    """
+    mp = mp_from_correlations(from_instrument(load_fixture("luders-z")))
+    bound = 1e-9 * 100
+    u = mp.u * np.sqrt(1 + factor * bound)
+    eye = np.eye(len(u))
+    defects = [dagger(u) @ u - eye, u @ dagger(u) - eye]
+    assert np.linalg.norm(defects[0]) > bound
+    exact = max(spectral_norm(d) for d in defects)
+
+    def build():
+        return MeasuringProcess(mp.dim_h, mp.algebra, mp.outcomes, mp.dim_k,
+                                mp.sigma, mp.e, u)
+
+    if exact <= bound:
+        assert factor < 1
+        build()
+    else:
+        assert factor > 1
+        with pytest.raises(ValueError, match="u is not unitary") as err:
+            build()
+        assert f"(residual {exact:.3e})" in str(err.value)
+
+
+def test_from_instrument_checks_its_input_once(monkeypatch):
+    import qdil.instrument
+
+    inst = random_cp_instrument(np.random.default_rng(8), 2, 3)
+    calls = []
+    original = qdil.instrument.verify_cp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qdil.instrument, "verify_cp", counting)
+    from_instrument(inst)
+    assert len(calls) == 1
+    from_instrument(inst, anchor="1")
+    assert len(calls) == 2
+
+
+def test_mp_from_correlations_rejects_a_coupling_that_cannot_be_unitary():
+    """Π_in scaled by 1+δ splits through a non-unitary ``u1``.
+
+    With 2δ = 3e-7 the split passes its own bound, tol.abs·(1+dimL)·100
+    = 7e-7, but the assembled coupling misses unitarity by about 2δ,
+    above the process bound tol.abs·100.
+    """
+    good = from_instrument(load_fixture("luders-z"))
+    scaled = CorrelationSystem(
+        good.dim_h, good.algebra, good.outcomes, good.dim_l,
+        PiMap((1 + 1.5e-7) * good.pi_in.tensor), good.pi_atom, good.v,
+        validate=False)
+    with pytest.raises(ValueError, match="u is not unitary"):
+        mp_from_correlations(scaled)

@@ -20,8 +20,10 @@ from qdil.operator_core import (
     matrix_from_json,
     matrix_to_json,
     matrix_units,
+    norm_within,
     proj,
     psd_factorize,
+    pvm_within,
     random_density,
     random_ginibre,
     random_psd,
@@ -221,3 +223,46 @@ def test_matrix_json_of_non_contiguous_slice():
     t = np.arange(16, dtype=complex).reshape(2, 2, 2, 2)
     sliced = t[:, :, 0, 1]
     assert np.allclose(matrix_from_json(matrix_to_json(sliced)), sliced)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_norm_within_accepts_below_bound_when_frobenius_exceeds(n):
+    bound = 1e-7
+    m = 0.9 * bound * np.eye(n)
+    assert np.linalg.norm(m) > bound
+    assert norm_within(m, bound)
+    assert norm_within(np.stack([m, -m, 0 * m]), bound)
+
+
+def test_norm_within_rejects_just_above_bound():
+    bound = 1e-7
+    m = np.diag([1.01 * bound, 0.5 * bound, 0.0])
+    assert not norm_within(m, bound)
+    stack = np.stack([0.9 * bound * np.eye(3), m])
+    assert not norm_within(stack, bound)
+    assert spectral_norm(stack) == pytest.approx(1.01 * bound)
+
+
+def test_norm_within_matches_spectral_norm_on_random_stacks():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        stack = random_ginibre(rng, 4, 4 * 3).reshape(4, 3, 4).transpose(1, 0, 2)
+        bound = float(rng.uniform(0.5, 3.0))
+        exact = max(spectral_norm(m) for m in stack)
+        assert norm_within(stack, bound) == (exact <= bound)
+        assert norm_within(stack[0], bound) == (spectral_norm(stack[0]) <= bound)
+
+
+def test_norm_within_rejects_non_finite_entries():
+    m = np.eye(2)
+    m[0, 1] = np.nan
+    assert not norm_within(m, 1e9)
+    assert not norm_within(np.stack([np.eye(2), m]), 1e9)
+
+
+def test_pvm_within_agrees_with_is_pvm():
+    p = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    q = np.diag([0.0, 1.0, 1.0]).astype(complex)
+    for family, bound in [([p, q], 1e-12), ([p, q + 1e-6 * np.eye(3)], 1e-7),
+                          ([p, q + 1e-6 * np.eye(3)], 1e-5), ([p, p], 0.5)]:
+        assert pvm_within(family, bound) == (is_pvm(family).residual <= bound)
