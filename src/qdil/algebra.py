@@ -21,6 +21,7 @@ from .operator_core import (
     DEFAULT_TOL,
     CheckReport,
     Tolerance,
+    _json_dim,
     dagger,
     hermitize,
     is_unitary,
@@ -371,6 +372,9 @@ def algebra_from_json(data) -> FiniteVonNeumannAlgebra:
     for key in ("dim", "blocks", "basis_change"):
         if key not in data:
             raise ValueError(f"algebra JSON is missing '{key}'")
-    blocks = tuple((int(n), int(m)) for n, m in data["blocks"])
-    return FiniteVonNeumannAlgebra(int(data["dim"]), blocks,
+    dim = _json_dim(data["dim"], "algebra JSON 'dim'")
+    blocks = tuple((_json_dim(n, "algebra JSON 'blocks' entry"),
+                    _json_dim(m, "algebra JSON 'blocks' entry"))
+                   for n, m in data["blocks"])
+    return FiniteVonNeumannAlgebra(dim, blocks,
                                    matrix_from_json(data["basis_change"]))

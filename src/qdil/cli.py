@@ -107,8 +107,7 @@ def _emit(payload: dict) -> None:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def _tolerance(args) -> Tolerance:
@@ -133,7 +132,13 @@ def _read_json_file(path: str) -> dict:
                            "detail": f"malformed JSON: {exc}"}) from None
 
 
-def _load_instrument(path: str, tol: Tolerance) -> CPInstrument:
+def _load_instrument(path: str, tol: Tolerance, strict: bool = True,
+                     anchor: str | None = None) -> CPInstrument:
+    """The instrument at ``path``, checked with one :func:`verify_cp`.
+
+    ``anchor`` must be a label; ``strict`` adds ``require_valid``'s bound
+    for commands that build from the instrument with ``validate=False``.
+    """
     data = _read_json_file(path)
     try:
         inst = instrument_from_json(data, validate=False)
@@ -155,6 +160,11 @@ def _load_instrument(path: str, tol: Tolerance) -> CPInstrument:
             "error": "algebra-closure",
             "algebra_residual": report.algebra_residual,
         })
+    if anchor is not None and anchor not in inst.outcomes.labels:
+        raise _InputError({"error": "unknown-anchor", "anchor": anchor,
+                           "outcomes": list(inst.outcomes.labels)})
+    if strict:
+        report.require_ok()
     return inst
 
 
@@ -184,7 +194,7 @@ def cmd_dilate(args) -> int:
     out_path = _derived_output(args, "mp")
     config = RunConfig(tol, args.seed if args.seed is not None else 0, 1,
                        out_path)
-    sys_corr = from_instrument(inst, tol=tol)
+    sys_corr = from_instrument(inst, tol=tol, validate=False)
     mp = mp_from_correlations(sys_corr, tol, completion_seed=args.seed)
     induced = induced_instrument_mp(mp, tol)
     residual = _instrument_distance(inst, induced)
@@ -207,13 +217,10 @@ def cmd_dilate(args) -> int:
 
 def cmd_extend(args) -> int:
     tol = _tolerance(args)
-    inst = _load_instrument(args.input, tol)
-    if args.anchor is not None and args.anchor not in inst.outcomes.labels:
-        raise _InputError({"error": "unknown-anchor", "anchor": args.anchor,
-                           "outcomes": list(inst.outcomes.labels)})
+    inst = _load_instrument(args.input, tol, anchor=args.anchor)
     out_path = _derived_output(args, "sys")
     config = RunConfig(tol, 0, 1, out_path)
-    sys_corr = from_instrument(inst, anchor=args.anchor, tol=tol)
+    sys_corr = from_instrument(inst, args.anchor, tol, validate=False)
     _write_json(out_path, system_to_json(sys_corr))
     _emit({
         "command": "extend",
@@ -291,7 +298,7 @@ def cmd_inner(args) -> int:
     out_path = _derived_output(args, "mp")
     config = RunConfig(tol, 0, 1, out_path)
     try:
-        mp = inner_mp_from_kraus(inst, tol)
+        mp = inner_mp_from_kraus(inst, tol, validate=False)
     except ValueError as exc:
         msg = str(exc)
         if "outside the algebra" in msg:
@@ -322,7 +329,7 @@ def cmd_faithful(args) -> int:
     inst = _load_instrument(args.input, tol)
     out_path = _derived_output(args, "mp")
     config = RunConfig(tol, 0, 1, out_path)
-    mp = faithful_mp(inst, tol)
+    mp = faithful_mp(inst, tol, validate=False)
     table = faithfulness_table(mp, inst, tol)
     eye = np.eye(inst.dim_h)
     unit_res = 0.0
@@ -354,7 +361,7 @@ def cmd_faithful(args) -> int:
 
 def cmd_sample(args) -> int:
     tol = _tolerance(args)
-    inst = _load_instrument(args.input, tol)
+    inst = _load_instrument(args.input, tol, strict=False)
     if args.steps < 1:
         raise _InputError({"error": "steps-must-be-positive",
                            "steps": args.steps})
@@ -370,11 +377,12 @@ def cmd_sample(args) -> int:
     out_path = _derived_output(args, "traj")
     config = RunConfig(tol, args.seed, 1, out_path)
     trajectory = sample_trajectory(inst, rho, args.steps, args.seed)
+    posteriors = matrix_to_json(np.stack([p for _, p in trajectory]))
     _write_json(out_path, {
         "seed": args.seed,
         "steps": args.steps,
-        "trajectory": [{"outcome": s, "posterior": matrix_to_json(p)}
-                       for s, p in trajectory],
+        "trajectory": [{"outcome": s, "posterior": p}
+                       for (s, _), p in zip(trajectory, posteriors)],
     })
     counts = sample_first_steps(inst, rho, args.steps, [args.seed, 1])
     table = {}

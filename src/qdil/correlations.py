@@ -31,13 +31,13 @@ from .instrument import (
     IN,
     CPInstrument,
     OutcomeSpace,
-    _json_dim,
     _json_outcomes,
     instrument_from_duals,
 )
 from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
+    _json_dim,
     dagger,
     is_pvm,
     matrix_from_json,
@@ -429,7 +429,8 @@ def induced_instrument(sys: CorrelationSystem, tol: Tolerance = DEFAULT_TOL
 
 
 def from_instrument(inst: CPInstrument, anchor: str | None = None,
-                    tol: Tolerance = DEFAULT_TOL) -> CorrelationSystem:
+                    tol: Tolerance = DEFAULT_TOL,
+                    validate: bool = True) -> CorrelationSystem:
     """Block construction of a correlation system from a CP instrument.
 
     The minimal instrument representation ``(K, π₀, E₀, V₀)`` gives the
@@ -438,14 +439,14 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
     unitary ``U = [[0, -V₀*], [V₀, 1-V₀V₀*]]``, letter maps
     ``Π_s(M) = U* Π_in(M) E({s}) U``, and the inclusion of ``H`` as the
     first summand for ``v``. Its induced instrument is the input again.
-    The input is validated once, by :func:`instrument_representation`.
+    ``validate`` is passed on to :func:`instrument_representation`.
     """
     from .dilation import instrument_representation
 
     anchor = inst.outcomes.labels[0] if anchor is None else str(anchor)
     if anchor not in inst.outcomes.labels:
         raise ValueError(f"unknown anchor label {anchor!r}")
-    rep = instrument_representation(inst, tol)
+    rep = instrument_representation(inst, tol, validate)
     dim_h, dim_k = inst.dim_h, rep.dim_k
     dim_l = dim_h + dim_k
 
@@ -641,8 +642,7 @@ def from_kernel_table(table, depth: int, generators,
 
 def system_to_json(sys: CorrelationSystem) -> dict:
     def map_json(pm: PiMap) -> list:
-        return [[matrix_to_json(pm.tensor[:, :, i, j])
-                 for j in range(sys.dim_h)] for i in range(sys.dim_h)]
+        return matrix_to_json(pm.tensor.transpose(2, 3, 0, 1))
 
     return {
         "dimH": sys.dim_h,
@@ -663,8 +663,8 @@ def system_from_json(data, validate: bool = True) -> CorrelationSystem:
     for key in ("dimH", "dimL", "outcomes", "pi_in", "pi_atoms", "v"):
         if key not in data:
             raise ValueError(f"correlation-system JSON is missing '{key}'")
-    dim_h = _json_dim(data, "dimH", "correlation-system")
-    dim_l = _json_dim(data, "dimL", "correlation-system")
+    dim_h = _json_dim(data["dimH"], "correlation-system JSON 'dimH'")
+    dim_l = _json_dim(data["dimL"], "correlation-system JSON 'dimL'")
     outcomes = _json_outcomes(data, "correlation-system")
 
     def map_from(name: str, js) -> PiMap:

@@ -37,7 +37,6 @@ from .correlations import (
 from .instrument import (
     CPInstrument,
     OutcomeSpace,
-    _json_dim,
     _json_outcomes,
     apply_dual,
     choi_of_dual,
@@ -48,6 +47,7 @@ from .instrument import (
 from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
+    _json_dim,
     basis_vector,
     compress_by_state,
     dagger,
@@ -207,8 +207,8 @@ def mp_from_json(data, validate: bool = True) -> MeasuringProcess:
             raise ValueError(f"measuring-process JSON is missing '{key}'")
     if not isinstance(data["pvm"], dict):
         raise ValueError("measuring-process JSON 'pvm' must be an object")
-    dim_h = _json_dim(data, "dimH", "measuring-process")
-    dim_k = _json_dim(data, "dimK", "measuring-process")
+    dim_h = _json_dim(data["dimH"], "measuring-process JSON 'dimH'")
+    dim_k = _json_dim(data["dimK"], "measuring-process JSON 'dimK'")
     outcomes = _json_outcomes(data, "measuring-process")
     algebra = (algebra_from_json(data["algebra"]) if data.get("algebra")
                else full_algebra(dim_h))
@@ -298,14 +298,16 @@ class InstrumentRepresentation:
 
 
 def instrument_representation(inst: CPInstrument,
-                              tol: Tolerance = DEFAULT_TOL
+                              tol: Tolerance = DEFAULT_TOL,
+                              validate: bool = True
                               ) -> InstrumentRepresentation:
     """Direct sum of per-atom minimal Stinespring dilations.
 
-    Zero-probability atoms contribute empty blocks. The reconstruction
-    and minimality invariants are verified before returning.
+    Zero-probability atoms contribute empty blocks. The input, unless
+    ``validate=False``, and the result's invariants are verified.
     """
-    inst.require_valid(tol)
+    if validate:
+        inst.require_valid(tol)
     dim_h = inst.dim_h
     parts = {s: minimal_stinespring(
         choi_of_kraus(inst.kraus[s], dim_h, inst.atom_weights(s)),
@@ -790,8 +792,8 @@ def halmos_unitary(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             + np.kron(eye - vdv, e[1][0]) - np.kron(dagger(v), e[1][1]))
 
 
-def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
-                        ) -> MeasuringProcess:
+def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
+                        validate: bool = True) -> MeasuringProcess:
     """Measuring process with coupling inside ``𝓜 ⊗ B(K)``.
 
     Requires every Kraus operator to lie in the algebra. The meter is
@@ -802,7 +804,8 @@ def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
     slot joins the first atom and the defect slot the last, both with
     zero weight in the induced instrument.
     """
-    inst.require_valid(tol)
+    if validate:
+        inst.require_valid(tol)
     dim_h = inst.dim_h
     flat: list[tuple[str, np.ndarray]] = []
     for s in inst.outcomes.labels:
@@ -862,8 +865,8 @@ def inner_membership(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL):
     return contains(big, mp.u, tol)
 
 
-def faithful_mp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
-                ) -> MeasuringProcess:
+def faithful_mp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
+                validate: bool = True) -> MeasuringProcess:
     """Measuring process with a pointer PVM faithful on non-null atoms.
 
     The instrument is first extended to all of B(H) by composing with
@@ -875,7 +878,8 @@ def faithful_mp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
     event; an atom's pointer projection vanishes only if the atom has
     zero probability in every state.
     """
-    inst.require_valid(tol)
+    if validate:
+        inst.require_valid(tol)
     dim_h = inst.dim_h
     ext_kraus = {}
     for s in inst.outcomes.labels:

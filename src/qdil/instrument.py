@@ -29,6 +29,7 @@ from .algebra import (
 from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
+    _json_dim,
     dagger,
     hermitize,
     is_hermitian,
@@ -172,19 +173,7 @@ class CPInstrument:
 
     def require_valid(self, tol: Tolerance = DEFAULT_TOL) -> None:
         """Raise unless the instrument is CP, complete, and algebra-closed."""
-        report = verify_cp(self, tol)
-        if not report.cp_ok:
-            raise ValueError(
-                "instrument is not completely positive "
-                f"(min Choi eigenvalue {report.min_choi_eigenvalue:.3e})")
-        if not report.complete_ok:
-            raise ValueError(
-                "instrument is not complete "
-                f"(residual {report.completeness_residual:.3e})")
-        if not report.algebra_ok:
-            raise ValueError(
-                "instrument maps do not preserve the algebra "
-                f"(residual {report.algebra_residual:.3e})")
+        verify_cp(self, tol).require_ok()
 
 
 def instrument_from_choi(dim_h: int, outcomes: OutcomeSpace,
@@ -382,6 +371,21 @@ class CPReport:
     def ok(self) -> bool:
         return self.cp_ok and self.complete_ok and self.algebra_ok
 
+    def require_ok(self) -> None:
+        """Raise :meth:`CPInstrument.require_valid`'s error unless ``ok``."""
+        if not self.cp_ok:
+            raise ValueError(
+                "instrument is not completely positive "
+                f"(min Choi eigenvalue {self.min_choi_eigenvalue:.3e})")
+        if not self.complete_ok:
+            raise ValueError(
+                "instrument is not complete "
+                f"(residual {self.completeness_residual:.3e})")
+        if not self.algebra_ok:
+            raise ValueError(
+                "instrument maps do not preserve the algebra "
+                f"(residual {self.algebra_residual:.3e})")
+
 
 def verify_cp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL) -> CPReport:
     """Recompute each atom's Choi matrix from the map action and certify PSD.
@@ -528,14 +532,6 @@ def sample_first_steps(inst: CPInstrument, rho0, n: int, seed: int
     return {s: int(c) for s, c in zip(inst.outcomes.labels, counts)}
 
 
-def _json_dim(data: dict, key: str, what: str) -> int:
-    """``data[key]``, which must be a JSON integer of at least 1."""
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{what} JSON '{key}' must be a positive integer")
-    return value
-
-
 def _json_outcomes(data: dict, what: str) -> OutcomeSpace:
     """The outcome space of ``data["outcomes"]``, which must be an array."""
     if not isinstance(data["outcomes"], list):
@@ -563,7 +559,7 @@ def instrument_from_json(data, validate: bool = True) -> CPInstrument:
     for key in ("dim", "outcomes", "kraus"):
         if key not in data:
             raise ValueError(f"instrument JSON is missing '{key}'")
-    dim = _json_dim(data, "dim", "instrument")
+    dim = _json_dim(data["dim"], "instrument JSON 'dim'")
     outcomes = _json_outcomes(data, "instrument")
     if not isinstance(data["kraus"], dict):
         raise ValueError("instrument JSON 'kraus' must be an object")

@@ -122,9 +122,9 @@ def hermitize(a) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Operator (2-)norm; the largest over a stack of matrices; 0.0 if empty."""
+    """Operator (2-)norm, the largest over a stack; 0.0 if all zero."""
     m = np.asarray(a)
-    if m.size == 0:
+    if not m.any():
         return 0.0
     if m.ndim > 2:
         return float(np.linalg.norm(m, 2, axis=(-2, -1)).max())
@@ -401,9 +401,17 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def matrix_to_json(a) -> list:
-    """Encode a matrix as nested lists of ``[re, im]`` pairs."""
-    m = _as_matrix(a)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    """Encode a matrix or a stack of matrices as nested ``[re, im]`` pairs."""
+    m = np.asarray(a, dtype=complex)
+    _as_matrix(m.reshape(-1, m.shape[-1]) if m.ndim > 2 else m)  # validates
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
+def _json_dim(value, name: str) -> int:
+    """``value``, which must be a JSON integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    return value
 
 
 def matrix_from_json(data) -> np.ndarray:

@@ -446,3 +446,190 @@ def test_verify_mc_loader_rejects_bad_shape_fields(tmp_path, capsys, key,
     assert code == 2
     assert report["error"] == "schema"
     assert f"'{key}'" in report["detail"]
+
+
+def write_tilted_diag_luders(tmp_path, angle=1e-8):
+    """``diag-luders-z`` with each Kraus operator rotated by ``angle``.
+
+    The instrument stays CP and complete, but its dual maps leave the
+    diagonal algebra by about ``angle``: between ``tol.abs`` and the
+    CLI's own ``100·tol.abs`` closure gate at the default tolerance.
+    """
+    data = instrument_to_json(load_fixture("diag-luders-z"))
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    for label, ops in data["kraus"].items():
+        data["kraus"][label] = [matrix_to_json(np.array(
+            [[complex(*z) for z in row] for row in k]) @ rot) for k in ops]
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("command", ["dilate", "extend", "inner", "faithful"])
+def test_algebra_residual_between_gates_is_invalid_input(tmp_path, capsys,
+                                                         command):
+    inst = write_tilted_diag_luders(tmp_path)
+    code, report = run(capsys, command, "-i", str(inst))
+    assert code == 2
+    assert report == {
+        "command": command, "error": "invalid-input",
+        "detail": "instrument maps do not preserve the algebra "
+                  "(residual 1.000e-08)"}
+
+
+def test_algebra_residual_between_gates_still_samples(tmp_path, capsys):
+    inst = write_tilted_diag_luders(tmp_path)
+    code, report = run(capsys, "sample", "-i", str(inst), "--state",
+                       str(write_plus_state(tmp_path)), "--steps", "50")
+    assert code in (0, 1)
+    assert "error" not in report
+
+
+def test_unknown_anchor_outranks_algebra_residual_between_gates(tmp_path,
+                                                                capsys):
+    inst = write_tilted_diag_luders(tmp_path)
+    code, report = run(capsys, "extend", "-i", str(inst), "--anchor", "9")
+    assert code == 2
+    assert report["error"] == "unknown-anchor"
+
+
+@pytest.mark.parametrize("command", ["dilate", "extend", "inner", "faithful",
+                                     "sample"])
+def test_each_command_checks_its_instrument_once(tmp_path, capsys,
+                                                 monkeypatch, command):
+    import qdil.instrument
+
+    # inner needs Kraus operators inside the algebra; faithful is run on
+    # a restricted algebra, as its own test does.
+    name = {"inner": "trine-povm", "faithful": "diag-amp-damp"}.get(
+        command, "amp-damp-0.5")
+    inst = write_fixture(tmp_path, name)
+    checked = []
+    original = qdil.instrument.verify_cp
+
+    def counting(instrument, *args, **kwargs):
+        checked.append(instrument)
+        return original(instrument, *args, **kwargs)
+
+    monkeypatch.setattr(qdil.instrument, "verify_cp", counting)
+    monkeypatch.setattr(qdil.cli, "verify_cp", counting)
+    extra = (["--state", str(write_plus_state(tmp_path))]
+             if command == "sample" else [])
+    code, _ = run(capsys, command, "-i", str(inst), *extra)
+    assert code == 0
+    assert sum(x is checked[0] for x in checked) == 1
+
+
+@pytest.mark.parametrize("value", [2.7, "2", True])
+@pytest.mark.parametrize("where", ["dim", "blocks"])
+def test_algebra_loader_rejects_non_integer_sizes(tmp_path, capsys, where,
+                                                  value):
+    inst = write_fixture(tmp_path, "diag-luders-z")
+    data = json.loads(inst.read_text())
+    if where == "dim":
+        data["algebra"]["dim"] = value
+    else:
+        data["algebra"]["blocks"][0][1] = value
+    inst.write_text(json.dumps(data))
+    code, report = run(capsys, "extend", "-i", str(inst))
+    assert code == 2
+    assert report["error"] == "schema"
+    assert f"algebra JSON '{where}'" in report["detail"]
+
+
+def assert_artifact_is_compact(path):
+    text = path.read_text()
+    assert "\n" not in text.rstrip("\n")
+    assert ": " not in text and ", " not in text
+
+
+def bits(a):
+    return np.ascontiguousarray(np.asarray(a, dtype=complex)).view(np.uint64)
+
+
+def test_dilate_artifact_decodes_to_the_process_built(tmp_path, capsys):
+    from qdil.dilation import mp_from_json
+
+    inst = write_fixture(tmp_path, "amp-damp-0.5")
+    out = tmp_path / "out.mp.json"
+    assert run(capsys, "dilate", "-i", str(inst), "--seed", "2",
+               "-o", str(out))[0] == 0
+    assert_artifact_is_compact(out)
+    mp = mp_from_correlations(from_instrument(load_fixture("amp-damp-0.5")),
+                              completion_seed=2)
+    got = mp_from_json(json.loads(out.read_text()))
+    for a, b in [(got.u, mp.u), (got.sigma, mp.sigma),
+                 *((got.e[s], mp.e[s]) for s in mp.outcomes.labels)]:
+        assert np.array_equal(bits(a), bits(b))
+
+
+def test_extend_artifact_decodes_to_the_system_built(tmp_path, capsys):
+    from qdil.correlations import system_from_json
+
+    inst = write_fixture(tmp_path, "diag-amp-damp")
+    out = tmp_path / "out.sys.json"
+    assert run(capsys, "extend", "-i", str(inst), "-o", str(out))[0] == 0
+    assert_artifact_is_compact(out)
+    built = from_instrument(load_fixture("diag-amp-damp"))
+    got = system_from_json(json.loads(out.read_text()), validate=False)
+    pairs = [(got.pi_in.tensor, built.pi_in.tensor), (got.v, built.v)]
+    pairs += [(got.pi_atom[s].tensor, built.pi_atom[s].tensor)
+              for s in built.outcomes.labels]
+    for a, b in pairs:
+        assert np.array_equal(bits(a), bits(b))
+
+
+def test_sample_artifact_decodes_to_the_trajectory_drawn(tmp_path, capsys):
+    from qdil.instrument import sample_trajectory
+    from qdil.operator_core import matrix_from_json
+
+    inst = write_fixture(tmp_path, "amp-damp-0.5")
+    out = tmp_path / "out.traj.json"
+    code, _ = run(capsys, "sample", "-i", str(inst), "--state",
+                  str(write_plus_state(tmp_path)), "--steps", "40",
+                  "--seed", "5", "-o", str(out))
+    assert code in (0, 1)
+    assert_artifact_is_compact(out)
+    drawn = sample_trajectory(load_fixture("amp-damp-0.5"),
+                              np.full((2, 2), 0.5), 40, 5)
+    got = json.loads(out.read_text())["trajectory"]
+    assert [step["outcome"] for step in got] == [s for s, _ in drawn]
+    for step, (_, rho) in zip(got, drawn):
+        assert np.array_equal(bits(matrix_from_json(step["posterior"])),
+                              bits(rho))
+
+
+def test_fixture_export_round_trips_awkward_entries(tmp_path, capsys,
+                                                    monkeypatch):
+    """Exports keep -0.0, subnormals, the largest double and 0.1 + 0.2."""
+    from qdil.instrument import CPInstrument, instrument_from_json
+
+    base = load_fixture("luders-z")
+    awkward = np.array([[1.0, complex(-0.0, 0.1 + 0.2)],
+                        [5e-324, complex(1.7976931348623157e308, -0.0)]])
+    assert np.signbit(awkward.real[0, 1]) and np.signbit(awkward.imag[1, 1])
+    kraus = {**base.kraus, "0": [awkward]}
+    inst = CPInstrument(2, base.algebra, base.outcomes, kraus, validate=False)
+    monkeypatch.setattr(qdil.cli, "load_fixture", lambda name: inst)
+    out = tmp_path / "export.json"
+    code, report = run(capsys, "fixtures", "--name", "luders-z",
+                       "-o", str(out))
+    assert code == 0
+    assert_artifact_is_compact(out)
+    got = instrument_from_json(json.loads(out.read_text()), validate=False)
+    for s in inst.outcomes.labels:
+        for a, b in zip(got.kraus[s], inst.kraus[s]):
+            assert np.array_equal(bits(a), bits(b))
+    assert report == {"command": "fixtures", "name": "luders-z",
+                      "written": str(out)}
+
+
+def test_report_stays_indented_while_artifact_is_compact(tmp_path, capsys):
+    inst = write_fixture(tmp_path, "luders-z")
+    out = tmp_path / "out.sys.json"
+    assert main(["extend", "-i", str(inst), "-o", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == json.dumps(json.loads(printed), indent=2,
+                                 sort_keys=True) + "\n"
+    assert_artifact_is_compact(out)

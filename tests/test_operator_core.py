@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,72 @@ def test_pvm_within_agrees_with_is_pvm():
     for family, bound in [([p, q], 1e-12), ([p, q + 1e-6 * np.eye(3)], 1e-7),
                           ([p, q + 1e-6 * np.eye(3)], 1e-5), ([p, p], 0.5)]:
         assert pvm_within(family, bound) == (is_pvm(family).residual <= bound)
+
+
+def _counting_norm(monkeypatch):
+    calls = []
+    original = np.linalg.norm
+
+    def counting(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return original(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 2, 2), (0, 3)])
+def test_spectral_norm_of_zeros_skips_the_svd(monkeypatch, shape):
+    calls = _counting_norm(monkeypatch)
+    assert spectral_norm(np.zeros(shape, dtype=complex)) == 0.0
+    assert spectral_norm(-np.zeros(shape)) == 0.0
+    assert calls == []
+
+
+def test_spectral_norm_of_nan_still_takes_the_svd(monkeypatch):
+    calls = _counting_norm(monkeypatch)
+    m = np.zeros((2, 2))
+    m[1, 0] = np.nan
+    try:
+        value = spectral_norm(m)
+    except np.linalg.LinAlgError:
+        value = np.nan
+    assert calls == [(2, 2)]
+    assert not value == 0.0
+
+
+# Entries whose shortest round-tripping decimal form is easy to get
+# wrong: a signed zero, the smallest subnormal, the largest finite
+# double, and a sum that is not the double nearest 0.3.
+AWKWARD = np.array([
+    [complex(-0.0, 5e-324), complex(1.7976931348623157e308, -0.0)],
+    [complex(0.1 + 0.2, -(0.1 + 0.2)), complex(-5e-324, -0.0)]])
+
+
+def _bits(a):
+    return np.ascontiguousarray(np.asarray(a, dtype=complex)).view(np.uint64)
+
+
+def test_matrix_json_round_trip_is_bit_exact():
+    assert np.signbit(AWKWARD.real[0, 0]) and np.signbit(AWKWARD.imag[0, 1])
+    decoded = matrix_from_json(json.loads(json.dumps(
+        matrix_to_json(AWKWARD), separators=(",", ":"))))
+    assert np.array_equal(_bits(decoded), _bits(AWKWARD))
+
+
+def test_matrix_json_of_a_stack_nests_each_matrix():
+    rng = np.random.default_rng(4)
+    stack = np.stack([AWKWARD, random_ginibre(rng, 2), AWKWARD.T])
+    encoded = matrix_to_json(stack)
+    assert len(encoded) == 3
+    for m, enc in zip(stack, encoded):
+        assert enc == matrix_to_json(m)
+        assert np.array_equal(_bits(matrix_from_json(enc)), _bits(m))
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.array([[1.0, np.inf]]),
+                                 np.full((2, 2, 2), np.nan)])
+def test_matrix_json_rejects_non_matrices_and_non_finite(bad):
+    with pytest.raises(ValueError):
+        matrix_to_json(bad)
