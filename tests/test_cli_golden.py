@@ -1,0 +1,132 @@
+"""Replay a fixed matrix of ``qdil`` invocations against recorded reports.
+
+Every fixture goes through every command, followed by a handful of
+error probes. Exit codes, keys, strings and booleans must match the
+recorded reports exactly; floats must agree within 1e-12. Temporary
+paths are recorded as ``<tmp>``.
+
+After a deliberate change to a report, rewrite the recording with::
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from qdil.cli import main
+from qdil.operator_core import matrix_to_json
+from qdil.vn_model import fixture_names, load_fixture
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_reports.json"
+TMP = "<tmp>"
+
+
+def cases() -> list[list[str]]:
+    """The argument vectors, in run order; ``<tmp>/`` prefixes paths."""
+    names = fixture_names()
+    out = []
+    for name in names:
+        f = f"{TMP}/{name}"
+        out += [
+            ["fixtures", "--name", name, "-o", f"{f}.json"],
+            ["dilate", "-i", f"{f}.json"],
+            ["dilate", "-i", f"{f}.json", "--seed", "3",
+             "-o", f"{f}.seed.mp.json"],
+            ["dilate", "-i", f"{f}.json", "--tol", "1e-7",
+             "-o", f"{f}.tol.mp.json"],
+            ["extend", "-i", f"{f}.json"],
+            ["extend", "-i", f"{f}.json", "--anchor", "zz"],
+            ["inner", "-i", f"{f}.json", "-o", f"{f}.inner.mp.json"],
+            ["faithful", "-i", f"{f}.json", "-o", f"{f}.faithful.mp.json"],
+            ["sample", "-i", f"{f}.json", "--state", f"{TMP}/plus.json",
+             "--steps", "200", "--seed", "5"],
+            ["verify-mc", "-i", f"{f}.sys.json", "--depth", "2",
+             "--samples", "40"],
+        ]
+    # dilate needs the full algebra; on a smaller algebra a fixture's
+    # faithful process stands in, compared with itself as its twin.
+    process, twin = {}, {}
+    for name in names:
+        f = f"{TMP}/{name}"
+        full = load_fixture(name).algebra.is_full
+        process[name] = f"{f}.mp.json" if full else f"{f}.faithful.mp.json"
+        twin[name] = f"{f}.seed.mp.json" if full else process[name]
+    for name, other in zip(names, names[1:] + names[:1]):
+        for order in ("1", "2"):
+            out.append(["equiv", process[name], twin[name], "--order",
+                        order])
+            out.append(["equiv", process[name], process[other],
+                        "--order", order])
+    mp, sys_path = f"{TMP}/luders-z.mp.json", f"{TMP}/luders-z.sys.json"
+    out += [
+        ["verify-mc", "-i", sys_path, "--samples", "0"],
+        ["equiv", mp, mp, "--order", "0"],
+        ["dilate", "-i", f"{TMP}/absent.json"],
+        ["dilate", "-i", f"{TMP}/luders-z.json", "--tol", "inf"],
+        ["verify-mc", "-i", sys_path, "--tol", "inf"],
+        ["equiv", mp, mp, "--tol", "inf"],
+        ["fixtures", "--tol", "inf"],
+        ["vn-model", "--dim", "4", "-o", f"{TMP}/vn.mp.json"],
+        ["fixtures"],
+        ["fixtures", "--name", "luders-z"],
+        ["fixtures", "--name", "nope"],
+    ]
+    return out
+
+
+def replay(tmp: Path) -> list[dict]:
+    """Run every case in ``tmp``; return its argv, exit code and report."""
+    (tmp / "plus.json").write_text(
+        json.dumps(matrix_to_json(np.full((2, 2), 0.5))))
+    records = []
+    for argv in cases():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([a.replace(TMP, str(tmp)) for a in argv])
+        report = json.loads(out.getvalue().replace(str(tmp), TMP))
+        records.append({"argv": argv, "exit": code, "report": report})
+    return records
+
+
+def assert_matches(got, expected, where: str) -> None:
+    assert type(got) is type(expected), f"{where}: {got!r} != {expected!r}"
+    if isinstance(expected, dict):
+        assert sorted(got) == sorted(expected), where
+        for key in expected:
+            assert_matches(got[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(got) == len(expected), where
+        for i, (g, e) in enumerate(zip(got, expected)):
+            assert_matches(g, e, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12), (
+            f"{where}: {got!r} != {expected!r}")
+    else:
+        assert got == expected, f"{where}: {got!r} != {expected!r}"
+
+
+def test_cli_reports_match_golden(tmp_path, monkeypatch):
+    monkeypatch.delenv("QDIL_TOL", raising=False)
+    expected = json.loads(GOLDEN.read_text())
+    got = replay(tmp_path)
+    assert [r["argv"] for r in got] == [r["argv"] for r in expected]
+    for g, e in zip(got, expected):
+        where = " ".join(e["argv"])
+        assert g["exit"] == e["exit"], where
+        assert_matches(g["report"], e["report"], where)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        records = replay(Path(tmp))
+    GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(records)} reports to {GOLDEN}", file=sys.stderr)
