@@ -22,6 +22,7 @@ from .operator_core import (
     CheckReport,
     Tolerance,
     _json_dim,
+    _json_object,
     dagger,
     hermitize,
     is_unitary,
@@ -367,14 +368,16 @@ def algebra_to_json(alg: FiniteVonNeumannAlgebra) -> dict:
 
 
 def algebra_from_json(data) -> FiniteVonNeumannAlgebra:
-    if not isinstance(data, dict):
-        raise ValueError("algebra JSON must be an object")
-    for key in ("dim", "blocks", "basis_change"):
-        if key not in data:
-            raise ValueError(f"algebra JSON is missing '{key}'")
+    _json_object(data, "algebra JSON", ("dim", "blocks", "basis_change"))
     dim = _json_dim(data["dim"], "algebra JSON 'dim'")
     blocks = tuple((_json_dim(n, "algebra JSON 'blocks' entry"),
                     _json_dim(m, "algebra JSON 'blocks' entry"))
                    for n, m in data["blocks"])
     return FiniteVonNeumannAlgebra(dim, blocks,
                                    matrix_from_json(data["basis_change"]))
+
+
+def _json_algebra(data: dict, dim: int) -> FiniteVonNeumannAlgebra:
+    """The algebra of a document's ``algebra`` entry; if empty, all of B(H)."""
+    return (algebra_from_json(data["algebra"]) if data.get("algebra")
+            else full_algebra(dim))

@@ -1,22 +1,24 @@
 """Batch command-line front end.
 
 Each command loads JSON inputs, runs one construction or verification,
-prints a JSON report to stdout, and writes any produced artifact (a
-measuring process, correlation system, or trajectory) to a file. Exit
-codes: 0 success, 1 verification failure, 2 input error. All commands
-are deterministic given their inputs, flags, and seed. The QDIL_TOL
-environment variable overrides the default tolerance; an explicit
-``--tol`` flag wins over both.
+and writes any produced artifact (a measuring process, correlation
+system, or trajectory) to a file. :func:`main` frames every command: it
+resolves the tolerance, prints the command's JSON report to stdout and
+maps the outcome to the exit code: 0 success, 1 verification failure,
+2 input error. All commands are deterministic given their inputs, flags,
+and seed. The QDIL_TOL environment variable overrides the default
+tolerance; an explicit ``--tol`` flag wins over both.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -67,30 +69,7 @@ from .vn_model import (
     load_fixture,
 )
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective numeric configuration of one command invocation."""
-
-    tol: Tolerance
-    seed: int
-    depth: int
-    output_path: str | None
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
-
-    def to_json(self) -> dict:
-        return {
-            "tol": self.tol.abs,
-            "psd_slack": self.tol.psd_slack,
-            "seed": self.seed,
-            "depth": self.depth,
-            "output": self.output_path,
-        }
+__all__ = ["main"]
 
 
 class _InputError(Exception):
@@ -99,6 +78,15 @@ class _InputError(Exception):
     def __init__(self, diagnostic: dict):
         super().__init__(diagnostic.get("error", "input"))
         self.diagnostic = diagnostic
+
+
+@contextlib.contextmanager
+def _input_error(kind: str, *errors: type[Exception]):
+    """Report a ``ValueError`` (or one of ``errors``) as a ``kind`` error."""
+    try:
+        yield
+    except (ValueError, *errors) as exc:
+        raise _InputError({"error": kind, "detail": str(exc)}) from None
 
 
 def _emit(payload: dict) -> None:
@@ -111,7 +99,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _tolerance(args) -> Tolerance:
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         base = float(args.tol)
     elif os.environ.get("QDIL_TOL"):
         base = float(os.environ["QDIL_TOL"])
@@ -127,9 +115,32 @@ def _read_json_file(path: str) -> dict:
     except FileNotFoundError:
         raise _InputError({"error": "schema",
                            "detail": f"no such file: {path}"}) from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise _InputError({"error": "schema",
+                           "detail": f"cannot read {path}: {exc.strerror}"}
+                          ) from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _InputError({"error": "schema",
                            "detail": f"malformed JSON: {exc}"}) from None
+
+
+def _load(path: str, decode, kind: str = "schema"):
+    """``decode`` of the document at ``path``; its errors are ``kind``."""
+    data = _read_json_file(path)
+    with _input_error(kind, KeyError, TypeError):
+        return decode(data)
+
+
+def _unwrap(data, key: str):
+    """``data[key]`` of an object holding it; any other document as is."""
+    return data.get(key, data) if isinstance(data, dict) else data
+
+
+def _config(tol: Tolerance, seed: int = 0, depth: int = 1,
+            output: str | None = None, **extra) -> dict:
+    """The effective configuration a report echoes."""
+    return {"tol": tol.abs, "psd_slack": tol.psd_slack, "seed": seed,
+            "depth": depth, "output": output, **extra}
 
 
 def _load_instrument(path: str, tol: Tolerance, strict: bool = True,
@@ -139,11 +150,7 @@ def _load_instrument(path: str, tol: Tolerance, strict: bool = True,
     ``anchor`` must be a label; ``strict`` adds ``require_valid``'s bound
     for commands that build from the instrument with ``validate=False``.
     """
-    data = _read_json_file(path)
-    try:
-        inst = instrument_from_json(data, validate=False)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _InputError({"error": "schema", "detail": str(exc)}) from None
+    inst = _load(path, partial(instrument_from_json, validate=False))
     report = verify_cp(inst, tol)
     if not report.cp_ok:
         raise _InputError({
@@ -175,33 +182,33 @@ def _derived_output(args, suffix: str) -> str:
     return f"{stem}.{suffix}.json"
 
 
-def _instrument_distance(a: CPInstrument, b: CPInstrument) -> float:
-    worst = 0.0
-    for s in a.outcomes.labels:
-        for _, _, x in matrix_units(a.dim_h):
-            worst = max(worst, spectral_norm(
-                apply_dual(a, x, (s,)) - apply_dual(b, x, (s,))))
-    return worst
+def _worst_gap(a, b, xs, events) -> float:
+    """The largest ``‖a(x, E) − b(x, E)‖`` over ``xs`` × ``events``."""
+    return max(spectral_norm(a(x, e) - b(x, e)) for x in xs for e in events)
+
+
+def _round_trip_residual(inst: CPInstrument, mp, tol: Tolerance) -> float:
+    """The worst atom-wise gap between ``inst`` and the one ``mp`` induces."""
+    induced = induced_instrument_mp(mp, tol)
+    return _worst_gap(partial(apply_dual, inst), partial(apply_dual, induced),
+                      [x for _, _, x in matrix_units(inst.dim_h)],
+                      [(s,) for s in inst.outcomes.labels])
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes the parsed arguments and the tolerance, and returns
+# its report with whether it passed.
 
 
-def cmd_dilate(args) -> int:
-    tol = _tolerance(args)
+def cmd_dilate(args, tol: Tolerance):
     inst = _load_instrument(args.input, tol)
     out_path = _derived_output(args, "mp")
-    config = RunConfig(tol, args.seed if args.seed is not None else 0, 1,
-                       out_path)
     sys_corr = from_instrument(inst, tol=tol, validate=False)
     mp = mp_from_correlations(sys_corr, tol, completion_seed=args.seed)
-    induced = induced_instrument_mp(mp, tol)
-    residual = _instrument_distance(inst, induced)
+    residual = _round_trip_residual(inst, mp, tol)
     _write_json(out_path, mp_to_json(mp))
-    report = {
-        "command": "dilate",
-        "config": config.to_json(),
+    return {
+        "config": _config(tol, args.seed or 0, output=out_path),
         "dims": {"dimH": mp.dim_h, "dimK": mp.dim_k,
                  "dimL": sys_corr.dim_l},
         "round_trip_residual": residual,
@@ -210,172 +217,108 @@ def cmd_dilate(args) -> int:
             "completion": ("identity-permutation" if args.seed is None
                            else f"seeded({args.seed})"),
         },
-    }
-    _emit(report)
-    return 0 if residual <= tol.abs * 100 else 1
+    }, residual <= tol.abs * 100
 
 
-def cmd_extend(args) -> int:
-    tol = _tolerance(args)
+def cmd_extend(args, tol: Tolerance):
     inst = _load_instrument(args.input, tol, anchor=args.anchor)
     out_path = _derived_output(args, "sys")
-    config = RunConfig(tol, 0, 1, out_path)
     sys_corr = from_instrument(inst, args.anchor, tol, validate=False)
     _write_json(out_path, system_to_json(sys_corr))
-    _emit({
-        "command": "extend",
-        "config": config.to_json(),
+    return {
+        "config": _config(tol, output=out_path),
         "anchor": args.anchor or inst.outcomes.labels[0],
         "dims": {"dimH": sys_corr.dim_h, "dimL": sys_corr.dim_l},
-    })
-    return 0
+    }, True
 
 
-def cmd_verify_mc(args) -> int:
-    tol = _tolerance(args)
-    data = _read_json_file(args.input)
-    try:
-        sys_corr = system_from_json(data, validate=False)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _InputError({"error": "schema", "detail": str(exc)}) from None
-    config = RunConfig(tol, args.seed, args.depth, None)
-    try:
-        report = verify_axioms(sys_corr, args.depth, args.samples, args.seed,
-                               tol)
-    except ValueError as exc:
-        raise _InputError({"error": "invalid-input",
-                           "detail": str(exc)}) from None
-    _emit({
-        "command": "verify-mc",
-        "config": {**config.to_json(), "samples": args.samples},
+def cmd_verify_mc(args, tol: Tolerance):
+    sys_corr = _load(args.input, partial(system_from_json, validate=False))
+    report = verify_axioms(sys_corr, args.depth, args.samples, args.seed, tol)
+    return {
+        "config": _config(tol, args.seed, args.depth, samples=args.samples),
         "axioms": report.to_json(),
         "all_pass": report.all_pass,
-    })
-    return 0 if report.all_pass else 1
+    }, report.all_pass
 
 
-def cmd_equiv(args) -> int:
-    tol = _tolerance(args)
+def cmd_equiv(args, tol: Tolerance):
     if args.order < 1:
-        raise _InputError({"error": "invalid-input",
-                           "detail": "order must be at least 1"})
-    mps = []
-    for path in args.inputs:
-        data = _read_json_file(path)
-        try:
-            mps.append(mp_from_json(data, validate=False))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise _InputError({"error": "schema",
-                               "detail": str(exc)}) from None
-    for mp in mps:
-        try:
+        raise ValueError("order must be at least 1")
+    mps = [_load(path, partial(mp_from_json, validate=False))
+           for path in args.inputs]
+    with _input_error("invalid-measuring-process"):
+        for mp in mps:
             mp.require_valid(tol)
-        except ValueError as exc:
-            raise _InputError({"error": "invalid-measuring-process",
-                               "detail": str(exc)}) from None
-    config = RunConfig(tol, 0, args.order, None)
-    try:
+    with _input_error("mismatch"):
         rep = n_equivalent(mps[0], mps[1], args.order, tol=tol)
-    except ValueError as exc:
-        raise _InputError({"error": "mismatch",
-                           "detail": str(exc)}) from None
     orders = {str(k): {"equivalent": res <= rep.bound,
                        "worst_residual": res,
                        "note": _order_note(k)}
               for k, res in enumerate(rep.order_residuals, start=1)}
-    _emit({
-        "command": "equiv",
-        "config": config.to_json(),
+    return {
+        "config": _config(tol, depth=args.order),
         "orders": orders,
         "all_equivalent": rep.equivalent,
-    })
-    return 0 if rep.equivalent else 1
+    }, rep.equivalent
 
 
-def cmd_inner(args) -> int:
-    tol = _tolerance(args)
+def cmd_inner(args, tol: Tolerance):
     inst = _load_instrument(args.input, tol)
     out_path = _derived_output(args, "mp")
-    config = RunConfig(tol, 0, 1, out_path)
     try:
         mp = inner_mp_from_kraus(inst, tol, validate=False)
     except ValueError as exc:
-        msg = str(exc)
-        if "outside the algebra" in msg:
-            raise _InputError({"error": "kraus-outside-algebra",
-                               "detail": msg,
-                               "suggestion": "faithful"}) from None
-        raise _InputError({"error": "invalid-input", "detail": msg}) from None
+        if "outside the algebra" not in str(exc):
+            raise
+        raise _InputError({"error": "kraus-outside-algebra",
+                           "detail": str(exc),
+                           "suggestion": "faithful"}) from None
     membership = inner_membership(mp, tol)
     unit = is_unitary(mp.u, tol)
-    induced = induced_instrument_mp(mp, tol)
-    residual = _instrument_distance(inst, induced)
+    residual = _round_trip_residual(inst, mp, tol)
     _write_json(out_path, mp_to_json(mp))
-    _emit({
-        "command": "inner",
-        "config": config.to_json(),
+    return {
+        "config": _config(tol, output=out_path),
         "dims": {"dimH": mp.dim_h, "dimK": mp.dim_k},
         "inner_membership_residual": membership.residual,
         "unitarity_residual": unit.residual,
         "round_trip_residual": residual,
-    })
-    ok = (membership.residual <= tol.abs * 100
-          and residual <= tol.abs * 100)
-    return 0 if ok else 1
+    }, membership.residual <= tol.abs * 100 and residual <= tol.abs * 100
 
 
-def cmd_faithful(args) -> int:
-    tol = _tolerance(args)
+def cmd_faithful(args, tol: Tolerance):
     inst = _load_instrument(args.input, tol)
     out_path = _derived_output(args, "mp")
-    config = RunConfig(tol, 0, 1, out_path)
     mp = faithful_mp(inst, tol, validate=False)
-    table = faithfulness_table(mp, inst, tol)
-    eye = np.eye(inst.dim_h)
-    unit_res = 0.0
     labels = inst.outcomes.labels
-    for r in range(len(labels) + 1):
-        for event in itertools.combinations(labels, r):
-            unit_res = max(unit_res, spectral_norm(
-                apply_dual(inst, eye, event) - mp.heisenberg(eye, event)))
-    basis_res = 0.0
-    for s in labels:
-        for b in inst.algebra.basis():
-            basis_res = max(basis_res, spectral_norm(
-                apply_dual(inst, b, (s,)) - mp.heisenberg(b, (s,))))
+    dual = partial(apply_dual, inst)
+    unit_res = _worst_gap(dual, mp.heisenberg, [np.eye(inst.dim_h)],
+                          [event for r in range(len(labels) + 1)
+                           for event in itertools.combinations(labels, r)])
+    basis_res = _worst_gap(dual, mp.heisenberg, inst.algebra.basis(),
+                           [(s,) for s in labels])
     _write_json(out_path, mp_to_json(mp))
-    _emit({
-        "command": "faithful",
-        "config": config.to_json(),
+    return {
+        "config": _config(tol, output=out_path),
         "dims": {"dimH": mp.dim_h, "dimK": mp.dim_k},
-        "faithfulness": table,
+        "faithfulness": faithfulness_table(mp, inst, tol),
         "unit_preservation_residual": unit_res,
         "basis_agreement_residual": basis_res,
         "finite_dimensional_substitution":
             "block unitary on the doubled multiplicity space replaces the "
             "infinite ancilla factor",
-    })
-    ok = unit_res <= tol.abs * 100 and basis_res <= tol.abs * 100
-    return 0 if ok else 1
+    }, unit_res <= tol.abs * 100 and basis_res <= tol.abs * 100
 
 
-def cmd_sample(args) -> int:
-    tol = _tolerance(args)
+def cmd_sample(args, tol: Tolerance):
     inst = _load_instrument(args.input, tol, strict=False)
     if args.steps < 1:
         raise _InputError({"error": "steps-must-be-positive",
                            "steps": args.steps})
-    state_data = _read_json_file(args.state)
-    try:
-        rho = matrix_from_json(state_data.get("rho", state_data)
-                               if isinstance(state_data, dict)
-                               else state_data)
-        rho = require_state(rho, tol)
-    except ValueError as exc:
-        raise _InputError({"error": "not-a-state",
-                           "detail": str(exc)}) from None
+    rho = _load(args.state, lambda data: require_state(
+        matrix_from_json(_unwrap(data, "rho")), tol), "not-a-state")
     out_path = _derived_output(args, "traj")
-    config = RunConfig(tol, args.seed, 1, out_path)
     trajectory = sample_trajectory(inst, rho, args.steps, args.seed)
     posteriors = matrix_to_json(np.stack([p for _, p in trajectory]))
     _write_json(out_path, {
@@ -386,64 +329,44 @@ def cmd_sample(args) -> int:
     })
     counts = sample_first_steps(inst, rho, args.steps, [args.seed, 1])
     table = {}
-    all_within = True
     for s in inst.outcomes.labels:
         p = outcome_probability(inst, rho, (s,))
         sigma = float(np.sqrt(args.steps * p * (1 - p)))
         dev = abs(counts[s] - args.steps * p)
-        within = bool(dev <= 3 * sigma + 1e-9)
-        all_within = all_within and within
         table[s] = {
             "count": counts[s],
             "empirical": counts[s] / args.steps,
             "exact": p,
             "sigma": sigma,
-            "within_3sigma": within,
+            "within_3sigma": bool(dev <= 3 * sigma + 1e-9),
         }
-    _emit({
-        "command": "sample",
-        "config": {**config.to_json(), "steps": args.steps},
+    all_within = all(row["within_3sigma"] for row in table.values())
+    return {
+        "config": _config(tol, args.seed, output=out_path, steps=args.steps),
         "first_step_table": table,
         "all_within_3sigma": all_within,
-    })
-    return 0 if all_within else 1
+    }, all_within
 
 
-def cmd_vn_model(args) -> int:
-    tol = _tolerance(args)
-    if args.observable:
-        data = _read_json_file(args.observable)
-        try:
-            a = matrix_from_json(data.get("matrix", data)
-                                 if isinstance(data, dict) else data)
-        except ValueError as exc:
-            raise _InputError({"error": "schema",
-                               "detail": str(exc)}) from None
-    else:
-        a = np.diag([0.0, 1.0]).astype(complex)
-    pointer = None
-    if args.pointer:
-        data = _read_json_file(args.pointer)
-        pointer = np.asarray(matrix_from_json(data), dtype=complex).reshape(-1)
-    try:
+def cmd_vn_model(args, tol: Tolerance):
+    a = (_load(args.observable,
+               lambda data: matrix_from_json(_unwrap(data, "matrix")))
+         if args.observable else np.diag([0.0, 1.0]).astype(complex))
+    pointer = (_load(args.pointer, matrix_from_json).reshape(-1)
+               if args.pointer else None)
+    with _input_error("invalid-model"):
         model = DiscreteVNModel(a, args.dim, pointer, args.coupling)
-    except ValueError as exc:
-        raise _InputError({"error": "invalid-model",
-                           "detail": str(exc)}) from None
     mp = build_vn(model, tol)
     out_path = args.output or "vn_model.mp.json"
     _write_json(out_path, mp_to_json(mp))
-    config = RunConfig(tol, 0, 1, out_path)
-    _emit({
-        "command": "vn-model",
-        "config": config.to_json(),
+    return {
+        "config": _config(tol, output=out_path),
         "dims": {"dimH": mp.dim_h, "dimK": mp.dim_k},
         "coupling": model.coupling,
-    })
-    return 0
+    }, True
 
 
-def cmd_fixtures(args) -> int:
+def cmd_fixtures(args, tol: Tolerance):
     names = fixture_names()
     if args.name is None:
         catalog = {}
@@ -454,20 +377,16 @@ def cmd_fixtures(args) -> int:
                 "outcomes": list(inst.outcomes.labels),
                 "algebra": algebra_to_json(inst.algebra)["blocks"],
             }
-        _emit({"command": "fixtures", "fixtures": catalog})
-        return 0
+        return {"fixtures": catalog}, True
     if args.name not in names:
         raise _InputError({"error": "unknown-fixture", "name": args.name,
                            "available": names})
-    inst = load_fixture(args.name)
-    payload = instrument_to_json(inst)
-    if args.output:
-        _write_json(args.output, payload)
-        _emit({"command": "fixtures", "written": args.output,
-               "name": args.name})
-    else:
-        _emit(payload)
-    return 0
+    payload = instrument_to_json(load_fixture(args.name))
+    if not args.output:
+        _emit(payload)  # the bare instrument document, not a report
+        return None, True
+    _write_json(args.output, payload)
+    return {"written": args.output, "name": args.name}, True
 
 
 # ---------------------------------------------------------------------------
@@ -481,65 +400,46 @@ def _build_parser() -> argparse.ArgumentParser:
                     "dilations on finite-dimensional spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def command(fn, name: str, summary: str, input_file=True, output=True):
+        p = sub.add_parser(name, help=summary)
+        if input_file:
+            p.add_argument("--input", "-i", required=True)
         p.add_argument("--tol", type=float, default=None,
                        help="absolute tolerance (default 1e-9 or QDIL_TOL)")
         if output:
             p.add_argument("--output", "-o", default=None,
                            help="artifact output path")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("dilate", help="instrument -> measuring process")
-    p.add_argument("--input", "-i", required=True)
+    p = command(cmd_dilate, "dilate", "instrument -> measuring process")
     p.add_argument("--seed", type=int, default=None,
                    help="seed the orthocomplement completion (default: "
                         "deterministic permutation)")
-    common(p)
-    p.set_defaults(fn=cmd_dilate)
-
-    p = sub.add_parser("extend", help="instrument -> correlation system")
-    p.add_argument("--input", "-i", required=True)
+    p = command(cmd_extend, "extend", "instrument -> correlation system")
     p.add_argument("--anchor", default=None,
                    help="atom label carrying the system block")
-    common(p)
-    p.set_defaults(fn=cmd_extend)
-
-    p = sub.add_parser("verify-mc", help="check correlation axioms")
-    p.add_argument("--input", "-i", required=True)
+    p = command(cmd_verify_mc, "verify-mc", "check correlation axioms",
+                output=False)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    common(p, output=False)
-    p.set_defaults(fn=cmd_verify_mc)
-
-    p = sub.add_parser("equiv", help="compare two measuring processes")
+    p = command(cmd_equiv, "equiv", "compare two measuring processes",
+                input_file=False, output=False)
     p.add_argument("inputs", nargs=2, metavar="MP_FILE")
     p.add_argument("--order", type=int, default=2)
-    common(p, output=False)
-    p.set_defaults(fn=cmd_equiv)
-
-    p = sub.add_parser("inner", help="inner measuring process from Kraus "
-                                     "operators in the algebra")
-    p.add_argument("--input", "-i", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_inner)
-
-    p = sub.add_parser("faithful", help="faithful measuring process via "
-                                        "conditional expectation")
-    p.add_argument("--input", "-i", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_faithful)
-
-    p = sub.add_parser("sample", help="sample a measurement trajectory")
-    p.add_argument("--input", "-i", required=True)
-    p.add_argument("--state", required=True, help="initial density matrix "
-                                                  "JSON file")
+    command(cmd_inner, "inner",
+            "inner measuring process from Kraus operators in the algebra")
+    command(cmd_faithful, "faithful",
+            "faithful measuring process via conditional expectation")
+    p = command(cmd_sample, "sample", "sample a measurement trajectory")
+    p.add_argument("--state", required=True,
+                   help="initial density matrix JSON file")
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(fn=cmd_sample)
-
-    p = sub.add_parser("vn-model", help="build the discrete von Neumann "
-                                        "model process")
+    p = command(cmd_vn_model, "vn-model",
+                "build the discrete von Neumann model process",
+                input_file=False)
     p.add_argument("--dim", type=int, default=8, help="meter dimension")
     p.add_argument("--coupling", type=float, default=None,
                    help="coupling strength (default 2*pi/dim)")
@@ -547,28 +447,23 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="system observable JSON matrix file")
     p.add_argument("--pointer", default=None,
                    help="pointer state JSON vector file")
-    common(p)
-    p.set_defaults(fn=cmd_vn_model)
-
-    p = sub.add_parser("fixtures", help="list or export named fixtures")
+    p = command(cmd_fixtures, "fixtures", "list or export named fixtures",
+                input_file=False)
     p.add_argument("--name", default=None)
-    common(p)
-    p.set_defaults(fn=cmd_fixtures)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with _input_error("invalid-input"):
+            report, passed = args.fn(args, _tolerance(args))
+        code = 0 if passed else 1
     except _InputError as exc:
-        _emit({**exc.diagnostic, "command": args.command})
-        return 2
-    except ValueError as exc:
-        _emit({"error": "invalid-input", "detail": str(exc),
-               "command": args.command})
-        return 2
+        report, code = exc.diagnostic, 2
+    if report is not None:
+        _emit({**report, "command": args.command})
+    return code
 
 
 if __name__ == "__main__":

@@ -21,11 +21,10 @@ import numpy as np
 
 from .algebra import (
     FiniteVonNeumannAlgebra,
-    algebra_from_json,
+    _json_algebra,
     algebra_to_json,
     conditional_expectation,
     contains,
-    full_algebra,
 )
 from .instrument import (
     IN,
@@ -38,6 +37,7 @@ from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
     _json_dim,
+    _json_object,
     dagger,
     is_pvm,
     matrix_from_json,
@@ -658,11 +658,8 @@ def system_to_json(sys: CorrelationSystem) -> dict:
 
 
 def system_from_json(data, validate: bool = True) -> CorrelationSystem:
-    if not isinstance(data, dict):
-        raise ValueError("correlation-system JSON must be an object")
-    for key in ("dimH", "dimL", "outcomes", "pi_in", "pi_atoms", "v"):
-        if key not in data:
-            raise ValueError(f"correlation-system JSON is missing '{key}'")
+    _json_object(data, "correlation-system JSON",
+                 ("dimH", "dimL", "outcomes", "pi_in", "pi_atoms", "v"))
     dim_h = _json_dim(data["dimH"], "correlation-system JSON 'dimH'")
     dim_l = _json_dim(data["dimL"], "correlation-system JSON 'dimL'")
     outcomes = _json_outcomes(data, "correlation-system")
@@ -683,16 +680,12 @@ def system_from_json(data, validate: bool = True) -> CorrelationSystem:
                 t[:, :, i, j] = m
         return PiMap(t)
 
-    if not isinstance(data["pi_atoms"], dict):
-        raise ValueError("correlation-system JSON 'pi_atoms' must be an object")
-
-    algebra = (algebra_from_json(data["algebra"]) if data.get("algebra")
-               else full_algebra(dim_h))
+    pi_atoms = _json_object(data["pi_atoms"],
+                            "correlation-system JSON 'pi_atoms'")
     return CorrelationSystem(
-        dim_h, algebra, outcomes, dim_l,
+        dim_h, _json_algebra(data, dim_h), outcomes, dim_l,
         map_from("pi_in", data["pi_in"]),
-        {s: map_from(f"pi_atoms[{s!r}]", js)
-         for s, js in data["pi_atoms"].items()},
+        {s: map_from(f"pi_atoms[{s!r}]", js) for s, js in pi_atoms.items()},
         matrix_from_json(data["v"]),
         validate=validate,
         certified_depth=data.get("certified_depth"),

@@ -19,8 +19,8 @@ import numpy as np
 
 from .algebra import (
     FiniteVonNeumannAlgebra,
+    _json_algebra,
     _swap_matrix,
-    algebra_from_json,
     algebra_to_json,
     conditional_expectation,
     contains,
@@ -48,6 +48,7 @@ from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
     _json_dim,
+    _json_object,
     basis_vector,
     compress_by_state,
     dagger,
@@ -200,21 +201,16 @@ def mp_to_json(mp: MeasuringProcess) -> dict:
 
 
 def mp_from_json(data, validate: bool = True) -> MeasuringProcess:
-    if not isinstance(data, dict):
-        raise ValueError("measuring-process JSON must be an object")
-    for key in ("dimH", "dimK", "sigma", "pvm", "u", "outcomes"):
-        if key not in data:
-            raise ValueError(f"measuring-process JSON is missing '{key}'")
-    if not isinstance(data["pvm"], dict):
-        raise ValueError("measuring-process JSON 'pvm' must be an object")
+    _json_object(data, "measuring-process JSON",
+                 ("dimH", "dimK", "sigma", "pvm", "u", "outcomes"))
+    pvm = _json_object(data["pvm"], "measuring-process JSON 'pvm'")
     dim_h = _json_dim(data["dimH"], "measuring-process JSON 'dimH'")
     dim_k = _json_dim(data["dimK"], "measuring-process JSON 'dimK'")
     outcomes = _json_outcomes(data, "measuring-process")
-    algebra = (algebra_from_json(data["algebra"]) if data.get("algebra")
-               else full_algebra(dim_h))
     return MeasuringProcess(
-        dim_h, algebra, outcomes, dim_k, matrix_from_json(data["sigma"]),
-        {s: matrix_from_json(p) for s, p in data["pvm"].items()},
+        dim_h, _json_algebra(data, dim_h), outcomes, dim_k,
+        matrix_from_json(data["sigma"]),
+        {s: matrix_from_json(p) for s, p in pvm.items()},
         matrix_from_json(data["u"]), validate=validate)
 
 
@@ -886,8 +882,9 @@ def faithful_mp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
         choi = choi_of_dual(lambda x, s=s: apply_dual(
             inst, conditional_expectation(inst.algebra, x), (s,)), dim_h)
         ext_kraus[s] = kraus_from_dual_choi(choi, dim_h, tol)
+    # instrument_representation checks the extension, at the caller's tol.
     extended = CPInstrument(dim_h, full_algebra(dim_h), inst.outcomes,
-                            ext_kraus)
+                            ext_kraus, validate=False)
     rep = instrument_representation(extended, tol)
 
     d1, u1 = multiplicity_split(rep.pi0, tol)

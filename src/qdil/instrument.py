@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import (
     FiniteVonNeumannAlgebra,
-    algebra_from_json,
+    _json_algebra,
     algebra_to_json,
     conditional_expectation,
     contains,
@@ -30,6 +30,8 @@ from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
     _json_dim,
+    _json_labels,
+    _json_object,
     dagger,
     hermitize,
     is_hermitian,
@@ -155,9 +157,12 @@ class CPInstrument:
                     raise ValueError(
                         f"Kraus operator for '{s}' has shape {k.shape}")
             kraus[s] = ops
-        extra = set(self.kraus) - set(self.outcomes.labels)
-        if extra:
-            raise ValueError(f"Kraus data for unknown outcomes: {sorted(extra)}")
+        for what, data in (("Kraus data", self.kraus),
+                           ("weights", self.weights or {})):
+            extra = set(data) - set(self.outcomes.labels)
+            if extra:
+                raise ValueError(f"{what} for unknown outcomes: "
+                                 f"{sorted(extra)}")
         object.__setattr__(self, "kraus", kraus)
         if self.weights is not None:
             for s in self.outcomes.labels:
@@ -354,7 +359,9 @@ def instrument_from_duals(dim_h: int, algebra: FiniteVonNeumannAlgebra,
                     f"algebra (residual {res:.3e})")
         kraus[s] = kraus_from_dual_choi(choi_of_dual_tensor(duals[s]), dim_h,
                                         tol)
-    return CPInstrument(dim_h, algebra, outcomes, kraus)
+    inst = CPInstrument(dim_h, algebra, outcomes, kraus, validate=False)
+    inst.require_valid(tol)
+    return inst
 
 
 @dataclass(frozen=True)
@@ -533,10 +540,9 @@ def sample_first_steps(inst: CPInstrument, rho0, n: int, seed: int
 
 
 def _json_outcomes(data: dict, what: str) -> OutcomeSpace:
-    """The outcome space of ``data["outcomes"]``, which must be an array."""
-    if not isinstance(data["outcomes"], list):
-        raise ValueError(f"{what} JSON 'outcomes' must be an array")
-    return OutcomeSpace(tuple(data["outcomes"]))
+    """The outcome space of ``data["outcomes"]``, an array of strings."""
+    return OutcomeSpace(_json_labels(data["outcomes"],
+                                     f"{what} JSON 'outcomes'"))
 
 
 def instrument_to_json(inst: CPInstrument) -> dict:
@@ -554,25 +560,19 @@ def instrument_to_json(inst: CPInstrument) -> dict:
 
 
 def instrument_from_json(data, validate: bool = True) -> CPInstrument:
-    if not isinstance(data, dict):
-        raise ValueError("instrument JSON must be an object")
-    for key in ("dim", "outcomes", "kraus"):
-        if key not in data:
-            raise ValueError(f"instrument JSON is missing '{key}'")
+    _json_object(data, "instrument JSON", ("dim", "outcomes", "kraus"))
     dim = _json_dim(data["dim"], "instrument JSON 'dim'")
     outcomes = _json_outcomes(data, "instrument")
-    if not isinstance(data["kraus"], dict):
-        raise ValueError("instrument JSON 'kraus' must be an object")
-    kraus = {s: [matrix_from_json(k) for k in ops]
-             for s, ops in data["kraus"].items()}
-    algebra = (algebra_from_json(data["algebra"])
-               if data.get("algebra") else full_algebra(dim))
-    weights = None
-    if "weights" in data:
-        if not isinstance(data["weights"], dict):
-            raise ValueError("instrument JSON 'weights' must be an object")
-        if data["weights"]:
-            weights = {s: [float(w) for w in ws]
-                       for s, ws in data["weights"].items()}
-    return CPInstrument(dim, algebra, outcomes, kraus, weights,
-                        validate=validate)
+    kraus = {s: [matrix_from_json(k) for k in ops] for s, ops in
+             _json_object(data["kraus"], "instrument JSON 'kraus'").items()}
+    algebra = _json_algebra(data, dim)
+    weights = _json_object(data.get("weights", {}), "instrument JSON 'weights'")
+    for s, ws in weights.items():
+        if not (isinstance(ws, list) and all(
+                isinstance(w, (int, float)) and not isinstance(w, bool)
+                for w in ws)):
+            raise ValueError(f"instrument JSON 'weights' of {s!r} must be an "
+                             "array of numbers")
+    return CPInstrument(dim, algebra, outcomes, kraus,
+                        {s: [float(w) for w in ws] for s, ws in weights.items()}
+                        or None, validate=validate)

@@ -18,6 +18,9 @@ import numpy as np
 from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
+    _json_dim,
+    _json_labels,
+    _json_object,
     dagger,
     matrix_from_json,
     matrix_to_json,
@@ -221,16 +224,14 @@ def kernel_to_json(k: OperatorKernel) -> dict:
 
 
 def kernel_from_json(data) -> OperatorKernel:
-    if not isinstance(data, dict):
-        raise ValueError("kernel JSON must be an object")
-    for key in ("dim", "labels", "entries"):
-        if key not in data:
-            raise ValueError(f"kernel JSON is missing '{key}'")
-    labels = tuple(str(c) for c in data["labels"])
+    _json_object(data, "kernel JSON", ("dim", "labels", "entries"))
+    dim = _json_dim(data["dim"], "kernel JSON 'dim'")
+    labels = _json_labels(data["labels"], "kernel JSON 'labels'")
     entries = {}
-    for key, m in data["entries"].items():
+    for key, m in _json_object(data["entries"],
+                               "kernel JSON 'entries'").items():
         parts = key.split("|")
         if len(parts) != 2:
             raise ValueError(f"bad kernel entry key {key!r}, expected 'c|c2'")
         entries[(parts[0], parts[1])] = matrix_from_json(m)
-    return OperatorKernel(labels, int(data["dim"]), entries)
+    return OperatorKernel(labels, dim, entries)

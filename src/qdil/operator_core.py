@@ -407,11 +407,28 @@ def matrix_to_json(a) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
+def _json_object(data, what: str, keys=()) -> dict:
+    """``data``, which must be a JSON object holding every key in ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} is missing '{key}'")
+    return data
+
+
 def _json_dim(value, name: str) -> int:
     """``value``, which must be a JSON integer of at least 1."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"{name} must be a positive integer")
     return value
+
+
+def _json_labels(value, name: str) -> tuple[str, ...]:
+    """``value``, which must be a JSON array of strings."""
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+        raise ValueError(f"{name} must be an array of strings")
+    return tuple(value)
 
 
 def matrix_from_json(data) -> np.ndarray:

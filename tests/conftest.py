@@ -6,7 +6,7 @@ import numpy as np
 
 from qdil.algebra import full_algebra
 from qdil.dilation import MeasuringProcess
-from qdil.instrument import CPInstrument, OutcomeSpace
+from qdil.instrument import CPInstrument, OutcomeSpace, instrument_to_json
 from qdil.vn_model import load_fixture
 
 
@@ -56,3 +56,16 @@ def hand_built_amp_damp():
     return MeasuringProcess(2, full_algebra(2),
                             load_fixture("amp-damp-0.5").outcomes, 2,
                             sigma, e, u)
+
+
+def luders_z_schema_mutants():
+    """``luders-z`` instrument documents that ``instrument.schema.json``
+    forbids: non-number weights and non-string outcome labels.
+    """
+    patches = {
+        "string-weight": {"weights": {"0": ["1.0"], "1": [1.0]}},
+        "boolean-weight": {"weights": {"0": [True], "1": [1.0]}},
+        "integer-outcomes": {"outcomes": [0, 1]},
+    }
+    base = instrument_to_json(load_fixture("luders-z"))
+    return {name: {**base, **patch} for name, patch in patches.items()}

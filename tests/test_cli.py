@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 import qdil.cli
-from conftest import hand_built_amp_damp, random_cp_instrument
+from conftest import (
+    hand_built_amp_damp,
+    luders_z_schema_mutants,
+    random_cp_instrument,
+)
 from qdil.cli import main
 from qdil.correlations import from_instrument
 from qdil.dilation import mp_from_correlations, mp_to_json
@@ -633,3 +637,83 @@ def test_report_stays_indented_while_artifact_is_compact(tmp_path, capsys):
     assert printed == json.dumps(json.loads(printed), indent=2,
                                  sort_keys=True) + "\n"
     assert_artifact_is_compact(out)
+
+
+def loader_mutants():
+    mutants = luders_z_schema_mutants()
+    # The schema cannot tie weights keys to the outcome list; the loader does.
+    mutants["unknown-outcome-weight"] = {
+        **instrument_to_json(load_fixture("luders-z")),
+        "weights": {"0": [1.0], "1": [1.0], "zz": [1.0]}}
+    return mutants
+
+
+@pytest.mark.parametrize("name", sorted(loader_mutants()))
+def test_instrument_loader_rejects_what_the_schema_forbids(tmp_path, capsys,
+                                                           name):
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(loader_mutants()[name]))
+    code, report = run(capsys, "dilate", "-i", str(path))
+    assert code == 2
+    assert report["error"] == "schema"
+    assert report["command"] == "dilate"
+
+
+@pytest.mark.parametrize("command,name", [("dilate", "amp-damp-0.5"),
+                                          ("faithful", "diag-amp-damp")])
+def test_each_instrument_is_checked_once_at_the_callers_tolerance(
+        tmp_path, capsys, monkeypatch, command, name):
+    import qdil.instrument
+
+    inst = write_fixture(tmp_path, name)
+    checked = []
+    original = qdil.instrument.verify_cp
+
+    def counting(instrument, tol=qdil.instrument.DEFAULT_TOL):
+        checked.append((instrument, tol.abs))
+        return original(instrument, tol)
+
+    monkeypatch.setattr(qdil.instrument, "verify_cp", counting)
+    monkeypatch.setattr(qdil.cli, "verify_cp", counting)
+    code, _ = run(capsys, command, "-i", str(inst), "--tol", "1e-6")
+    assert code == 0
+    # The input, then the induced instrument (dilate) or the extension
+    # through the conditional expectation (faithful).
+    assert len(checked) == 2
+    assert checked[0][0] is not checked[1][0]
+    assert [tol for _, tol in checked] == [1e-6, 1e-6]
+
+
+def test_fixtures_checks_the_tolerance_like_every_command(capsys,
+                                                          monkeypatch):
+    code, report = run(capsys, "fixtures", "--tol", "inf")
+    assert code == 2
+    assert report["error"] == "invalid-input"
+    monkeypatch.setenv("QDIL_TOL", "nan")
+    code, report = run(capsys, "fixtures", "--name", "luders-z")
+    assert code == 2
+    assert report == {"command": "fixtures", "error": "invalid-input",
+                      "detail": "tolerances must be positive and finite"}
+
+
+def test_unreadable_input_is_schema_error(tmp_path, capsys):
+    code, report = run(capsys, "dilate", "-i", str(tmp_path))
+    assert code == 2
+    assert report["error"] == "schema"
+    assert report["detail"].startswith(f"cannot read {tmp_path}")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"dim": 2, "outcomes": ["\xe9"]}')
+    code, report = run(capsys, "dilate", "-i", str(latin1))
+    assert code == 2
+    assert report["error"] == "schema"
+    assert report["detail"].startswith("malformed JSON: 'utf-8' codec")
+
+
+def test_vn_model_malformed_pointer_is_schema_error(tmp_path, capsys):
+    pointer = tmp_path / "pointer.json"
+    pointer.write_text(json.dumps({"vector": [1, 0]}))
+    code, report = run(capsys, "vn-model", "--dim", "2", "--pointer",
+                       str(pointer), "-o", str(tmp_path / "vn.mp.json"))
+    assert code == 2
+    assert report == {"command": "vn-model", "error": "schema",
+                      "detail": "matrix JSON must be a nonempty list of rows"}

@@ -149,3 +149,16 @@ def test_kernel_json_round_trip():
     for c1 in k.labels:
         for c2 in k.labels:
             assert np.allclose(back.entry(c1, c2), k.entry(c1, c2))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dim", 2.7), ("dim", "2"), ("dim", True), ("labels", "ab"),
+    ("labels", [1, 2]), ("entries", [1]),
+], ids=["dim-float", "dim-string", "dim-bool", "labels-string",
+        "labels-ints", "entries-list"])
+def test_kernel_loader_rejects_malformed_fields(key, value):
+    rng = np.random.default_rng(69)
+    k, _ = planted_kernel(rng, ("a", "b"), 2, 3)
+    data = {**kernel_to_json(k), key: value}
+    with pytest.raises(ValueError, match=f"kernel JSON '{key}'"):
+        kernel_from_json(data)

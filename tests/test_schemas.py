@@ -6,8 +6,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from conftest import luders_z_schema_mutants
 from qdil.cli import main
-from qdil.instrument import instrument_to_json
+from qdil.instrument import coarse_grain, instrument_to_json
 from qdil.operator_core import matrix_to_json
 from qdil.vn_model import load_fixture
 
@@ -60,3 +61,17 @@ def test_error_report_validates(tmp_path, capsys):
     assert report["command"] == "dilate"
     assert "error" in report
     jsonschema.validate(report, schema("report"))
+
+
+def test_coarse_grained_export_validates():
+    # t1 becomes a null atom, written as an empty Kraus list.
+    coarse = coarse_grain(load_fixture("trine-povm"), [("t0", "t1")])
+    data = json.loads(json.dumps(instrument_to_json(coarse)))
+    assert data["kraus"]["t1"] == []
+    jsonschema.validate(data, schema("instrument"))
+
+
+def test_schema_forbids_the_loader_mutants():
+    for data in luders_z_schema_mutants().values():
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(data, schema("instrument"))
