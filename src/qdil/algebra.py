@@ -28,6 +28,7 @@ from .operator_core import (
     is_unitary,
     matrix_from_json,
     matrix_to_json,
+    matrix_units,
     spectral_norm,
 )
 
@@ -86,14 +87,11 @@ class FiniteVonNeumannAlgebra:
         out = []
         offset = 0
         for n, m in self.blocks:
-            for a in range(n):
-                for b in range(n):
-                    blk = np.zeros((self.dim_h, self.dim_h), dtype=complex)
-                    unit = np.zeros((n, n), dtype=complex)
-                    unit[a, b] = 1.0
-                    blk[offset:offset + n * m, offset:offset + n * m] = \
-                        np.kron(unit, np.eye(m))
-                    out.append(w @ blk @ dagger(w))
+            for _, _, unit in matrix_units(n):
+                blk = np.zeros((self.dim_h, self.dim_h), dtype=complex)
+                blk[offset:offset + n * m, offset:offset + n * m] = \
+                    np.kron(unit, np.eye(m))
+                out.append(w @ blk @ dagger(w))
             offset += n * m
         return out
 
@@ -138,9 +136,10 @@ def conditional_expectation(alg: FiniteVonNeumannAlgebra, x) -> np.ndarray:
     multiplicity legs; it is unital, positive, idempotent, and
     bimodular over the algebra, and coincides with the orthogonal
     projection onto the algebra in the Hilbert-Schmidt inner product.
+    ``x`` is an operator or a stack of operators, mapped one by one.
     """
     xm = np.asarray(x, dtype=complex)
-    if xm.shape != (alg.dim_h, alg.dim_h):
+    if xm.ndim > 3 or xm.shape[-2:] != (alg.dim_h, alg.dim_h):
         raise ValueError(f"operator has shape {xm.shape}, "
                          f"expected {(alg.dim_h, alg.dim_h)}")
     w = alg.basis_change
@@ -148,17 +147,20 @@ def conditional_expectation(alg: FiniteVonNeumannAlgebra, x) -> np.ndarray:
     out = np.zeros_like(y)
     offset = 0
     for n, m in alg.blocks:
-        blk = y[offset:offset + n * m, offset:offset + n * m]
-        t = blk.reshape(n, m, n, m)
-        a = np.einsum("acbc->ab", t) / m
-        out[offset:offset + n * m, offset:offset + n * m] = np.kron(a, np.eye(m))
+        sl = slice(offset, offset + n * m)
+        t = y[..., sl, sl].reshape(*y.shape[:-2], n, m, n, m)
+        a = np.einsum("...acbc->...ab", t) / m
+        out[..., sl, sl] = np.kron(a, np.eye(m))
         offset += n * m
     return w @ out @ dagger(w)
 
 
 def contains(alg: FiniteVonNeumannAlgebra, x,
              tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Membership test: distance from ``x`` to the algebra, in spectral norm."""
+    """Membership test: distance from ``x`` to the algebra, in spectral norm.
+
+    For a stack of operators the residual is the largest distance.
+    """
     xm = np.asarray(x, dtype=complex)
     res = spectral_norm(xm - conditional_expectation(alg, xm))
     return CheckReport(res <= tol.abs, float(res), {})
@@ -295,14 +297,19 @@ def algebra_from_generators(gens: list[np.ndarray], dim_h: int,
     z = hermitize(z)
     w_eigs, w_vecs = np.linalg.eigh(z)
 
+    def clusters(eigs: np.ndarray) -> list[list[int]]:
+        """Indices of ``eigs`` grouped into runs of near-equal values."""
+        groups: list[list[int]] = []
+        for idx in np.argsort(eigs):
+            if groups and abs(eigs[idx] - eigs[groups[-1][-1]]) < 1e-6 * (
+                    1 + abs(eigs[idx])):
+                groups[-1].append(idx)
+            else:
+                groups.append([idx])
+        return groups
+
     # Cluster eigenvalues to find the central projections.
-    groups: list[list[int]] = []
-    for idx in np.argsort(w_eigs):
-        if groups and abs(w_eigs[idx] - w_eigs[groups[-1][-1]]) < 1e-6 * (
-                1 + abs(w_eigs[idx])):
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
+    groups = clusters(w_eigs)
 
     blocks: list[tuple[int, int]] = []
     columns: list[np.ndarray] = []
@@ -325,13 +332,7 @@ def algebra_from_generators(gens: list[np.ndarray], dim_h: int,
         cz = hermitize(sum(r * c for r, c in zip(
             rng.standard_normal(len(comm_c)), comm_c)))
         ce, cv = np.linalg.eigh(cz)
-        sheets: list[list[int]] = []
-        for idx in np.argsort(ce):
-            if sheets and abs(ce[idx] - ce[sheets[-1][-1]]) < 1e-6 * (
-                    1 + abs(ce[idx])):
-                sheets[-1].append(idx)
-            else:
-                sheets.append([idx])
+        sheets = clusters(ce)
         if len(sheets) != m_i or any(len(s) != n for s in sheets):
             raise ValueError("degenerate commutant sample; loosen the "
                              "tolerance or permute generators")

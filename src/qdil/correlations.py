@@ -38,11 +38,12 @@ from .operator_core import (
     Tolerance,
     _json_dim,
     _json_object,
+    _require_within,
     dagger,
     is_pvm,
     matrix_from_json,
     matrix_to_json,
-    norm_within,
+    matrix_units,
     pvm_within,
     random_ginibre,
     spectral_norm,
@@ -130,13 +131,20 @@ class PiMap:
 
     @classmethod
     def from_function(cls, fn, dim_in: int, dim_out: int) -> "PiMap":
-        t = np.zeros((dim_out, dim_out, dim_in, dim_in), dtype=complex)
-        for i in range(dim_in):
-            for j in range(dim_in):
-                e = np.zeros((dim_in, dim_in), dtype=complex)
-                e[i, j] = 1.0
-                t[:, :, i, j] = fn(e)
-        return cls(t)
+        images = np.stack([fn(e) for _, _, e in matrix_units(dim_in)], -1)
+        return cls(images.reshape(dim_out, dim_out, dim_in, dim_in))
+
+
+def _transport(left: np.ndarray, right: np.ndarray, dim_k: int) -> np.ndarray:
+    """The :class:`PiMap` tensor of ``X ↦ left (X ⊗ 1_k) right``.
+
+    ``left`` has ``dimX·k`` columns and ``right`` as many rows, in kron
+    order (the ``X`` leg first).
+    """
+    dim_x = left.shape[1] // dim_k
+    return np.ascontiguousarray(np.einsum(
+        "aim,jmb->abij", left.reshape(len(left), dim_x, dim_k),
+        right.reshape(dim_x, dim_k, -1), optimize=True))
 
 
 @dataclass(frozen=True)
@@ -202,29 +210,24 @@ class CorrelationSystem:
 
         for name, pm in [(IN, self.pi_in)] + sorted(self.pi_atom.items()):
             images = apply_all(pm, basis)
-            if not norm_within(apply_all(pm, adjoints(basis))
-                               - adjoints(images), tol_scale):
-                raise ValueError(f"Π_{name} is not *-preserving")
+            _require_within(apply_all(pm, adjoints(basis)) - adjoints(images),
+                            tol_scale, f"Π_{name} is not *-preserving")
             for i in range(n):
-                if not norm_within(images[i] @ images
-                                   - apply_all(pm, basis[i] @ basis),
-                                   tol_scale):
-                    raise ValueError(f"Π_{name} is not multiplicative "
-                                     "on the algebra")
-        if not norm_within(self.pi_in.apply(np.eye(self.dim_h))
-                           - np.eye(dim_l), tol_scale):
-            raise ValueError("Π_in is not unital")
+                _require_within(images[i] @ images
+                                - apply_all(pm, basis[i] @ basis), tol_scale,
+                                f"Π_{name} is not multiplicative on the "
+                                "algebra")
+        _require_within(self.pi_in.apply(np.eye(self.dim_h)) - np.eye(dim_l),
+                        tol_scale, "Π_in is not unital")
         units = self.atom_units()
         if not pvm_within(units, tol_scale):
             raise ValueError(f"atom units are not a PVM "
                              f"(residual {is_pvm(units, tol).residual:.3e})")
-        if not norm_within(dagger(self.v) @ self.v - np.eye(self.dim_h),
-                           tol_scale):
-            raise ValueError("v is not an isometry")
-        moved = apply_all(self.pi_in, basis) @ self.v - self.v @ basis
-        if not norm_within(moved, tol_scale):
-            raise ValueError(f"v does not intertwine Π_in "
-                             f"(residual {spectral_norm(moved):.3e})")
+        _require_within(dagger(self.v) @ self.v - np.eye(self.dim_h),
+                        tol_scale, "v is not an isometry")
+        _require_within(apply_all(self.pi_in, basis) @ self.v
+                        - self.v @ basis, tol_scale,
+                        "v does not intertwine Π_in")
 
 
 def _check_members(sys: CorrelationSystem, ms, tol: Tolerance) -> list[np.ndarray]:
@@ -458,10 +461,8 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
     u[dim_h:, dim_h:] = q
 
     pi_in_t = np.zeros((dim_l, dim_l, dim_h, dim_h), dtype=complex)
-    for i in range(dim_h):
-        for j in range(dim_h):
-            pi_in_t[i, j, i, j] = 1.0
-    pi_in_t[dim_h:, dim_h:, :, :] = rep.pi0.tensor
+    pi_in_t[:dim_h, :dim_h] = _transport(np.eye(dim_h), np.eye(dim_h), 1)
+    pi_in_t[dim_h:, dim_h:] = rep.pi0.tensor
 
     events = {}
     for s in inst.outcomes.labels:
@@ -477,10 +478,8 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
                       optimize=True)
         pi_atom[s] = PiMap(t)
 
-    v = np.zeros((dim_l, dim_h), dtype=complex)
-    v[:dim_h, :] = np.eye(dim_h)
     return CorrelationSystem(dim_h, inst.algebra, inst.outcomes, dim_l,
-                             PiMap(pi_in_t), pi_atom, v)
+                             PiMap(pi_in_t), pi_atom, np.eye(dim_l, dim_h))
 
 
 class _SystemTable:
@@ -616,21 +615,18 @@ def from_kernel_table(table, depth: int, generators,
             shift[(t, gi)] = y @ x_pinv
 
     # Linear extension of each letter map from the generator span to all
-    # of B(H), through the conditional expectation onto the algebra.
+    # of B(H), through the conditional expectation onto the algebra:
+    # coeffs[g, u] is the weight of generator g in E(e_u), u = (i, j).
     span = np.stack([g.reshape(-1) for g in glist], axis=1)
     span_pinv = np.linalg.pinv(span, rcond=max(tol.abs, 1e-12))
+    units = np.eye(dim_h ** 2).reshape(-1, dim_h, dim_h)
+    coeffs = span_pinv @ conditional_expectation(
+        table.algebra, units).reshape(dim_h ** 2, -1).T
 
     def letter_tensor(t: str) -> PiMap:
-        tens = np.zeros((dim_l, dim_l, dim_h, dim_h), dtype=complex)
-        for i in range(dim_h):
-            for j in range(dim_h):
-                e = np.zeros((dim_h, dim_h), dtype=complex)
-                e[i, j] = 1.0
-                coeff = span_pinv @ conditional_expectation(
-                    table.algebra, e).reshape(-1)
-                tens[:, :, i, j] = sum(
-                    c * shift[(t, gi)] for gi, c in enumerate(coeff))
-        return PiMap(tens)
+        shifts = np.stack([shift[(t, gi)] for gi in range(len(glist))])
+        return PiMap(np.einsum("gu,gab->abu", coeffs, shifts).reshape(
+            dim_l, dim_l, dim_h, dim_h))
 
     pi_in = letter_tensor(IN)
     pi_atom = {s: letter_tensor(s) for s in table.outcomes.labels}

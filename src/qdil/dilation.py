@@ -32,6 +32,7 @@ from .correlations import (
     CorrelationSystem,
     PiMap,
     TimeWord,
+    _transport,
     eval_W,
 )
 from .instrument import (
@@ -49,6 +50,7 @@ from .operator_core import (
     Tolerance,
     _json_dim,
     _json_object,
+    _require_within,
     basis_vector,
     compress_by_state,
     dagger,
@@ -146,11 +148,8 @@ class MeasuringProcess:
         require_state(self.sigma, tol, what="sigma")
 
     def pointer(self, event) -> np.ndarray:
-        atoms = self.outcomes.event(event)
-        p = np.zeros((self.dim_k, self.dim_k), dtype=complex)
-        for s in atoms:
-            p = p + self.e[s]
-        return p
+        return sum((self.e[s] for s in self.outcomes.event(event)),
+                   np.zeros((self.dim_k, self.dim_k), dtype=complex))
 
     def heisenberg(self, m, event) -> np.ndarray:
         """The compressed map ``(id ⊗ sigma)[u*(m ⊗ E(event))u]``."""
@@ -225,7 +224,7 @@ class MinimalStinespring:
     dim_h: int
     rank: int
     dim_k: int
-    kraus: list[np.ndarray] = field(repr=False)
+    kraus: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
 
     def pi(self, m) -> np.ndarray:
@@ -236,21 +235,17 @@ def minimal_stinespring(cp_map, dim_h: int, tol: Tolerance = DEFAULT_TOL
                         ) -> MinimalStinespring:
     """Minimal Stinespring data of a CP map in Heisenberg form.
 
-    ``cp_map`` is either a list of Kraus operators (the map being
-    ``M ↦ Σ K*MK``) or the map's dual Choi matrix. The rank of the Choi
-    matrix fixes the multiplicity, ``dimK' = dimH · rank``, and
+    ``cp_map`` is either Kraus data, a stack or list of operators (the
+    map being ``M ↦ Σ K*MK``), or the map's dual Choi matrix. The rank of
+    the Choi matrix fixes the multiplicity, ``dimK' = dimH · rank``, and
     ``v = Σ_k kron(K_k, e_k)`` stacks the minimal Kraus family.
     """
-    arr = np.asarray(cp_map, dtype=complex) if not isinstance(cp_map, np.ndarray) else cp_map
-    if arr.ndim == 2 and arr.shape == (dim_h ** 2, dim_h ** 2):
-        choi = arr
-    else:
-        choi = choi_of_kraus(cp_map, dim_h)
+    arr = np.asarray(cp_map, dtype=complex)
+    square = arr.shape == (dim_h ** 2, dim_h ** 2)
+    choi = arr if square else choi_of_kraus(arr, dim_h)
     kraus = kraus_from_dual_choi(choi, dim_h, tol)
     rank = len(kraus)
-    v = np.zeros((dim_h * rank, dim_h), dtype=complex)
-    for idx, k in enumerate(kraus):
-        v += np.kron(k, basis_vector(rank, idx).reshape(-1, 1))
+    v = kraus.transpose(1, 0, 2).reshape(dim_h * rank, dim_h)
     return MinimalStinespring(dim_h, rank, dim_h * rank, kraus, v)
 
 
@@ -268,23 +263,21 @@ class InstrumentRepresentation:
     def require_valid(self, inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
                       ) -> None:
         scale = tol.abs * (1 + self.dim_k)
-        units = [x for _, _, x in matrix_units(self.dim_h)]
+        units = np.eye(self.dim_h ** 2).reshape(-1, self.dim_h, self.dim_h)
         # π₀ of every matrix unit, in the order of ``units``.
         images = np.moveaxis(self.pi0.tensor.reshape(
             self.dim_k, self.dim_k, -1), 2, 0)
         for s, e in self.e0.items():
-            if not norm_within(images @ e - e @ images, scale):
-                raise ValueError(f"π₀ does not commute with E₀({s!r})")
+            _require_within(images @ e - e @ images, scale,
+                            f"π₀ does not commute with E₀({s!r})")
         labels = inst.outcomes.labels
         # blocks[u, a] = π₀(x_u) E₀(s_a) V for unit x_u and atom s_a.
         pointers = np.stack([self.e0[s] for s in labels])
         blocks = images[:, None] @ pointers @ self.v
-        misfit = dagger(self.v) @ blocks - np.array(
-            [[apply_dual(inst, x, (s,)) for s in labels] for x in units])
-        if not norm_within(misfit, scale):
-            raise ValueError(f"representation does not reconstruct the "
-                             f"instrument "
-                             f"(residual {spectral_norm(misfit):.3e})")
+        misfit = dagger(self.v) @ blocks - np.stack(
+            [apply_dual(inst, units, (s,)) for s in labels], axis=1)
+        _require_within(misfit, scale,
+                        "representation does not reconstruct the instrument")
         stacked = blocks.transpose(2, 0, 1, 3).reshape(self.dim_k, -1)
         sv = np.linalg.svd(stacked, compute_uv=False)
         rank = int(np.count_nonzero(sv > tol.abs * (1 + (sv[0] if sv.size else 0))))
@@ -320,8 +313,7 @@ def instrument_representation(inst: CPInstrument,
         size = part.dim_k
         sl = slice(offset, offset + size)
         if size:
-            for i, j, x in matrix_units(dim_h):
-                tensor[sl, sl, i, j] = np.kron(x, np.eye(part.rank))
+            tensor[sl, sl] = _transport(np.eye(size), np.eye(size), part.rank)
             v[sl, :] = part.v
         p = np.zeros((dim_k, dim_k), dtype=complex)
         p[sl, sl] = np.eye(size)
@@ -350,30 +342,24 @@ def multiplicity_split(pi: PiMap, tol: Tolerance = DEFAULT_TOL
         raise ValueError(f"space of dimension {dim_l} admits no "
                          f"multiplicity split over dimension {dim_h}")
     dim_k = dim_l // dim_h
-    e00 = np.zeros((dim_h, dim_h), dtype=complex)
-    e00[0, 0] = 1.0
-    p0 = pi.apply(e00)
+    p0 = pi.tensor[:, :, 0, 0]
     vals, vecs = np.linalg.eigh((p0 + dagger(p0)) / 2)
     sel = vals > 0.5
     if int(np.count_nonzero(sel)) != dim_k:
         raise ValueError("π is not a representation: π(|0><0|) has rank "
                          f"{int(np.count_nonzero(sel))}, expected {dim_k}")
     f = vecs[:, sel]
-    w = np.zeros((dim_l, dim_l), dtype=complex)
-    for i in range(dim_h):
-        ei0 = np.zeros((dim_h, dim_h), dtype=complex)
-        ei0[i, 0] = 1.0
-        w[:, i * dim_k:(i + 1) * dim_k] = pi.apply(ei0) @ f
+    # Column block i of w is π(|i><0|) f.
+    w = (np.moveaxis(pi.tensor[:, :, :, 0], 2, 0) @ f).transpose(
+        1, 0, 2).reshape(dim_l, dim_l)
     scale = tol.abs * (1 + dim_l) * 100
-    if not norm_within(dagger(w) @ w - np.eye(dim_l), scale):
-        raise ValueError("π is not a representation: propagated basis is "
-                         "not orthonormal")
+    _require_within(dagger(w) @ w - np.eye(dim_l), scale,
+                    "π is not a representation: propagated basis is not "
+                    "orthonormal")
     u1 = dagger(w)
-    misfit = np.stack([pi.apply(x) - w @ np.kron(x, np.eye(dim_k)) @ u1
-                       for _, _, x in matrix_units(dim_h)])
-    if not norm_within(misfit, scale):
-        raise ValueError(f"π is not a representation of the full matrix "
-                         f"algebra (residual {spectral_norm(misfit):.3e})")
+    misfit = pi.tensor - _transport(w, u1, dim_k)
+    _require_within(misfit.transpose(2, 3, 0, 1), scale,
+                    "π is not a representation of the full matrix algebra")
     return dim_k, u1
 
 
@@ -392,20 +378,20 @@ def commutant_pvm_lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray,
         raise ValueError("split dimensions do not divide")
     dim_k = dim_l // dim_h
     scale = tol.abs * (1 + dim_l) * 100
-    transported = np.stack([dagger(u2) @ np.kron(x, np.eye(dim_k)) @ u2
-                            for _, _, x in matrix_units(dim_h)])
+    # u2*(x ⊗ 1)u2 for every matrix unit x, as a stack.
+    transported = _transport(dagger(u2), u2, dim_k).transpose(
+        2, 3, 0, 1).reshape(-1, dim_l, dim_l)
     out = {}
     for s, p in pi_vals.items():
         p = np.asarray(p, dtype=complex)
-        if not norm_within(p @ transported - transported @ p, scale):
-            raise ValueError(f"projection {s!r} does not commute with "
-                             "the transported algebra")
+        _require_within(p @ transported - transported @ p, scale,
+                        f"projection {s!r} does not commute with the "
+                        "transported algebra")
         t = (u2 @ p @ dagger(u2)).reshape(dim_h, dim_k, dim_h, dim_k)
         e0 = np.einsum("akal->kl", t) / dim_h
-        if not norm_within(t.reshape(dim_l, dim_l)
-                           - np.kron(np.eye(dim_h), e0), scale):
-            raise ValueError(f"transported projection {s!r} is not of the "
-                             "form 1 ⊗ (·)")
+        _require_within(t.reshape(dim_l, dim_l) - np.kron(np.eye(dim_h), e0),
+                        scale, f"transported projection {s!r} is not of the "
+                        "form 1 ⊗ (·)")
         out[s] = e0
     if not pvm_within(out, scale):
         raise ValueError(f"lifted family is not a PVM "
@@ -429,14 +415,11 @@ def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
     dim_l1 = v.shape[0] // dim_h
     scale = tol.abs * (1 + v.shape[0]) * 100
     for _, _, x in matrix_units(dim_h):
-        moved = np.kron(x, np.eye(dim_l1)) @ v - v @ x
-        if not norm_within(moved, scale):
-            raise ValueError(f"V does not intertwine the system action "
-                             f"(residual {spectral_norm(moved):.3e})")
+        _require_within(np.kron(x, np.eye(dim_l1)) @ v - v @ x, scale,
+                        "V does not intertwine the system action")
     eta_raw = v[:dim_l1, 0].copy()
-    if not norm_within(v - np.kron(np.eye(dim_h), eta_raw.reshape(-1, 1)),
-                       scale):
-        raise ValueError("V is not of the form ξ ↦ ξ ⊗ η")
+    _require_within(v - np.kron(np.eye(dim_h), eta_raw.reshape(-1, 1)),
+                    scale, "V is not of the form ξ ↦ ξ ⊗ η")
     norm = np.linalg.norm(eta_raw)
     if abs(norm - 1.0) > scale:
         raise ValueError("extracted vector is not normalized")
@@ -470,8 +453,7 @@ def mp_from_correlations(sys: CorrelationSystem,
         raise ValueError("construction requires the full matrix algebra")
     dim_h = sys.dim_h
     d1, u1 = multiplicity_split(sys.pi_in, tol)
-    pi_s = PiMap(sum(sys.pi_atom[s].tensor for s in sys.outcomes.labels))
-    d2, u2 = multiplicity_split(pi_s, tol)
+    d2, u2 = multiplicity_split(sys.letter_map(sys.outcomes.labels), tol)
     if d1 != d2:
         raise ValueError("splitting dimensions disagree; the letter maps "
                          "do not act on a common space")
@@ -520,11 +502,9 @@ def mp_from_correlations(sys: CorrelationSystem,
         lhs = correlations_of_mp(mp, TimeWord(letters), ms, tol)
         rhs = eval_W(sys, TimeWord(letters), ms, tol, check_membership=False)
         diffs.append(lhs - rhs)
-    misfit = np.stack(diffs)
-    if not norm_within(misfit, tol.abs * (1 + dim_h * dim_k) * 100):
-        raise ValueError(f"constructed process fails to reproduce the "
-                         f"correlation values "
-                         f"(residual {spectral_norm(misfit):.3e})")
+    _require_within(np.stack(diffs), tol.abs * (1 + dim_h * dim_k) * 100,
+                    "constructed process fails to reproduce the correlation "
+                    "values")
     return mp
 
 
@@ -603,16 +583,13 @@ def system_of_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
     """
     pure, v = _purify(mp, tol)
     dim_l = pure.dim_h * pure.dim_k
-    eye_k = np.eye(pure.dim_k)
-    udag = dagger(pure.u)
-
-    pi_in = PiMap.from_function(lambda x: np.kron(x, eye_k),
-                                pure.dim_h, dim_l)
-    pi_atom = {}
-    for s in mp.outcomes.labels:
-        pi_atom[s] = PiMap.from_function(
-            lambda x, s=s: udag @ np.kron(x, pure.e[s]) @ pure.u,
-            pure.dim_h, dim_l)
+    eye_h, eye_l = np.eye(pure.dim_h), np.eye(dim_l)
+    pi_in = PiMap(_transport(eye_l, eye_l, pure.dim_k))
+    # u*(x ⊗ E_s)u = u*(x ⊗ 1) · (1 ⊗ E_s)u.
+    pi_atom = {s: PiMap(_transport(dagger(pure.u),
+                                   np.kron(eye_h, pure.e[s]) @ pure.u,
+                                   pure.dim_k))
+               for s in mp.outcomes.labels}
     return CorrelationSystem(mp.dim_h, mp.algebra, mp.outcomes, dim_l,
                              pi_in, pi_atom, v)
 
@@ -775,17 +752,12 @@ def halmos_unitary(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("partial isometry must be square")
     vvd = v @ dagger(v)
     vdv = dagger(v) @ v
-    if not norm_within(vdv @ vdv - vdv, tol.abs * (1 + n) * 100):
-        raise ValueError("input is not a partial isometry")
+    _require_within(vdv @ vdv - vdv, tol.abs * (1 + n) * 100,
+                    "input is not a partial isometry")
     eye = np.eye(n)
-    e = [[np.zeros((2, 2)) for _ in range(2)] for _ in range(2)]
-    for a in range(2):
-        for b in range(2):
-            m = np.zeros((2, 2), dtype=complex)
-            m[a, b] = 1.0
-            e[a][b] = m
-    return (np.kron(v, e[0][0]) + np.kron(eye - vvd, e[0][1])
-            + np.kron(eye - vdv, e[1][0]) - np.kron(dagger(v), e[1][1]))
+    e00, e01, e10, e11 = (x for _, _, x in matrix_units(2))
+    return (np.kron(v, e00) + np.kron(eye - vvd, e01)
+            + np.kron(eye - vdv, e10) - np.kron(dagger(v), e11))
 
 
 def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
@@ -808,7 +780,7 @@ def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
         for k, w in zip(inst.kraus[s], inst.atom_weights(s)):
             if w < 0:
                 raise ValueError("instrument carries negative weights")
-            kk = np.sqrt(w) * np.asarray(k, dtype=complex)
+            kk = np.sqrt(w) * k
             rep = contains(inst.algebra, kk, tol)
             if rep.residual > tol.abs * (1 + dim_h) * 100:
                 raise ValueError(
@@ -825,30 +797,16 @@ def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
                          f"(min eigenvalue {vals.min():.3e})")
     l_op = sqrt_psd(defect, tol)
 
-    v_op = np.zeros((dim_h * dim_m, dim_h * dim_m), dtype=complex)
-    for idx, (_, k) in enumerate(flat):
-        slot = np.zeros((dim_m, dim_m), dtype=complex)
-        slot[idx + 1, 0] = 1.0
-        v_op += np.kron(k, slot)
-    slot = np.zeros((dim_m, dim_m), dtype=complex)
-    slot[n_tot + 1, 0] = 1.0
-    v_op += np.kron(l_op, slot)
-
-    u = halmos_unitary(v_op, tol)
+    # v_op = Σ_n kron(K_n, |n+1><0|), with L = l_op as the last K_n.
+    v_op = np.zeros((dim_h, dim_m, dim_h, dim_m), dtype=complex)
+    v_op[:, 1:, :, 0] = np.stack([k for _, k in flat] + [l_op], axis=1)
+    u = halmos_unitary(v_op.reshape(dim_h * dim_m, -1), tol)
     dim_k = dim_m * 2
 
     labels = inst.outcomes.labels
-    meter_slots = {s: [] for s in labels}
-    meter_slots[labels[0]].append(0)
-    for idx, (s, _) in enumerate(flat):
-        meter_slots[s].append(idx + 1)
-    meter_slots[labels[-1]].append(n_tot + 1)
-    e = {}
-    for s in labels:
-        p = np.zeros((dim_m, dim_m), dtype=complex)
-        for slot_idx in meter_slots[s]:
-            p[slot_idx, slot_idx] = 1.0
-        e[s] = np.kron(p, np.eye(2))
+    slot_atoms = [labels[0]] + [s for s, _ in flat] + [labels[-1]]
+    e = {s: np.kron(np.diag([float(t == s) for t in slot_atoms]), np.eye(2))
+         for s in labels}
 
     sigma = proj(np.kron(basis_vector(dim_m, 0), basis_vector(2, 0)))
     return MeasuringProcess(dim_h, inst.algebra, inst.outcomes, dim_k,

@@ -32,13 +32,13 @@ from .operator_core import (
     _json_dim,
     _json_labels,
     _json_object,
+    _require_within,
     dagger,
     hermitize,
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
     matrix_units,
-    norm_within,
     require_state,
     spectral_norm,
 )
@@ -134,51 +134,76 @@ class CPInstrument:
     """A discrete instrument: per-atom Kraus families on ``C^dimH``.
 
     The dual (Heisenberg) action of the atom ``s`` is
-    ``M ↦ Σ_j w_{s,j} K_{s,j}* M K_{s,j}``; the weights default to one
-    and are only ever different for map-level (possibly non-CP)
-    diagnostics built by :func:`instrument_from_choi`.
+    ``M ↦ Σ_j w_{s,j} K_{s,j}* M K_{s,j}``. ``kraus[s]`` is stored as a
+    complex ``(r, dimH, dimH)`` stack (``r = 0`` for a null atom; a list
+    of matrices is accepted). The weights, a float ``(r,)`` array per
+    atom, default to one and are only ever different for map-level
+    (possibly non-CP) diagnostics built by :func:`instrument_from_choi`.
     """
 
     dim_h: int
     algebra: FiniteVonNeumannAlgebra
     outcomes: OutcomeSpace
-    kraus: dict[str, list[np.ndarray]] = field(repr=False)
-    weights: dict[str, list[float]] | None = field(default=None, repr=False)
+    kraus: dict[str, np.ndarray] = field(repr=False)
+    weights: dict[str, np.ndarray] | None = field(default=None, repr=False)
     validate: bool = True
 
     def __post_init__(self) -> None:
         if self.algebra.dim_h != self.dim_h:
             raise ValueError("algebra dimension does not match dimH")
-        kraus = {}
-        for s in self.outcomes.labels:
-            ops = [np.asarray(k, dtype=complex) for k in self.kraus.get(s, [])]
-            for k in ops:
-                if k.shape != (self.dim_h, self.dim_h):
-                    raise ValueError(
-                        f"Kraus operator for '{s}' has shape {k.shape}")
-            kraus[s] = ops
         for what, data in (("Kraus data", self.kraus),
                            ("weights", self.weights or {})):
             extra = set(data) - set(self.outcomes.labels)
             if extra:
                 raise ValueError(f"{what} for unknown outcomes: "
                                  f"{sorted(extra)}")
+        kraus = {s: _kraus_stack(self.kraus.get(s, ()), self.dim_h,
+                                 f"Kraus data for '{s}'")
+                 for s in self.outcomes.labels}
         object.__setattr__(self, "kraus", kraus)
         if self.weights is not None:
-            for s in self.outcomes.labels:
-                if len(self.weights.get(s, [])) != len(kraus[s]):
+            weights = {s: np.asarray(self.weights.get(s, ()), dtype=float)
+                       for s in self.outcomes.labels}
+            for s, w in weights.items():
+                if w.shape != (len(kraus[s]),):
                     raise ValueError(f"weight count mismatch for '{s}'")
+            object.__setattr__(self, "weights", weights)
         if self.validate:
             self.require_valid()
 
-    def atom_weights(self, s: str) -> list[float]:
+    def atom_weights(self, s: str) -> np.ndarray:
         if self.weights is None:
-            return [1.0] * len(self.kraus[s])
+            return np.ones(len(self.kraus[s]))
         return self.weights[s]
 
     def require_valid(self, tol: Tolerance = DEFAULT_TOL) -> None:
         """Raise unless the instrument is CP, complete, and algebra-closed."""
         verify_cp(self, tol).require_ok()
+
+
+def _kraus_stack(ops, dim: int, what: str = "Kraus data") -> np.ndarray:
+    """``ops`` as a complex ``(r, dim, dim)`` stack; raise on another shape."""
+    try:
+        stack = np.asarray(ops, dtype=complex)
+    except ValueError:
+        raise ValueError(f"{what} is not an array of matrices") from None
+    if stack.size == 0:
+        stack = stack.reshape(0, dim, dim)
+    if stack.ndim != 3 or stack.shape[1:] != (dim, dim):
+        raise ValueError(f"{what} has shape {stack.shape}, expected "
+                         f"(r, {dim}, {dim})")
+    return stack
+
+
+def _kraus_of_eigenvectors(vals: np.ndarray, vecs: np.ndarray, dim: int
+                           ) -> np.ndarray:
+    """The stack ``K_n = sqrt(|λ_n|) · reshape(w_n).T`` of Choi eigenpairs.
+
+    ``J(ρ ↦ KρK*) = z z*`` with ``z[(i, a)] = K[a, i]``; the columns of
+    ``vecs`` are the ``w_n``.
+    """
+    return (np.sqrt(np.abs(vals))[:, None, None]
+            * vecs.T.reshape(-1, dim, dim)).transpose(0, 2, 1)
 
 
 def instrument_from_choi(dim_h: int, outcomes: OutcomeSpace,
@@ -193,8 +218,7 @@ def instrument_from_choi(dim_h: int, outcomes: OutcomeSpace,
     ``validate=False``.
     """
     algebra = algebra if algebra is not None else full_algebra(dim_h)
-    kraus: dict[str, list[np.ndarray]] = {}
-    weights: dict[str, list[float]] = {}
+    kraus, weights = {}, {}
     for s in outcomes.labels:
         j = np.asarray(chois[s], dtype=complex)
         if j.shape != (dim_h * dim_h, dim_h * dim_h):
@@ -203,16 +227,9 @@ def instrument_from_choi(dim_h: int, outcomes: OutcomeSpace,
             raise ValueError(f"Choi matrix for '{s}' is not Hermitian")
         vals, vecs = np.linalg.eigh(hermitize(j))
         scale = max(abs(float(vals[0])), abs(float(vals[-1]))) if vals.size else 0.0
-        ops, wts = [], []
-        for lam, w in zip(vals, vecs.T):
-            if abs(lam) <= tol.abs * (1 + scale):
-                continue
-            # J(ρ ↦ KρK*) = Σ z z* with z[(i,a)] = K[a,i]
-            k = np.sqrt(abs(lam)) * w.reshape(dim_h, dim_h).T
-            ops.append(k)
-            wts.append(float(np.sign(lam)))
-        kraus[s] = ops
-        weights[s] = wts
+        keep = np.abs(vals) > tol.abs * (1 + scale)
+        kraus[s] = _kraus_of_eigenvectors(vals[keep], vecs[:, keep], dim_h)
+        weights[s] = np.sign(vals[keep])
     return CPInstrument(dim_h, algebra, outcomes, kraus, weights,
                         validate=False)
 
@@ -233,7 +250,10 @@ def luders_instrument(projections: list[np.ndarray],
 
 def _kraus_sum(inst: CPInstrument, atoms, x: np.ndarray, dual: bool
                ) -> np.ndarray:
-    """``Σ_{s∈atoms} Σ_j w K* x K`` if ``dual``, else ``Σ w K x K*``."""
+    """``Σ_{s∈atoms} Σ_j w K* x K`` if ``dual``, else ``Σ w K x K*``.
+
+    ``x`` is a matrix or a stack of matrices, each mapped on its own.
+    """
     out = np.zeros(x.shape, dtype=complex)
     for s in atoms:
         for w, k in zip(inst.atom_weights(s), inst.kraus[s]):
@@ -243,9 +263,12 @@ def _kraus_sum(inst: CPInstrument, atoms, x: np.ndarray, dual: bool
 
 
 def apply_dual(inst: CPInstrument, m, event) -> np.ndarray:
-    """Heisenberg action ``I(m, Δ) = Σ_{s∈Δ} Σ_j w K* m K``."""
+    """Heisenberg action ``I(m, Δ) = Σ_{s∈Δ} Σ_j w K* m K``.
+
+    ``m`` is an operator or a stack of operators, mapped one by one.
+    """
     mm = np.asarray(m, dtype=complex)
-    if mm.shape != (inst.dim_h, inst.dim_h):
+    if mm.ndim > 3 or mm.shape[-2:] != (inst.dim_h, inst.dim_h):
         raise ValueError(f"operator has shape {mm.shape}")
     return _kraus_sum(inst, inst.outcomes.event(event), mm, dual=True)
 
@@ -289,50 +312,42 @@ def choi_of_dual_tensor(dual: np.ndarray) -> np.ndarray:
 
 def choi_of_dual(apply_fn, dim: int) -> np.ndarray:
     """:func:`choi_of_dual_tensor` of the Heisenberg map ``apply_fn``."""
-    dual = np.zeros((dim, dim, dim, dim), dtype=complex)
-    for i, j, e in matrix_units(dim):
-        dual[:, :, i, j] = apply_fn(e)
-    return choi_of_dual_tensor(dual)
+    dual = np.stack([apply_fn(e) for _, _, e in matrix_units(dim)], -1)
+    return choi_of_dual_tensor(dual.reshape(dim, dim, dim, dim))
 
 
 def choi_of_kraus(kraus, dim: int, weights=None) -> np.ndarray:
     """:func:`choi_of_dual` of ``M ↦ Σ_j w_j K_j* M K_j``, from Kraus data.
 
-    It is ``Σ_j w_j z_j z_j*`` with ``z_j = vec(K_jᵀ)``; the weights
+    It is ``Σ_j w_j z_j z_j*`` with ``z_j = vec(K_jᵀ)``; ``kraus`` is an
+    ``(r, dim, dim)`` stack or a list of matrices, and the weights
     default to one.
     """
-    ks = [np.asarray(k, dtype=complex) for k in kraus]
-    if any(k.shape != (dim, dim) for k in ks):
-        raise ValueError("Kraus operator has wrong shape")
+    ks = _kraus_stack(kraus, dim)
     w = np.ones(len(ks)) if weights is None else np.asarray(weights, dtype=float)
-    z = np.array([k.T.reshape(-1) for k in ks], dtype=complex).reshape(
-        len(ks), dim * dim)
+    z = ks.transpose(0, 2, 1).reshape(len(ks), dim * dim)
     return (z.T * w) @ z.conj()
 
 
 def kraus_from_dual_choi(j: np.ndarray, dim: int,
-                         tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Kraus family of the map whose predual Choi (PSD) is ``j``.
+                         tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Kraus stack of the map whose predual Choi (PSD) is ``j``.
 
     Inverts the convention of :func:`choi_of_dual`: eigenvectors ``w``
-    with eigenvalue ``λ`` give ``K = sqrt(λ) · reshape(w).T``.
+    with eigenvalue ``λ`` give ``K = sqrt(λ) · reshape(w).T``, each
+    ``w`` phased so that its first coordinate above 1e-12 is real
+    positive.
     """
     vals, vecs = np.linalg.eigh(hermitize(np.asarray(j, dtype=complex)))
     scale = float(vals[-1]) if vals.size else 0.0
     if vals.size and vals.min() < -tol.psd_slack * (1 + abs(scale)):
         raise ValueError(
             f"Choi matrix has negative eigenvalue {vals.min():.3e}")
-    out = []
-    for lam, w in zip(vals, vecs.T):
-        if lam <= tol.abs * (1 + abs(scale)):
-            continue
-        col = w.copy()
-        # Deterministic phase: first nonzero coordinate real-positive.
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size:
-            col = col * (abs(col[nz[0]]) / col[nz[0]])
-        out.append(np.sqrt(lam) * col.reshape(dim, dim).T)
-    return out
+    keep = vals > tol.abs * (1 + abs(scale))
+    cols = vecs[:, keep]
+    lead = cols[np.argmax(np.abs(cols) > 1e-12, axis=0),
+                np.arange(cols.shape[1])]
+    return _kraus_of_eigenvectors(vals[keep], cols * (abs(lead) / lead), dim)
 
 
 def instrument_from_duals(dim_h: int, algebra: FiniteVonNeumannAlgebra,
@@ -351,12 +366,9 @@ def instrument_from_duals(dim_h: int, algebra: FiniteVonNeumannAlgebra,
     for s in outcomes.labels:
         for b in basis:
             img = np.einsum("abij,ij->ab", duals[s], b)
-            if not norm_within(img - conditional_expectation(algebra, img),
-                               bound):
-                res = contains(algebra, img, tol).residual
-                raise ValueError(
-                    f"closure violation at atom {s!r}: value outside the "
-                    f"algebra (residual {res:.3e})")
+            _require_within(img - conditional_expectation(algebra, img),
+                            bound, f"closure violation at atom {s!r}: value "
+                            "outside the algebra")
         kraus[s] = kraus_from_dual_choi(choi_of_dual_tensor(duals[s]), dim_h,
                                         tol)
     inst = CPInstrument(dim_h, algebra, outcomes, kraus, validate=False)
@@ -409,12 +421,9 @@ def verify_cp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL) -> CPReport:
     min_eig = min(per_atom.values())
     eye = np.eye(inst.dim_h)
     comp_res = spectral_norm(apply_dual(inst, eye, None) - eye)
-    alg_res = 0.0
-    for b in inst.algebra.basis():
-        for s in inst.outcomes.labels:
-            alg_res = max(alg_res,
-                          contains(inst.algebra, apply_dual(inst, b, (s,)),
-                                   tol).residual)
+    basis = np.stack(inst.algebra.basis())
+    alg_res = max(contains(inst.algebra, apply_dual(inst, basis, (s,)),
+                           tol).residual for s in inst.outcomes.labels)
     return CPReport(
         cp_ok=min_eig >= -tol.psd_slack,
         min_choi_eigenvalue=min_eig,
@@ -448,13 +457,13 @@ def is_repeatable(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
                   ) -> tuple[bool, float]:
     """Map-level repeatability ``I(Δ2)I(Δ1) = I(Δ2∩Δ1)`` on a basis."""
     worst = 0.0
+    units = np.eye(inst.dim_h ** 2).reshape(-1, inst.dim_h, inst.dim_h)
     for s1 in inst.outcomes.labels:
+        first = _kraus_sum(inst, (s1,), units, dual=False)
         for s2 in inst.outcomes.labels:
-            for _, _, e in matrix_units(inst.dim_h):
-                first = _kraus_sum(inst, (s1,), e, dual=False)
-                lhs = _kraus_sum(inst, (s2,), first, dual=False)
-                rhs = first if s1 == s2 else 0.0
-                worst = max(worst, spectral_norm(lhs - rhs))
+            lhs = _kraus_sum(inst, (s2,), first, dual=False)
+            rhs = first if s1 == s2 else 0.0
+            worst = max(worst, spectral_norm(lhs - rhs))
     return worst <= tol.abs * 100, float(worst)
 
 
@@ -478,16 +487,14 @@ def coarse_grain(inst: CPInstrument, generating_events: list,
             order.append(sig)
         cells[sig].append(s)
     anchor = dict(anchor) if anchor else {}
-    new_kraus: dict[str, list[np.ndarray]] = {s: [] for s in inst.outcomes.labels}
-    new_weights: dict[str, list[float]] = {s: [] for s in inst.outcomes.labels}
+    new_kraus, new_weights = {}, {}
     for sig in order:
         cell = cells[sig]
         rep = anchor.get(tuple(cell), anchor.get(frozenset(cell), min(cell)))
         if rep not in cell:
             raise ValueError(f"anchor '{rep}' does not belong to its cell {cell}")
-        for s in cell:
-            new_kraus[rep].extend(inst.kraus[s])
-            new_weights[rep].extend(inst.atom_weights(s))
+        new_kraus[rep] = np.concatenate([inst.kraus[s] for s in cell])
+        new_weights[rep] = np.concatenate([inst.atom_weights(s) for s in cell])
     return CPInstrument(inst.dim_h, inst.algebra, inst.outcomes, new_kraus,
                         new_weights if inst.weights is not None else None,
                         validate=inst.validate)
@@ -549,13 +556,12 @@ def instrument_to_json(inst: CPInstrument) -> dict:
     data = {
         "dim": inst.dim_h,
         "outcomes": list(inst.outcomes.labels),
-        "kraus": {s: [matrix_to_json(k) for k in inst.kraus[s]]
+        "kraus": {s: matrix_to_json(inst.kraus[s])
                   for s in inst.outcomes.labels},
         "algebra": algebra_to_json(inst.algebra),
     }
     if inst.weights is not None:
-        data["weights"] = {s: list(map(float, ws))
-                           for s, ws in inst.weights.items()}
+        data["weights"] = {s: ws.tolist() for s, ws in inst.weights.items()}
     return data
 
 
@@ -573,6 +579,5 @@ def instrument_from_json(data, validate: bool = True) -> CPInstrument:
                 for w in ws)):
             raise ValueError(f"instrument JSON 'weights' of {s!r} must be an "
                              "array of numbers")
-    return CPInstrument(dim, algebra, outcomes, kraus,
-                        {s: [float(w) for w in ws] for s, ws in weights.items()}
-                        or None, validate=validate)
+    return CPInstrument(dim, algebra, outcomes, kraus, weights or None,
+                        validate=validate)

@@ -160,6 +160,12 @@ def norm_within(a, bound: float) -> bool:
     return bool(np.isfinite(m).all()) and spectral_norm(m) <= bound
 
 
+def _require_within(x, bound: float, what: str) -> None:
+    """Raise ``ValueError("<what> (residual ‖x‖₂)")`` unless :func:`norm_within`."""
+    if not norm_within(x, bound):
+        raise ValueError(f"{what} (residual {spectral_norm(x):.3e})")
+
+
 def vec(a) -> np.ndarray:
     """Row-major vectorization."""
     return np.asarray(a, dtype=complex).reshape(-1)

@@ -22,9 +22,10 @@ from .instrument import CPInstrument, OutcomeSpace, instrument_from_json
 from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
+    basis_vector,
     dagger,
+    is_hermitian,
     proj,
-    spectral_norm,
 )
 
 __all__ = [
@@ -67,7 +68,7 @@ class DiscreteVNModel:
         a = np.asarray(self.system_observable, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("observable must be a square matrix")
-        if spectral_norm(a - dagger(a)) > DEFAULT_TOL.abs * (1 + spectral_norm(a)):
+        if not is_hermitian(a).ok:
             raise ValueError("observable is not Hermitian")
         object.__setattr__(self, "system_observable", a)
         if self.meter_dim < 1:
@@ -124,11 +125,7 @@ def build(model: DiscreteVNModel, tol: Tolerance = DEFAULT_TOL
         meter = f @ np.diag(np.exp(-1j * model.coupling * a_val * q)) @ dagger(f)
         u += np.kron(p_a, meter)
     outcomes = OutcomeSpace(tuple(str(k) for k in range(d)))
-    e = {}
-    for k in range(d):
-        p = np.zeros((d, d), dtype=complex)
-        p[k, k] = 1.0
-        e[str(k)] = p
+    e = {str(k): proj(basis_vector(d, k)) for k in range(d)}
     sigma = proj(model.pointer_state)
     return MeasuringProcess(model.dim_h, full_algebra(model.dim_h),
                             outcomes, d, sigma, e, u)

@@ -306,3 +306,15 @@ def test_system_validation_verdict_matches_exact_spectral_norm(algebra,
         with pytest.raises(ValueError, match="v is not an isometry"):
             CorrelationSystem(good.dim_h, good.algebra, good.outcomes,
                               good.dim_l, good.pi_in, good.pi_atom, v)
+
+
+def test_unital_message_prints_the_exact_residual():
+    """Π_in(M) = M ⊕ 0 misses unitality by the projection onto the meter."""
+    good = from_instrument(luders_instrument([P0, P1]))
+    pi_in, pi_atom, v = _corrupt(good, "unital")
+    bad = CorrelationSystem(good.dim_h, good.algebra, good.outcomes,
+                            good.dim_l, pi_in, pi_atom, v, validate=False)
+    exact = spectral_norm(bad.pi_in.apply(np.eye(2)) - np.eye(bad.dim_l))
+    with pytest.raises(ValueError, match="Π_in is not unital") as err:
+        bad.require_valid()
+    assert str(err.value) == f"Π_in is not unital (residual {exact:.3e})"

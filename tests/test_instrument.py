@@ -172,7 +172,8 @@ def test_coarse_grain_empties_non_representative_atoms():
     inst = random_cp_instrument(rng, 2, 4)
     coarse = coarse_grain(inst, [("0", "1")])
     # One representative per cell keeps the maps; others become zero.
-    zero_atoms = [s for s in coarse.outcomes.labels if not coarse.kraus[s]]
+    zero_atoms = [s for s in coarse.outcomes.labels
+                  if len(coarse.kraus[s]) == 0]
     assert len(zero_atoms) == 2
 
 
@@ -253,3 +254,46 @@ def test_outcome_label_in_is_reserved_for_the_input_letter():
         OutcomeSpace((IN, "out"))
     with pytest.raises(ValueError, match="reserved"):
         luders_instrument([P0, P1], labels=[IN, "out"])
+
+
+def test_coarse_grained_null_atom_is_an_empty_stack_through_json():
+    inst = random_cp_instrument(np.random.default_rng(55), 2, 3,
+                                kraus_per_outcome=2)
+    coarse = coarse_grain(inst, [("0", "1")])
+    assert coarse.kraus["0"].shape == (4, 2, 2)
+    assert coarse.kraus["1"].shape == (0, 2, 2)
+    data = instrument_to_json(coarse)
+    assert data["kraus"]["1"] == []
+    assert "weights" not in data
+    back = instrument_from_json(data)
+    assert back.kraus["1"].shape == (0, 2, 2)
+    assert np.array_equal(back.kraus["0"], coarse.kraus["0"])
+
+
+def test_apply_dual_maps_a_stack_operator_by_operator():
+    inst = random_cp_instrument(np.random.default_rng(56), 3, 2,
+                                kraus_per_outcome=2)
+    rng = np.random.default_rng(57)
+    ms = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    for event in ("0", ("0", "1")):
+        got = apply_dual(inst, ms, event)
+        assert got.shape == ms.shape
+        for m, g in zip(ms, got):
+            assert np.allclose(g, apply_dual(inst, m, event), atol=1e-14)
+
+
+@pytest.mark.parametrize("kraus,weights", [
+    ({"a": np.zeros((2, 3, 3))}, None),
+    ({"a": np.eye(2)}, None),
+    ({"a": [np.eye(2), np.eye(3)]}, None),
+    ({"a": [np.eye(2)]}, {"a": [1.0, 1.0]}),
+    ({"a": np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2)}, {"a": [1.0]}),
+    ({"a": [np.eye(2)], "b": []}, {"a": [1.0], "b": [1.0]}),
+], ids=["stack-of-3x3", "bare-matrix", "ragged", "extra-weight",
+        "missing-weight", "weight-for-null-atom"])
+def test_constructor_rejects_bad_kraus_shapes_and_weight_counts(kraus,
+                                                               weights):
+    outcomes = OutcomeSpace(tuple(kraus))
+    with pytest.raises(ValueError):
+        CPInstrument(2, full_algebra(2), outcomes, kraus, weights,
+                     validate=False)
