@@ -17,6 +17,8 @@ fixture catalog. The `qdil` console script exposes the constructions
 for batch use.
 """
 
+from types import ModuleType as _ModuleType
+
 from .operator_core import (
     CheckReport,
     DEFAULT_TOL,
@@ -91,67 +93,7 @@ from .vn_model import DiscreteVNModel, build as build_vn_model, fixtures
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckReport",
-    "DEFAULT_TOL",
-    "Tolerance",
-    "compress_by_state",
-    "dagger",
-    "psd_factorize",
-    "spectral_norm",
-    "sqrt_psd",
-    "tensor",
-    "FiniteVonNeumannAlgebra",
-    "algebra_from_generators",
-    "commutant",
-    "conditional_expectation",
-    "contains",
-    "diagonal_algebra",
-    "full_algebra",
-    "tensor_with_full",
-    "CPInstrument",
-    "INDEFINITE",
-    "OutcomeSpace",
-    "apply_dual",
-    "apply_predual",
-    "coarse_grain",
-    "instrument_from_json",
-    "instrument_to_json",
-    "is_weakly_repeatable",
-    "luders_instrument",
-    "outcome_probability",
-    "posterior_state",
-    "sample_trajectory",
-    "verify_cp",
-    "KolmogorovDecomposition",
-    "OperatorKernel",
-    "is_positive_definite",
-    "minimal_decomposition",
-    "unitary_equivalence",
-    "CorrelationSystem",
-    "TimeWord",
-    "eval_W",
-    "from_instrument",
-    "from_kernel_table",
-    "induced_instrument",
-    "system_from_json",
-    "system_to_json",
-    "table_from_system",
-    "verify_axioms",
-    "MeasuringProcess",
-    "correlations_of_mp",
-    "faithful_mp",
-    "induced_instrument_mp",
-    "inner_mp_from_kraus",
-    "instrument_representation",
-    "minimal_stinespring",
-    "mp_from_correlations",
-    "mp_from_json",
-    "mp_to_json",
-    "n_equivalent",
-    "system_of_mp",
-    "DiscreteVNModel",
-    "build_vn_model",
-    "fixtures",
-    "__version__",
-]
+# The names imported above, in import order, and the version.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_")
+           and not isinstance(value, _ModuleType)] + ["__version__"]

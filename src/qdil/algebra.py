@@ -23,13 +23,14 @@ from .operator_core import (
     Tolerance,
     _json_dim,
     _json_object,
+    _report,
+    _unitary_defects,
+    _within,
     dagger,
     hermitize,
-    is_unitary,
     matrix_from_json,
     matrix_to_json,
     matrix_units,
-    spectral_norm,
 )
 
 __all__ = [
@@ -65,7 +66,7 @@ class FiniteVonNeumannAlgebra:
         w = np.asarray(self.basis_change, dtype=complex)
         if w.shape != (self.dim_h, self.dim_h):
             raise ValueError("basis_change has the wrong shape")
-        if not is_unitary(w).ok:
+        if not _within(_unitary_defects(w), DEFAULT_TOL.bound("strict")):
             raise ValueError("basis_change is not unitary")
         object.__setattr__(self, "basis_change", w)
 
@@ -155,15 +156,19 @@ def conditional_expectation(alg: FiniteVonNeumannAlgebra, x) -> np.ndarray:
     return w @ out @ dagger(w)
 
 
+def _membership_defects(alg: FiniteVonNeumannAlgebra, x):
+    """The distance of ``x`` (an operator or a stack) from the algebra."""
+    xm = np.asarray(x, dtype=complex)
+    yield xm - conditional_expectation(alg, xm)
+
+
 def contains(alg: FiniteVonNeumannAlgebra, x,
              tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Membership test: distance from ``x`` to the algebra, in spectral norm.
 
     For a stack of operators the residual is the largest distance.
     """
-    xm = np.asarray(x, dtype=complex)
-    res = spectral_norm(xm - conditional_expectation(alg, xm))
-    return CheckReport(res <= tol.abs, float(res), {})
+    return _report(_membership_defects(alg, x), tol.bound("strict"))
 
 
 def _swap_matrix(dim_a: int, dim_b: int) -> np.ndarray:
@@ -225,8 +230,7 @@ def _orth_columns(vectors: np.ndarray, tol: Tolerance) -> np.ndarray:
     if vectors.size == 0:
         return np.zeros((vectors.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    scale = s[0] if s.size else 0.0
-    r = int(np.sum(s > tol.abs * (1 + scale) * 100))
+    r = int(np.sum(s > tol.bound("loose", s[0] if s.size else 0.0)))
     return u[:, :r]
 
 
@@ -234,8 +238,7 @@ def _null_space(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     if a.size == 0:
         return np.eye(a.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(a)
-    scale = s[0] if s.size else 0.0
-    r = int(np.sum(s > tol.abs * (1 + scale) * 100))
+    r = int(np.sum(s > tol.bound("loose", s[0] if s.size else 0.0)))
     return vh[r:].conj().T
 
 

@@ -147,31 +147,25 @@ def _load_instrument(path: str, tol: Tolerance, strict: bool = True,
                      anchor: str | None = None) -> CPInstrument:
     """The instrument at ``path``, checked with one :func:`verify_cp`.
 
-    ``anchor`` must be a label; ``strict`` adds ``require_valid``'s bound
-    for commands that build from the instrument with ``validate=False``.
+    ``anchor`` must be a label. Algebra closure is held to
+    ``require_valid``'s bound when ``strict``, for commands that build
+    from the instrument with ``validate=False``, and to the loose bound
+    otherwise.
     """
     inst = _load(path, partial(instrument_from_json, validate=False))
-    report = verify_cp(inst, tol)
-    if not report.cp_ok:
-        raise _InputError({
-            "error": "choi-negative",
-            "min_choi_eigenvalue": report.min_choi_eigenvalue,
-        })
-    if not report.complete_ok:
-        raise _InputError({
-            "error": "not-complete",
-            "completeness_residual": report.completeness_residual,
-        })
-    if report.algebra_residual > tol.abs * 100:
-        raise _InputError({
-            "error": "algebra-closure",
-            "algebra_residual": report.algebra_residual,
-        })
     if anchor is not None and anchor not in inst.outcomes.labels:
         raise _InputError({"error": "unknown-anchor", "anchor": anchor,
                            "outcomes": list(inst.outcomes.labels)})
-    if strict:
-        report.require_ok()
+    report = verify_cp(inst, tol)
+    closure = tol.bound("strict" if strict else "loose")
+    for failed, error, field in (
+            (not report.cp_ok, "choi-negative", "min_choi_eigenvalue"),
+            (not report.complete_ok, "not-complete", "completeness_residual"),
+            (report.algebra_residual > closure, "algebra-closure",
+             "algebra_residual")):
+        if failed:
+            raise _InputError({"error": error,
+                               field: getattr(report, field)})
     return inst
 
 
@@ -217,7 +211,7 @@ def cmd_dilate(args, tol: Tolerance):
             "completion": ("identity-permutation" if args.seed is None
                            else f"seeded({args.seed})"),
         },
-    }, residual <= tol.abs * 100
+    }, residual <= tol.bound("loose")
 
 
 def cmd_extend(args, tol: Tolerance):
@@ -284,7 +278,7 @@ def cmd_inner(args, tol: Tolerance):
         "inner_membership_residual": membership.residual,
         "unitarity_residual": unit.residual,
         "round_trip_residual": residual,
-    }, membership.residual <= tol.abs * 100 and residual <= tol.abs * 100
+    }, all(r <= tol.bound("loose") for r in (membership.residual, residual))
 
 
 def cmd_faithful(args, tol: Tolerance):
@@ -308,7 +302,7 @@ def cmd_faithful(args, tol: Tolerance):
         "finite_dimensional_substitution":
             "block unitary on the doubled multiplicity space replaces the "
             "infinite ancilla factor",
-    }, unit_res <= tol.abs * 100 and basis_res <= tol.abs * 100
+    }, unit_res <= tol.bound("loose") and basis_res <= tol.bound("loose")
 
 
 def cmd_sample(args, tol: Tolerance):

@@ -22,6 +22,7 @@ import numpy as np
 from .algebra import (
     FiniteVonNeumannAlgebra,
     _json_algebra,
+    _membership_defects,
     algebra_to_json,
     conditional_expectation,
     contains,
@@ -37,14 +38,15 @@ from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
     _json_dim,
+    _isometry_defects,
     _json_object,
+    _pvm_defects,
     _require_within,
     dagger,
     is_pvm,
     matrix_from_json,
     matrix_to_json,
     matrix_units,
-    pvm_within,
     random_ginibre,
     spectral_norm,
 )
@@ -196,7 +198,7 @@ class CorrelationSystem:
         matrix product; products of basis pairs are formed one basis row
         at a time, so memory stays linear in the basis size.
         """
-        tol_scale = tol.abs * (1 + self.dim_l)
+        tol_scale = tol.bound("strict", self.dim_l)
         basis = np.stack(self.algebra.basis())
         n, dim_l = len(basis), self.dim_l
 
@@ -219,27 +221,13 @@ class CorrelationSystem:
                                 "algebra")
         _require_within(self.pi_in.apply(np.eye(self.dim_h)) - np.eye(dim_l),
                         tol_scale, "Π_in is not unital")
-        units = self.atom_units()
-        if not pvm_within(units, tol_scale):
-            raise ValueError(f"atom units are not a PVM "
-                             f"(residual {is_pvm(units, tol).residual:.3e})")
-        _require_within(dagger(self.v) @ self.v - np.eye(self.dim_h),
-                        tol_scale, "v is not an isometry")
+        _require_within(_pvm_defects(self.atom_units()), tol_scale,
+                        "atom units are not a PVM")
+        _require_within(_isometry_defects(self.v), tol_scale,
+                        "v is not an isometry")
         _require_within(apply_all(self.pi_in, basis) @ self.v
                         - self.v @ basis, tol_scale,
                         "v does not intertwine Π_in")
-
-
-def _check_members(sys: CorrelationSystem, ms, tol: Tolerance) -> list[np.ndarray]:
-    out = []
-    for m in ms:
-        mm = np.asarray(m, dtype=complex)
-        rep = contains(sys.algebra, mm, tol)
-        if not rep.ok:
-            raise ValueError("operator slot outside the algebra "
-                             f"(residual {rep.residual:.3e})")
-        out.append(mm)
-    return out
 
 
 def _push(sys: CorrelationSystem, letters, ms, state: np.ndarray
@@ -259,7 +247,10 @@ def eval_W(sys: CorrelationSystem, t: TimeWord, ms,
     if len(ms) != len(letters):
         raise ValueError(f"{len(letters)} letters but {len(ms)} operators")
     if check_membership:
-        ms = _check_members(sys, ms, tol)
+        for m in ms:
+            _require_within(_membership_defects(sys.algebra, m),
+                            tol.bound("strict"),
+                            "operator slot outside the algebra")
     return dagger(sys.v) @ _push(sys, letters, ms, sys.v)
 
 
@@ -330,7 +321,8 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
         for _ in range(n_checks):
             letters, ms = _random_word(rng, sys, depth)
             worst = max(worst, residual(letters, ms))
-        entries[name] = AxiomEntry(worst <= tol.abs * 100, float(worst), note)
+        entries[name] = AxiomEntry(worst <= tol.bound("loose"), float(worst),
+                                   note)
 
     # MC1: separate linearity in each slot.
     def linearity(letters, ms) -> float:
@@ -368,7 +360,7 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     min_eig = float(vals.min())
     mc2_res = max(0.0, -min_eig, herm_res)
     entries["MC2"] = AxiomEntry(
-        min_eig >= -tol.psd_slack * (1 + scale) and herm_res <= tol.abs * 100,
+        min_eig >= -tol.bound("psd", scale) and herm_res <= tol.bound("loose"),
         mc2_res, f"Gram of {samples} sampled words, min eigenvalue {min_eig:.3e}")
 
     # MC3: left module property over the input letter.
@@ -404,7 +396,7 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     # what this entry measures.
     pvm = is_pvm(sys.atom_units(), tol)
     entries["MC6"] = AxiomEntry(
-        pvm.residual <= tol.abs * 100, float(pvm.residual),
+        pvm.residual <= tol.bound("loose"), float(pvm.residual),
         "structural: events evaluate as sums over their atoms; residual is "
         "the atom-unit PVM defect")
 
@@ -428,7 +420,7 @@ def induced_instrument(sys: CorrelationSystem, tol: Tolerance = DEFAULT_TOL
                           v, optimize=True)
              for s in sys.outcomes.labels}
     return instrument_from_duals(sys.dim_h, sys.algebra, sys.outcomes, duals,
-                                 tol.abs * 100, tol)
+                                 tol.bound("loose"), tol)
 
 
 def from_instrument(inst: CPInstrument, anchor: str | None = None,
@@ -602,7 +594,7 @@ def from_kernel_table(table, depth: int, generators,
 
     domain = [idx for idx in indices if len(idx[0]) <= depth - 1]
     x = np.hstack([lam[idx] for idx in domain])
-    x_pinv = np.linalg.pinv(x, rcond=max(tol.abs, 1e-12))
+    x_pinv = np.linalg.pinv(x, rcond=tol.bound("floor"))
 
     shift: dict[tuple[str, int], np.ndarray] = {}
     for t in alphabet:
@@ -618,7 +610,7 @@ def from_kernel_table(table, depth: int, generators,
     # of B(H), through the conditional expectation onto the algebra:
     # coeffs[g, u] is the weight of generator g in E(e_u), u = (i, j).
     span = np.stack([g.reshape(-1) for g in glist], axis=1)
-    span_pinv = np.linalg.pinv(span, rcond=max(tol.abs, 1e-12))
+    span_pinv = np.linalg.pinv(span, rcond=tol.bound("floor"))
     units = np.eye(dim_h ** 2).reshape(-1, dim_h, dim_h)
     coeffs = span_pinv @ conditional_expectation(
         table.algebra, units).reshape(dim_h ** 2, -1).T

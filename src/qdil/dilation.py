@@ -49,19 +49,18 @@ from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
     _json_dim,
+    _isometry_defects,
     _json_object,
+    _pvm_defects,
     _require_within,
+    _unitary_defects,
     basis_vector,
     compress_by_state,
     dagger,
-    is_pvm,
-    is_unitary,
     matrix_from_json,
     matrix_to_json,
     matrix_units,
-    norm_within,
     proj,
-    pvm_within,
     random_unitary,
     require_state,
     spectral_norm,
@@ -136,15 +135,9 @@ class MeasuringProcess:
             self.require_valid()
 
     def require_valid(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        bound = tol.abs * 100
-        eye = np.eye(len(self.u))
-        if not (norm_within(dagger(self.u) @ self.u - eye, bound)
-                and norm_within(self.u @ dagger(self.u) - eye, bound)):
-            res = is_unitary(self.u, tol).residual
-            raise ValueError(f"u is not unitary (residual {res:.3e})")
-        if not pvm_within(self.e, bound):
-            raise ValueError(f"e is not a PVM "
-                             f"(residual {is_pvm(self.e, tol).residual:.3e})")
+        bound = tol.bound("loose")
+        _require_within(_unitary_defects(self.u), bound, "u is not unitary")
+        _require_within(_pvm_defects(self.e), bound, "e is not a PVM")
         require_state(self.sigma, tol, what="sigma")
 
     def pointer(self, event) -> np.ndarray:
@@ -157,6 +150,27 @@ class MeasuringProcess:
         x = dagger(self.u) @ np.kron(m, self.pointer(event)) @ self.u
         return compress_by_state(x, self.sigma, self.dim_h, self.dim_k)
 
+    def _purification(self, tol: Tolerance
+                      ) -> tuple["MeasuringProcess", np.ndarray | None]:
+        """:meth:`purified` and its meter vector, from one ``eigh`` of sigma.
+
+        The vector is ``None`` when sigma has no eigenvalue above the
+        floor; for a mixed sigma it is the normalized purification.
+        """
+        vals, vecs = np.linalg.eigh((self.sigma + dagger(self.sigma)) / 2)
+        keep = vals > tol.bound("floor")
+        r = int(np.count_nonzero(keep))
+        if r <= 1:
+            return self, vecs[:, -1] * np.sqrt(vals[-1]) if r else None
+        phi = vecs[:, keep] * np.sqrt(vals[keep])[None, :]
+        eta = phi.reshape(-1)  # index (k, i) row-major = K ⊗ C^r
+        eye_r = np.eye(r)
+        pure = MeasuringProcess(
+            self.dim_h, self.algebra, self.outcomes, self.dim_k * r,
+            proj(eta), {s: np.kron(self.e[s], eye_r) for s in self.e},
+            np.kron(self.u, eye_r), validate=False)
+        return pure, eta / np.linalg.norm(eta)
+
     def purified(self, tol: Tolerance = DEFAULT_TOL) -> "MeasuringProcess":
         """An equivalent process whose meter state is a vector state.
 
@@ -165,26 +179,14 @@ class MeasuringProcess:
         the state becomes the standard purification. Returns ``self``
         when sigma is already pure.
         """
-        vals, vecs = np.linalg.eigh((self.sigma + dagger(self.sigma)) / 2)
-        keep = vals > max(tol.abs, 1e-12)
-        r = int(np.count_nonzero(keep))
-        if r <= 1:
-            return self
-        p = vals[keep]
-        phi = vecs[:, keep] * np.sqrt(p)[None, :]
-        eta = phi.reshape(-1)  # index (k, i) row-major = K ⊗ C^r
-        eye_r = np.eye(r)
-        return MeasuringProcess(
-            self.dim_h, self.algebra, self.outcomes, self.dim_k * r,
-            proj(eta), {s: np.kron(self.e[s], eye_r) for s in self.e},
-            np.kron(self.u, eye_r), validate=False)
+        return self._purification(tol)[0]
 
     def state_vector(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """The meter state as a vector; requires sigma pure within tol."""
-        vals, vecs = np.linalg.eigh((self.sigma + dagger(self.sigma)) / 2)
-        if np.count_nonzero(vals > max(tol.abs, 1e-12)) != 1:
+        pure, eta = self._purification(tol)
+        if eta is None or pure is not self:
             raise ValueError("sigma is not a vector state")
-        return vecs[:, -1] * np.sqrt(vals[-1])
+        return eta
 
 
 def mp_to_json(mp: MeasuringProcess) -> dict:
@@ -262,7 +264,7 @@ class InstrumentRepresentation:
 
     def require_valid(self, inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
                       ) -> None:
-        scale = tol.abs * (1 + self.dim_k)
+        scale = tol.bound("strict", self.dim_k)
         units = np.eye(self.dim_h ** 2).reshape(-1, self.dim_h, self.dim_h)
         # π₀ of every matrix unit, in the order of ``units``.
         images = np.moveaxis(self.pi0.tensor.reshape(
@@ -280,7 +282,7 @@ class InstrumentRepresentation:
                         "representation does not reconstruct the instrument")
         stacked = blocks.transpose(2, 0, 1, 3).reshape(self.dim_k, -1)
         sv = np.linalg.svd(stacked, compute_uv=False)
-        rank = int(np.count_nonzero(sv > tol.abs * (1 + (sv[0] if sv.size else 0))))
+        rank = int(np.count_nonzero(sv > tol.bound("strict", sv[0] if sv.size else 0)))
         if rank != self.dim_k:
             raise ValueError(f"representation is not minimal: span rank "
                              f"{rank} < dimK {self.dim_k}")
@@ -352,8 +354,8 @@ def multiplicity_split(pi: PiMap, tol: Tolerance = DEFAULT_TOL
     # Column block i of w is π(|i><0|) f.
     w = (np.moveaxis(pi.tensor[:, :, :, 0], 2, 0) @ f).transpose(
         1, 0, 2).reshape(dim_l, dim_l)
-    scale = tol.abs * (1 + dim_l) * 100
-    _require_within(dagger(w) @ w - np.eye(dim_l), scale,
+    scale = tol.bound("loose", dim_l)
+    _require_within(_isometry_defects(w), scale,
                     "π is not a representation: propagated basis is not "
                     "orthonormal")
     u1 = dagger(w)
@@ -377,7 +379,7 @@ def commutant_pvm_lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray,
     if dim_l % dim_h != 0:
         raise ValueError("split dimensions do not divide")
     dim_k = dim_l // dim_h
-    scale = tol.abs * (1 + dim_l) * 100
+    scale = tol.bound("loose", dim_l)
     # u2*(x ⊗ 1)u2 for every matrix unit x, as a stack.
     transported = _transport(dagger(u2), u2, dim_k).transpose(
         2, 3, 0, 1).reshape(-1, dim_l, dim_l)
@@ -393,9 +395,7 @@ def commutant_pvm_lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray,
                         scale, f"transported projection {s!r} is not of the "
                         "form 1 ⊗ (·)")
         out[s] = e0
-    if not pvm_within(out, scale):
-        raise ValueError(f"lifted family is not a PVM "
-                         f"(residual {is_pvm(out, tol).residual:.3e})")
+    _require_within(_pvm_defects(out), scale, "lifted family is not a PVM")
     return out
 
 
@@ -413,7 +413,7 @@ def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
     if v.shape[0] % dim_h != 0:
         raise ValueError("isometry shape does not factor over the system")
     dim_l1 = v.shape[0] // dim_h
-    scale = tol.abs * (1 + v.shape[0]) * 100
+    scale = tol.bound("loose", v.shape[0])
     for _, _, x in matrix_units(dim_h):
         _require_within(np.kron(x, np.eye(dim_l1)) @ v - v @ x, scale,
                         "V does not intertwine the system action")
@@ -489,6 +489,7 @@ def mp_from_correlations(sys: CorrelationSystem,
     mp = MeasuringProcess(dim_h, sys.algebra, sys.outcomes, dim_k, sigma, e, u)
 
     # Spot check: the process reproduces the system's correlation values.
+    pure, iso = _purify(mp, tol)
     rng = np.random.default_rng(7)
     diffs = []
     labels = list(sys.outcomes.labels)
@@ -499,10 +500,10 @@ def mp_from_correlations(sys: CorrelationSystem,
             for _ in range(length))
         ms = [np.eye(dim_h) + 0.3 * np.diag(rng.standard_normal(dim_h))
               for _ in range(length)]
-        lhs = correlations_of_mp(mp, TimeWord(letters), ms, tol)
+        lhs = _word_value(pure, iso, letters, ms)
         rhs = eval_W(sys, TimeWord(letters), ms, tol, check_membership=False)
         diffs.append(lhs - rhs)
-    _require_within(np.stack(diffs), tol.abs * (1 + dim_h * dim_k) * 100,
+    _require_within(np.stack(diffs), tol.bound("loose", dim_h * dim_k),
                     "constructed process fails to reproduce the correlation "
                     "values")
     return mp
@@ -515,8 +516,9 @@ def mp_from_correlations(sys: CorrelationSystem,
 def _purify(mp: MeasuringProcess, tol: Tolerance
             ) -> tuple[MeasuringProcess, np.ndarray]:
     """The purified process and its cyclic isometry ``ξ ↦ ξ ⊗ η``."""
-    pure = mp.purified(tol)
-    eta = pure.state_vector(tol)
+    pure, eta = mp._purification(tol)
+    if eta is None:
+        raise ValueError("sigma is not a vector state")
     return pure, np.kron(np.eye(pure.dim_h), eta.reshape(-1, 1))
 
 
@@ -553,7 +555,7 @@ def induced_instrument_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
                           optimize=True)
              for s in mp.outcomes.labels}
     return instrument_from_duals(mp.dim_h, mp.algebra, mp.outcomes, duals,
-                                 tol.abs * (1 + mp.dim_h) * 100, tol)
+                                 tol.bound("loose", mp.dim_h), tol)
 
 
 def correlations_of_mp(mp: MeasuringProcess, t: TimeWord, ms,
@@ -564,13 +566,18 @@ def correlations_of_mp(mp: MeasuringProcess, t: TimeWord, ms,
     ``ξ ↦ ξ ⊗ η`` right to left, and its adjoint compresses the result.
     """
     letters = t.letters if isinstance(t, TimeWord) else TimeWord(t).letters
-    ms = [np.asarray(m, dtype=complex) for m in ms]
+    ms = list(ms)
     if len(ms) != len(letters):
         raise ValueError(f"{len(letters)} letters but {len(ms)} operators")
-    pure, iso = _purify(mp, tol)
+    return _word_value(*_purify(mp, tol), letters, ms)
+
+
+def _word_value(pure: MeasuringProcess, iso: np.ndarray, letters, ms
+                ) -> np.ndarray:
+    """``iso* X_1···X_k iso`` for the letter maps :func:`_step` of ``pure``."""
     state = iso
     for letter, m in zip(reversed(letters), reversed(ms)):
-        state = _step(pure, letter, m, state)
+        state = _step(pure, letter, np.asarray(m, dtype=complex), state)
     return dagger(iso) @ state
 
 
@@ -731,7 +738,7 @@ def n_equivalent(mp1: MeasuringProcess, mp2: MeasuringProcess, n: int,
                 by_length[a + b] = max(by_length[a + b],
                                        np.abs(y1 - y2).max())
     residuals = tuple(float(r) for r in np.maximum.accumulate(by_length[1:]))
-    bound = tol.abs * 100
+    bound = tol.bound("loose")
     return EquivalenceReport(residuals[-1] <= bound, residuals[-1], n,
                              residuals, bound, _order_note(n))
 
@@ -752,7 +759,7 @@ def halmos_unitary(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("partial isometry must be square")
     vvd = v @ dagger(v)
     vdv = dagger(v) @ v
-    _require_within(vdv @ vdv - vdv, tol.abs * (1 + n) * 100,
+    _require_within(vdv @ vdv - vdv, tol.bound("loose", n),
                     "input is not a partial isometry")
     eye = np.eye(n)
     e00, e01, e10, e11 = (x for _, _, x in matrix_units(2))
@@ -782,7 +789,7 @@ def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
                 raise ValueError("instrument carries negative weights")
             kk = np.sqrt(w) * k
             rep = contains(inst.algebra, kk, tol)
-            if rep.residual > tol.abs * (1 + dim_h) * 100:
+            if rep.residual > tol.bound("loose", dim_h):
                 raise ValueError(
                     f"Kraus operator of atom {s!r} lies outside the algebra "
                     f"(residual {rep.residual:.3e}); a faithful process can "
@@ -792,7 +799,7 @@ def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
     dim_m = n_tot + 2
     defect = np.eye(dim_h) - apply_dual(inst, np.eye(dim_h), None)
     vals = np.linalg.eigvalsh((defect + dagger(defect)) / 2)
-    if vals.min() < -tol.psd_slack * (1 + abs(vals).max()) * 100:
+    if vals.min() < -tol.bound("psd_loose", abs(vals).max()):
         raise ValueError(f"completeness defect is not positive "
                          f"(min eigenvalue {vals.min():.3e})")
     l_op = sqrt_psd(defect, tol)
@@ -867,10 +874,10 @@ def faithfulness_table(mp: MeasuringProcess, inst: CPInstrument,
     for s in inst.outcomes.labels:
         e_norm = spectral_norm(mp.e[s])
         total = spectral_norm(apply_dual(inst, eye, (s,)))
-        null_atom = total <= tol.abs * 100
+        null_atom = total <= tol.bound("loose")
         out[s] = {
-            "pointer_nonzero": bool(e_norm > tol.abs * 100),
+            "pointer_nonzero": bool(e_norm > tol.bound("loose")),
             "null_atom": bool(null_atom),
-            "faithful": bool(null_atom or e_norm > tol.abs * 100),
+            "faithful": bool(null_atom or e_norm > tol.bound("loose")),
         }
     return out

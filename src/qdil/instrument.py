@@ -21,8 +21,8 @@ import numpy as np
 from .algebra import (
     FiniteVonNeumannAlgebra,
     _json_algebra,
+    _membership_defects,
     algebra_to_json,
-    conditional_expectation,
     contains,
     full_algebra,
 )
@@ -227,7 +227,7 @@ def instrument_from_choi(dim_h: int, outcomes: OutcomeSpace,
             raise ValueError(f"Choi matrix for '{s}' is not Hermitian")
         vals, vecs = np.linalg.eigh(hermitize(j))
         scale = max(abs(float(vals[0])), abs(float(vals[-1]))) if vals.size else 0.0
-        keep = np.abs(vals) > tol.abs * (1 + scale)
+        keep = np.abs(vals) > tol.bound("strict", scale)
         kraus[s] = _kraus_of_eigenvectors(vals[keep], vecs[:, keep], dim_h)
         weights[s] = np.sign(vals[keep])
     return CPInstrument(dim_h, algebra, outcomes, kraus, weights,
@@ -256,9 +256,12 @@ def _kraus_sum(inst: CPInstrument, atoms, x: np.ndarray, dual: bool
     """
     out = np.zeros(x.shape, dtype=complex)
     for s in atoms:
-        for w, k in zip(inst.atom_weights(s), inst.kraus[s]):
-            left, right = (dagger(k), k) if dual else (k, dagger(k))
-            out += w * (left @ x @ right)
+        # Indexing, and no product by default weights, keep samplers cheap.
+        ks = inst.kraus[s]
+        for j in range(len(ks)):
+            k = ks[j]
+            term = dagger(k) @ x @ k if dual else k @ x @ dagger(k)
+            out += term if inst.weights is None else inst.weights[s][j] * term
     return out
 
 
@@ -292,7 +295,7 @@ def posterior_state(inst: CPInstrument, rho, event,
     """Normalized posterior, or INDEFINITE for a probability-zero event."""
     sub = apply_predual(inst, rho, event, tol)
     p = float(np.trace(sub).real)
-    if p <= tol.abs:
+    if p <= tol.bound("strict"):
         return INDEFINITE
     return sub / p
 
@@ -340,10 +343,10 @@ def kraus_from_dual_choi(j: np.ndarray, dim: int,
     """
     vals, vecs = np.linalg.eigh(hermitize(np.asarray(j, dtype=complex)))
     scale = float(vals[-1]) if vals.size else 0.0
-    if vals.size and vals.min() < -tol.psd_slack * (1 + abs(scale)):
+    if vals.size and vals.min() < -tol.bound("psd", abs(scale)):
         raise ValueError(
             f"Choi matrix has negative eigenvalue {vals.min():.3e}")
-    keep = vals > tol.abs * (1 + abs(scale))
+    keep = vals > tol.bound("strict", abs(scale))
     cols = vecs[:, keep]
     lead = cols[np.argmax(np.abs(cols) > 1e-12, axis=0),
                 np.arange(cols.shape[1])]
@@ -366,7 +369,7 @@ def instrument_from_duals(dim_h: int, algebra: FiniteVonNeumannAlgebra,
     for s in outcomes.labels:
         for b in basis:
             img = np.einsum("abij,ij->ab", duals[s], b)
-            _require_within(img - conditional_expectation(algebra, img),
+            _require_within(_membership_defects(algebra, img),
                             bound, f"closure violation at atom {s!r}: value "
                             "outside the algebra")
         kraus[s] = kraus_from_dual_choi(choi_of_dual_tensor(duals[s]), dim_h,
@@ -425,14 +428,26 @@ def verify_cp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL) -> CPReport:
     alg_res = max(contains(inst.algebra, apply_dual(inst, basis, (s,)),
                            tol).residual for s in inst.outcomes.labels)
     return CPReport(
-        cp_ok=min_eig >= -tol.psd_slack,
+        cp_ok=min_eig >= -tol.bound("psd"),
         min_choi_eigenvalue=min_eig,
         choi_eigenvalues=per_atom,
-        complete_ok=comp_res <= tol.abs,
+        complete_ok=comp_res <= tol.bound("strict"),
         completeness_residual=float(comp_res),
         algebra_residual=float(alg_res),
-        algebra_ok=alg_res <= tol.abs,
+        algebra_ok=alg_res <= tol.bound("strict"),
     )
+
+
+def _repeatability(inst: CPInstrument, x: np.ndarray, step, tol: Tolerance
+                   ) -> tuple[bool, float]:
+    """The worst ``‖step(step(x, s), t) − δ_st·step(x, s)‖`` over atoms."""
+    worst = 0.0
+    for s in inst.outcomes.labels:
+        first = step(x, s)
+        for t in inst.outcomes.labels:
+            rest = step(first, t) - (first if s == t else 0.0)
+            worst = max(worst, spectral_norm(rest))
+    return worst <= tol.bound("loose"), float(worst)
 
 
 def is_weakly_repeatable(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
@@ -442,29 +457,16 @@ def is_weakly_repeatable(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
     Both sides are biadditive over disjoint events, so atom pairs decide
     the general identity.
     """
-    eye = np.eye(inst.dim_h)
-    worst = 0.0
-    for s1 in inst.outcomes.labels:
-        for s2 in inst.outcomes.labels:
-            inner = apply_dual(inst, eye, (s2,))
-            lhs = apply_dual(inst, inner, (s1,))
-            rhs = inner if s1 == s2 else 0.0
-            worst = max(worst, spectral_norm(lhs - rhs))
-    return worst <= tol.abs * 100, float(worst)
+    return _repeatability(inst, np.eye(inst.dim_h),
+                          lambda x, s: apply_dual(inst, x, (s,)), tol)
 
 
 def is_repeatable(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
                   ) -> tuple[bool, float]:
     """Map-level repeatability ``I(Δ2)I(Δ1) = I(Δ2∩Δ1)`` on a basis."""
-    worst = 0.0
     units = np.eye(inst.dim_h ** 2).reshape(-1, inst.dim_h, inst.dim_h)
-    for s1 in inst.outcomes.labels:
-        first = _kraus_sum(inst, (s1,), units, dual=False)
-        for s2 in inst.outcomes.labels:
-            lhs = _kraus_sum(inst, (s2,), first, dual=False)
-            rhs = first if s1 == s2 else 0.0
-            worst = max(worst, spectral_norm(lhs - rhs))
-    return worst <= tol.abs * 100, float(worst)
+    return _repeatability(inst, units, lambda x, s: _kraus_sum(
+        inst, (s,), x, dual=False), tol)
 
 
 def coarse_grain(inst: CPInstrument, generating_events: list,

@@ -74,7 +74,8 @@ class OperatorKernel:
             for c2 in labels:
                 if (c1, c2) in full and (c2, c1) in full:
                     res = spectral_norm(full[(c1, c2)] - dagger(full[(c2, c1)]))
-                    if res > self.tol.abs * (1 + spectral_norm(full[(c1, c2)])):
+                    if res > self.tol.bound("strict",
+                                            spectral_norm(full[(c1, c2)])):
                         raise ValueError(
                             f"kernel is not Hermitian at ({c1},{c2}): "
                             f"residual {res:.3e}")
@@ -136,7 +137,7 @@ def is_positive_definite(k: OperatorKernel, tol: Tolerance = DEFAULT_TOL
     vals = np.linalg.eigvalsh((g + dagger(g)) / 2)
     min_eig = float(vals.min()) if vals.size else 0.0
     scale = float(np.abs(vals).max()) if vals.size else 0.0
-    return min_eig >= -tol.psd_slack * (1 + scale), min_eig
+    return min_eig >= -tol.bound("psd", scale), min_eig
 
 
 def minimal_decomposition(k: OperatorKernel, tol: Tolerance = DEFAULT_TOL
@@ -158,7 +159,7 @@ def _numerical_rank(a: np.ndarray, tol: Tolerance) -> int:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     scale = float(s[0]) if s.size else 0.0
-    return int(np.sum(s > tol.abs * (1 + scale)))
+    return int(np.sum(s > tol.bound("strict", scale)))
 
 
 def unitary_equivalence(d1: KolmogorovDecomposition,
@@ -178,13 +179,10 @@ def unitary_equivalence(d1: KolmogorovDecomposition,
         x = d.stacked()
         if _numerical_rank(x, tol) != d.dim_l:
             raise ValueError(f"{name} decomposition is not minimal")
-        worst = 0.0
-        for i, c1 in enumerate(d.labels):
-            for c2 in d.labels:
-                rec = dagger(d.factors[c1]) @ d.factors[c2]
-                worst = max(worst, spectral_norm(rec - k.entry(c1, c2)))
-        scale = 1 + spectral_norm(gram_matrix(k))
-        if worst > tol.abs * scale * 100:
+        worst = max(spectral_norm(dagger(d.factors[c1]) @ d.factors[c2]
+                                  - k.entry(c1, c2))
+                    for c1 in d.labels for c2 in d.labels)
+        if worst > tol.bound("loose", spectral_norm(gram_matrix(k))):
             raise ValueError(
                 f"{name} decomposition does not reconstruct the kernel "
                 f"(residual {worst:.3e})")
@@ -199,7 +197,7 @@ def unitary_equivalence(d1: KolmogorovDecomposition,
     u = uu @ vv
     worst = max(spectral_norm(u @ d1.factors[c] - d2.factors[c])
                 for c in d1.labels)
-    if worst > tol.abs * (1 + spectral_norm(gram_matrix(k))) * 100:
+    if worst > tol.bound("loose", spectral_norm(gram_matrix(k))):
         return NotEquivalent(reason="no intertwining unitary found",
                              worst_residual=float(worst))
     return u

@@ -13,9 +13,11 @@ Conventions
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping
 
 import numpy as np
 
@@ -62,16 +64,39 @@ class Tolerance:
     checks; ``psd_slack`` is an eigenvalue tolerance below which small
     negative eigenvalues of nominally PSD matrices are forgiven (and
     clamped to zero where a factorization needs them). Both are finite:
-    an infinite tolerance would pass every check.
+    an infinite tolerance would pass every check. Checks read their
+    bounds through :meth:`bound`, never from the fields directly.
     """
 
     abs: float = 1e-9
     psd_slack: float = 1e-10
 
+    # kind -> (field, factor) of the bound ``field · (1 + size) · factor``
+    _KINDS: ClassVar[dict[str, tuple[str, int]]] = {
+        "strict": ("abs", 1),  # structural residuals, numerical ranks
+        "trace": ("abs", 10),  # the trace of a density matrix
+        "loose": ("abs", 100),  # values derived through a construction
+        "psd": ("psd_slack", 1),  # negative eigenvalues forgiven
+        "psd_loose": ("psd_slack", 100),  # the same, derived operators
+    }
+
     def __post_init__(self) -> None:
         if not all(math.isfinite(t) and t > 0
                    for t in (self.abs, self.psd_slack)):
             raise ValueError("tolerances must be positive and finite")
+
+    def bound(self, kind: str, size: float = 0) -> float:
+        """The bound of a ``kind`` of check on a quantity of scale ``size``.
+
+        ``size`` is a norm or a dimension, 0 for an unscaled bound. The
+        product is taken left to right, as the expressions it replaced
+        were, so bounds are the same bit for bit. ``"floor"`` is
+        ``max(abs, 1e-12)``, the eigenvalue and pseudo-inverse cut-off.
+        """
+        if kind == "floor":
+            return max(self.abs, 1e-12)
+        name, factor = self._KINDS[kind]
+        return getattr(self, name) * (1 + size) * factor
 
 
 DEFAULT_TOL = Tolerance()
@@ -160,10 +185,70 @@ def norm_within(a, bound: float) -> bool:
     return bool(np.isfinite(m).all()) and spectral_norm(m) <= bound
 
 
-def _require_within(x, bound: float, what: str) -> None:
-    """Raise ``ValueError("<what> (residual ‖x‖₂)")`` unless :func:`norm_within`."""
-    if not norm_within(x, bound):
-        raise ValueError(f"{what} (residual {spectral_norm(x):.3e})")
+# Each structural invariant is stated once, by a ``_*_defects`` generator of
+# the matrices that vanish when it holds. Reports and gates take them one at
+# a time: each defect is dropped before the next is formed.
+
+
+def _within(defects, bound: float) -> bool:
+    """Whether every matrix or stack in ``defects`` is within ``bound``."""
+    return all(map(functools.partial(norm_within, bound=bound), defects))
+
+
+def _require_within(defects, bound: float, what: str) -> None:
+    """The gate: raise ``ValueError("<what> (residual r)")`` unless within.
+
+    ``defects`` (a matrix, a stack, or an iterable of them) go through
+    :func:`norm_within` one at a time. ``r``, their exact residual, needs
+    the norms from the first one outside the bound on only.
+    """
+    if isinstance(defects, np.ndarray):
+        defects = (defects,)
+    defects = iter(defects)
+    for d in defects:
+        if not norm_within(d, bound):
+            res = max(map(spectral_norm, itertools.chain((d,), defects)))
+            raise ValueError(f"{what} (residual {res:.3e})")
+        del d
+
+
+def _report(defects, bound: float) -> CheckReport:
+    """The exact spectral residual of ``defects`` against ``bound``."""
+    res = max(map(spectral_norm, defects))
+    return CheckReport(res <= bound, res, {})
+
+
+def _hermitian_defects(a):
+    m = _square(a)
+    yield m - m.conj().T
+
+
+def _unitary_defects(a):
+    m = _square(a)
+    eye = np.eye(m.shape[0])
+    yield m.conj().T @ m - eye
+    yield m @ m.conj().T - eye
+
+
+def _isometry_defects(a):
+    m = _as_matrix(a)
+    yield m.conj().T @ m - np.eye(m.shape[1])
+
+
+def _projection_defects(a):
+    m = _square(a)
+    yield m @ m - m
+    yield from _hermitian_defects(m)
+
+
+def _pvm_defects(family):
+    """Each member's two projection defects, each pair's product, ``Σ E − 1``."""
+    mats = _pvm_members(family)
+    for m in mats:
+        yield from _projection_defects(m)
+    for a, b in itertools.combinations(mats, 2):
+        yield a @ b
+    yield sum(mats) - np.eye(mats[0].shape[0])
 
 
 def vec(a) -> np.ndarray:
@@ -227,12 +312,11 @@ def sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     negative, or a non-Hermitian input, is an error.
     """
     m = _square(a)
-    herm = is_hermitian(m, tol)
-    if not herm.ok:
-        raise ValueError(
-            f"matrix is not Hermitian (residual {herm.residual:.3e})")
+    _require_within(_hermitian_defects(m),
+                    tol.bound("strict", spectral_norm(m)),
+                    "matrix is not Hermitian")
     w, u = np.linalg.eigh(hermitize(m))
-    if w.size and w.min() < -tol.psd_slack:
+    if w.size and w.min() < -tol.bound("psd"):
         raise ValueError(
             f"matrix has negative eigenvalue {w.min():.3e} beyond psd_slack")
     w = np.clip(w, 0.0, None)
@@ -252,19 +336,17 @@ def psd_factorize(g, block: int, tol: Tolerance = DEFAULT_TOL
     gm = _square(g)
     if block <= 0 or gm.shape[0] % block != 0:
         raise ValueError(f"block size {block} does not divide {gm.shape[0]}")
-    herm = is_hermitian(gm, tol)
-    if not herm.ok:
-        raise ValueError(
-            f"Gram matrix is not Hermitian (residual {herm.residual:.3e})")
+    _require_within(_hermitian_defects(gm),
+                    tol.bound("strict", spectral_norm(gm)),
+                    "Gram matrix is not Hermitian")
     w, u = np.linalg.eigh(hermitize(gm))
     scale = float(w[-1]) if w.size else 0.0
-    if w.size and w.min() < -tol.psd_slack * (1 + abs(scale)):
+    if w.size and w.min() < -tol.bound("psd", abs(scale)):
         raise ValueError(
             f"Gram matrix has negative eigenvalue {w.min():.3e}: "
             "kernel is not positive definite")
     w = np.clip(w, 0.0, None)
-    thresh = tol.abs * (1 + abs(scale))
-    keep = np.nonzero(w > thresh)[0]
+    keep = np.nonzero(w > tol.bound("strict", abs(scale)))[0]
     # Descending eigenvalue order keeps factor rows stable under reruns.
     keep = keep[np.argsort(w[keep])[::-1]]
     f = (np.sqrt(w[keep])[:, None] * u[:, keep].conj().T)
@@ -275,8 +357,7 @@ def psd_factorize(g, block: int, tol: Tolerance = DEFAULT_TOL
 
 def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     m = _square(a)
-    res = spectral_norm(m - m.conj().T)
-    return CheckReport(res <= tol.abs * (1 + spectral_norm(m)), res, {})
+    return _report(_hermitian_defects(m), tol.bound("strict", spectral_norm(m)))
 
 
 def is_psd(a, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -286,35 +367,26 @@ def is_psd(a, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
         return CheckReport(False, herm.residual, {"hermitian": False})
     w = np.linalg.eigvalsh(hermitize(m))
     min_eig = float(w.min()) if w.size else 0.0
-    return CheckReport(min_eig >= -tol.psd_slack, max(0.0, -min_eig),
+    return CheckReport(min_eig >= -tol.bound("psd"), max(0.0, -min_eig),
                        {"min_eigenvalue": min_eig})
 
 
 def is_unitary(u, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    m = _square(u)
-    eye = np.eye(m.shape[0])
-    res = max(spectral_norm(m.conj().T @ m - eye),
-              spectral_norm(m @ m.conj().T - eye))
-    return CheckReport(res <= tol.abs, res, {})
+    return _report(_unitary_defects(u), tol.bound("strict"))
 
 
 def is_isometry(v, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    m = _as_matrix(v)
-    res = spectral_norm(m.conj().T @ m - np.eye(m.shape[1]))
-    return CheckReport(res <= tol.abs, res, {})
+    return _report(_isometry_defects(v), tol.bound("strict"))
 
 
 def is_projection(p, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    m = _square(p)
-    res = max(spectral_norm(m @ m - m), spectral_norm(m - m.conj().T))
-    return CheckReport(res <= tol.abs, res, {})
+    return _report(_projection_defects(p), tol.bound("strict"))
 
 
 def _pvm_members(family) -> list[np.ndarray]:
     if isinstance(family, Mapping):
-        mats = [_square(m) for m in family.values()]
-    else:
-        mats = [_square(m) for m in family]
+        family = family.values()
+    mats = [_square(m) for m in family]
     if not mats:
         raise ValueError("empty PVM family")
     dim = mats[0].shape[0]
@@ -331,19 +403,14 @@ def is_pvm(family, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     orthogonality, and the completeness residual ``||Σ E - I||``.
     """
     mats = _pvm_members(family)
-    proj_res = max(max(spectral_norm(m @ m - m), spectral_norm(m - m.conj().T))
-                   for m in mats)
-    ortho_res = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            ortho_res = max(ortho_res, spectral_norm(mats[i] @ mats[j]))
-    comp_res = spectral_norm(sum(mats) - np.eye(mats[0].shape[0]))
-    res = max(proj_res, ortho_res, comp_res)
-    return CheckReport(res <= tol.abs, res, {
-        "projection_residual": proj_res,
-        "orthogonality_residual": ortho_res,
-        "completeness_residual": comp_res,
-    })
+    norms = list(map(spectral_norm, _pvm_defects(mats)))
+    detail = {
+        "projection_residual": max(norms[:2 * len(mats)]),
+        "orthogonality_residual": max(norms[2 * len(mats):-1], default=0.0),
+        "completeness_residual": norms[-1],
+    }
+    res = max(detail.values())
+    return CheckReport(res <= tol.bound("strict"), res, detail)
 
 
 def pvm_within(family, bound: float) -> bool:
@@ -352,20 +419,14 @@ def pvm_within(family, bound: float) -> bool:
     Every defect goes through :func:`norm_within`, one member or one
     pair at a time, so no more than :func:`is_pvm` is held in memory.
     """
-    mats = _pvm_members(family)
-    return (all(norm_within(m @ m - m, bound)
-                and norm_within(m - m.conj().T, bound) for m in mats)
-            and all(norm_within(mats[i] @ mats[j], bound)
-                    for i in range(len(mats))
-                    for j in range(i + 1, len(mats)))
-            and norm_within(sum(mats) - np.eye(mats[0].shape[0]), bound))
+    return _within(_pvm_defects(family), bound)
 
 
 def is_density_matrix(rho, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     m = _square(rho)
     psd = is_psd(m, tol)
     trace_res = abs(complex(np.trace(m)) - 1.0)
-    ok = psd.ok and trace_res <= tol.abs * 10
+    ok = psd.ok and trace_res <= tol.bound("trace")
     return CheckReport(ok, max(psd.residual, trace_res),
                        {"trace": complex(np.trace(m)).real, **psd.detail})
 

@@ -96,7 +96,7 @@ def _spectral_groups(a: np.ndarray, tol: Tolerance
                      ) -> list[tuple[float, np.ndarray]]:
     """Eigenvalue groups and spectral projections of a Hermitian matrix."""
     vals, vecs = np.linalg.eigh((a + dagger(a)) / 2)
-    gap = tol.abs * (1 + float(np.abs(vals).max(initial=0.0)))
+    gap = tol.bound("strict", float(np.abs(vals).max(initial=0.0)))
     groups: list[tuple[float, np.ndarray]] = []
     start = 0
     for i in range(1, len(vals) + 1):

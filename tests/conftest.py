@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, as CI and perfbench use, unless the caller sets a
+# count: at qdil's matrix sizes a thread pool adds no speed, and under
+# load it makes the timing bounds of the acceptance tests flaky. It must
+# be set before NumPy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from qdil.algebra import full_algebra

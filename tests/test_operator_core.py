@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import ast
 import json
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qdil.operator_core import (
     CheckReport,
+    _report,
+    _require_within,
+    _within,
     Tolerance,
     basis_vector,
     compress_by_state,
@@ -337,3 +343,104 @@ def test_matrix_json_of_a_stack_nests_each_matrix():
 def test_matrix_json_rejects_non_matrices_and_non_finite(bad):
     with pytest.raises(ValueError):
         matrix_to_json(bad)
+
+
+# Each kind of Tolerance.bound against the expression it replaced in the
+# package; with size 0 the scaled forms reduce to the unscaled ones.
+OLD_BOUNDS = {
+    "strict": lambda t, n: t.abs * (1 + n),
+    "trace": lambda t, n: t.abs * (1 + n) * 10,
+    "loose": lambda t, n: t.abs * (1 + n) * 100,
+    "psd": lambda t, n: t.psd_slack * (1 + n),
+    "psd_loose": lambda t, n: t.psd_slack * (1 + n) * 100,
+    "floor": lambda t, n: max(t.abs, 1e-12),
+}
+UNSCALED = {
+    "strict": lambda t: t.abs,
+    "trace": lambda t: t.abs * 10,
+    "loose": lambda t: t.abs * 100,
+    "psd": lambda t: t.psd_slack,
+    "psd_loose": lambda t: t.psd_slack * 100,
+    "floor": lambda t: max(t.abs, 1e-12),
+}
+TOLERANCES = [Tolerance(), Tolerance(1e-6, 1e-7), Tolerance(3e-13, 7e-14),
+              Tolerance(0.1 + 0.2, 1 / 3)]
+
+
+def _float_bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(OLD_BOUNDS))
+@pytest.mark.parametrize("tol", TOLERANCES, ids=repr)
+def test_bound_equals_its_old_expression_bit_for_bit(kind, tol):
+    rng = np.random.default_rng(5)
+    sizes = [0, 1, 7, 36, 0.1 + 0.2, 2.718281828459045, 1e-17,
+             np.float64(1.3e3), spectral_norm(random_ginibre(rng, 4)),
+             float(np.abs(np.linalg.eigvalsh(random_psd(rng, 3))).max())]
+    for n in sizes:
+        assert _float_bits(tol.bound(kind, n)) == _float_bits(
+            OLD_BOUNDS[kind](tol, n)), n
+    assert _float_bits(tol.bound(kind)) == _float_bits(UNSCALED[kind](tol))
+
+
+def _tolerance_field_reads(tree):
+    """``(scope, line)`` of every ``x.abs`` / ``x.psd_slack`` read of a module.
+
+    Reads inside message text (f-strings) are left out; ``np.abs`` is a
+    function, not a tolerance field.
+    """
+    found = []
+
+    def visit(node, scope, in_text):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        in_text = in_text or isinstance(node, ast.JoinedStr)
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("abs", "psd_slack") and not in_text
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id == "np")):
+            found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, in_text)
+
+    visit(tree, (), False)
+    return found
+
+
+def test_tolerance_arithmetic_lives_in_tolerance_bound():
+    # The CLI builds the tolerance from --tol and echoes it in reports;
+    # every other bound is read through Tolerance.bound.
+    allowed = {("operator_core.py", "Tolerance"), ("cli.py", "_tolerance"),
+               ("cli.py", "_config")}
+    src = Path(__file__).resolve().parents[1] / "src" / "qdil"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}:{line} in {scope or 'module'}"
+                      for scope, line in _tolerance_field_reads(tree)
+                      if (path.name, scope.split(".")[0]) not in allowed]
+    assert not offenders
+
+
+def _tracked_defects(alive, count=3):
+    """Defects that check, as each is formed, that earlier ones were freed."""
+    def make():
+        assert all(ref() is None for ref in alive), "an earlier defect is held"
+        d = np.zeros((3, 3), dtype=complex)
+        alive.append(weakref.ref(d))
+        return d
+
+    for _ in range(count):
+        yield make()
+
+
+@pytest.mark.parametrize("check", [
+    lambda defects: _within(defects, 1.0),
+    lambda defects: _require_within(defects, 1.0, "defect"),
+    lambda defects: _report(defects, 1.0),
+], ids=["within", "require_within", "report"])
+def test_checks_hold_one_defect_at_a_time(check):
+    alive = []
+    check(_tracked_defects(alive))
+    assert len(alive) == 3
