@@ -151,7 +151,12 @@ def _transport(left: np.ndarray, right: np.ndarray, dim_k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelationSystem:
-    """Representation triplet ``(C^dimL, {Π_t}, v)`` of a correlation system."""
+    """Representation triplet ``(C^dimL, {Π_t}, v)`` of a correlation system.
+
+    Construction runs :meth:`require_valid` at the default tolerance when
+    ``validate`` is True, at ``validate`` when it is a :class:`Tolerance`,
+    and not at all when it is False.
+    """
 
     dim_h: int
     algebra: FiniteVonNeumannAlgebra
@@ -160,7 +165,7 @@ class CorrelationSystem:
     pi_in: PiMap = field(repr=False)
     pi_atom: dict[str, PiMap] = field(repr=False)
     v: np.ndarray = field(repr=False)
-    validate: bool = True
+    validate: bool | Tolerance = True
     certified_depth: int | None = None
 
     def __post_init__(self) -> None:
@@ -172,7 +177,8 @@ class CorrelationSystem:
         if set(self.pi_atom) != set(self.outcomes.labels):
             raise ValueError("pi_atom labels do not match the outcome space")
         if self.validate:
-            self.require_valid()
+            self.require_valid(self.validate if isinstance(
+                self.validate, Tolerance) else DEFAULT_TOL)
 
     def letter_map(self, letter) -> PiMap:
         if letter == IN:
@@ -420,7 +426,7 @@ def induced_instrument(sys: CorrelationSystem, tol: Tolerance = DEFAULT_TOL
                           v, optimize=True)
              for s in sys.outcomes.labels}
     return instrument_from_duals(sys.dim_h, sys.algebra, sys.outcomes, duals,
-                                 tol.bound("loose"), tol)
+                                 tol)
 
 
 def from_instrument(inst: CPInstrument, anchor: str | None = None,
@@ -434,7 +440,9 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
     unitary ``U = [[0, -V₀*], [V₀, 1-V₀V₀*]]``, letter maps
     ``Π_s(M) = U* Π_in(M) E({s}) U``, and the inclusion of ``H`` as the
     first summand for ``v``. Its induced instrument is the input again.
-    ``validate`` is passed on to :func:`instrument_representation`.
+    ``validate`` is passed on to :func:`instrument_representation`. The
+    system is not re-checked: its invariants follow from the instrument's
+    completeness and the representation that function checks.
     """
     from .dilation import instrument_representation
 
@@ -471,7 +479,8 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
         pi_atom[s] = PiMap(t)
 
     return CorrelationSystem(dim_h, inst.algebra, inst.outcomes, dim_l,
-                             PiMap(pi_in_t), pi_atom, np.eye(dim_l, dim_h))
+                             PiMap(pi_in_t), pi_atom, np.eye(dim_l, dim_h),
+                             validate=False)
 
 
 class _SystemTable:

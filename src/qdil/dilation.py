@@ -102,7 +102,9 @@ class MeasuringProcess:
 
     ``u`` acts on ``H ⊗ K`` in kron order (system leg first), ``e`` maps
     each atom label to a projection on ``K``, and ``sigma`` is the meter
-    state. Construction checks the unitary/PVM/state invariants; the
+    state. Construction checks the unitary/PVM/state invariants, at the
+    default tolerance when ``validate`` is True, at ``validate`` when it
+    is a :class:`Tolerance`, not at all when it is False; the
     algebra-closure invariant is checked where the induced instrument is
     actually built (`induced_instrument_mp`), since that is the same
     computation.
@@ -115,7 +117,7 @@ class MeasuringProcess:
     sigma: np.ndarray = field(repr=False)
     e: dict[str, np.ndarray] = field(repr=False)
     u: np.ndarray = field(repr=False)
-    validate: bool = True
+    validate: bool | Tolerance = True
 
     def __post_init__(self) -> None:
         sigma = np.asarray(self.sigma, dtype=complex)
@@ -132,7 +134,8 @@ class MeasuringProcess:
         if sigma.shape != (self.dim_k, self.dim_k):
             raise ValueError("sigma is not an operator on the meter space")
         if self.validate:
-            self.require_valid()
+            self.require_valid(self.validate if isinstance(
+                self.validate, Tolerance) else DEFAULT_TOL)
 
     def require_valid(self, tol: Tolerance = DEFAULT_TOL) -> None:
         bound = tol.bound("loose")
@@ -482,11 +485,12 @@ def mp_from_correlations(sys: CorrelationSystem,
         rot = random_unitary(rng, b_init.shape[1])
     u = uq + b_final @ rot @ dagger(b_init)
 
-    # The MeasuringProcess constructor below checks that u is unitary.
+    # The MeasuringProcess constructor below checks u's unitarity at tol.
     dim_k = d1 * d2
     sigma = proj(np.kron(eta1, eta2))
     e = {s: np.kron(np.eye(d1), e0[s]) for s in sys.outcomes.labels}
-    mp = MeasuringProcess(dim_h, sys.algebra, sys.outcomes, dim_k, sigma, e, u)
+    mp = MeasuringProcess(dim_h, sys.algebra, sys.outcomes, dim_k, sigma, e, u,
+                          validate=tol)
 
     # Spot check: the process reproduces the system's correlation values.
     pure, iso = _purify(mp, tol)
@@ -555,7 +559,7 @@ def induced_instrument_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
                           optimize=True)
              for s in mp.outcomes.labels}
     return instrument_from_duals(mp.dim_h, mp.algebra, mp.outcomes, duals,
-                                 tol.bound("loose", mp.dim_h), tol)
+                                 tol)
 
 
 def correlations_of_mp(mp: MeasuringProcess, t: TimeWord, ms,
@@ -598,7 +602,7 @@ def system_of_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
                                    pure.dim_k))
                for s in mp.outcomes.labels}
     return CorrelationSystem(mp.dim_h, mp.algebra, mp.outcomes, dim_l,
-                             pi_in, pi_atom, v)
+                             pi_in, pi_atom, v, validate=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -797,12 +801,7 @@ def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
             flat.append((s, kk))
     n_tot = len(flat)
     dim_m = n_tot + 2
-    defect = np.eye(dim_h) - apply_dual(inst, np.eye(dim_h), None)
-    vals = np.linalg.eigvalsh((defect + dagger(defect)) / 2)
-    if vals.min() < -tol.bound("psd_loose", abs(vals).max()):
-        raise ValueError(f"completeness defect is not positive "
-                         f"(min eigenvalue {vals.min():.3e})")
-    l_op = sqrt_psd(defect, tol)
+    l_op = sqrt_psd(np.eye(dim_h) - apply_dual(inst, np.eye(dim_h), None), tol)
 
     # v_op = Σ_n kron(K_n, |n+1><0|), with L = l_op as the last K_n.
     v_op = np.zeros((dim_h, dim_m, dim_h, dim_m), dtype=complex)
@@ -817,7 +816,7 @@ def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
 
     sigma = proj(np.kron(basis_vector(dim_m, 0), basis_vector(2, 0)))
     return MeasuringProcess(dim_h, inst.algebra, inst.outcomes, dim_k,
-                            sigma, e, u)
+                            sigma, e, u, validate=tol)
 
 
 def inner_membership(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL):
@@ -863,7 +862,7 @@ def faithful_mp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
     sigma = proj(np.kron(eta1, basis_vector(2, 0)))
     e = {s: np.kron(e1[s], np.eye(2)) for s in inst.outcomes.labels}
     return MeasuringProcess(dim_h, inst.algebra, inst.outcomes, dim_k,
-                            sigma, e, u)
+                            sigma, e, u, validate=tol)
 
 
 def faithfulness_table(mp: MeasuringProcess, inst: CPInstrument,

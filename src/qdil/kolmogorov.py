@@ -142,11 +142,11 @@ def is_positive_definite(k: OperatorKernel, tol: Tolerance = DEFAULT_TOL
 
 def minimal_decomposition(k: OperatorKernel, tol: Tolerance = DEFAULT_TOL
                           ) -> KolmogorovDecomposition:
-    """Minimal factorization of a positive-definite kernel."""
-    ok, min_eig = is_positive_definite(k, tol)
-    if not ok:
-        raise ValueError(
-            f"kernel is not positive definite (min eigenvalue {min_eig:.3e})")
+    """Minimal factorization of a positive-definite kernel.
+
+    :func:`psd_factorize` rejects a kernel that is not positive definite;
+    its bound is never looser than :func:`is_positive_definite`'s.
+    """
     factors = psd_factorize(gram_matrix(k), k.dim_h, tol)
     dim_l = factors[0].shape[0]
     return KolmogorovDecomposition(
@@ -175,6 +175,7 @@ def unitary_equivalence(d1: KolmogorovDecomposition,
     """
     if d1.labels != k.labels or d2.labels != k.labels:
         raise ValueError("decomposition labels do not match the kernel")
+    bound = tol.bound("loose", spectral_norm(gram_matrix(k)))
     for d, name in ((d1, "first"), (d2, "second")):
         x = d.stacked()
         if _numerical_rank(x, tol) != d.dim_l:
@@ -182,7 +183,7 @@ def unitary_equivalence(d1: KolmogorovDecomposition,
         worst = max(spectral_norm(dagger(d.factors[c1]) @ d.factors[c2]
                                   - k.entry(c1, c2))
                     for c1 in d.labels for c2 in d.labels)
-        if worst > tol.bound("loose", spectral_norm(gram_matrix(k))):
+        if worst > bound:
             raise ValueError(
                 f"{name} decomposition does not reconstruct the kernel "
                 f"(residual {worst:.3e})")
@@ -197,7 +198,7 @@ def unitary_equivalence(d1: KolmogorovDecomposition,
     u = uu @ vv
     worst = max(spectral_norm(u @ d1.factors[c] - d2.factors[c])
                 for c in d1.labels)
-    if worst > tol.bound("loose", spectral_norm(gram_matrix(k))):
+    if worst > bound:
         return NotEquivalent(reason="no intertwining unitary found",
                              worst_residual=float(worst))
     return u

@@ -77,7 +77,6 @@ class Tolerance:
         "trace": ("abs", 10),  # the trace of a density matrix
         "loose": ("abs", 100),  # values derived through a construction
         "psd": ("psd_slack", 1),  # negative eigenvalues forgiven
-        "psd_loose": ("psd_slack", 100),  # the same, derived operators
     }
 
     def __post_init__(self) -> None:

@@ -128,7 +128,7 @@ def build(model: DiscreteVNModel, tol: Tolerance = DEFAULT_TOL
     e = {str(k): proj(basis_vector(d, k)) for k in range(d)}
     sigma = proj(model.pointer_state)
     return MeasuringProcess(model.dim_h, full_algebra(model.dim_h),
-                            outcomes, d, sigma, e, u)
+                            outcomes, d, sigma, e, u, validate=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 # One BLAS thread, as CI and perfbench use, unless the caller sets a
@@ -38,6 +39,17 @@ def random_cp_instrument(rng, dim_h, n_outcomes, kraus_per_outcome=1,
     if algebra is None:
         algebra = full_algebra(dim_h)
     return CPInstrument(dim_h, algebra, OutcomeSpace(labels), kraus)
+
+
+def scaled_instrument(inst, factor):
+    """``inst`` with every Kraus operator multiplied by ``factor``, unchecked.
+
+    ``I(1,S)`` is multiplied by ``factor²``, so a complete instrument gets
+    the completeness defect ``(factor² − 1)·1``.
+    """
+    return dataclasses.replace(
+        inst, kraus={s: factor * k for s, k in inst.kraus.items()},
+        validate=False)
 
 
 def random_state(rng, dim):

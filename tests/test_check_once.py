@@ -1,0 +1,127 @@
+"""Each invariant along the dilation chain is checked once, at one tolerance.
+
+Builders check what they build at the caller's tolerance, never at the
+default one, and ``from_instrument`` does not re-check the system it
+builds: its invariants follow from the checks on the instrument.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from conftest import random_cp_instrument, scaled_instrument
+from qdil.algebra import diagonal_algebra
+from qdil.correlations import CorrelationSystem, from_instrument
+from qdil.dilation import (
+    MeasuringProcess,
+    faithful_mp,
+    inner_mp_from_kraus,
+    mp_from_correlations,
+    system_of_mp,
+)
+from qdil.instrument import CPInstrument, OutcomeSpace, verify_cp
+from qdil.operator_core import DEFAULT_TOL, Tolerance, dagger
+from qdil.vn_model import DiscreteVNModel, build, fixture_names, load_fixture
+
+TOL = Tolerance(1e-7, 1e-8)
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """``(class name, tol)`` of every system and process ``require_valid``."""
+    calls = []
+    for cls in (CorrelationSystem, MeasuringProcess):
+        def recording(self, tol=DEFAULT_TOL, original=cls.require_valid):
+            calls.append((type(self).__name__, tol))
+            return original(self, tol)
+        monkeypatch.setattr(cls, "require_valid", recording)
+    return calls
+
+
+BUILDERS = {
+    "mp_from_correlations": lambda: mp_from_correlations(
+        from_instrument(load_fixture("luders-z"), tol=TOL), TOL),
+    "system_of_mp": lambda: system_of_mp(
+        inner_mp_from_kraus(load_fixture("luders-z"), TOL), TOL),
+    "inner_mp_from_kraus": lambda: inner_mp_from_kraus(
+        load_fixture("trine-povm"), TOL),
+    "faithful_mp": lambda: faithful_mp(load_fixture("diag-amp-damp"), TOL),
+    "vn_model.build": lambda: build(
+        DiscreteVNModel(np.diag([0.0, 1.0]), 3, coupling=0.7), TOL),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_builders_check_at_the_callers_tolerance(checks, builder):
+    BUILDERS[builder]()
+    assert checks, "the builder checked nothing"
+    assert {tol for _, tol in checks} == {TOL}
+
+
+def test_from_instrument_does_not_recheck_its_system(checks):
+    from_instrument(load_fixture("amp-damp-0.5"), tol=TOL)
+    from_instrument(random_cp_instrument(np.random.default_rng(3), 3, 2, 2),
+                    tol=TOL)
+    assert checks == []
+
+
+def random_diagonal_preserving(rng, dim_h, n_outcomes):
+    """A random instrument on the diagonal algebra, not all-diagonal Kraus.
+
+    Each Kraus operator is a permutation times a diagonal, so ``K* D K``
+    is diagonal for every diagonal ``D``.
+    """
+    ks = [np.eye(dim_h)[rng.permutation(dim_h)]
+          @ np.diag(rng.standard_normal(dim_h)
+                    + 1j * rng.standard_normal(dim_h))
+          for _ in range(2 * n_outcomes)]
+    total = np.diag(sum(dagger(k) @ k for k in ks)).real
+    ks = [k / np.sqrt(total) for k in ks]
+    labels = tuple(str(s) for s in range(n_outcomes))
+    return CPInstrument(dim_h, diagonal_algebra(dim_h), OutcomeSpace(labels),
+                        {s: ks[2 * i:2 * i + 2] for i, s in enumerate(labels)})
+
+
+def sweep_instruments() -> dict[str, CPInstrument]:
+    out = {name: load_fixture(name) for name in fixture_names()}
+    for dim_h in (2, 3, 4):
+        rng = np.random.default_rng(40 + dim_h)
+        out[f"random-full-{dim_h}"] = random_cp_instrument(
+            rng, dim_h, dim_h, kraus_per_outcome=2)
+        out[f"random-diagonal-{dim_h}"] = random_diagonal_preserving(
+            rng, dim_h, dim_h)
+    return out
+
+
+SWEEP = sweep_instruments()
+
+
+@pytest.mark.parametrize("abs_tol", [1e-9, 1e-7, 1e-5])
+@pytest.mark.parametrize("fraction", [0.5, 0.99])
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_an_accepted_instrument_builds_a_valid_system(name, fraction,
+                                                      abs_tol):
+    """Completeness residual at ``fraction`` of verify_cp's bound.
+
+    The system ``from_instrument`` builds is not re-checked; this pins
+    the implication that makes that safe: ``verify_cp`` accepting the
+    instrument at ``tol`` means the system passes ``require_valid(tol)``.
+    """
+    tol = Tolerance(abs_tol, abs_tol * 0.1)
+    inst = scaled_instrument(
+        SWEEP[name], np.sqrt(1 + fraction * tol.bound("strict")))
+    assert verify_cp(inst, tol).ok
+    from_instrument(inst, tol=tol).require_valid(tol)
+
+
+def test_inner_mp_decomposes_the_completeness_defect_once(monkeypatch):
+    inst = load_fixture("trine-povm")
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, original=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    inner_mp_from_kraus(inst, validate=False)
+    assert shapes.count((inst.dim_h, inst.dim_h)) == 1

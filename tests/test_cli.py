@@ -10,6 +10,7 @@ from conftest import (
     hand_built_amp_damp,
     luders_z_schema_mutants,
     random_cp_instrument,
+    scaled_instrument,
 )
 from qdil.cli import main
 from qdil.correlations import from_instrument
@@ -725,3 +726,38 @@ def test_vn_model_malformed_pointer_is_schema_error(tmp_path, capsys):
     assert code == 2
     assert report == {"command": "vn-model", "error": "schema",
                       "detail": "matrix JSON must be a nonempty list of rows"}
+
+
+def write_scaled_amp_damp(tmp_path):
+    """``amp-damp-0.5`` with its Kraus operators ×(1+1e-8).
+
+    Its completeness residual, 2e-8, passes ``verify_cp`` at tol 1e-7.
+    """
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(instrument_to_json(
+        scaled_instrument(load_fixture("amp-damp-0.5"), 1 + 1e-8))))
+    return path
+
+
+@pytest.mark.parametrize("command", ["extend", "dilate"])
+def test_builders_check_at_the_given_tolerance(tmp_path, capsys, command):
+    """The system and process are checked at ``--tol``, not the default.
+
+    At the default tolerance the system's multiplicativity residual,
+    1e-8, would exceed its bound 1e-9·(1 + dimL).
+    """
+    path = write_scaled_amp_damp(tmp_path)
+    code, report = run(capsys, command, "-i", str(path), "--tol", "1e-6",
+                       "-o", str(tmp_path / "out.json"))
+    assert code == 0, report
+
+
+def test_inner_rejects_a_completeness_excess_beyond_psd_slack(tmp_path,
+                                                               capsys):
+    """``1 − I(1,S)`` has eigenvalue −2e-8, below −psd_slack = −1e-8."""
+    path = write_scaled_amp_damp(tmp_path)
+    code, report = run(capsys, "inner", "-i", str(path), "--tol", "1e-7",
+                       "-o", str(tmp_path / "out.json"))
+    assert code == 2
+    assert report["error"] == "invalid-input"
+    assert "negative eigenvalue -2.000e-08 beyond psd_slack" in report["detail"]

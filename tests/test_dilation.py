@@ -36,6 +36,7 @@ from qdil.dilation import (
 from qdil.correlations import CorrelationSystem, PiMap
 from qdil.instrument import OutcomeSpace, apply_dual, luders_instrument
 from qdil.operator_core import (
+    Tolerance,
     dagger,
     is_unitary,
     proj,
@@ -448,3 +449,17 @@ def test_mp_from_correlations_rejects_a_coupling_that_cannot_be_unitary():
         validate=False)
     with pytest.raises(ValueError, match="u is not unitary"):
         mp_from_correlations(scaled)
+
+
+def test_mp_from_correlations_checks_at_the_callers_tolerance():
+    """Π_in scaled by 1+1.5e-7 gives a coupling about 3e-7 from unitary.
+
+    At tol 1e-6 the process bound is tol.abs·100 = 1e-4, so it passes.
+    """
+    good = from_instrument(load_fixture("luders-z"))
+    scaled = CorrelationSystem(
+        good.dim_h, good.algebra, good.outcomes, good.dim_l,
+        PiMap((1 + 1.5e-7) * good.pi_in.tensor), good.pi_atom, good.v,
+        validate=False)
+    tol = Tolerance(1e-6, 1e-7)
+    assert is_unitary(mp_from_correlations(scaled, tol).u, tol)

@@ -162,3 +162,33 @@ def test_kernel_loader_rejects_malformed_fields(key, value):
     data = {**kernel_to_json(k), key: value}
     with pytest.raises(ValueError, match=f"kernel JSON '{key}'"):
         kernel_from_json(data)
+
+
+def test_minimal_decomposition_decomposes_the_gram_matrix_once(monkeypatch):
+    rng = np.random.default_rng(67)
+    k, _ = planted_kernel(rng, ("a", "b", "c"), 2, 3)
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, original=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    minimal_decomposition(k)
+    assert shapes == [(6, 6)]
+
+
+def test_unitary_equivalence_assembles_the_gram_matrix_once(monkeypatch):
+    import qdil.kolmogorov
+
+    rng = np.random.default_rng(68)
+    k, _ = planted_kernel(rng, ("a", "b", "c"), 2, 3)
+    dec = minimal_decomposition(k)
+    calls = []
+
+    def counting(kernel):
+        calls.append(kernel)
+        return gram_matrix(kernel)
+
+    monkeypatch.setattr(qdil.kolmogorov, "gram_matrix", counting)
+    assert not isinstance(unitary_equivalence(dec, dec, k), NotEquivalent)
+    assert len(calls) == 1

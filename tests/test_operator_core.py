@@ -352,7 +352,6 @@ OLD_BOUNDS = {
     "trace": lambda t, n: t.abs * (1 + n) * 10,
     "loose": lambda t, n: t.abs * (1 + n) * 100,
     "psd": lambda t, n: t.psd_slack * (1 + n),
-    "psd_loose": lambda t, n: t.psd_slack * (1 + n) * 100,
     "floor": lambda t, n: max(t.abs, 1e-12),
 }
 UNSCALED = {
@@ -360,7 +359,6 @@ UNSCALED = {
     "trace": lambda t: t.abs * 10,
     "loose": lambda t: t.abs * 100,
     "psd": lambda t: t.psd_slack,
-    "psd_loose": lambda t: t.psd_slack * 100,
     "floor": lambda t: max(t.abs, 1e-12),
 }
 TOLERANCES = [Tolerance(), Tolerance(1e-6, 1e-7), Tolerance(3e-13, 7e-14),
