@@ -208,7 +208,7 @@ def cmd_dilate(args, tol: Tolerance):
         "round_trip_residual": residual,
         "substitutions": {
             "orthocomplement_padding": "none",
-            "completion": ("identity-permutation" if args.seed is None
+            "completion": ("none" if args.seed is None
                            else f"seeded({args.seed})"),
         },
     }, residual <= tol.bound("loose")
@@ -408,8 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command(cmd_dilate, "dilate", "instrument -> measuring process")
     p.add_argument("--seed", type=int, default=None,
-                   help="seed the orthocomplement completion (default: "
-                        "deterministic permutation)")
+                   help="rotate the meter directions orthogonal to the "
+                        "meter state by a seeded unitary (default: none)")
     p = command(cmd_extend, "extend", "instrument -> correlation system")
     p.add_argument("--anchor", default=None,
                    help="atom label carrying the system block")

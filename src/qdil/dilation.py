@@ -20,7 +20,6 @@ import numpy as np
 from .algebra import (
     FiniteVonNeumannAlgebra,
     _json_algebra,
-    _swap_matrix,
     algebra_to_json,
     conditional_expectation,
     contains,
@@ -183,13 +182,6 @@ class MeasuringProcess:
         when sigma is already pure.
         """
         return self._purification(tol)[0]
-
-    def state_vector(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        """The meter state as a vector; requires sigma pure within tol."""
-        pure, eta = self._purification(tol)
-        if eta is None or pure is not self:
-            raise ValueError("sigma is not a vector state")
-        return eta
 
 
 def mp_to_json(mp: MeasuringProcess) -> dict:
@@ -445,12 +437,15 @@ def mp_from_correlations(sys: CorrelationSystem,
 
     Both the input letter map and the summed atom map are unital
     representations of B(H) on the same space, so their multiplicity
-    splits share one multiplicity dimension. The meter is the tensor
-    square of that multiplicity space; the coupling unitary acts as the
-    transported change of splitting on the support of the meter state
-    and as a fixed basis permutation between the (equal-dimensional)
-    orthocomplements. ``completion_seed`` replaces that permutation with
-    a seeded random unitary; any choice yields a 2-equivalent process.
+    splits ``Π_in(X) = u1*(X ⊗ 1)u1`` and ``ΣΠ_s(X) = u2*(X ⊗ 1)u2``
+    share one multiplicity space C^d. In the frame of ``u1`` the system
+    is the process with meter C^d, meter state η₁ (``u1 v ξ = ξ ⊗ η₁`` up
+    to a phase), pointer PVM E₀ (``u2 Π_s(1) u2* = 1 ⊗ E₀(s)``) and
+    coupling ``U = u2 u1*``: ``u1`` carries every letter map and ``v``
+    onto the process's, so the two are completely equivalent.
+    ``completion_seed`` multiplies U by ``1 ⊗ W`` for a seeded unitary W
+    that fixes η₁, which no word can see; when d = 1 there is nothing to
+    rotate and the seed is ignored.
     """
     if not sys.algebra.is_full:
         raise ValueError("construction requires the full matrix algebra")
@@ -462,35 +457,18 @@ def mp_from_correlations(sys: CorrelationSystem,
                          "do not act on a common space")
     e0 = commutant_pvm_lift(sys.atom_units(), u2, dim_h, tol)
     eta1 = intertwiner_vector(u1 @ sys.v, tol)
-    eta2 = basis_vector(d2, 0)
-
-    # Populated block: swap ∘ (U₂U₁* ⊗ |η₁><η₂|) maps H⊗L₁⊗L₂ into the
-    # slice of the final space whose L₁ leg is η₁.
-    swap = np.kron(np.eye(dim_h), _swap_matrix(d2, d1))
-    uq = swap @ np.kron(u2 @ dagger(u1), np.outer(eta1, eta2.conj()))
-
-    # Orthocomplement bases: initial = η₂-orthogonal meter directions,
-    # final = η₁-orthogonal directions of the L₁ leg.
-    q_comp, _ = np.linalg.qr(np.column_stack([eta1, np.eye(d1)]))
-    eta1_perp = q_comp[:, 1:]
-    eye_h = np.eye(dim_h)
-    b_init = np.kron(np.kron(eye_h, np.eye(d1)), np.eye(d2)[:, 1:])
-    b_final = np.kron(np.kron(eye_h, eta1_perp), np.eye(d2))
-    if b_init.shape[1] != b_final.shape[1]:
-        raise ValueError("orthocomplement dimensions disagree")
-    if completion_seed is None:
-        rot = np.eye(b_init.shape[1])
-    else:
-        rng = np.random.default_rng(completion_seed)
-        rot = random_unitary(rng, b_init.shape[1])
-    u = uq + b_final @ rot @ dagger(b_init)
+    u = u2 @ dagger(u1)
+    if completion_seed is not None and d1 > 1:
+        # W = |η₁><η₁| + P R P*, P an orthonormal basis of η₁^⊥.
+        q, _ = np.linalg.qr(np.column_stack([eta1, np.eye(d1)]))
+        perp = q[:, 1:]
+        rot = random_unitary(np.random.default_rng(completion_seed), d1 - 1)
+        w = proj(eta1) + perp @ rot @ dagger(perp)
+        u = u @ np.kron(np.eye(dim_h), w)
 
     # The MeasuringProcess constructor below checks u's unitarity at tol.
-    dim_k = d1 * d2
-    sigma = proj(np.kron(eta1, eta2))
-    e = {s: np.kron(np.eye(d1), e0[s]) for s in sys.outcomes.labels}
-    mp = MeasuringProcess(dim_h, sys.algebra, sys.outcomes, dim_k, sigma, e, u,
-                          validate=tol)
+    mp = MeasuringProcess(dim_h, sys.algebra, sys.outcomes, d1, proj(eta1),
+                          e0, u, validate=tol)
 
     # Spot check: the process reproduces the system's correlation values.
     pure, iso = _purify(mp, tol)
@@ -507,7 +485,8 @@ def mp_from_correlations(sys: CorrelationSystem,
         lhs = _word_value(pure, iso, letters, ms)
         rhs = eval_W(sys, TimeWord(letters), ms, tol, check_membership=False)
         diffs.append(lhs - rhs)
-    _require_within(np.stack(diffs), tol.bound("loose", dim_h * dim_k),
+    # n = dimH·d², as for a d²-dimensional meter: keeps every verdict as is.
+    _require_within(np.stack(diffs), tol.bound("loose", dim_h * d1 * d1),
                     "constructed process fails to reproduce the correlation "
                     "values")
     return mp

@@ -16,9 +16,15 @@ import contextlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+# One BLAS thread, as tests/conftest.py pins, also when run as a
+# script to rewrite the recording: it must be set before NumPy is
+# imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

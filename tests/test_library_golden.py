@@ -18,8 +18,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread, as tests/conftest.py pins, also when run as a
+# script to rewrite the recording: it must be set before NumPy is
+# imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -1,0 +1,108 @@
+"""The process of ``mp_from_correlations`` is the system read in one frame.
+
+With ``Π_in(X) = u1*(X ⊗ 1)u1`` the multiplicity split of the input
+letter map, ``u1`` carries every letter map and the cyclic isometry of a
+full-algebra system onto those of ``system_of_mp`` of its process, whose
+meter is the multiplicity space itself (dimK = dimL/dimH).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from conftest import random_cp_instrument
+from qdil.algebra import full_algebra
+from qdil.correlations import from_instrument
+from qdil.dilation import (
+    MeasuringProcess,
+    mp_from_correlations,
+    multiplicity_split,
+    n_equivalent,
+    system_of_mp,
+)
+from qdil.instrument import OutcomeSpace
+from qdil.operator_core import DEFAULT_TOL, dagger, random_unitary
+from qdil.vn_model import fixture_names, load_fixture
+from test_cli import run, write_fixture
+
+FULL_FIXTURES = [n for n in fixture_names() if load_fixture(n).algebra.is_full]
+
+
+def systems():
+    out = [pytest.param(from_instrument(load_fixture(n)), id=n)
+           for n in FULL_FIXTURES]
+    for seed, dim_h, n_out, kraus in ((1101, 2, 3, 2), (1102, 3, 2, 1)):
+        inst = random_cp_instrument(np.random.default_rng(seed), dim_h, n_out,
+                                    kraus)
+        out.append(pytest.param(from_instrument(inst),
+                                id=f"random-{dim_h}x{n_out}x{kraus}"))
+    return out
+
+
+@pytest.mark.parametrize("sys_c", systems())
+def test_u1_carries_the_system_onto_the_process(sys_c):
+    _, u1 = multiplicity_split(sys_c.pi_in)
+    mp = mp_from_correlations(sys_c)
+    assert mp.dim_k == sys_c.dim_l // sys_c.dim_h
+    back = system_of_mp(mp)
+    assert back.dim_l == sys_c.dim_l
+    bound = DEFAULT_TOL.bound("strict", sys_c.dim_l)
+
+    def carried(tensor):
+        # u1 Π(x) u1* for every matrix unit x, as a stack.
+        images = np.moveaxis(tensor, (2, 3), (0, 1))
+        return u1 @ images @ dagger(u1)
+
+    pairs = [(sys_c.pi_in, back.pi_in)]
+    pairs += [(sys_c.pi_atom[s], back.pi_atom[s])
+              for s in sys_c.outcomes.labels]
+    for pi, pi_back in pairs:
+        got = carried(pi.tensor)
+        want = np.moveaxis(pi_back.tensor, (2, 3), (0, 1))
+        assert np.linalg.norm(got - want, 2, axis=(-2, -1)).max() <= bound
+
+    # v is carried up to the phase intertwiner_vector removes.
+    uv = u1 @ sys_c.v
+    phase = np.vdot(back.v, uv) / sys_c.dim_h
+    assert abs(abs(phase) - 1) <= bound
+    assert np.linalg.norm(uv - phase * back.v, 2) <= bound
+
+
+@pytest.mark.parametrize("sys_c", systems())
+def test_seeded_twin_is_four_equivalent(sys_c):
+    mp = mp_from_correlations(sys_c)
+    twin = mp_from_correlations(sys_c, completion_seed=5)
+    assert mp.dim_k == twin.dim_k >= 2
+    assert np.linalg.norm(mp.u - twin.u, 2) > 1e-6
+    rep = n_equivalent(mp, twin, 4)
+    assert rep.equivalent, rep.order_residuals
+
+
+@pytest.mark.parametrize("name", FULL_FIXTURES)
+def test_dilate_meter_is_the_multiplicity_space(tmp_path, capsys, name):
+    inst = write_fixture(tmp_path, name)
+    code, report = run(capsys, "dilate", "-i", str(inst))
+    assert code == 0
+    dims = report["dims"]
+    assert dims["dimK"] * dims["dimH"] == dims["dimL"]
+    assert report["substitutions"]["completion"] == "none"
+
+
+def test_multiplicity_one_ignores_the_seed():
+    """A dimK = 1 process gives a system with d = 1, which has no meter
+    direction orthogonal to the meter state: with or without a seed the
+    result is the unseeded process, completely equivalent to the input.
+    """
+    u = random_unitary(np.random.default_rng(1103), 2)
+    outcomes = OutcomeSpace(("a", "b"))
+    hand = MeasuringProcess(2, full_algebra(2), outcomes, 1, np.eye(1),
+                            {"a": np.eye(1), "b": np.zeros((1, 1))}, u)
+    sys_c = system_of_mp(hand)
+    mp = mp_from_correlations(sys_c)
+    seeded = mp_from_correlations(sys_c, completion_seed=3)
+    assert mp.dim_k == seeded.dim_k == 1
+    for a, b in [(mp.u, seeded.u), (mp.sigma, seeded.sigma),
+                 *((mp.e[s], seeded.e[s]) for s in outcomes.labels)]:
+        assert np.array_equal(a, b)
+    assert n_equivalent(mp, hand, 4).equivalent
