@@ -3,8 +3,9 @@
 A system is stored as a representation triplet: a space ``C^dimL``, one
 operator-valued map per letter (the input letter ``"in"`` plus one per
 outcome atom), and an isometry ``v: C^dimH → C^dimL``. Correlation
-values are compressions ``W_T(M⃗) = v* Π_{t1}(M_1)···Π_{tk}(M_k) v``;
-event letters evaluate through the sums of their atoms' maps.
+values are compressions ``W_T(M⃗) = v* Π_{t1}(M_1)···Π_{tk}(M_k) v``,
+which :func:`eval_W`, the package's one word evaluator, pushes ``v``
+through; event letters evaluate through the sums of their atoms' maps.
 
 Two constructions are provided: `from_instrument` builds the block
 system of a CP instrument (through its minimal instrument
@@ -103,33 +104,69 @@ def _reverse_slots(ms) -> list[np.ndarray]:
     return [dagger(m) for m in reversed(list(ms))]
 
 
-@dataclass(frozen=True)
 class PiMap:
-    """A linear operator-valued map ``M ↦ Π(M)`` stored as a 4-tensor.
+    """A linear operator-valued map ``X ↦ Π(X)``, stored as it was built.
 
-    ``tensor[a, b, i, j]`` is ``Π(e_ij)[a, b]``, so application is a
-    single contraction and linearity is structural.
+    ``PiMap(tensor)`` holds the 4-tensor ``tensor[a, b, i, j]`` =
+    ``Π(e_ij)[a, b]``. :meth:`factored` holds ``(left, right, k)`` with
+    ``Π(X) = left (X ⊗ 1_k) right``; such a map works on its factors and
+    forms :attr:`tensor` only when something reads it.
     """
 
-    tensor: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.tensor, dtype=complex)
+    def __init__(self, tensor) -> None:
+        t = np.asarray(tensor, dtype=complex)
         if t.ndim != 4 or t.shape[0] != t.shape[1] or t.shape[2] != t.shape[3]:
             raise ValueError(f"bad PiMap tensor shape {t.shape}")
-        object.__setattr__(self, "tensor", t)
+        self._tensor, self.factors = t, None
+        self.dim_out, self.dim_in = t.shape[0], t.shape[2]
+
+    @classmethod
+    def factored(cls, left, right, dim_k: int) -> "PiMap":
+        """The map ``X ↦ left (X ⊗ 1_k) right``, the ``X`` leg first."""
+        pm = cls.__new__(cls)
+        left = np.asarray(left, dtype=complex)
+        pm._tensor = None
+        pm.factors = (left, np.asarray(right, dtype=complex), dim_k)
+        pm.dim_out, pm.dim_in = len(left), left.shape[1] // dim_k
+        return pm
 
     @property
-    def dim_out(self) -> int:
-        return self.tensor.shape[0]
+    def tensor(self) -> np.ndarray:
+        if self._tensor is None:
+            self._tensor = _transport(*self.factors)
+        return self._tensor
 
-    @property
-    def dim_in(self) -> int:
-        return self.tensor.shape[2]
+    def _lift(self, m: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``(m ⊗ 1_k) y``; a stack of operators gives a stack."""
+        z = m @ y.reshape(self.dim_in, -1)
+        return z.reshape(*m.shape[:-2], -1, *y.shape[1:])
 
     def apply(self, m) -> np.ndarray:
-        return np.einsum("abij,ij->ab", self.tensor,
-                         np.asarray(m, dtype=complex))
+        """``Π(m)``, or the stack of images of a stack of operators."""
+        m = np.asarray(m, dtype=complex)
+        if self.factors is not None:
+            left, right, _ = self.factors
+            return left @ self._lift(m, right)
+        if m.ndim == 2:
+            return np.einsum("abij,ij->ab", self._tensor, m)
+        flat = self._tensor.reshape(self.dim_out ** 2, -1)
+        return (m.reshape(len(m), -1) @ flat.T).reshape(
+            -1, self.dim_out, self.dim_out)
+
+    def push(self, m, states: np.ndarray) -> np.ndarray:
+        """``Π(m) states``; a factored map never forms ``Π(m)``."""
+        if self.factors is None:
+            return self.apply(m) @ states
+        left, right, _ = self.factors
+        return left @ self._lift(np.asarray(m, dtype=complex), right @ states)
+
+    def compressed(self, v: np.ndarray) -> "PiMap":
+        """The map ``X ↦ v* Π(X) v``, stored in the form of this one."""
+        if self.factors is None:
+            return PiMap(np.einsum("xa,xyij,yb->abij", v.conj(), self._tensor,
+                                   v, optimize=True))
+        left, right, k = self.factors
+        return PiMap.factored(dagger(v) @ left, right @ v, k)
 
     @classmethod
     def from_function(cls, fn, dim_in: int, dim_out: int) -> "PiMap":
@@ -200,29 +237,24 @@ class CorrelationSystem:
         Checks each letter map is *-preserving and multiplicative on a
         basis of the algebra, that ``Π_in`` is unital with the atoms'
         units forming a PVM, and that ``v`` is an intertwining isometry.
-        Each letter map is applied to the whole basis stack with one
-        matrix product; products of basis pairs are formed one basis row
-        at a time, so memory stays linear in the basis size.
+        Each letter map is applied to the whole basis stack at once;
+        products of basis pairs are formed one basis row at a time, so
+        memory stays linear in the basis size.
         """
         tol_scale = tol.bound("strict", self.dim_l)
         basis = np.stack(self.algebra.basis())
         n, dim_l = len(basis), self.dim_l
 
-        def apply_all(pm: PiMap, ms: np.ndarray) -> np.ndarray:
-            flat = pm.tensor.reshape(dim_l * dim_l, -1)
-            return (ms.reshape(len(ms), -1) @ flat.T).reshape(-1, dim_l,
-                                                              dim_l)
-
         def adjoints(ms: np.ndarray) -> np.ndarray:
             return ms.conj().transpose(0, 2, 1)
 
         for name, pm in [(IN, self.pi_in)] + sorted(self.pi_atom.items()):
-            images = apply_all(pm, basis)
-            _require_within(apply_all(pm, adjoints(basis)) - adjoints(images),
+            images = pm.apply(basis)
+            _require_within(pm.apply(adjoints(basis)) - adjoints(images),
                             tol_scale, f"Π_{name} is not *-preserving")
             for i in range(n):
                 _require_within(images[i] @ images
-                                - apply_all(pm, basis[i] @ basis), tol_scale,
+                                - pm.apply(basis[i] @ basis), tol_scale,
                                 f"Π_{name} is not multiplicative on the "
                                 "algebra")
         _require_within(self.pi_in.apply(np.eye(self.dim_h)) - np.eye(dim_l),
@@ -231,7 +263,7 @@ class CorrelationSystem:
                         "atom units are not a PVM")
         _require_within(_isometry_defects(self.v), tol_scale,
                         "v is not an isometry")
-        _require_within(apply_all(self.pi_in, basis) @ self.v
+        _require_within(self.pi_in.apply(basis) @ self.v
                         - self.v @ basis, tol_scale,
                         "v does not intertwine Π_in")
 
@@ -240,7 +272,7 @@ def _push(sys: CorrelationSystem, letters, ms, state: np.ndarray
           ) -> np.ndarray:
     """``Π_{t1}(M_1)···Π_{tk}(M_k) state``, the last letter applied first."""
     for letter, m in zip(reversed(letters), reversed(ms)):
-        state = sys.letter_map(letter).apply(m) @ state
+        state = sys.letter_map(letter).push(m, state)
     return state
 
 
@@ -421,9 +453,7 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
 def induced_instrument(sys: CorrelationSystem, tol: Tolerance = DEFAULT_TOL
                        ) -> CPInstrument:
     """The instrument ``I(M, {s}) = W_{(s)}(M)`` with extracted Kraus data."""
-    v = sys.v
-    duals = {s: np.einsum("xa,xyij,yb->abij", v.conj(), sys.pi_atom[s].tensor,
-                          v, optimize=True)
+    duals = {s: sys.pi_atom[s].compressed(sys.v).tensor
              for s in sys.outcomes.labels}
     return instrument_from_duals(sys.dim_h, sys.algebra, sys.outcomes, duals,
                                  tol)
@@ -439,7 +469,9 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
     projections ``E({s}) = diag(δ_{s,anchor}·1, E₀({s}))``, the block
     unitary ``U = [[0, -V₀*], [V₀, 1-V₀V₀*]]``, letter maps
     ``Π_s(M) = U* Π_in(M) E({s}) U``, and the inclusion of ``H`` as the
-    first summand for ``v``. Its induced instrument is the input again.
+    first summand for ``v``. The maps are stored by factors ``(p, p*, k)``
+    and ``(U*p, p* E({s}) U, k)``, p the permutation of ``diag(M, π₀(M))``.
+    Its induced instrument is the input again.
     ``validate`` is passed on to :func:`instrument_representation`. The
     system is not re-checked: its invariants follow from the instrument's
     completeness and the representation that function checks.
@@ -460,27 +492,24 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
     u[dim_h:, :dim_h] = v0
     u[dim_h:, dim_h:] = q
 
-    pi_in_t = np.zeros((dim_l, dim_l, dim_h, dim_h), dtype=complex)
-    pi_in_t[:dim_h, :dim_h] = _transport(np.eye(dim_h), np.eye(dim_h), 1)
-    pi_in_t[dim_h:, dim_h:] = rep.pi0.tensor
+    # Meter index 0 feeds the H summand, the others feed π₀.
+    pi0_left, _, k0 = rep.pi0.factors
+    sel = np.eye(1 + k0)
+    p = np.vstack([np.kron(np.eye(dim_h), sel[:1]),
+                   pi0_left @ np.kron(np.eye(dim_h), sel[1:])])
 
-    events = {}
+    udp = dagger(u) @ p
+    pi_atom = {}
     for s in inst.outcomes.labels:
         e = np.zeros((dim_l, dim_l), dtype=complex)
         if s == anchor:
             e[:dim_h, :dim_h] = np.eye(dim_h)
         e[dim_h:, dim_h:] = rep.e0[s]
-        events[s] = e
-
-    pi_atom = {}
-    for s in inst.outcomes.labels:
-        t = np.einsum("xa,xyij,yk,kb->abij", u.conj(), pi_in_t, events[s], u,
-                      optimize=True)
-        pi_atom[s] = PiMap(t)
+        pi_atom[s] = PiMap.factored(udp, dagger(p) @ e @ u, 1 + k0)
 
     return CorrelationSystem(dim_h, inst.algebra, inst.outcomes, dim_l,
-                             PiMap(pi_in_t), pi_atom, np.eye(dim_l, dim_h),
-                             validate=False)
+                             PiMap.factored(p, dagger(p), 1 + k0), pi_atom,
+                             np.eye(dim_l, dim_h), validate=False)
 
 
 class _SystemTable:
@@ -679,11 +708,14 @@ def system_from_json(data, validate: bool = True) -> CorrelationSystem:
 
     pi_atoms = _json_object(data["pi_atoms"],
                             "correlation-system JSON 'pi_atoms'")
+    depth = data.get("certified_depth")
+    if depth is not None:
+        _json_dim(depth, "correlation-system JSON 'certified_depth'")
     return CorrelationSystem(
         dim_h, _json_algebra(data, dim_h), outcomes, dim_l,
         map_from("pi_in", data["pi_in"]),
         {s: map_from(f"pi_atoms[{s!r}]", js) for s, js in pi_atoms.items()},
         matrix_from_json(data["v"]),
         validate=validate,
-        certified_depth=data.get("certified_depth"),
+        certified_depth=depth,
     )

@@ -6,13 +6,16 @@ instrument. This module builds them three ways: from a correlation
 system (multiplicity splitting plus a block unitary), from Kraus
 operators inside the algebra (an inner process on a small meter), and
 through the conditional expectation when the Kraus operators live
-outside the algebra (a faithful process). It also provides the reverse
-direction (induced instruments, correlation values) and n-equivalence
-checking.
+outside the algebra (a faithful process). The reverse direction reads a
+process through its correlation system (:func:`system_of_mp`), whose
+letter maps ``Π_in(X) = X ⊗ 1`` and ``Π_s(X) = U*(X ⊗ E_s)U`` are
+stored by their factors: induced instruments, correlation values and
+n-equivalence all evaluate words through those maps.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +36,7 @@ from .correlations import (
     TimeWord,
     _transport,
     eval_W,
+    induced_instrument,
 )
 from .instrument import (
     CPInstrument,
@@ -262,8 +266,7 @@ class InstrumentRepresentation:
         scale = tol.bound("strict", self.dim_k)
         units = np.eye(self.dim_h ** 2).reshape(-1, self.dim_h, self.dim_h)
         # π₀ of every matrix unit, in the order of ``units``.
-        images = np.moveaxis(self.pi0.tensor.reshape(
-            self.dim_k, self.dim_k, -1), 2, 0)
+        images = self.pi0.apply(units)
         for s, e in self.e0.items():
             _require_within(images @ e - e @ images, scale,
                             f"π₀ does not commute with E₀({s!r})")
@@ -289,7 +292,9 @@ def instrument_representation(inst: CPInstrument,
                               ) -> InstrumentRepresentation:
     """Direct sum of per-atom minimal Stinespring dilations.
 
-    Zero-probability atoms contribute empty blocks. The input, unless
+    Zero-probability atoms contribute empty blocks. π₀ is stored by its
+    factors ``π₀(X) = q (X ⊗ 1) q*``, q the permutation that sends each
+    atom's meter indices to its block. The input, unless
     ``validate=False``, and the result's invariants are verified.
     """
     if validate:
@@ -301,7 +306,8 @@ def instrument_representation(inst: CPInstrument,
     ranks = {s: parts[s].rank for s in inst.outcomes.labels}
     dim_k = dim_h * sum(ranks.values())
 
-    tensor = np.zeros((dim_k, dim_k, dim_h, dim_h), dtype=complex)
+    meter = np.eye(dim_k // dim_h)
+    q = []
     e0 = {}
     v = np.zeros((dim_k, dim_h), dtype=complex)
     offset = 0
@@ -309,14 +315,17 @@ def instrument_representation(inst: CPInstrument,
         part = parts[s]
         size = part.dim_k
         sl = slice(offset, offset + size)
-        if size:
-            tensor[sl, sl] = _transport(np.eye(size), np.eye(size), part.rank)
-            v[sl, :] = part.v
+        # This atom's block is X ⊗ 1 on its own meter indices.
+        first = offset // dim_h
+        q.append(np.kron(np.eye(dim_h), meter[first:first + part.rank]))
+        v[sl, :] = part.v
         p = np.zeros((dim_k, dim_k), dtype=complex)
         p[sl, sl] = np.eye(size)
         e0[s] = p
         offset += size
-    rep = InstrumentRepresentation(dim_h, dim_k, PiMap(tensor), e0, v, ranks)
+    q = np.vstack(q)
+    rep = InstrumentRepresentation(dim_h, dim_k, PiMap.factored(
+        q, dagger(q), len(meter)), e0, v, ranks)
     rep.require_valid(inst, tol)
     return rep
 
@@ -471,7 +480,7 @@ def mp_from_correlations(sys: CorrelationSystem,
                           e0, u, validate=tol)
 
     # Spot check: the process reproduces the system's correlation values.
-    pure, iso = _purify(mp, tol)
+    back = _system_of(mp, tol)
     rng = np.random.default_rng(7)
     diffs = []
     labels = list(sys.outcomes.labels)
@@ -482,9 +491,8 @@ def mp_from_correlations(sys: CorrelationSystem,
             for _ in range(length))
         ms = [np.eye(dim_h) + 0.3 * np.diag(rng.standard_normal(dim_h))
               for _ in range(length)]
-        lhs = _word_value(pure, iso, letters, ms)
-        rhs = eval_W(sys, TimeWord(letters), ms, tol, check_membership=False)
-        diffs.append(lhs - rhs)
+        diffs.append(eval_W(back, letters, ms, tol, check_membership=False)
+                     - eval_W(sys, letters, ms, tol, check_membership=False))
     # n = dimH·d², as for a d²-dimensional meter: keeps every verdict as is.
     _require_within(np.stack(diffs), tol.bound("loose", dim_h * d1 * d1),
                     "constructed process fails to reproduce the correlation "
@@ -493,95 +501,56 @@ def mp_from_correlations(sys: CorrelationSystem,
 
 
 # ---------------------------------------------------------------------------
-# Measuring process -> instrument / correlation data
+# Measuring process -> correlation system, instrument and values
 
 
-def _purify(mp: MeasuringProcess, tol: Tolerance
-            ) -> tuple[MeasuringProcess, np.ndarray]:
-    """The purified process and its cyclic isometry ``ξ ↦ ξ ⊗ η``."""
+def _system_of(mp: MeasuringProcess, tol: Tolerance) -> CorrelationSystem:
+    """:func:`system_of_mp`, unchecked."""
     pure, eta = mp._purification(tol)
     if eta is None:
         raise ValueError("sigma is not a vector state")
-    return pure, np.kron(np.eye(pure.dim_h), eta.reshape(-1, 1))
-
-
-def _step(pure: MeasuringProcess, letter, m: np.ndarray, state: np.ndarray
-          ) -> np.ndarray:
-    """Apply one letter map of a purified process to columns in ``H ⊗ K``.
-
-    The input letter acts as ``m ⊗ 1``; an outcome letter (atom or
-    event) acts as ``U*(m ⊗ E)U``.
-    """
     dim_h, dim_k = pure.dim_h, pure.dim_k
-    if letter == IN:
-        s3 = state.reshape(dim_h, dim_k, -1)
-        return np.einsum("ij,jkb->ikb", m, s3).reshape(state.shape)
-    e = pure.e[letter] if letter in pure.e else pure.pointer(letter)
-    t3 = (pure.u @ state).reshape(dim_h, dim_k, -1)
-    t2 = np.einsum("ij,kl,jlb->ikb", m, e, t3, optimize=True)
-    # U* t2 without forming U*: conj(Uᵀ conj(t2)).
-    return (pure.u.T @ t2.reshape(state.shape).conj()).conj()
+    dim_l = dim_h * dim_k
+    eye_l, u, u_star = np.eye(dim_l), pure.u, dagger(pure.u)
+    pi_atom = {s: PiMap.factored(
+        u_star, (pure.e[s] @ u.reshape(dim_h, dim_k, -1)).reshape(
+            dim_l, dim_l), dim_k)
+        for s in mp.outcomes.labels}
+    return CorrelationSystem(
+        mp.dim_h, mp.algebra, mp.outcomes, dim_l,
+        PiMap.factored(eye_l, eye_l, dim_k), pi_atom,
+        np.kron(np.eye(dim_h), eta.reshape(-1, 1)), validate=False)
+
+
+def system_of_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
+                 ) -> CorrelationSystem:
+    """The correlation system carried by a measuring process, checked.
+
+    The meter state is purified (see :meth:`MeasuringProcess.purified`),
+    so the space is ``H ⊗ K_pure`` and ``v ξ = ξ ⊗ η``. The letter maps
+    ``Π_in(X) = X ⊗ 1`` and ``Π_s(X) = U*(X ⊗ 1)·(1 ⊗ E_s)U`` are stored
+    by these factors. The functions below read a process through the
+    same system, unchecked.
+    """
+    return dataclasses.replace(_system_of(mp, tol), validate=tol)
 
 
 def induced_instrument_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
                           ) -> CPInstrument:
     """Extract the CP instrument ``M, Δ ↦ (id ⊗ σ)[U*(M ⊗ E(Δ))U]``.
 
-    The meter state is purified first, so each atom's Heisenberg map is
-    a single compression; Kraus families come from the Choi
-    factorization of each map. Raises when a compressed value leaves the
-    algebra (closure violation).
+    This is :func:`induced_instrument` of the process's system: each
+    atom's Heisenberg map is the compression of its letter map by the
+    cyclic isometry. Raises when a compressed value leaves the algebra
+    (closure violation).
     """
-    pure, iso = _purify(mp, tol)
-    c = (pure.u @ iso).reshape(pure.dim_h, pure.dim_k, pure.dim_h)
-    duals = {s: np.einsum("ika,kl,jlb->abij", c.conj(), pure.e[s], c,
-                          optimize=True)
-             for s in mp.outcomes.labels}
-    return instrument_from_duals(mp.dim_h, mp.algebra, mp.outcomes, duals,
-                                 tol)
+    return induced_instrument(_system_of(mp, tol), tol)
 
 
 def correlations_of_mp(mp: MeasuringProcess, t: TimeWord, ms,
                        tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Correlation value of a word, evaluated on the purified process.
-
-    The letter maps (see :func:`_step`) push the cyclic isometry
-    ``ξ ↦ ξ ⊗ η`` right to left, and its adjoint compresses the result.
-    """
-    letters = t.letters if isinstance(t, TimeWord) else TimeWord(t).letters
-    ms = list(ms)
-    if len(ms) != len(letters):
-        raise ValueError(f"{len(letters)} letters but {len(ms)} operators")
-    return _word_value(*_purify(mp, tol), letters, ms)
-
-
-def _word_value(pure: MeasuringProcess, iso: np.ndarray, letters, ms
-                ) -> np.ndarray:
-    """``iso* X_1···X_k iso`` for the letter maps :func:`_step` of ``pure``."""
-    state = iso
-    for letter, m in zip(reversed(letters), reversed(ms)):
-        state = _step(pure, letter, np.asarray(m, dtype=complex), state)
-    return dagger(iso) @ state
-
-
-def system_of_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
-                 ) -> CorrelationSystem:
-    """The correlation system carried by a measuring process.
-
-    Uses the purified meter, so the representation space is
-    ``H ⊗ K_pure`` and the cyclic isometry is ``ξ ↦ ξ ⊗ η``.
-    """
-    pure, v = _purify(mp, tol)
-    dim_l = pure.dim_h * pure.dim_k
-    eye_h, eye_l = np.eye(pure.dim_h), np.eye(dim_l)
-    pi_in = PiMap(_transport(eye_l, eye_l, pure.dim_k))
-    # u*(x ⊗ E_s)u = u*(x ⊗ 1) · (1 ⊗ E_s)u.
-    pi_atom = {s: PiMap(_transport(dagger(pure.u),
-                                   np.kron(eye_h, pure.e[s]) @ pure.u,
-                                   pure.dim_k))
-               for s in mp.outcomes.labels}
-    return CorrelationSystem(mp.dim_h, mp.algebra, mp.outcomes, dim_l,
-                             pi_in, pi_atom, v, validate=tol)
+    """Correlation value of a word: :func:`eval_W` on the process's system."""
+    return eval_W(_system_of(mp, tol), t, ms, tol, check_membership=False)
 
 
 # ---------------------------------------------------------------------------
@@ -615,49 +584,45 @@ def _gram_blocks(mp: MeasuringProcess, ops: np.ndarray, n: int,
                  tol: Tolerance):
     """Values of every word of length ≤ n, split as prefix · suffix.
 
-    A word ``X_1···X_ℓ`` has the value
-    ``⟨(X_1···X_a)* c, (X_{a+1}···X_ℓ) c⟩`` with ``c`` the cyclic
-    isometry ``ξ ↦ ξ ⊗ η``. The prefix states
-    ``(X_1···X_a)* c`` for a ≤ ⌊n/2⌋ are stacked into ``L`` (ordered by
-    length); ``X(t, m)* = X(t, m*)`` since every pointer projection is
-    Hermitian. Suffix words of length ≤ ⌈n/2⌉ are walked depth first,
-    and each node yields ``(b, blocks)``: ``b`` the length of its
-    children's suffixes and ``blocks[a][w, p]`` the dimH×dimH value of
-    the p-th prefix of length a followed by child w. A child's values
-    are ``L*(m ⊗ 1)s`` or ``(UL)*(m ⊗ E_t)(Us)`` for the parent state s,
-    so leaf states are never formed; the root first yields its own
-    values with ``b = 0``. Letters run over the input and the atoms,
-    operators over ``ops``.
+    The words are read through the letter maps of the process's system
+    (see :func:`system_of_mp`), ``Π_t(X) = left_t (X ⊗ 1) right_t``. A
+    word ``X_1···X_ℓ`` has the value ``⟨(X_1···X_a)* v, (X_{a+1}···X_ℓ) v⟩``
+    with ``v`` the cyclic isometry. The prefix states ``(X_1···X_a)* v``
+    for a ≤ ⌊n/2⌋ are stacked into ``P`` (ordered by length);
+    ``Π_t(m)* = Π_t(m*)`` since every pointer projection is Hermitian.
+    Suffix words of length ≤ ⌈n/2⌉ are walked depth first, and each node
+    yields ``(b, blocks)``: ``b`` the length of its children's suffixes
+    and ``blocks[a][w, p]`` the dimH×dimH value of the p-th prefix of
+    length a followed by child w. A child's values are
+    ``(left_t* P)* (m ⊗ 1)(right_t s)`` for the parent state s, so leaf
+    states are never formed; the root first yields its own values with
+    ``b = 0``. Letters run over the input and the atoms, operators over
+    ``ops``.
     """
-    pure, c = _purify(mp, tol)
-    dim_h, dim_k = pure.dim_h, pure.dim_k
-    dim = dim_h * dim_k
+    sys = _system_of(mp, tol)
+    maps = [sys.pi_in] + [sys.pi_atom[s] for s in mp.outcomes.labels]
+    dim_h, dim, dim_k = sys.dim_h, sys.dim_l, sys.pi_in.factors[2]
     half = n // 2
-    u = pure.u
-    e = np.stack([pure.e[s] for s in mp.outcomes.labels])
+    v = sys.v
 
     def children(ms, states):
-        # Every letter map with every operator of ms, input letter first;
-        # the atoms share one U·states and one U* multiply.
-        cols = states.shape[1]
-        s3 = states.reshape(dim_h, dim_k, cols)
-        inp = np.einsum("mij,jkb->ikmb", ms, s3).reshape(dim, -1)
-        y = (u @ states).reshape(dim_h, dim_k, cols)
-        z = np.einsum("mij,tkl,jlb->iktmb", ms, e, y, optimize=True)
-        atoms = (u.T @ z.reshape(dim, -1).conj()).conj()
-        return np.concatenate([inp, atoms], axis=1)
+        # Every letter map with every operator of ms, input letter first:
+        # columns ordered (letter, operator, column of states).
+        kids = np.stack([pm.push(ms, states) for pm in maps])
+        return np.moveaxis(kids, 2, 0).reshape(dim, -1)
 
-    level, levels = c, [c]
+    level, levels = v, [v]
     for _ in range(half):
         level = children(ops.conj().transpose(0, 2, 1), level)
         levels.append(level)
     lstack = np.concatenate(levels, axis=1)
     splits = np.cumsum([lv.shape[1] // dim_h for lv in levels])[:-1]
-    # Conjugated prefix states before and after U, rows (i, column of L)
-    # against the meter index k.
-    frames = [f.conj().reshape(dim_h, dim_k, -1).transpose(0, 2, 1)
-              .reshape(-1, dim_k) for f in (lstack, u @ lstack)]
     width = lstack.shape[1]
+    # Each letter's conjugated prefix frame left_t* P, rows (i, column of
+    # P) against the meter index k.
+    frames = np.stack([
+        (pm.factors[0].T @ lstack.conj()).reshape(dim_h, dim_k, width)
+        .transpose(0, 2, 1).reshape(-1, dim_k) for pm in maps])
 
     def block(vals, cols):
         # (children, prefixes·dimH, cols) -> per prefix length
@@ -666,18 +631,15 @@ def _gram_blocks(mp: MeasuringProcess, ops: np.ndarray, n: int,
                         axis=1)
 
     def child_blocks(s):
-        # ⟨f_i, (m ⊗ E) w_j⟩ = Σ_k conj(f[i, k]) (E w)[j, k] m[i, j]: one
+        # ⟨f_i, (m ⊗ 1) w_j⟩ = Σ_k conj(f[i, k]) w[j, k] m[i, j]: one
         # product over the meter leg, then the operators over (i, j).
         cols = s.shape[1]
-        ws = (s.reshape(1, dim_h, dim_k, cols),
-              e[:, None] @ (u @ s).reshape(dim_h, dim_k, cols))
-        vals = []
-        for f, w in zip(frames, ws):
-            g = f @ w.transpose(2, 0, 1, 3).reshape(dim_k, -1)
-            g = g.reshape(dim_h, width, len(w), dim_h, cols)
-            vals.append(np.einsum("mij,iqtjb->tmqb", ops, g, optimize=True)
-                        .reshape(-1, width, cols))
-        return block(np.concatenate(vals), cols)
+        ws = np.stack([pm.factors[1] @ s for pm in maps]).reshape(
+            len(maps), dim_h, dim_k, cols).transpose(0, 2, 1, 3)
+        g = (frames @ ws.reshape(len(maps), dim_k, -1)).reshape(
+            len(maps), dim_h, width, dim_h, cols)
+        vals = np.einsum("mij,tiqjb->tmqb", ops, g, optimize=True)
+        return block(vals.reshape(-1, width, cols), cols)
 
     def walk(s, depth):
         yield depth + 1, child_blocks(s)
@@ -686,8 +648,8 @@ def _gram_blocks(mp: MeasuringProcess, ops: np.ndarray, n: int,
             for k in range(kids.shape[1]):
                 yield from walk(kids[:, k], depth + 1)
 
-    yield 0, block((lstack.conj().T @ c)[None], dim_h)
-    yield from walk(c, 0)
+    yield 0, block((lstack.conj().T @ v)[None], dim_h)
+    yield from walk(v, 0)
 
 
 def n_equivalent(mp1: MeasuringProcess, mp2: MeasuringProcess, n: int,

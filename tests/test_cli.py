@@ -438,9 +438,13 @@ def test_equiv_loader_rejects_bad_shape_fields(tmp_path, capsys, key, value):
     assert f"'{key}'" in report["detail"]
 
 
+# Values the correlation-system schema forbids for 'certified_depth'.
+BAD_CERTIFIED_DEPTHS = ["abc", 0, -3, 2.5, True, [1]]
+
+
 @pytest.mark.parametrize("key,value", [
     ("outcomes", "01"), ("dimH", 2.7), ("dimH", True), ("dimL", 6.0),
-    ("dimL", None)])
+    ("dimL", None)] + [("certified_depth", d) for d in BAD_CERTIFIED_DEPTHS])
 def test_verify_mc_loader_rejects_bad_shape_fields(tmp_path, capsys, key,
                                                    value):
     sys_path = extended_system(tmp_path, capsys)
@@ -451,6 +455,20 @@ def test_verify_mc_loader_rejects_bad_shape_fields(tmp_path, capsys, key,
     assert code == 2
     assert report["error"] == "schema"
     assert f"'{key}'" in report["detail"]
+
+
+@pytest.mark.parametrize("depth", [None, "missing", 2])
+def test_verify_mc_loader_accepts_certified_depth(tmp_path, capsys, depth):
+    sys_path = extended_system(tmp_path, capsys)
+    data = json.loads(sys_path.read_text())
+    if depth == "missing":
+        del data["certified_depth"]
+    else:
+        data["certified_depth"] = depth
+    sys_path.write_text(json.dumps(data))
+    code, report = run(capsys, "verify-mc", "-i", str(sys_path))
+    assert code == 0
+    assert report["all_pass"] is True
 
 
 def write_tilted_diag_luders(tmp_path, angle=1e-8):

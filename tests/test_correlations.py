@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qdil.correlations
 from conftest import random_cp_instrument
 from qdil.algebra import diagonal_algebra, full_algebra
 from qdil.correlations import (
@@ -19,8 +20,10 @@ from qdil.correlations import (
     table_from_system,
     verify_axioms,
 )
+from qdil.dilation import faithful_mp, system_of_mp
 from qdil.instrument import apply_dual, luders_instrument
 from qdil.operator_core import dagger, is_pvm, spectral_norm
+from qdil.vn_model import fixture_names, load_fixture
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -55,6 +58,46 @@ def test_pimap_apply_is_linear_slotwise():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     assert np.allclose(pm.apply(a + 2j * b), (a + 2j * b).T)
+
+
+# (what the system is built from, the builder whose letter maps are factored)
+FACTORED_BUILDERS = {
+    "from_instrument": (lambda inst: inst, from_instrument),
+    "system_of_mp": (faithful_mp, system_of_mp),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(FACTORED_BUILDERS))
+@pytest.mark.parametrize("name", fixture_names())
+def test_factored_letter_maps_read_like_their_tensor(monkeypatch, name,
+                                                     builder):
+    """Built by factors, read through them; the tensor is formed once read."""
+    source, build = FACTORED_BUILDERS[builder]
+    arg = source(load_fixture(name))
+    transport, formed = qdil.correlations._transport, []
+
+    def counted(*factors):
+        formed.append(factors)
+        return transport(*factors)
+
+    monkeypatch.setattr(qdil.correlations, "_transport", counted)
+    sys_c = build(arg)
+    maps = [sys_c.pi_in, *sys_c.pi_atom.values()]
+    rng = np.random.default_rng(71)
+    xs = (rng.standard_normal((3, sys_c.dim_h, sys_c.dim_h))
+          + 1j * rng.standard_normal((3, sys_c.dim_h, sys_c.dim_h)))
+    images = [(pm.apply(xs[0]), pm.apply(xs)) for pm in maps]
+    assert formed == []
+    for n, (pm, (one, stack)) in enumerate(zip(maps, images), start=1):
+        tensor = pm.tensor
+        assert len(formed) == n
+        assert np.array_equal(tensor, transport(*pm.factors))
+        assert np.allclose(one, np.einsum("abij,ij->ab", tensor, xs[0]),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(stack, np.einsum("abij,nij->nab", tensor, xs),
+                           rtol=0, atol=1e-12)
+    assert all(pm.tensor is pm.tensor for pm in maps)
+    assert len(formed) == len(maps)
 
 
 def test_from_instrument_word_values_reproduce_instrument():

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import hand_built_amp_damp, random_cp_instrument
+from conftest import hand_built_amp_damp, random_cp_instrument, random_state
 from qdil.algebra import (
     FiniteVonNeumannAlgebra,
     contains,
@@ -37,6 +37,7 @@ from qdil.correlations import CorrelationSystem, PiMap
 from qdil.instrument import OutcomeSpace, apply_dual, luders_instrument
 from qdil.operator_core import (
     Tolerance,
+    compress_by_state,
     dagger,
     is_unitary,
     proj,
@@ -369,6 +370,67 @@ def test_purified_keeps_heisenberg_maps():
     for s in inst.outcomes.labels:
         assert np.allclose(pure.heisenberg(m, (s,)),
                            mixed.heisenberg(m, (s,)), atol=1e-9)
+
+
+def mixed_meter_pair():
+    """A dilated process and its twin with a full-rank meter state."""
+    rng = np.random.default_rng(90)
+    pure = mp_from_correlations(from_instrument(
+        random_cp_instrument(rng, 2, 2, kraus_per_outcome=2)))
+    return pure, dataclasses.replace(pure, sigma=random_state(rng, pure.dim_k))
+
+
+def reference_value(mp, letters, ms):
+    """``(id ⊗ σ)[X_1···X_k]``, ``X = m ⊗ 1`` or ``U*(m ⊗ E_t)U``."""
+    product = np.eye(mp.dim_h * mp.dim_k)
+    for t, m in zip(letters, ms):
+        product = product @ (
+            np.kron(m, np.eye(mp.dim_k)) if t == IN
+            else dagger(mp.u) @ np.kron(m, mp.pointer(t)) @ mp.u)
+    return compress_by_state(product, mp.sigma, mp.dim_h, mp.dim_k)
+
+
+def test_mixed_meter_word_values_match_reference():
+    _, mixed = mixed_meter_pair()
+    assert np.linalg.matrix_rank(mixed.sigma) == mixed.dim_k >= 2
+    rng = np.random.default_rng(91)
+    alphabet = [IN, *mixed.outcomes.labels, tuple(mixed.outcomes.labels)]
+    for length in (1, 2, 3):
+        for letters in itertools.product(alphabet, repeat=length):
+            ms = [rng.standard_normal((2, 2))
+                  + 1j * rng.standard_normal((2, 2)) for _ in letters]
+            got = correlations_of_mp(mixed, TimeWord(letters), ms)
+            assert spectral_norm(got - reference_value(mixed, letters, ms)
+                                 ) <= 1e-12
+
+
+def test_mixed_meter_induced_instrument_matches_reference():
+    _, mixed = mixed_meter_pair()
+    induced = induced_instrument_mp(mixed)
+    for b in mixed.algebra.basis():
+        for s in mixed.outcomes.labels:
+            assert spectral_norm(apply_dual(induced, b, (s,))
+                                 - reference_value(mixed, (s,), [b])) <= 1e-12
+
+
+def test_mixed_meter_equivalence_matches_reference():
+    pure, mixed = mixed_meter_pair()
+    rep = n_equivalent(mixed, mixed.purified(), 3)
+    assert rep.equivalent and rep.worst_residual <= 1e-12
+    # Against the pure-meter process, order by order, word by word.
+    choices = [(t, m) for t in [IN] + list(pure.outcomes.labels)
+               for m in pure.algebra.basis()]
+    want, worst = [], 0.0
+    for length in (1, 2, 3):
+        for word in itertools.product(choices, repeat=length):
+            letters, ms = zip(*word)
+            diff = (reference_value(mixed, letters, ms)
+                    - reference_value(pure, letters, ms))
+            worst = max(worst, float(np.abs(diff).max()))
+        want.append(worst)
+    rep = n_equivalent(mixed, pure, 3)
+    assert want[0] > 1e-3
+    assert np.allclose(rep.order_residuals, want, rtol=0, atol=1e-12)
 
 
 def test_mp_json_round_trip():

@@ -11,6 +11,7 @@ from qdil.cli import main
 from qdil.instrument import coarse_grain, instrument_to_json
 from qdil.operator_core import matrix_to_json
 from qdil.vn_model import load_fixture
+from test_cli import BAD_CERTIFIED_DEPTHS
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -75,3 +76,16 @@ def test_schema_forbids_the_loader_mutants():
     for data in luders_z_schema_mutants().values():
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(data, schema("instrument"))
+
+
+def test_schema_forbids_the_bad_certified_depths(tmp_path):
+    inst_path = tmp_path / "luders-z.json"
+    inst_path.write_text(json.dumps(instrument_to_json(
+        load_fixture("luders-z"))))
+    assert main(["extend", "-i", str(inst_path)]) == 0
+    data = json.loads((tmp_path / "luders-z.sys.json").read_text())
+    jsonschema.validate(data, schema("correlation-system"))
+    for depth in BAD_CERTIFIED_DEPTHS:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**data, "certified_depth": depth},
+                                schema("correlation-system"))
