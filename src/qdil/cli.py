@@ -300,8 +300,8 @@ def cmd_faithful(args, tol: Tolerance):
         "unit_preservation_residual": unit_res,
         "basis_agreement_residual": basis_res,
         "finite_dimensional_substitution":
-            "block unitary on the doubled multiplicity space replaces the "
-            "infinite ancilla factor",
+            "the multiplicity space of the extension's correlation system "
+            "replaces the infinite ancilla factor",
     }, unit_res <= tol.bound("loose") and basis_res <= tol.bound("loose")
 
 

@@ -16,6 +16,7 @@ of the word Gram kernel plus shift operators.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,7 @@ from .operator_core import (
     matrix_from_json,
     matrix_to_json,
     matrix_units,
+    psd_factorize,
     random_ginibre,
     spectral_norm,
 )
@@ -224,8 +226,14 @@ class CorrelationSystem:
             if letter not in self.pi_atom:
                 raise ValueError(f"unknown letter {letter!r}")
             return self.pi_atom[letter]
-        atoms = self.outcomes.event(letter)
-        return PiMap(sum(self.pi_atom[s].tensor for s in atoms))
+        maps = [self.pi_atom[s] for s in self.outcomes.event(letter)]
+        factors = [pm.factors for pm in maps]
+        # Atoms factored with one shared left factor sum on the right.
+        if factors and all(f is not None and f[0] is factors[0][0]
+                           for f in factors):
+            left, _, k = factors[0]
+            return PiMap.factored(left, sum(f[1] for f in factors), k)
+        return PiMap(sum(pm.tensor for pm in maps))
 
     def atom_units(self) -> dict[str, np.ndarray]:
         eye = np.eye(self.dim_h)
@@ -533,13 +541,6 @@ def table_from_system(sys: CorrelationSystem, max_len: int) -> _SystemTable:
     return _SystemTable(sys, max_len)
 
 
-def _normalize_index(letters: tuple, ops: tuple[int, ...]) -> tuple:
-    while len(letters) > 1 and letters[-1] == IN and ops[-1] == 0:
-        letters = letters[:-1]
-        ops = ops[:-1]
-    return letters, ops
-
-
 def from_kernel_table(table, depth: int, generators,
                       tol: Tolerance = DEFAULT_TOL) -> CorrelationSystem:
     """Rebuild a correlation system from a bounded-depth value table.
@@ -548,20 +549,20 @@ def from_kernel_table(table, depth: int, generators,
     ``dim_h``, ``outcomes``, ``algebra``, ``max_len`` and
     ``w(letters, ms) -> matrix`` for words up to ``max_len`` letters.
 
-    Index vectors are (word, operator-tuple) pairs over the generators
-    plus the identity, with trailing identity-input pairs stripped (they
-    index the same vector). The Gram kernel of these indices is
-    factorized minimally; letter maps act by the index shift on the
-    depth-(d-1) span and vanish on its orthocomplement; ``v`` is the
-    factor of the base index.
+    Index vectors are words of (letter, operator) pairs over the
+    generators plus the identity: the base ``(in, 1)``, which stands for
+    the empty word, and every word of length at most ``depth`` that does
+    not end in it (a trailing ``(in, 1)`` indexes the same vector). The
+    block Gram matrix of these indices is factorized minimally; letter
+    maps act by the index shift on the base and the words shorter than
+    ``depth`` and vanish on its orthocomplement; ``v`` is the factor of
+    the base.
 
     The output certifies reproduction of the table for words of length
     at most ``depth`` over the generators only (``certified_depth``); it
     carries ``validate=False`` because the zero-extension can break the
     unitality invariants outside the certified span.
     """
-    from .kolmogorov import OperatorKernel, minimal_decomposition
-
     if depth < 1:
         raise ValueError("depth must be at least 1")
     needed = 2 * depth
@@ -576,73 +577,47 @@ def from_kernel_table(table, depth: int, generators,
         if gm.shape != (dim_h, dim_h):
             raise ValueError("generator dimensions do not match the table")
         glist.append(gm)
-    alphabet = [IN] + list(table.outcomes.labels)
+    pairs = list(itertools.product([IN] + list(table.outcomes.labels),
+                                   range(len(glist))))
+    base = ((IN, 0),)
+    indices = [base] + [w for length in range(1, depth + 1)
+                        for w in itertools.product(pairs, repeat=length)
+                        if w[-1] != base[0]]
+    position = {w: i for i, w in enumerate(indices)}
 
-    indices: list[tuple] = []
-    seen = set()
-
-    def add(letters: tuple, ops: tuple[int, ...]) -> None:
-        key = _normalize_index(letters, ops)
-        if key not in seen:
-            seen.add(key)
-            indices.append(key)
-
-    add((IN,), (0,))
-    # Breadth-first enumeration keeps label order deterministic.
-    words: list[tuple] = [((), ())]
-    for _ in range(depth):
-        new_words = []
-        for letters, ops in words:
-            if len(letters) >= depth:
-                continue
-            for t in alphabet:
-                for gi in range(len(glist)):
-                    nw = (letters + (t,), ops + (gi,))
-                    new_words.append(nw)
-        for nw in new_words:
-            add(*nw)
-        words = new_words
-
-    labels = [str(i) for i in range(len(indices))]
-    label_of = {idx: lab for idx, lab in zip(indices, labels)}
-
-    def slots(ops: tuple[int, ...]) -> list[np.ndarray]:
-        return [glist[gi] for gi in ops]
-
-    def kernel_entry(a: tuple, b: tuple) -> np.ndarray:
-        la, oa = a
-        lb, ob = b
-        letters = tuple(reversed(la)) + lb
-        ms = _reverse_slots(slots(oa)) + slots(ob)
-        return table.w(letters, ms)
-
-    entries = {}
+    # Block (i, j) is ⟨index_i, index_j⟩ = W(index_i reversed, index_j)
+    # with index_i's operators adjoined; block (j, i) is its adjoint,
+    # written first so that a diagonal block keeps the table's value.
+    n = len(indices)
+    gram = np.zeros((n * dim_h, n * dim_h), dtype=complex)
     for i, a in enumerate(indices):
-        for j, b in enumerate(indices):
-            if i <= j:
-                entries[(labels[i], labels[j])] = kernel_entry(a, b)
+        for j in range(i, n):
+            b = indices[j]
+            value = np.asarray(table.w(
+                tuple(t for t, _ in reversed(a)) + tuple(t for t, _ in b),
+                _reverse_slots([glist[g] for _, g in a])
+                + [glist[g] for _, g in b]), dtype=complex)
+            if value.shape != (dim_h, dim_h):
+                raise ValueError(f"table value of {a} against {b} has shape "
+                                 f"{value.shape}, expected {(dim_h, dim_h)}")
+            gram[j * dim_h:(j + 1) * dim_h, i * dim_h:(i + 1) * dim_h] = (
+                dagger(value))
+            gram[i * dim_h:(i + 1) * dim_h, j * dim_h:(j + 1) * dim_h] = value
     try:
-        kernel = OperatorKernel(tuple(labels), dim_h, entries, tol)
-        decomp = minimal_decomposition(kernel, tol)
+        lam = psd_factorize(gram, dim_h, tol)
     except ValueError as exc:
         raise ValueError(f"table fails positive definiteness (MC2): {exc}"
                          ) from exc
-    dim_l = decomp.dim_l
-    lam = {idx: decomp.factors[label_of[idx]] for idx in indices}
+    dim_l = lam[0].shape[0]
 
-    domain = [idx for idx in indices if len(idx[0]) <= depth - 1]
-    x = np.hstack([lam[idx] for idx in domain])
-    x_pinv = np.linalg.pinv(x, rcond=tol.bound("floor"))
+    domain = [w for w in indices if w == base or len(w) < depth]
+    x_pinv = np.linalg.pinv(np.hstack([lam[position[w]] for w in domain]),
+                            rcond=tol.bound("floor"))
 
-    shift: dict[tuple[str, int], np.ndarray] = {}
-    for t in alphabet:
-        for gi in range(len(glist)):
-            targets = []
-            for letters, ops in domain:
-                tgt = _normalize_index((t,) + letters, (gi,) + ops)
-                targets.append(lam[tgt])
-            y = np.hstack(targets)
-            shift[(t, gi)] = y @ x_pinv
+    def shift(pair: tuple) -> np.ndarray:
+        # The pair prepended to each domain word; the base is the empty word.
+        return np.hstack([lam[position[(pair,) + (w if w != base else ())]]
+                          for w in domain]) @ x_pinv
 
     # Linear extension of each letter map from the generator span to all
     # of B(H), through the conditional expectation onto the algebra:
@@ -653,17 +628,15 @@ def from_kernel_table(table, depth: int, generators,
     coeffs = span_pinv @ conditional_expectation(
         table.algebra, units).reshape(dim_h ** 2, -1).T
 
-    def letter_tensor(t: str) -> PiMap:
-        shifts = np.stack([shift[(t, gi)] for gi in range(len(glist))])
+    def letter_map(t: str) -> PiMap:
+        shifts = np.stack([shift((t, g)) for g in range(len(glist))])
         return PiMap(np.einsum("gu,gab->abu", coeffs, shifts).reshape(
             dim_l, dim_l, dim_h, dim_h))
 
-    pi_in = letter_tensor(IN)
-    pi_atom = {s: letter_tensor(s) for s in table.outcomes.labels}
-    v = lam[((IN,), (0,))]
     return CorrelationSystem(dim_h, table.algebra, table.outcomes, dim_l,
-                             pi_in, pi_atom, v, validate=False,
-                             certified_depth=depth)
+                             letter_map(IN),
+                             {s: letter_map(s) for s in table.outcomes.labels},
+                             lam[0], validate=False, certified_depth=depth)
 
 
 def system_to_json(sys: CorrelationSystem) -> dict:

@@ -2,11 +2,14 @@
 
 A measuring process is a quadruple (meter space, meter state, pointer
 PVM, coupling unitary) whose compressed Heisenberg maps form a CP
-instrument. This module builds them three ways: from a correlation
-system (multiplicity splitting plus a block unitary), from Kraus
-operators inside the algebra (an inner process on a small meter), and
-through the conditional expectation when the Kraus operators live
-outside the algebra (a faithful process). The reverse direction reads a
+instrument. This module builds them two ways: from a correlation
+system (its two multiplicity splits ``u1``, ``u2`` give the coupling
+``u2 u1*``), and from Kraus operators inside the algebra (an inner
+process: a block unitary on a small meter). When the Kraus operators
+live outside the algebra, the faithful process is the first
+construction applied to the instrument's extension through the
+conditional expectation, ``from_instrument`` then
+``mp_from_correlations``. The reverse direction reads a
 process through its correlation system (:func:`system_of_mp`), whose
 letter maps ``Π_in(X) = X ⊗ 1`` and ``Π_s(X) = U*(X ⊗ E_s)U`` are
 stored by their factors: induced instruments, correlation values and
@@ -36,6 +39,7 @@ from .correlations import (
     TimeWord,
     _transport,
     eval_W,
+    from_instrument,
     induced_instrument,
 )
 from .instrument import (
@@ -45,7 +49,6 @@ from .instrument import (
     apply_dual,
     choi_of_dual,
     choi_of_kraus,
-    instrument_from_duals,
     kraus_from_dual_choi,
 )
 from .operator_core import (
@@ -493,8 +496,7 @@ def mp_from_correlations(sys: CorrelationSystem,
               for _ in range(length)]
         diffs.append(eval_W(back, letters, ms, tol, check_membership=False)
                      - eval_W(sys, letters, ms, tol, check_membership=False))
-    # n = dimH·d², as for a d²-dimensional meter: keeps every verdict as is.
-    _require_within(np.stack(diffs), tol.bound("loose", dim_h * d1 * d1),
+    _require_within(np.stack(diffs), tol.bound("loose", dim_h * d1),
                     "constructed process fails to reproduce the correlation "
                     "values")
     return mp
@@ -771,13 +773,14 @@ def faithful_mp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
     """Measuring process with a pointer PVM faithful on non-null atoms.
 
     The instrument is first extended to all of B(H) by composing with
-    the conditional expectation onto its algebra; the extension's
-    minimal representation is split into ``H ⊗ L₁``, the pointer PVM is
-    read off the commutant, and a block unitary on ``L₁ ⊗ C^2`` turns
-    the split isometry into a coupling. The induced instrument agrees
-    with the input on the algebra exactly, and on the identity for every
-    event; an atom's pointer projection vanishes only if the atom has
-    zero probability in every state.
+    the conditional expectation onto its algebra; the result is the
+    process of the extension's correlation system
+    (:func:`from_instrument`, then :func:`mp_from_correlations`), on the
+    input's algebra. Its meter is ``C^(1+R)``, R the total minimal Kraus
+    rank of the extension. The induced instrument agrees with the input
+    on the algebra exactly, and on the identity for every event; an
+    atom's pointer projection vanishes only if the atom has zero
+    probability in every state.
     """
     if validate:
         inst.require_valid(tol)
@@ -787,23 +790,11 @@ def faithful_mp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
         choi = choi_of_dual(lambda x, s=s: apply_dual(
             inst, conditional_expectation(inst.algebra, x), (s,)), dim_h)
         ext_kraus[s] = kraus_from_dual_choi(choi, dim_h, tol)
-    # instrument_representation checks the extension, at the caller's tol.
+    # from_instrument checks the extension, at the caller's tol.
     extended = CPInstrument(dim_h, full_algebra(dim_h), inst.outcomes,
                             ext_kraus, validate=False)
-    rep = instrument_representation(extended, tol)
-
-    d1, u1 = multiplicity_split(rep.pi0, tol)
-    e1 = commutant_pvm_lift(rep.e0, u1, dim_h, tol)
-    v_tilde = u1 @ rep.v
-    eta1 = basis_vector(d1, 0)
-    w = v_tilde @ dagger(np.kron(np.eye(dim_h), eta1.reshape(-1, 1)))
-    u = halmos_unitary(w, tol)
-
-    dim_k = d1 * 2
-    sigma = proj(np.kron(eta1, basis_vector(2, 0)))
-    e = {s: np.kron(e1[s], np.eye(2)) for s in inst.outcomes.labels}
-    return MeasuringProcess(dim_h, inst.algebra, inst.outcomes, dim_k,
-                            sigma, e, u, validate=tol)
+    mp = mp_from_correlations(from_instrument(extended, tol=tol), tol)
+    return dataclasses.replace(mp, algebra=inst.algebra)
 
 
 def faithfulness_table(mp: MeasuringProcess, inst: CPInstrument,

@@ -8,6 +8,9 @@ paths are recorded as ``<tmp>``.
 After a deliberate change to a report, rewrite the recording with::
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+The rewrite keeps every recorded float that the replay accepts, so its
+diff holds only the values that changed beyond 1e-12.
 """
 
 from __future__ import annotations
@@ -103,6 +106,10 @@ def replay(tmp: Path) -> list[dict]:
     return records
 
 
+def floats_agree(got: float, expected: float) -> bool:
+    return math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12)
+
+
 def assert_matches(got, expected, where: str) -> None:
     assert type(got) is type(expected), f"{where}: {got!r} != {expected!r}"
     if isinstance(expected, dict):
@@ -114,10 +121,23 @@ def assert_matches(got, expected, where: str) -> None:
         for i, (g, e) in enumerate(zip(got, expected)):
             assert_matches(g, e, f"{where}[{i}]")
     elif isinstance(expected, float):
-        assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12), (
-            f"{where}: {got!r} != {expected!r}")
+        assert floats_agree(got, expected), f"{where}: {got!r} != {expected!r}"
     else:
         assert got == expected, f"{where}: {got!r} != {expected!r}"
+
+
+def keep_accepted(got, recorded):
+    """``got`` with each float that :func:`assert_matches` accepts against
+    ``recorded`` replaced by its recording, for rewriting a golden file."""
+    if type(got) is float and type(recorded) is float:
+        return recorded if floats_agree(got, recorded) else got
+    if isinstance(got, dict) and isinstance(recorded, dict):
+        return {key: keep_accepted(value, recorded.get(key))
+                for key, value in got.items()}
+    if (isinstance(got, list) and isinstance(recorded, list)
+            and len(got) == len(recorded)):
+        return [keep_accepted(g, r) for g, r in zip(got, recorded)]
+    return got
 
 
 def test_cli_reports_match_golden(tmp_path, monkeypatch):
@@ -133,6 +153,7 @@ def test_cli_reports_match_golden(tmp_path, monkeypatch):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        records = replay(Path(tmp))
+        records = keep_accepted(replay(Path(tmp)),
+                                json.loads(GOLDEN.read_text()))
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(records)} reports to {GOLDEN}", file=sys.stderr)

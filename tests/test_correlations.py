@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from qdil.correlations import (
     table_from_system,
     verify_axioms,
 )
-from qdil.dilation import faithful_mp, system_of_mp
+from qdil.dilation import faithful_mp, mp_from_correlations, system_of_mp
 from qdil.instrument import apply_dual, luders_instrument
 from qdil.operator_core import dagger, is_pvm, spectral_norm
 from qdil.vn_model import fixture_names, load_fixture
@@ -98,6 +101,50 @@ def test_factored_letter_maps_read_like_their_tensor(monkeypatch, name,
                            rtol=0, atol=1e-12)
     assert all(pm.tensor is pm.tensor for pm in maps)
     assert len(formed) == len(maps)
+
+
+@pytest.mark.parametrize("builder", sorted(FACTORED_BUILDERS))
+@pytest.mark.parametrize("name", ["trine-povm", "diag-amp-damp"])
+def test_event_letter_sums_the_right_factors(name, builder):
+    """Atoms sharing one left factor give ``(left, Σ right, k)``."""
+    source, build = FACTORED_BUILDERS[builder]
+    sys_c = build(source(load_fixture(name)))
+    labels = sys_c.outcomes.labels
+    for size in range(1, len(labels) + 1):
+        for event in itertools.combinations(labels, size):
+            summed = sys_c.letter_map(event)
+            assert summed.factors is not None
+            assert np.allclose(summed.tensor,
+                               sum(sys_c.pi_atom[s].tensor for s in event),
+                               rtol=0, atol=1e-12)
+
+
+def test_event_letter_of_tensor_atoms_is_the_tensor_sum():
+    sys_c = from_instrument(load_fixture("trine-povm"))
+    tensors = dataclasses.replace(sys_c, pi_atom={
+        s: PiMap(pm.tensor) for s, pm in sys_c.pi_atom.items()})
+    event = sys_c.outcomes.labels[:2]
+    summed = tensors.letter_map(event)
+    assert summed.factors is None
+    assert np.array_equal(summed.tensor, sum(tensors.pi_atom[s].tensor
+                                             for s in event))
+
+
+def test_dilation_forms_no_atom_tensor(monkeypatch):
+    """Only Π_in and the summed atom map are read as tensors."""
+    sys_c = from_instrument(load_fixture("trine-povm"))
+    transport, formed = qdil.correlations._transport, []
+
+    def counted(*factors):
+        formed.append(factors)
+        return transport(*factors)
+
+    monkeypatch.setattr(qdil.correlations, "_transport", counted)
+    mp_from_correlations(sys_c)
+    assert len(formed) == 2
+    assert formed[0][1] is sys_c.pi_in.factors[1]
+    assert not any(f[1] is pm.factors[1]
+                   for f in formed for pm in sys_c.pi_atom.values())
 
 
 def test_from_instrument_word_values_reproduce_instrument():
@@ -235,6 +282,27 @@ def test_kernel_table_too_shallow_raises():
     table = table_from_system(from_instrument(inst), max_len=3)
     with pytest.raises(ValueError, match="too shallow"):
         from_kernel_table(table, 2, [P0])
+
+
+def test_kernel_table_at_depth_one_reproduces_every_length_one_value():
+    """The base index, one letter long, stands for the empty word."""
+    rng = np.random.default_rng(79)
+    sys_c = from_instrument(random_cp_instrument(rng, 2, 2))
+    gens = [P0, SX]
+    rebuilt = from_kernel_table(table_from_system(sys_c, 2), 1, gens)
+    assert rebuilt.certified_depth == 1
+    for letter in [IN] + list(sys_c.outcomes.labels):
+        for m in [np.eye(2, dtype=complex)] + gens:
+            assert np.allclose(
+                eval_W(rebuilt, (letter,), [m], check_membership=False),
+                eval_W(sys_c, (letter,), [m]), rtol=0, atol=1e-12)
+
+
+def test_kernel_table_rejects_misshapen_values():
+    table = table_from_system(from_instrument(luders_instrument([P0, P1])), 2)
+    table.w = lambda letters, ms: np.eye(3)
+    with pytest.raises(ValueError, match="shape"):
+        from_kernel_table(table, 1, [P0])
 
 
 def test_system_json_round_trip():

@@ -34,7 +34,12 @@ from qdil.dilation import (
     system_of_mp,
 )
 from qdil.correlations import CorrelationSystem, PiMap
-from qdil.instrument import OutcomeSpace, apply_dual, luders_instrument
+from qdil.instrument import (
+    CPInstrument,
+    OutcomeSpace,
+    apply_dual,
+    luders_instrument,
+)
 from qdil.operator_core import (
     Tolerance,
     compress_by_state,
@@ -347,6 +352,25 @@ def test_faithful_mp_heisenberg_on_algebra_basis():
             got = mp.heisenberg(b, (s,))
             want = apply_dual(restricted, b, (s,))
             assert spectral_norm(got - want) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["amp-damp-0.5", "diag-amp-damp",
+                                  "diag-luders-z", "trine-povm"])
+def test_faithful_mp_is_the_process_of_its_extended_instrument(name):
+    """On the diagonal algebra the extension's Kraus operators are P_b K."""
+    inst = load_fixture(name)
+    kraus = {s: [np.sqrt(w) * p @ k
+                 for k, w in zip(ks, inst.atom_weights(s))
+                 for p in ((np.eye(2),) if inst.algebra.is_full else (P0, P1))]
+             for s, ks in inst.kraus.items()}
+    extended = CPInstrument(2, full_algebra(2), inst.outcomes, kraus)
+    want = mp_from_correlations(from_instrument(extended))
+    mp = faithful_mp(inst)
+    assert mp.algebra is inst.algebra
+    rank = sum(instrument_representation(extended).ranks.values())
+    assert mp.dim_k == want.dim_k == 1 + rank
+    assert n_equivalent(dataclasses.replace(mp, algebra=full_algebra(2)),
+                        want, 2)
 
 
 def test_faithfulness_table_flags_nothing_on_luders():

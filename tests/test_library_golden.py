@@ -12,6 +12,8 @@ After a deliberate change to a verdict or message, rewrite the
 recording with::
 
     PYTHONPATH=src python tests/test_library_golden.py
+
+The rewrite keeps every recorded float that the replay accepts.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from qdil.instrument import (
 )
 from qdil.operator_core import proj, spectral_norm
 from qdil.vn_model import fixture_names, load_fixture
-from test_cli_golden import assert_matches
+from test_cli_golden import assert_matches, keep_accepted
 
 GOLDEN = Path(__file__).parent / "golden" / "library_verdicts.json"
 
@@ -320,6 +322,8 @@ def test_library_verdicts_match_golden():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(verdicts(), indent=1, sort_keys=True,
+    got = keep_accepted(json.loads(json.dumps(verdicts())),
+                        json.loads(GOLDEN.read_text(encoding="utf-8")))
+    GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True,
                                  ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}", file=sys.stderr)
