@@ -252,13 +252,11 @@ class CorrelationSystem:
         tol_scale = tol.bound("strict", self.dim_l)
         basis = np.stack(self.algebra.basis())
         n, dim_l = len(basis), self.dim_l
-
-        def adjoints(ms: np.ndarray) -> np.ndarray:
-            return ms.conj().transpose(0, 2, 1)
-
+        basis_star = basis.conj().transpose(0, 2, 1)
         for name, pm in [(IN, self.pi_in)] + sorted(self.pi_atom.items()):
             images = pm.apply(basis)
-            _require_within(pm.apply(adjoints(basis)) - adjoints(images),
+            _require_within(pm.apply(basis_star)
+                            - images.conj().transpose(0, 2, 1),
                             tol_scale, f"Π_{name} is not *-preserving")
             for i in range(n):
                 _require_within(images[i] @ images
@@ -321,20 +319,14 @@ class AxiomReport:
                 for name, e in self.entries.items()}
 
 
-def _random_member(rng: np.random.Generator, alg: FiniteVonNeumannAlgebra
-                   ) -> np.ndarray:
-    m = conditional_expectation(alg, random_ginibre(rng, alg.dim_h))
-    norm = spectral_norm(m)
-    return m / norm if norm > 1e-12 else np.eye(alg.dim_h)
-
-
-def _random_word(rng: np.random.Generator, sys: CorrelationSystem,
-                 depth: int) -> tuple[list, list[np.ndarray]]:
-    length = int(rng.integers(1, depth + 1))
-    alphabet = [IN] + list(sys.outcomes.labels)
-    letters = [alphabet[int(rng.integers(len(alphabet)))] for _ in range(length)]
-    ms = [_random_member(rng, sys.algebra) for _ in range(length)]
-    return letters, ms
+def _condition(alg: FiniteVonNeumannAlgebra, draws: list) -> np.ndarray:
+    """Condition raw draws onto the algebra at unit norm, in place and in
+    one stack; return their norms. A draw of norm ≤ 1e-12 becomes 1."""
+    ms = conditional_expectation(alg, np.stack(draws))
+    norms = np.linalg.svd(ms, compute_uv=False).max(-1)
+    for m, member, norm in zip(draws, ms, norms):
+        m[...] = member / norm if norm > 1e-12 else np.eye(alg.dim_h)
+    return norms
 
 
 def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
@@ -348,6 +340,8 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     representation-stored systems (events evaluate as sums over their
     atoms by construction), so its entry reports the PVM property of the
     atom units, which is what a corrupted system breaks.
+    Every sample is drawn from ``seed`` first, probe by probe; members
+    are then conditioned, and each probe's residuals reduced, in stacks.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -356,40 +350,55 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     rng = np.random.default_rng(seed)
     entries: dict[str, AxiomEntry] = {}
     n_checks = max(8, samples // 8)
+    alphabet = [IN] + list(sys.outcomes.labels)
+    raw: list[np.ndarray] = []
+
+    def member() -> np.ndarray:
+        raw.append(random_ginibre(rng, sys.dim_h))
+        return raw[-1]
+
+    def words(n: int = n_checks):
+        """``n`` words, each drawn when consumed, so its extras follow it."""
+        for _ in range(n):
+            length = int(rng.integers(1, depth + 1))
+            yield ([alphabet[int(rng.integers(len(alphabet)))]
+                    for _ in range(length)], [member() for _ in range(length)])
+
+    plan_mc1 = [(letters, ms, int(rng.integers(len(ms))), member(), member(),
+                 complex(rng.standard_normal(), rng.standard_normal()))
+                for letters, ms in words()]
+    plan_mc2 = [(letters, ms, random_ginibre(rng, sys.dim_h, 1).reshape(-1))
+                for letters, ms in words(samples)]
+    plan_mc3 = [(letters, ms, member()) for letters, ms in words()]
+    plan_mc4 = [(letters, ms, int(rng.integers(len(ms))), member())
+                for letters, ms in words()]
+    plan_mc5, plan_adjoint, plan_closure = (list(words()) for _ in range(3))
+    _condition(sys.algebra, raw)
 
     def w(letters, ms) -> np.ndarray:
         return eval_W(sys, TimeWord(tuple(letters)), ms, tol,
                       check_membership=False)
 
-    def probe(name: str, residual, note: str = "", worst: float = 0.0
-              ) -> None:
-        """Enter the worst ``residual(letters, ms)`` over random words."""
-        for _ in range(n_checks):
-            letters, ms = _random_word(rng, sys, depth)
-            worst = max(worst, residual(letters, ms))
+    def probe(name: str, plan, residual, note: str = "", worst: float = 0.0,
+              norm=spectral_norm) -> None:
+        """Enter the worst ``norm`` of the stacked residuals over the plan."""
+        worst = max(worst, norm(np.stack([residual(*p) for p in plan])))
         entries[name] = AxiomEntry(worst <= tol.bound("loose"), float(worst),
                                    note)
 
     # MC1: separate linearity in each slot.
-    def linearity(letters, ms) -> float:
-        slot = int(rng.integers(len(ms)))
-        a = _random_member(rng, sys.algebra)
-        b = _random_member(rng, sys.algebra)
-        alpha = complex(rng.standard_normal(), rng.standard_normal())
-        ms_ab, ms_a, ms_b = list(ms), list(ms), list(ms)
-        ms_ab[slot], ms_a[slot], ms_b[slot] = alpha * a + b, a, b
-        return spectral_norm(w(letters, ms_ab)
-                             - (alpha * w(letters, ms_a) + w(letters, ms_b)))
+    def linearity(letters, ms, slot, a, b, alpha) -> np.ndarray:
+        def at(m: np.ndarray) -> np.ndarray:  # m in the slot
+            return w(letters, ms[:slot] + [m] + ms[slot + 1:])
+        return at(alpha * a + b) - (alpha * at(a) + at(b))
 
-    probe("MC1", linearity, "linearity probes; ultraweak continuity is "
-                            "vacuous in finite dimension")
+    probe("MC1", plan_mc1, linearity, "linearity probes; ultraweak continuity "
+                                      "is vacuous in finite dimension")
 
     # MC2: positive definiteness of the sampled word Gram matrix.
     rows = np.zeros((samples, sys.dim_l), dtype=complex)
     cols = np.zeros((sys.dim_l, samples), dtype=complex)
-    for i in range(samples):
-        letters, ms = _random_word(rng, sys, depth)
-        xi = random_ginibre(rng, sys.dim_h, 1).reshape(-1)
+    for i, (letters, ms, xi) in enumerate(plan_mc2):
         base = sys.v @ (xi / np.linalg.norm(xi))
         # The row is pushed from the left through the reversed word, not
         # taken as the adjoint of the column: that would make the Gram
@@ -410,30 +419,23 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
         mc2_res, f"Gram of {samples} sampled words, min eigenvalue {min_eig:.3e}")
 
     # MC3: left module property over the input letter.
-    def left_module(letters, ms) -> float:
-        m = _random_member(rng, sys.algebra)
-        return spectral_norm(m @ w(letters, ms) - w([IN] + letters, [m] + ms))
-
-    probe("MC3", left_module)
+    probe("MC3", plan_mc3, lambda letters, ms, m:
+          m @ w(letters, ms) - w([IN] + letters, [m] + ms))
 
     # MC4: merging adjacent equal letters with the operator product.
-    def merge(letters, ms) -> float:
-        pos = int(rng.integers(len(letters)))
-        extra = _random_member(rng, sys.algebra)
-        merged = list(ms)
-        merged[pos] = ms[pos] @ extra
-        doubled = w(letters[:pos + 1] + [letters[pos]] + letters[pos + 1:],
-                    ms[:pos + 1] + [extra] + ms[pos + 1:])
-        return spectral_norm(doubled - w(letters, merged))
+    def merge(letters, ms, pos, x) -> np.ndarray:
+        doubled = w(letters[:pos + 1] + letters[pos:],
+                    ms[:pos + 1] + [x] + ms[pos + 1:])
+        return doubled - w(letters, ms[:pos] + [ms[pos] @ x] + ms[pos + 1:])
 
-    probe("MC4", merge)
+    probe("MC4", plan_mc4, merge)
 
     # MC5: unit normalization and unit-slot absorption.
     eye = np.eye(sys.dim_h)
     res_in = spectral_norm(w([IN], [eye]) - eye)
     res_s = spectral_norm(w([tuple(sys.outcomes.labels)], [eye]) - eye)
-    probe("MC5", lambda letters, ms: spectral_norm(
-              w(letters + [IN], ms + [eye]) - w(letters, ms)),
+    probe("MC5", plan_mc5, lambda letters, ms:
+          w(letters + [IN], ms + [eye]) - w(letters, ms),
           f"W_in(1) residual {res_in:.3e}, W_S(1) residual {res_s:.3e}",
           max(res_in, res_s))
 
@@ -447,14 +449,13 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
         "the atom-unit PVM defect")
 
     # Adjoint symmetry of the correlation family.
-    probe("adjoint_symmetry", lambda letters, ms: spectral_norm(
-        dagger(w(letters, ms)) - w(letters[::-1], _reverse_slots(ms))))
+    probe("adjoint_symmetry", plan_adjoint, lambda letters, ms:
+          dagger(w(letters, ms)) - w(letters[::-1], _reverse_slots(ms)))
 
     # Closure: compressions land in the algebra.
-    probe("closure",
-          lambda letters, ms: contains(sys.algebra, w(letters, ms),
-                                       tol).residual,
-          "sampled W values projected onto the algebra")
+    probe("closure", plan_closure, w,
+          "sampled W values projected onto the algebra",
+          norm=lambda values: contains(sys.algebra, values, tol).residual)
     return AxiomReport(entries)
 
 
@@ -524,11 +525,9 @@ class _SystemTable:
     """The correlation values of a system, for words up to ``max_len``."""
 
     def __init__(self, sys: CorrelationSystem, max_len: int):
-        self.dim_h = sys.dim_h
-        self.outcomes = sys.outcomes
-        self.algebra = sys.algebra
-        self.max_len = max_len
-        self._sys = sys
+        self.dim_h, self.outcomes, self.algebra = (sys.dim_h, sys.outcomes,
+                                                   sys.algebra)
+        self.max_len, self._sys = max_len, sys
 
     def w(self, letters, ms) -> np.ndarray:
         if len(letters) > self.max_len:
@@ -670,13 +669,12 @@ def system_from_json(data, validate: bool = True) -> CorrelationSystem:
             raise ValueError(f"{name} must be a {dim_h}×{dim_h} nested list "
                              "of matrices")
         t = np.zeros((dim_l, dim_l, dim_h, dim_h), dtype=complex)
-        for i in range(dim_h):
-            for j in range(dim_h):
-                m = matrix_from_json(js[i][j])
-                if m.shape != (dim_l, dim_l):
-                    raise ValueError(f"{name}[{i}][{j}] has shape {m.shape}, "
-                                     f"expected {(dim_l, dim_l)}")
-                t[:, :, i, j] = m
+        for i, j in itertools.product(range(dim_h), repeat=2):
+            m = matrix_from_json(js[i][j])
+            if m.shape != (dim_l, dim_l):
+                raise ValueError(f"{name}[{i}][{j}] has shape {m.shape}, "
+                                 f"expected {(dim_l, dim_l)}")
+            t[:, :, i, j] = m
         return PiMap(t)
 
     pi_atoms = _json_object(data["pi_atoms"],

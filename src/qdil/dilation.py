@@ -794,7 +794,9 @@ def faithful_mp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
     extended = CPInstrument(dim_h, full_algebra(dim_h), inst.outcomes,
                             ext_kraus, validate=False)
     mp = mp_from_correlations(from_instrument(extended, tol=tol), tol)
-    return dataclasses.replace(mp, algebra=inst.algebra)
+    # replace() would re-check what mp_from_correlations just checked.
+    object.__setattr__(mp, "algebra", inst.algebra)
+    return mp
 
 
 def faithfulness_table(mp: MeasuringProcess, inst: CPInstrument,

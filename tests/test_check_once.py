@@ -7,6 +7,8 @@ builds: its invariants follow from the checks on the instrument.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,17 @@ def test_builders_check_at_the_callers_tolerance(checks, builder):
     BUILDERS[builder]()
     assert checks, "the builder checked nothing"
     assert {tol for _, tol in checks} == {TOL}
+
+
+def test_faithful_mp_checks_its_process_once(checks):
+    inst = load_fixture("diag-amp-damp")
+    mp = faithful_mp(inst, TOL)
+    assert checks == [("MeasuringProcess", TOL)]
+    assert mp.algebra is inst.algebra
+    # The process keeps validate=tol, so a replaced coupling is re-checked.
+    with pytest.raises(ValueError, match="unitary"):
+        dataclasses.replace(mp, u=2 * mp.u)
+    assert checks[1:] == [("MeasuringProcess", TOL)]
 
 
 def test_from_instrument_does_not_recheck_its_system(checks):

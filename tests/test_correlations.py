@@ -8,12 +8,18 @@ import pytest
 
 import qdil.correlations
 from conftest import random_cp_instrument
-from qdil.algebra import diagonal_algebra, full_algebra
+from qdil.algebra import (
+    FiniteVonNeumannAlgebra,
+    conditional_expectation,
+    diagonal_algebra,
+    full_algebra,
+)
 from qdil.correlations import (
     IN,
     CorrelationSystem,
     PiMap,
     TimeWord,
+    _condition,
     eval_W,
     from_instrument,
     from_kernel_table,
@@ -25,7 +31,13 @@ from qdil.correlations import (
 )
 from qdil.dilation import faithful_mp, mp_from_correlations, system_of_mp
 from qdil.instrument import apply_dual, luders_instrument
-from qdil.operator_core import dagger, is_pvm, spectral_norm
+from qdil.operator_core import (
+    dagger,
+    is_pvm,
+    random_ginibre,
+    random_unitary,
+    spectral_norm,
+)
 from qdil.vn_model import fixture_names, load_fixture
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -234,6 +246,84 @@ def test_axioms_detect_sign_flip():
         good.v, validate=False)
     report = verify_axioms(broken, depth=2, samples=60, seed=2)
     assert not report.all_pass
+
+
+def block_algebra(blocks, dim_h, seed):
+    """``blocks`` on ``C^dim_h`` in a random basis."""
+    return FiniteVonNeumannAlgebra(
+        dim_h, blocks, random_unitary(np.random.default_rng(seed), dim_h))
+
+
+ALGEBRAS = {
+    "full": lambda: full_algebra(3),
+    "diagonal": lambda: diagonal_algebra(3),
+    "M2 x 1_2 rotated": lambda: block_algebra(((2, 2),), 4, 19),
+    "M2 + M2 rotated": lambda: block_algebra(((2, 1), (2, 1)), 4, 23),
+}
+
+
+def condition_one(alg, raw):
+    """A member drawn one at a time: conditioned, then of unit norm."""
+    m = conditional_expectation(alg, raw)
+    norm = spectral_norm(m)
+    return (m / norm if norm > 1e-12 else np.eye(alg.dim_h)), norm
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_stacked_conditioning_is_per_draw_conditioning(name):
+    alg = ALGEBRAS[name]()
+    rng = np.random.default_rng(31)
+    raws = [random_ginibre(rng, alg.dim_h) for _ in range(64)]
+    draws = [raw.copy() for raw in raws]
+    norms = _condition(alg, draws)
+    for raw, member, norm in zip(raws, draws, norms):
+        want, want_norm = condition_one(alg, raw)
+        assert np.array_equal(member, want)
+        assert np.array_equal(norm, want_norm)
+
+
+def test_axiom_suite_conditions_in_a_fixed_number_of_calls(monkeypatch):
+    sys_c = from_instrument(load_fixture("diag-amp-damp"))
+    original, calls = qdil.correlations.conditional_expectation, []
+
+    def counted(alg, x):
+        calls.append(np.shape(x))
+        return original(alg, x)
+
+    monkeypatch.setattr(qdil.correlations, "conditional_expectation", counted)
+    counts = {}
+    for samples in (16, 200):
+        calls.clear()
+        assert verify_axioms(sys_c, 3, samples, seed=5).all_pass
+        counts[samples] = len(calls)
+    assert counts == {16: 1, 200: 1}
+
+
+def test_draws_that_condition_to_zero_become_the_identity(monkeypatch):
+    """Every third draw conditions to zero; its member is the identity."""
+    original = qdil.correlations.conditional_expectation
+
+    def vanishing(alg, x):
+        out = original(alg, x)
+        out[::3] = 0
+        return out
+
+    monkeypatch.setattr(qdil.correlations, "conditional_expectation",
+                        vanishing)
+    alg = diagonal_algebra(2)
+    rng = np.random.default_rng(37)
+    draws = [random_ginibre(rng, 2) for _ in range(9)]
+    norms = _condition(alg, draws)
+    for i, (member, norm) in enumerate(zip(draws, norms)):
+        if i % 3 == 0:
+            assert norm == 0
+            assert np.array_equal(member, np.eye(2))
+        else:
+            assert np.isclose(spectral_norm(member), 1.0)
+    for name in ("diag-amp-damp", "luders-z"):
+        report = verify_axioms(from_instrument(load_fixture(name)), 3, 40,
+                               seed=8)
+        assert report.all_pass, report.to_json()
 
 
 def test_system_validation_catches_non_isometry():
