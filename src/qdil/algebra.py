@@ -14,6 +14,7 @@ convenience.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .operator_core import (
     Tolerance,
     _json_dim,
     _json_object,
+    _kron,
     _report,
     _unitary_defects,
     _within,
@@ -80,20 +82,19 @@ class FiniteVonNeumannAlgebra:
     def basis(self) -> list[np.ndarray]:
         """An orthogonal basis of the algebra as a linear space.
 
-        Returns the images of the per-block matrix units
-        ``e_ab ⊗ 1_{m_i}`` in the standard basis. The identity is in the
-        span; members are exactly the linear combinations.
+        The images of the per-block matrix units ``e_ab ⊗ 1_{m_i}`` in the
+        standard basis, read-only rows of one stack built on first use.
+        The identity is in the span; members are the linear combinations.
         """
-        w = self.basis_change
-        out = []
-        offset = 0
-        for n, m in self.blocks:
-            for _, _, unit in matrix_units(n):
-                blk = np.zeros((self.dim_h, self.dim_h), dtype=complex)
-                blk[offset:offset + n * m, offset:offset + n * m] = \
-                    np.kron(unit, np.eye(m))
-                out.append(w @ blk @ dagger(w))
-            offset += n * m
+        return list(self._basis)
+
+    @cached_property
+    def _basis(self) -> np.ndarray:
+        zero = [np.zeros((n, n)) for n, _ in self.blocks]
+        out = np.stack([self.member(zero[:i] + [unit] + zero[i + 1:])
+                        for i, (n, _) in enumerate(self.blocks)
+                        for _, _, unit in matrix_units(n)])
+        out.flags.writeable = False
         return out
 
     def member(self, block_ops: list[np.ndarray]) -> np.ndarray:
@@ -109,7 +110,7 @@ class FiniteVonNeumannAlgebra:
                 raise ValueError(f"block component has shape {am.shape}, "
                                  f"expected {(n, n)}")
             y[offset:offset + n * m, offset:offset + n * m] = \
-                np.kron(am, np.eye(m))
+                _kron(am, np.eye(m))
             offset += n * m
         return w @ y @ dagger(w)
 
@@ -151,7 +152,7 @@ def conditional_expectation(alg: FiniteVonNeumannAlgebra, x) -> np.ndarray:
         sl = slice(offset, offset + n * m)
         t = y[..., sl, sl].reshape(*y.shape[:-2], n, m, n, m)
         a = np.einsum("...acbc->...ab", t) / m
-        out[..., sl, sl] = np.kron(a, np.eye(m))
+        out[..., sl, sl] = _kron(a, np.eye(m))
         offset += n * m
     return w @ out @ dagger(w)
 
@@ -221,7 +222,7 @@ def tensor_with_full(alg: FiniteVonNeumannAlgebra, dim_k: int
     return FiniteVonNeumannAlgebra(
         d,
         tuple((n * dim_k, m) for n, m in alg.blocks),
-        np.kron(alg.basis_change, np.eye(dim_k)) @ perm,
+        _kron(alg.basis_change, np.eye(dim_k)) @ perm,
     )
 
 
@@ -249,7 +250,7 @@ def _commutant_space(ops: list[np.ndarray], dim: int, tol: Tolerance
     eye = np.eye(dim)
     for g in ops:
         # vec(gX - Xg) = (g ⊗ I - I ⊗ g^T) vec(X), row-major vec
-        rows.append(np.kron(g, eye) - np.kron(eye, g.T))
+        rows.append(_kron(g, eye) - _kron(eye, g.T))
     return _null_space(np.vstack(rows), tol)
 
 

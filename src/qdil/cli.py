@@ -18,7 +18,7 @@ import itertools
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +387,7 @@ def cmd_fixtures(args, tol: Tolerance):
 # Argument parsing
 
 
+@cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdil",

@@ -42,6 +42,7 @@ from .operator_core import (
     _json_dim,
     _isometry_defects,
     _json_object,
+    _kron,
     _pvm_defects,
     _require_within,
     dagger,
@@ -353,24 +354,26 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     alphabet = [IN] + list(sys.outcomes.labels)
     raw: list[np.ndarray] = []
 
-    def member() -> np.ndarray:
-        raw.append(random_ginibre(rng, sys.dim_h))
-        return raw[-1]
+    def members(n: int) -> list[np.ndarray]:
+        """``n`` calls of :func:`random_ginibre` from one draw, as a stream."""
+        z = rng.standard_normal((n, 2, sys.dim_h, sys.dim_h))
+        raw.extend((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2))
+        return raw[-n:]
 
     def words(n: int = n_checks):
         """``n`` words, each drawn when consumed, so its extras follow it."""
         for _ in range(n):
             length = int(rng.integers(1, depth + 1))
             yield ([alphabet[int(rng.integers(len(alphabet)))]
-                    for _ in range(length)], [member() for _ in range(length)])
+                    for _ in range(length)], members(length))
 
-    plan_mc1 = [(letters, ms, int(rng.integers(len(ms))), member(), member(),
+    plan_mc1 = [(letters, ms, int(rng.integers(len(ms))), *members(2),
                  complex(rng.standard_normal(), rng.standard_normal()))
                 for letters, ms in words()]
     plan_mc2 = [(letters, ms, random_ginibre(rng, sys.dim_h, 1).reshape(-1))
                 for letters, ms in words(samples)]
-    plan_mc3 = [(letters, ms, member()) for letters, ms in words()]
-    plan_mc4 = [(letters, ms, int(rng.integers(len(ms))), member())
+    plan_mc3 = [(letters, ms, *members(1)) for letters, ms in words()]
+    plan_mc4 = [(letters, ms, int(rng.integers(len(ms))), *members(1))
                 for letters, ms in words()]
     plan_mc5, plan_adjoint, plan_closure = (list(words()) for _ in range(3))
     _condition(sys.algebra, raw)
@@ -504,8 +507,8 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
     # Meter index 0 feeds the H summand, the others feed π₀.
     pi0_left, _, k0 = rep.pi0.factors
     sel = np.eye(1 + k0)
-    p = np.vstack([np.kron(np.eye(dim_h), sel[:1]),
-                   pi0_left @ np.kron(np.eye(dim_h), sel[1:])])
+    p = np.vstack([_kron(np.eye(dim_h), sel[:1]),
+                   pi0_left @ _kron(np.eye(dim_h), sel[1:])])
 
     udp = dagger(u) @ p
     pi_atom = {}

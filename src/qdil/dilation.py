@@ -57,6 +57,7 @@ from .operator_core import (
     _json_dim,
     _isometry_defects,
     _json_object,
+    _kron,
     _pvm_defects,
     _require_within,
     _unitary_defects,
@@ -156,7 +157,7 @@ class MeasuringProcess:
     def heisenberg(self, m, event) -> np.ndarray:
         """The compressed map ``(id ⊗ sigma)[u*(m ⊗ E(event))u]``."""
         m = np.asarray(m, dtype=complex)
-        x = dagger(self.u) @ np.kron(m, self.pointer(event)) @ self.u
+        x = dagger(self.u) @ _kron(m, self.pointer(event)) @ self.u
         return compress_by_state(x, self.sigma, self.dim_h, self.dim_k)
 
     def _purification(self, tol: Tolerance
@@ -176,8 +177,8 @@ class MeasuringProcess:
         eye_r = np.eye(r)
         pure = MeasuringProcess(
             self.dim_h, self.algebra, self.outcomes, self.dim_k * r,
-            proj(eta), {s: np.kron(self.e[s], eye_r) for s in self.e},
-            np.kron(self.u, eye_r), validate=False)
+            proj(eta), {s: _kron(self.e[s], eye_r) for s in self.e},
+            _kron(self.u, eye_r), validate=False)
         return pure, eta / np.linalg.norm(eta)
 
     def purified(self, tol: Tolerance = DEFAULT_TOL) -> "MeasuringProcess":
@@ -232,7 +233,7 @@ class MinimalStinespring:
     v: np.ndarray = field(repr=False)
 
     def pi(self, m) -> np.ndarray:
-        return np.kron(np.asarray(m, dtype=complex), np.eye(self.rank))
+        return _kron(np.asarray(m, dtype=complex), np.eye(self.rank))
 
 
 def minimal_stinespring(cp_map, dim_h: int, tol: Tolerance = DEFAULT_TOL
@@ -320,7 +321,7 @@ def instrument_representation(inst: CPInstrument,
         sl = slice(offset, offset + size)
         # This atom's block is X ⊗ 1 on its own meter indices.
         first = offset // dim_h
-        q.append(np.kron(np.eye(dim_h), meter[first:first + part.rank]))
+        q.append(_kron(np.eye(dim_h), meter[first:first + part.rank]))
         v[sl, :] = part.v
         p = np.zeros((dim_k, dim_k), dtype=complex)
         p[sl, sl] = np.eye(size)
@@ -398,7 +399,7 @@ def commutant_pvm_lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray,
                         "transported algebra")
         t = (u2 @ p @ dagger(u2)).reshape(dim_h, dim_k, dim_h, dim_k)
         e0 = np.einsum("akal->kl", t) / dim_h
-        _require_within(t.reshape(dim_l, dim_l) - np.kron(np.eye(dim_h), e0),
+        _require_within(t.reshape(dim_l, dim_l) - _kron(np.eye(dim_h), e0),
                         scale, f"transported projection {s!r} is not of the "
                         "form 1 ⊗ (·)")
         out[s] = e0
@@ -422,10 +423,10 @@ def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
     dim_l1 = v.shape[0] // dim_h
     scale = tol.bound("loose", v.shape[0])
     for _, _, x in matrix_units(dim_h):
-        _require_within(np.kron(x, np.eye(dim_l1)) @ v - v @ x, scale,
+        _require_within(_kron(x, np.eye(dim_l1)) @ v - v @ x, scale,
                         "V does not intertwine the system action")
     eta_raw = v[:dim_l1, 0].copy()
-    _require_within(v - np.kron(np.eye(dim_h), eta_raw.reshape(-1, 1)),
+    _require_within(v - _kron(np.eye(dim_h), eta_raw.reshape(-1, 1)),
                     scale, "V is not of the form ξ ↦ ξ ⊗ η")
     norm = np.linalg.norm(eta_raw)
     if abs(norm - 1.0) > scale:
@@ -476,7 +477,7 @@ def mp_from_correlations(sys: CorrelationSystem,
         perp = q[:, 1:]
         rot = random_unitary(np.random.default_rng(completion_seed), d1 - 1)
         w = proj(eta1) + perp @ rot @ dagger(perp)
-        u = u @ np.kron(np.eye(dim_h), w)
+        u = u @ _kron(np.eye(dim_h), w)
 
     # The MeasuringProcess constructor below checks u's unitarity at tol.
     mp = MeasuringProcess(dim_h, sys.algebra, sys.outcomes, d1, proj(eta1),
@@ -521,7 +522,7 @@ def _system_of(mp: MeasuringProcess, tol: Tolerance) -> CorrelationSystem:
     return CorrelationSystem(
         mp.dim_h, mp.algebra, mp.outcomes, dim_l,
         PiMap.factored(eye_l, eye_l, dim_k), pi_atom,
-        np.kron(np.eye(dim_h), eta.reshape(-1, 1)), validate=False)
+        _kron(np.eye(dim_h), eta.reshape(-1, 1)), validate=False)
 
 
 def system_of_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
@@ -710,8 +711,8 @@ def halmos_unitary(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
                     "input is not a partial isometry")
     eye = np.eye(n)
     e00, e01, e10, e11 = (x for _, _, x in matrix_units(2))
-    return (np.kron(v, e00) + np.kron(eye - vvd, e01)
-            + np.kron(eye - vdv, e10) - np.kron(dagger(v), e11))
+    return (_kron(v, e00) + _kron(eye - vvd, e01)
+            + _kron(eye - vdv, e10) - _kron(dagger(v), e11))
 
 
 def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
@@ -754,10 +755,10 @@ def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
 
     labels = inst.outcomes.labels
     slot_atoms = [labels[0]] + [s for s, _ in flat] + [labels[-1]]
-    e = {s: np.kron(np.diag([float(t == s) for t in slot_atoms]), np.eye(2))
+    e = {s: _kron(np.diag([float(t == s) for t in slot_atoms]), np.eye(2))
          for s in labels}
 
-    sigma = proj(np.kron(basis_vector(dim_m, 0), basis_vector(2, 0)))
+    sigma = proj(basis_vector(dim_k, 0))
     return MeasuringProcess(dim_h, inst.algebra, inst.outcomes, dim_k,
                             sigma, e, u, validate=tol)
 

@@ -14,6 +14,7 @@ which call :meth:`CPInstrument.require_valid` first.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -491,15 +492,16 @@ def coarse_grain(inst: CPInstrument, generating_events: list,
                         validate=inst.validate)
 
 
-def _atom_probabilities(inst: CPInstrument, rho: np.ndarray) -> np.ndarray:
-    probs = np.array([
-        float(np.trace(_kraus_sum(inst, (s,), rho, dual=False)).real)
-        for s in inst.outcomes.labels])
+def _atom_probabilities(inst: CPInstrument, rho: np.ndarray):
+    """Normalized atom probabilities and each atom's branch ``Σ K ρ K*``."""
+    branches = [_kraus_sum(inst, (s,), rho, dual=False)
+                for s in inst.outcomes.labels]
+    probs = np.array([float(np.trace(b).real) for b in branches])
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if total <= 0:
         raise ValueError("all outcome probabilities vanish")
-    return probs / total
+    return probs / total, branches
 
 
 def sample_trajectory(inst: CPInstrument, rho0, steps: int, seed: int
@@ -516,12 +518,11 @@ def sample_trajectory(inst: CPInstrument, rho0, steps: int, seed: int
     labels = inst.outcomes.labels
     out = []
     for _ in range(steps):
-        probs = _atom_probabilities(inst, rho)
+        probs, branches = _atom_probabilities(inst, rho)
         idx = int(rng.choice(len(labels), p=probs))
-        s = labels[idx]
-        sub = _kraus_sum(inst, (s,), rho, dual=False)
+        sub = branches[idx]
         rho = sub / np.trace(sub).real
-        out.append((s, rho))
+        out.append((labels[idx], rho))
     return out
 
 
@@ -531,7 +532,7 @@ def sample_first_steps(inst: CPInstrument, rho0, n: int, seed: int
     if n < 1:
         raise ValueError("need at least one sample")
     rho = require_state(rho0)
-    probs = _atom_probabilities(inst, rho)
+    probs, _ = _atom_probabilities(inst, rho)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, probs)
     return {s: int(c) for s, c in zip(inst.outcomes.labels, counts)}
@@ -566,9 +567,9 @@ def instrument_from_json(data, validate: bool = True) -> CPInstrument:
     weights = _json_object(data.get("weights", {}), "instrument JSON 'weights'")
     for s, ws in weights.items():
         if not (isinstance(ws, list) and all(
-                isinstance(w, (int, float)) and not isinstance(w, bool)
-                for w in ws)):
+                isinstance(w, float) or type(w) is int
+                and abs(w) <= sys.float_info.max for w in ws)):
             raise ValueError(f"instrument JSON 'weights' of {s!r} must be an "
-                             "array of numbers")
+                             "array of numbers in the float range")
     return CPInstrument(dim, algebra, outcomes, kraus, weights or None,
                         validate=validate)

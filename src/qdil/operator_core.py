@@ -129,9 +129,16 @@ def _square(a) -> np.ndarray:
     return m
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)``, bit for bit, for a matrix or stack ``a``."""
+    (n0, n1), (m0, m1) = a.shape[-2:], b.shape
+    return (a[..., :, None, :, None] * b[:, None, :]).reshape(
+        *a.shape[:-2], n0 * m0, n1 * m1)
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product ``a ⊗ b``."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
+    return _kron(_as_matrix(a), _as_matrix(b))
 
 
 def dagger(a) -> np.ndarray:
@@ -508,27 +515,26 @@ def matrix_from_json(data) -> np.ndarray:
         raise ValueError("matrix JSON must be a nonempty list of rows")
     rows = []
     width = None
-    for row in data:
-        if not isinstance(row, list):
-            raise ValueError("matrix JSON rows must be lists")
-        entries = []
-        for z in row:
-            if isinstance(z, list) and len(z) == 2:
-                re, im = z
-                if (isinstance(re, (int, float)) and isinstance(im, (int, float))
+    try:
+        for row in data:
+            if not isinstance(row, list):
+                raise ValueError("matrix JSON rows must be lists")
+            entries = []
+            for z in row:
+                re, im = z if isinstance(z, list) and len(z) == 2 else (z, 0)
+                if not (isinstance(re, (int, float))
+                        and isinstance(im, (int, float))
                         and not isinstance(re, bool)
                         and not isinstance(im, bool)):
-                    entries.append(complex(re, im))
-                    continue
-            elif isinstance(z, (int, float)) and not isinstance(z, bool):
-                entries.append(complex(z))
-                continue
-            raise ValueError(f"bad complex entry in matrix JSON: {z!r}")
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise ValueError("ragged matrix JSON")
-        rows.append(entries)
+                    raise ValueError(f"bad complex entry in matrix JSON: {z!r}")
+                entries.append(complex(re, im))
+            if width is None:
+                width = len(entries)
+            elif len(entries) != width:
+                raise ValueError("ragged matrix JSON")
+            rows.append(entries)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("matrix JSON entries must be finite") from None
     m = np.array(rows, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix JSON entries must be finite")

@@ -22,6 +22,7 @@ from .instrument import CPInstrument, OutcomeSpace, instrument_from_json
 from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
+    _kron,
     basis_vector,
     dagger,
     is_hermitian,
@@ -123,7 +124,7 @@ def build(model: DiscreteVNModel, tol: Tolerance = DEFAULT_TOL
     u = np.zeros((model.dim_h * d,) * 2, dtype=complex)
     for a_val, p_a in _spectral_groups(model.system_observable, tol):
         meter = f @ np.diag(np.exp(-1j * model.coupling * a_val * q)) @ dagger(f)
-        u += np.kron(p_a, meter)
+        u += _kron(p_a, meter)
     outcomes = OutcomeSpace(tuple(str(k) for k in range(d)))
     e = {str(k): proj(basis_vector(d, k)) for k in range(d)}
     sigma = proj(model.pointer_state)

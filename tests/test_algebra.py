@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qdil.algebra
 from qdil.algebra import (
+    FiniteVonNeumannAlgebra,
     algebra_from_generators,
     algebra_from_json,
     algebra_to_json,
@@ -41,6 +43,24 @@ def test_basis_is_orthogonal_and_complete():
     assert len(basis) == 3
     for b in basis:
         assert contains(alg, b)
+
+
+def test_basis_is_built_once_read_only_and_equal_to_a_fresh_build(
+        monkeypatch):
+    w = random_unitary(np.random.default_rng(7), 5)
+    alg = FiniteVonNeumannAlgebra(5, ((1, 2), (3, 1)), w)
+    fresh = FiniteVonNeumannAlgebra(5, alg.blocks, w.copy()).basis()
+    built = []
+    units = qdil.algebra.matrix_units
+    monkeypatch.setattr(qdil.algebra, "matrix_units",
+                        lambda n: built.append(n) or units(n))
+    first, second = alg.basis(), alg.basis()
+    assert built == [1, 3]  # one pass over the blocks, on the first call
+    assert len(first) == alg.linear_dimension() == 10
+    for b, again, new in zip(first, second, fresh):
+        assert np.shares_memory(b, again) and np.array_equal(b, new)
+        with pytest.raises(ValueError):
+            b[0, 0] = 1.0
 
 
 def test_contains_on_diagonal_algebra():

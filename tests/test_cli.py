@@ -779,3 +779,67 @@ def test_inner_rejects_a_completeness_excess_beyond_psd_slack(tmp_path,
     assert code == 2
     assert report["error"] == "invalid-input"
     assert "negative eigenvalue -2.000e-08 beyond psd_slack" in report["detail"]
+
+
+# An integer JSON entry beyond the float range: float() of it overflows.
+HUGE = 10 ** 400
+
+
+def huge_entry_argv(tmp_path, capsys, where):
+    """The argv of a command reading a file with a ``HUGE`` entry at
+    ``where``, and the ``error`` its report must carry."""
+    inst = write_fixture(tmp_path, "luders-z")
+    data = json.loads(inst.read_text())
+    if where == "kraus":
+        data["kraus"]["0"][0][0][0] = HUGE
+    elif where == "weights":
+        data["weights"] = {"0": [HUGE], "1": [1.0]}
+    if where in ("kraus", "weights"):
+        inst.write_text(json.dumps(data))
+        return ["dilate", "-i", str(inst)], "schema"
+    if where == "state":
+        state = write_plus_state(tmp_path)
+        state.write_text(json.dumps([[HUGE, 0], [0, 0]]))
+        return ["sample", "-i", str(inst), "--state", str(state)], \
+            "not-a-state"
+    if where == "sys":
+        path = extended_system(tmp_path, capsys)
+        data = json.loads(path.read_text())
+        data["pi_in"][0][0][0][0] = [1.0, -HUGE]
+        path.write_text(json.dumps(data))
+        return ["verify-mc", "-i", str(path)], "schema"
+    run(capsys, "dilate", "-i", str(inst))
+    path = tmp_path / "luders-z.mp.json"
+    data = json.loads(path.read_text())
+    data["u"][0][0] = [HUGE, 0.0]
+    bad = tmp_path / "huge.mp.json"
+    bad.write_text(json.dumps(data))
+    return ["equiv", str(path), str(bad)], "schema"
+
+
+@pytest.mark.parametrize("where", ["kraus", "weights", "state", "sys", "mp"])
+def test_integer_beyond_float_range_is_input_error(tmp_path, capsys, where):
+    argv, error = huge_entry_argv(tmp_path, capsys, where)
+    code, report = run(capsys, *argv)
+    assert code == 2
+    assert report["error"] == error
+    assert ("float range" if where == "weights" else "finite") in \
+        report["detail"]
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    """Two commands, and the first again, run in one process with one
+    parser report what each reports with a parser of its own."""
+    inst = write_fixture(tmp_path, "luders-z")
+    state = write_plus_state(tmp_path)
+    argvs = [["extend", "-i", str(inst)],
+             ["sample", "-i", str(inst), "--state", str(state), "--steps",
+              "50"],
+             ["extend", "-i", str(inst)]]
+    fresh = []
+    for argv in argvs:
+        qdil.cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    qdil.cli._build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in argvs] == fresh
+    assert qdil.cli._build_parser.cache_info().misses == 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -220,6 +221,50 @@ def test_axioms_pass_on_constructed_system():
     assert report.all_pass
     for name in ("MC1", "MC2", "MC3", "MC4", "MC5", "MC6"):
         assert name in report.entries
+
+
+class CountingGenerator:
+    """A ``numpy.random.Generator`` that counts its ``standard_normal``
+    calls and forwards everything to the generator it wraps."""
+
+    def __init__(self, rng):
+        self.rng, self.normal_calls = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_one_normal_draw_holds_consecutive_ginibre_draws():
+    """The stream ``verify_axioms`` relies on: one ``(n, 2, d, d)`` draw
+    holds n Ginibre draws, real then imaginary part, and leaves the
+    generator where n separate draws would."""
+    one, many = np.random.default_rng(5), np.random.default_rng(5)
+    z = one.standard_normal((4, 2, 3, 3))
+    stacked = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+    for m in stacked:
+        assert np.array_equal(m, random_ginibre(many, 3))
+    assert one.integers(10 ** 9) == many.integers(10 ** 9)
+
+
+def test_verify_axioms_draws_each_word_at_once(monkeypatch):
+    """The number of ``standard_normal`` calls does not grow with the
+    members per word, and a seed gives a byte-identical report."""
+    sys = from_instrument(random_cp_instrument(np.random.default_rng(74), 2,
+                                               2, kraus_per_outcome=2))
+    plain = {depth: json.dumps(verify_axioms(sys, depth, 40, seed=6).to_json())
+             for depth in (1, 3)}
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(
+        CountingGenerator(default_rng(seed))) or made[-1])
+    for depth in (1, 3):
+        report = verify_axioms(sys, depth, 40, seed=6).to_json()
+        assert json.dumps(report) == plain[depth]
+    assert len(made) == 2 and made[0].normal_calls == made[1].normal_calls
 
 
 def test_axioms_detect_dropped_atom():

@@ -549,3 +549,18 @@ def test_mp_from_correlations_checks_at_the_callers_tolerance():
         validate=False)
     tol = Tolerance(1e-6, 1e-7)
     assert is_unitary(mp_from_correlations(scaled, tol).u, tol)
+
+
+def test_dilation_chain_runs_without_numpy_kron(monkeypatch):
+    """The chain builds every Kronecker product with the package's helper:
+    with ``numpy.kron`` refusing, an instrument still goes to its system,
+    a seeded process and back, and comes back as itself."""
+    inst = random_cp_instrument(np.random.default_rng(15), 3, 2, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.kron called")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    mp = mp_from_correlations(from_instrument(inst), completion_seed=4)
+    assert mp.dim_k > 1  # so the seeded rotation 1 ⊗ W is applied
+    assert instrument_distance(induced_instrument_mp(mp), inst) <= 1e-8

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qdil.instrument
 from conftest import random_cp_instrument, random_state
 from qdil.algebra import diagonal_algebra, full_algebra
 from qdil.instrument import (
@@ -184,6 +185,25 @@ def test_sample_trajectory_is_deterministic():
     assert [s for s, _ in t1] == [s for s, _ in t2]
     for (_, r1), (_, r2) in zip(t1, t2):
         assert np.array_equal(r1, r2)
+
+
+def test_sample_trajectory_forms_each_branch_once_per_step(monkeypatch):
+    """A step forms every atom's branch ``Σ K ρ K*`` once and normalizes
+    the drawn one; the posteriors are those of :func:`apply_predual`."""
+    inst = random_cp_instrument(np.random.default_rng(56), 3, 3,
+                                kraus_per_outcome=2)
+    rho0 = random_state(np.random.default_rng(57), 3)
+    calls = []
+    kraus_sum = qdil.instrument._kraus_sum
+    monkeypatch.setattr(qdil.instrument, "_kraus_sum",
+                        lambda *a, **k: calls.append(1) or kraus_sum(*a, **k))
+    traj = sample_trajectory(inst, rho0, 8, seed=3)
+    assert len(calls) == 8 * 3
+    rho = rho0
+    for s, post in traj:
+        sub = apply_predual(inst, rho, (s,))
+        assert np.array_equal(post, sub / np.trace(sub).real)
+        rho = post
 
 
 def test_sample_trajectory_posteriors_are_states():

@@ -10,6 +10,7 @@ import pytest
 
 from qdil.operator_core import (
     CheckReport,
+    _kron,
     _report,
     _require_within,
     _within,
@@ -88,6 +89,22 @@ def test_tensor_matches_kron():
     a = random_ginibre(rng, 2)
     b = random_ginibre(rng, 3)
     assert np.allclose(tensor(a, b), np.kron(a, b))
+
+
+def test_kron_helper_keeps_numpy_kron_bits():
+    """Real × complex, a stack with a matrix, and signed zeros (the
+    property test in test_kron.py draws many more such operands)."""
+    z = np.array([[-0.0, 1.5], [0.0, -2.0]])
+    c = np.empty((2, 3), dtype=complex)
+    c.real, c.imag = [[-0.0, 1.0, 0.0], [2.0, -0.0, -1.0]], [[0.0, -0.0, 3.0],
+                                                           [-0.0, 1.0, -0.0]]
+    stack = np.stack([c.T, -c.T, 1j * c.T])
+    for a, b in [(z, c), (c, z), (c, c), (z, z), (stack, z), (stack, c),
+                 (c.T, np.eye(2))]:
+        got, want = _kron(a, b), np.kron(a, b)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 def test_matrix_units_span_and_shape():
