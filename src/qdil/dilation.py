@@ -61,6 +61,7 @@ from .operator_core import (
     _pvm_defects,
     _require_within,
     _unitary_defects,
+    _within,
     basis_vector,
     compress_by_state,
     dagger,
@@ -343,15 +344,24 @@ def multiplicity_split(pi: PiMap, tol: Tolerance = DEFAULT_TOL
     """Split a unital representation of B(H) as ``π(X) = U₁*(X ⊗ 1)U₁``.
 
     Returns ``(dimK, u1)`` with ``u1`` a unitary from the representation
-    space onto ``H ⊗ C^dimK``. The unitary is assembled by propagating
-    an orthonormal basis of the range of ``π(|0><0|)`` with the partial
-    isometries ``π(|i><0|)``.
+    space onto ``H ⊗ C^dimK``. A factored ``(left, right, dimK)`` with
+    ``left`` unitary and ``right = left*`` within ``strict(dimL)``, 100×
+    under the ``loose(dimL)`` the general path accepts, gives ``right``.
+    Otherwise the unitary is assembled by propagating an orthonormal
+    basis of the range of ``π(|0><0|)`` with the partial isometries
+    ``π(|i><0|)``.
     """
     dim_l, dim_h = pi.dim_out, pi.dim_in
     if dim_l % dim_h != 0:
         raise ValueError(f"space of dimension {dim_l} admits no "
                          f"multiplicity split over dimension {dim_h}")
     dim_k = dim_l // dim_h
+    if pi.factors is not None:
+        left, right, k = pi.factors
+        if k == dim_k and left.shape == (dim_l, dim_l) and _within(
+                (*_unitary_defects(left), right - dagger(left)),
+                tol.bound("strict", dim_l)):
+            return dim_k, right
     p0 = pi.tensor[:, :, 0, 0]
     vals, vecs = np.linalg.eigh((p0 + dagger(p0)) / 2)
     sel = vals > 0.5
@@ -379,29 +389,37 @@ def commutant_pvm_lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray,
     """Read a commutant PVM through a multiplicity split.
 
     Each projection must commute with ``u2*(X ⊗ 1)u2``; then
-    ``u2 P u2*`` has the form ``1 ⊗ E₀`` and ``E₀`` is recovered by
-    partial trace over the first leg. The recovered family is verified
-    to be a PVM and to reproduce the inputs.
+    ``t = u2 P u2*`` has the form ``1 ⊗ E₀`` and ``E₀`` is recovered by
+    partial trace over the first leg. Every commutator with a matrix unit
+    is at most ``2(1+a)(‖d‖ + ‖P‖((1+a)b + 2a + a²))`` for ``d = t − 1 ⊗
+    E₀``, ``a = ‖u2*u2 − 1‖``, ``b = ‖u2u2* − 1‖``; the sweep over them
+    runs only when that, in Frobenius norms, exceeds half of
+    ``loose(dimL)``, the bound of every check here. The recovered family
+    is verified to be of that form and a PVM.
     """
     dim_l = u2.shape[0]
     if dim_l % dim_h != 0:
         raise ValueError("split dimensions do not divide")
     dim_k = dim_l // dim_h
     scale = tol.bound("loose", dim_l)
-    # u2*(x ⊗ 1)u2 for every matrix unit x, as a stack.
-    transported = _transport(dagger(u2), u2, dim_k).transpose(
-        2, 3, 0, 1).reshape(-1, dim_l, dim_l)
-    out = {}
+    a, b = (np.linalg.norm(m) for m in _unitary_defects(u2))
+    out, transported = {}, None
     for s, p in pi_vals.items():
         p = np.asarray(p, dtype=complex)
-        _require_within(p @ transported - transported @ p, scale,
-                        f"projection {s!r} does not commute with the "
-                        "transported algebra")
         t = (u2 @ p @ dagger(u2)).reshape(dim_h, dim_k, dim_h, dim_k)
         e0 = np.einsum("akal->kl", t) / dim_h
-        _require_within(t.reshape(dim_l, dim_l) - _kron(np.eye(dim_h), e0),
-                        scale, f"transported projection {s!r} is not of the "
-                        "form 1 ⊗ (·)")
+        d = t.reshape(dim_l, dim_l) - _kron(np.eye(dim_h), e0)
+        if not 2 * (1 + a) * (np.linalg.norm(d) + np.linalg.norm(p) * (
+                (1 + a) * b + 2 * a + a * a)) <= scale / 2:
+            if transported is None:
+                # u2*(x ⊗ 1)u2 for every matrix unit x, as a stack.
+                transported = _transport(dagger(u2), u2, dim_k).transpose(
+                    2, 3, 0, 1).reshape(-1, dim_l, dim_l)
+            _require_within(p @ transported - transported @ p, scale,
+                            f"projection {s!r} does not commute with the "
+                            "transported algebra")
+        _require_within(d, scale, f"transported projection {s!r} is not of "
+                        "the form 1 ⊗ (·)")
         out[s] = e0
     _require_within(_pvm_defects(out), scale, "lifted family is not a PVM")
     return out
@@ -414,7 +432,9 @@ def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
     The vector is read off the image of the first basis vector and
     re-phased so its first significant component is real positive; the
     product form is verified against the raw (un-phased) extraction, so
-    the check is phase-free.
+    the check is phase-free. As ``(x ⊗ 1)V − Vx = (x ⊗ 1)D − Dx`` for
+    ``D = V − 1 ⊗ η_raw``, the sweep over matrix units runs only when
+    ``2‖D‖_F`` exceeds half of ``loose(dimL)``, the bound of each check.
     """
     v = np.asarray(v, dtype=complex)
     dim_h = v.shape[1]
@@ -422,12 +442,13 @@ def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
         raise ValueError("isometry shape does not factor over the system")
     dim_l1 = v.shape[0] // dim_h
     scale = tol.bound("loose", v.shape[0])
-    for _, _, x in matrix_units(dim_h):
-        _require_within(_kron(x, np.eye(dim_l1)) @ v - v @ x, scale,
-                        "V does not intertwine the system action")
     eta_raw = v[:dim_l1, 0].copy()
-    _require_within(v - _kron(np.eye(dim_h), eta_raw.reshape(-1, 1)),
-                    scale, "V is not of the form ξ ↦ ξ ⊗ η")
+    defect = v - _kron(np.eye(dim_h), eta_raw.reshape(-1, 1))
+    if not 2 * np.linalg.norm(defect) <= scale / 2:
+        for _, _, x in matrix_units(dim_h):
+            _require_within(_kron(x, np.eye(dim_l1)) @ v - v @ x, scale,
+                            "V does not intertwine the system action")
+    _require_within(defect, scale, "V is not of the form ξ ↦ ξ ⊗ η")
     norm = np.linalg.norm(eta_raw)
     if abs(norm - 1.0) > scale:
         raise ValueError("extracted vector is not normalized")
@@ -455,10 +476,12 @@ def mp_from_correlations(sys: CorrelationSystem,
     is the process with meter C^d, meter state η₁ (``u1 v ξ = ξ ⊗ η₁`` up
     to a phase), pointer PVM E₀ (``u2 Π_s(1) u2* = 1 ⊗ E₀(s)``) and
     coupling ``U = u2 u1*``: ``u1`` carries every letter map and ``v``
-    onto the process's, so the two are completely equivalent.
-    ``completion_seed`` multiplies U by ``1 ⊗ W`` for a seeded unitary W
-    that fixes η₁, which no word can see; when d = 1 there is nothing to
-    rotate and the seed is ignored.
+    onto the process's, so the two are completely equivalent. Bounds: a
+    split ``strict(dimL)`` on stored factors, else ``loose(dimL)``; the
+    lift, η₁ and a six-word spot check ``loose(dimL)``; U and E₀
+    ``loose``. ``completion_seed`` multiplies U by ``1 ⊗ W`` for a seeded
+    unitary W that fixes η₁, which no word can see; when d = 1 there is
+    nothing to rotate and the seed is ignored.
     """
     if not sys.algebra.is_full:
         raise ValueError("construction requires the full matrix algebra")

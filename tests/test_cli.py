@@ -827,6 +827,21 @@ def test_integer_beyond_float_range_is_input_error(tmp_path, capsys, where):
         report["detail"]
 
 
+@pytest.mark.parametrize("command", ["dilate", "extend"])
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_weight_is_schema_error(tmp_path, capsys, command, weight):
+    """``NaN``, ``Infinity`` and ``-Infinity`` weights are rejected where
+    the document is read, like a non-finite matrix entry."""
+    inst = write_fixture(tmp_path, "luders-z")
+    data = json.loads(inst.read_text())
+    data["weights"] = {"0": [weight], "1": [1.0]}
+    inst.write_text(json.dumps(data))
+    code, report = run(capsys, command, "-i", str(inst))
+    assert code == 2
+    assert report["error"] == "schema"
+    assert "array of finite numbers in the float range" in report["detail"]
+
+
 def test_parser_is_built_once_per_process(tmp_path, capsys):
     """Two commands, and the first again, run in one process with one
     parser report what each reports with a parser of its own."""

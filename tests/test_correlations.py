@@ -144,7 +144,7 @@ def test_event_letter_of_tensor_atoms_is_the_tensor_sum():
 
 
 def test_dilation_forms_no_atom_tensor(monkeypatch):
-    """Only Π_in and the summed atom map are read as tensors."""
+    """No letter map is read as a tensor: both splits use the factors."""
     sys_c = from_instrument(load_fixture("trine-povm"))
     transport, formed = qdil.correlations._transport, []
 
@@ -154,10 +154,7 @@ def test_dilation_forms_no_atom_tensor(monkeypatch):
 
     monkeypatch.setattr(qdil.correlations, "_transport", counted)
     mp_from_correlations(sys_c)
-    assert len(formed) == 2
-    assert formed[0][1] is sys_c.pi_in.factors[1]
-    assert not any(f[1] is pm.factors[1]
-                   for f in formed for pm in sys_c.pi_atom.values())
+    assert formed == []
 
 
 def test_from_instrument_word_values_reproduce_instrument():

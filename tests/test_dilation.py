@@ -15,8 +15,10 @@ from qdil.algebra import (
     tensor_with_full,
 )
 from qdil.correlations import IN, TimeWord, eval_W, from_instrument, verify_axioms
+import qdil.dilation
 from qdil.dilation import (
     MeasuringProcess,
+    commutant_pvm_lift,
     correlations_of_mp,
     faithful_mp,
     faithfulness_table,
@@ -25,6 +27,7 @@ from qdil.dilation import (
     inner_membership,
     inner_mp_from_kraus,
     instrument_representation,
+    intertwiner_vector,
     minimal_stinespring,
     mp_from_correlations,
     mp_from_json,
@@ -33,7 +36,7 @@ from qdil.dilation import (
     n_equivalent,
     system_of_mp,
 )
-from qdil.correlations import CorrelationSystem, PiMap
+from qdil.correlations import CorrelationSystem, PiMap, _transport
 from qdil.instrument import (
     CPInstrument,
     OutcomeSpace,
@@ -41,10 +44,15 @@ from qdil.instrument import (
     luders_instrument,
 )
 from qdil.operator_core import (
+    DEFAULT_TOL,
     Tolerance,
+    _kron,
+    _pvm_defects,
+    _require_within,
     compress_by_state,
     dagger,
     is_unitary,
+    matrix_units,
     proj,
     random_unitary,
     spectral_norm,
@@ -564,3 +572,118 @@ def test_dilation_chain_runs_without_numpy_kron(monkeypatch):
     mp = mp_from_correlations(from_instrument(inst), completion_seed=4)
     assert mp.dim_k > 1  # so the seeded rotation 1 ⊗ W is applied
     assert instrument_distance(induced_instrument_mp(mp), inst) <= 1e-8
+
+
+# The certificates of commutant_pvm_lift and intertwiner_vector skip a
+# sweep over matrix units only where the sweep would pass. The functions
+# below always sweep, in the order the checks run; on every input the
+# certified functions must give their verdict, value and message.
+
+
+def outcome(fn, *args):
+    try:
+        return True, fn(*args)
+    except ValueError as exc:
+        return False, str(exc)
+
+
+def swept_lift(pi_vals, u2, dim_h, tol=DEFAULT_TOL):
+    dim_l = u2.shape[0]
+    dim_k = dim_l // dim_h
+    scale = tol.bound("loose", dim_l)
+    transported = _transport(dagger(u2), u2, dim_k).transpose(
+        2, 3, 0, 1).reshape(-1, dim_l, dim_l)
+    out = {}
+    for s, p in pi_vals.items():
+        _require_within(p @ transported - transported @ p, scale,
+                        f"projection {s!r} does not commute with the "
+                        "transported algebra")
+        t = (u2 @ p @ dagger(u2)).reshape(dim_h, dim_k, dim_h, dim_k)
+        e0 = np.einsum("akal->kl", t) / dim_h
+        _require_within(t.reshape(dim_l, dim_l) - _kron(np.eye(dim_h), e0),
+                        scale, f"transported projection {s!r} is not of "
+                        "the form 1 ⊗ (·)")
+        out[s] = e0
+    _require_within(_pvm_defects(out), scale, "lifted family is not a PVM")
+    return out
+
+
+def swept_intertwiner(v, tol=DEFAULT_TOL):
+    dim_h = v.shape[1]
+    dim_l1 = v.shape[0] // dim_h
+    scale = tol.bound("loose", v.shape[0])
+    for _, _, x in matrix_units(dim_h):
+        _require_within(_kron(x, np.eye(dim_l1)) @ v - v @ x, scale,
+                        "V does not intertwine the system action")
+    eta = v[:dim_l1, 0]
+    _require_within(v - _kron(np.eye(dim_h), eta.reshape(-1, 1)), scale,
+                    "V is not of the form ξ ↦ ξ ⊗ η")
+    norm = np.linalg.norm(eta)
+    if abs(norm - 1.0) > scale:
+        raise ValueError("extracted vector is not normalized")
+    eta = eta / norm
+    mags = np.abs(eta)
+    lead = int(np.argmax(mags >= mags.max() * 1e-6))
+    return eta * (eta[lead] / abs(eta[lead])).conjugate()
+
+
+def same_outcome(got, want):
+    (ok, value), (ok_want, value_want) = got, want
+    if not (ok and ok_want):
+        return got == want
+    if isinstance(value, dict):
+        return value.keys() == value_want.keys() and all(
+            np.array_equal(value[s], value_want[s]) for s in value)
+    return np.array_equal(value, value_want)
+
+
+def count_sweeps(monkeypatch, name):
+    """Count calls of ``qdil.dilation.<name>``, which only a sweep makes."""
+    calls = []
+    real = getattr(qdil.dilation, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qdil.dilation, name, counted)
+    return calls
+
+
+SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+@pytest.mark.parametrize("skew", [1.0, 1 + 1e-8])
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.45, 0.55, 0.7, 0.95, 2.0])
+def test_lift_certificate_gives_the_sweep_verdict(monkeypatch, delta, skew):
+    """``u2 P u2* = 1 ⊗ P0 + δ·σ_z ⊗ σ_x``: the form defect is δ and the
+    commutator with ``u2*(|0><1| ⊗ 1)u2`` is 2δ, for δ a multiple of the
+    bound; ``skew`` takes u2 off unitary by 2e-8, which moves no verdict
+    but is enough to keep the certificate from clearing."""
+    u2 = skew * random_unitary(np.random.default_rng(16), 4)
+    scale = DEFAULT_TOL.bound("loose", 4)
+    bent = delta * scale * np.kron(SZ, SX)
+    pi_vals = {"0": dagger(u2) @ (np.kron(np.eye(2), P0) + bent) @ u2,
+               "1": dagger(u2) @ (np.kron(np.eye(2), P1) - bent) @ u2}
+    sweeps = count_sweeps(monkeypatch, "_transport")
+    got = outcome(commutant_pvm_lift, pi_vals, u2, 2)
+    assert bool(sweeps) == (delta > 0.1 or skew != 1.0)
+    assert same_outcome(got, outcome(swept_lift, pi_vals, u2, 2))
+    assert got[0] == (delta < 0.5), got
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.45, 0.55, 0.7, 0.95, 2.0])
+def test_intertwiner_certificate_gives_the_sweep_verdict(monkeypatch, delta):
+    """``V = 1 ⊗ η + δ·M ⊗ w`` with ``M = diag(0, 1, −1)``: the form
+    defect is δ and the commutator with ``|1><2|`` is 2δ."""
+    rng = np.random.default_rng(17)
+    eta, w = (x / np.linalg.norm(x) for x in rng.standard_normal((2, 2)))
+    scale = DEFAULT_TOL.bound("loose", 6)
+    v = (np.kron(np.eye(3), eta.reshape(-1, 1))
+         + delta * scale * np.kron(np.diag([0.0, 1.0, -1.0]),
+                                   w.reshape(-1, 1)))
+    sweeps = count_sweeps(monkeypatch, "matrix_units")
+    got = outcome(intertwiner_vector, v)
+    assert bool(sweeps) == (delta > 0.1)
+    assert same_outcome(got, outcome(swept_intertwiner, v))
+    assert got[0] == (delta < 0.5), got

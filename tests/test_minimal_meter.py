@@ -8,21 +8,30 @@ meter is the multiplicity space itself (dimK = dimL/dimH).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import qdil.correlations
 from conftest import random_cp_instrument
 from qdil.algebra import full_algebra
-from qdil.correlations import from_instrument
+from qdil.correlations import PiMap, from_instrument
 from qdil.dilation import (
     MeasuringProcess,
+    induced_instrument_mp,
     mp_from_correlations,
     multiplicity_split,
     n_equivalent,
     system_of_mp,
 )
-from qdil.instrument import OutcomeSpace
-from qdil.operator_core import DEFAULT_TOL, dagger, random_unitary
+from qdil.instrument import OutcomeSpace, apply_dual
+from qdil.operator_core import (
+    DEFAULT_TOL,
+    dagger,
+    random_unitary,
+    spectral_norm,
+)
 from qdil.vn_model import fixture_names, load_fixture
 from test_cli import run, write_fixture
 
@@ -106,3 +115,91 @@ def test_multiplicity_one_ignores_the_seed():
                  *((mp.e[s], seeded.e[s]) for s in outcomes.labels)]:
         assert np.array_equal(a, b)
     assert n_equivalent(mp, hand, 4).equivalent
+
+
+# The two representations of B(H) a full-algebra system carries: Π_in and
+# the summed atom map. On a from_instrument system both hold the factors
+# (left, left*, dimK) with left unitary, which are their splits already.
+
+
+def split_maps(sys_c):
+    return sys_c.pi_in, sys_c.letter_map(sys_c.outcomes.labels)
+
+
+def tensor_form(sys_c):
+    """``sys_c`` with every letter map stored as its 4-tensor."""
+    return dataclasses.replace(
+        sys_c, pi_in=PiMap(sys_c.pi_in.tensor),
+        pi_atom={s: PiMap(pm.tensor) for s, pm in sys_c.pi_atom.items()},
+        validate=False)
+
+
+def split_outcome(pi):
+    """``multiplicity_split``'s verdict: its dimK, or its message."""
+    try:
+        return True, multiplicity_split(pi)[0]
+    except ValueError as exc:
+        return False, str(exc)
+
+
+@pytest.mark.parametrize("sys_c", systems())
+def test_split_of_stored_factors_calls_no_eigh_and_forms_no_tensor(
+        sys_c, monkeypatch):
+    calls = []
+    eigh, transport = np.linalg.eigh, qdil.correlations._transport
+
+    def counted_eigh(*args, **kwargs):
+        calls.append("eigh")
+        return eigh(*args, **kwargs)
+
+    def counted_transport(*factors):
+        calls.append("tensor")
+        return transport(*factors)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(qdil.correlations, "_transport", counted_transport)
+    for pi in split_maps(sys_c):
+        dim_k, u1 = multiplicity_split(pi)
+        assert dim_k == sys_c.dim_l // sys_c.dim_h
+        assert u1 is pi.factors[1]
+    assert calls == []
+    # The same maps stored as tensors take the eigh path.
+    for pi in split_maps(sys_c):
+        multiplicity_split(PiMap(pi.tensor))
+    assert calls.count("eigh") == 2
+
+
+@pytest.mark.parametrize("sys_c", systems())
+def test_factored_and_tensor_systems_dilate_alike(sys_c):
+    """The two splits give the process in two frames of C^d: completely
+    equivalent, with the same induced instrument."""
+    mp = mp_from_correlations(sys_c)
+    mp_t = mp_from_correlations(tensor_form(sys_c))
+    assert mp.dim_k == mp_t.dim_k
+    rep = n_equivalent(mp, mp_t, 3)
+    assert rep.equivalent, rep.order_residuals
+    inst, inst_t = induced_instrument_mp(mp), induced_instrument_mp(mp_t)
+    basis = np.stack(full_algebra(sys_c.dim_h).basis())
+    for s in sys_c.outcomes.labels:
+        diff = apply_dual(inst, basis, (s,)) - apply_dual(inst_t, basis, (s,))
+        assert spectral_norm(diff) <= DEFAULT_TOL.bound("loose", sys_c.dim_h)
+
+
+@pytest.mark.parametrize("f", [0.5, 0.99, 1.01, 2, 200])
+@pytest.mark.parametrize("sys_c", systems())
+def test_split_of_scaled_factors_gives_the_tensor_verdict(sys_c, f):
+    """``left`` scaled by ``c = 1 + f·strict(dimL)`` or by ``√c``, or
+    ``right`` by ``c``: the last two move ``left*left − 1`` or
+    ``right − left*`` to ``f·strict(dimL)``, across the shortcut's bound
+    at f = 1; at f = 200 all are past the general path's bound too."""
+    bound = DEFAULT_TOL.bound("strict", sys_c.dim_l)
+    c = 1 + f * bound
+    for pi in split_maps(sys_c):
+        left, right, k = pi.factors
+        for i, (lf, rf) in enumerate([(c * left, right),
+                                      (np.sqrt(c) * left, right),
+                                      (left, c * right)]):
+            scaled = PiMap.factored(lf, rf, k)
+            assert split_outcome(scaled) == split_outcome(PiMap(scaled.tensor))
+            if i > 0 and f < 200:
+                assert (multiplicity_split(scaled)[1] is rf) == (f < 1)
