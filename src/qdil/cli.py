@@ -44,10 +44,10 @@ from .dilation import (
 )
 from .instrument import (
     CPInstrument,
+    _atom_branches,
     apply_dual,
     instrument_from_json,
     instrument_to_json,
-    outcome_probability,
     sample_first_steps,
     sample_trajectory,
     verify_cp,
@@ -95,7 +95,8 @@ def _emit(payload: dict) -> None:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                            check_circular=False))  # a fresh tree: no cycle
 
 
 def _tolerance(args) -> Tolerance:
@@ -323,8 +324,7 @@ def cmd_sample(args, tol: Tolerance):
     })
     counts = sample_first_steps(inst, rho, args.steps, [args.seed, 1])
     table = {}
-    for s in inst.outcomes.labels:
-        p = outcome_probability(inst, rho, (s,))
+    for s, p in zip(inst.outcomes.labels, _atom_branches(inst, rho)[1]):
         sigma = float(np.sqrt(args.steps * p * (1 - p)))
         dev = abs(counts[s] - args.steps * p)
         table[s] = {

@@ -14,6 +14,8 @@ which call :meth:`CPInstrument.require_valid` first.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import sys
 from dataclasses import dataclass, field
 
@@ -134,10 +136,11 @@ class CPInstrument:
 
     The dual (Heisenberg) action of the atom ``s`` is
     ``M ↦ Σ_j w_{s,j} K_{s,j}* M K_{s,j}``. ``kraus[s]`` is stored as a
-    complex ``(r, dimH, dimH)`` stack (``r = 0`` for a null atom; a list
-    of matrices is accepted). The weights, a float ``(r,)`` array per
-    atom, default to one and are only ever different for map-level
-    (possibly non-CP) diagnostics built by :func:`instrument_from_choi`.
+    complex ``(r, dimH, dimH)`` stack (``r = 0`` for a null atom; a list of
+    matrices is accepted). The weights, a float ``(r,)`` array per atom,
+    default to one and differ only for map-level (possibly non-CP)
+    diagnostics built by :func:`instrument_from_choi`. ``validate`` is
+    True (the default tolerance), False, or the :class:`Tolerance` to check.
     """
 
     dim_h: int
@@ -145,7 +148,7 @@ class CPInstrument:
     outcomes: OutcomeSpace
     kraus: dict[str, np.ndarray] = field(repr=False)
     weights: dict[str, np.ndarray] | None = field(default=None, repr=False)
-    validate: bool = True
+    validate: bool | Tolerance = True
 
     def __post_init__(self) -> None:
         if self.algebra.dim_h != self.dim_h:
@@ -168,7 +171,8 @@ class CPInstrument:
                     raise ValueError(f"weight count mismatch for '{s}'")
             object.__setattr__(self, "weights", weights)
         if self.validate:
-            self.require_valid()
+            self.require_valid(self.validate if isinstance(
+                self.validate, Tolerance) else DEFAULT_TOL)
 
     def atom_weights(self, s: str) -> np.ndarray:
         if self.weights is None:
@@ -235,16 +239,17 @@ def instrument_from_choi(dim_h: int, outcomes: OutcomeSpace,
 
 def luders_instrument(projections: list[np.ndarray],
                       labels: list[str] | None = None,
-                      algebra: FiniteVonNeumannAlgebra | None = None
-                      ) -> CPInstrument:
-    """The projective-update instrument ``M ↦ Σ_{i∈Δ} P_i M P_i``."""
+                      algebra: FiniteVonNeumannAlgebra | None = None,
+                      tol: Tolerance = DEFAULT_TOL) -> CPInstrument:
+    """The Lüders instrument ``M ↦ Σ_{i∈Δ} P_i M P_i``, checked at ``tol``."""
     projs = [np.asarray(p, dtype=complex) for p in projections]
     dim_h = projs[0].shape[0]
     labels = labels if labels is not None else [str(i) for i in range(len(projs))]
     outcomes = OutcomeSpace(tuple(labels))
     algebra = algebra if algebra is not None else full_algebra(dim_h)
     return CPInstrument(dim_h, algebra, outcomes,
-                        {s: [p] for s, p in zip(outcomes.labels, projs)})
+                        {s: [p] for s, p in zip(outcomes.labels, projs)},
+                        validate=tol)
 
 
 def _kraus_sum(inst: CPInstrument, atoms, x: np.ndarray, dual: bool
@@ -255,7 +260,6 @@ def _kraus_sum(inst: CPInstrument, atoms, x: np.ndarray, dual: bool
     """
     out = np.zeros(x.shape, dtype=complex)
     for s in atoms:
-        # Indexing, and no product by default weights, keep samplers cheap.
         ks = inst.kraus[s]
         for j in range(len(ks)):
             k = ks[j]
@@ -462,14 +466,15 @@ def is_repeatable(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
 
 
 def coarse_grain(inst: CPInstrument, generating_events: list,
-                 anchor: dict | None = None) -> CPInstrument:
+                 anchor: dict | None = None, tol: Tolerance = DEFAULT_TOL
+                 ) -> CPInstrument:
     """Coarse-grain onto the maximal partition generated by the events.
 
-    Atoms are grouped by their membership signature across the
-    generating events; each cell's combined map is moved onto a single
-    representative atom (the caller-supplied anchor, or the
-    lexicographically first label of the cell). The result agrees with
-    the original instrument on every event in the generated σ-field.
+    Atoms are grouped by their membership signature across the generating
+    events; each cell's combined map is moved onto one representative atom
+    (the caller's anchor, or the cell's lexicographically first label). The
+    result agrees with ``inst`` on every event of the generated σ-field and
+    is checked at ``tol`` when ``inst`` was.
     """
     events = [inst.outcomes.event(ev) for ev in generating_events]
     cells: dict[tuple[bool, ...], list[str]] = {}
@@ -491,19 +496,30 @@ def coarse_grain(inst: CPInstrument, generating_events: list,
         new_weights[rep] = np.concatenate([inst.atom_weights(s) for s in cell])
     return CPInstrument(inst.dim_h, inst.algebra, inst.outcomes, new_kraus,
                         new_weights if inst.weights is not None else None,
-                        validate=inst.validate)
+                        validate=inst.validate and tol)
 
 
-def _atom_probabilities(inst: CPInstrument, rho: np.ndarray):
-    """Normalized atom probabilities and each atom's branch ``Σ K ρ K*``."""
-    branches = [_kraus_sum(inst, (s,), rho, dual=False)
-                for s in inst.outcomes.labels]
-    probs = np.array([float(np.trace(b).real) for b in branches])
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("all outcome probabilities vanish")
-    return probs / total, branches
+def _kraus_stacks(inst: CPInstrument):
+    """The zero-padded ``(j, atom)`` Kraus stack, its adjoints and weights."""
+    ops = [(inst.kraus[s], inst.atom_weights(s)) for s in inst.outcomes.labels]
+    shape = (max(len(w) for _, w in ops), len(ops), inst.dim_h, inst.dim_h)
+    ks, w = np.zeros(shape, complex), np.zeros((*shape[:2], 1, 1))
+    for i, (k, wk) in enumerate(ops):
+        ks[:len(k), i], w[:len(k), i, 0, 0] = k, wk
+    return ks, ks.conj().swapaxes(2, 3), None if inst.weights is None else w
+
+
+def _atom_branches(inst: CPInstrument, rho: np.ndarray, stacks=None):
+    """Every atom's branch ``Σ_j w_j K_j ρ K_j*``, summed from +0 in Kraus
+    order as `_kraus_sum` sums it, its trace and normalized probabilities."""
+    ks, kd, w = stacks or _kraus_stacks(inst)
+    terms = ks @ rho @ kd if w is None else w * (ks @ rho @ kd)
+    branches = sum(terms, np.zeros(terms.shape[1:], complex))
+    traces = branches.trace(axis1=1, axis2=2).real
+    probs = np.maximum(traces, 0.0)
+    if not 0 < (total := probs.sum()) < np.inf:
+        raise ValueError(f"outcome probabilities sum to {total}")
+    return branches, traces.tolist(), (probs / total).tolist()
 
 
 def sample_trajectory(inst: CPInstrument, rho0, steps: int, seed: int
@@ -517,14 +533,15 @@ def sample_trajectory(inst: CPInstrument, rho0, steps: int, seed: int
         raise ValueError("steps must be at least 1")
     rho = require_state(rho0)
     rng = np.random.default_rng(seed)
-    labels = inst.outcomes.labels
+    stacks = _kraus_stacks(inst)
     out = []
     for _ in range(steps):
-        probs, branches = _atom_probabilities(inst, rho)
-        idx = int(rng.choice(len(labels), p=probs))
-        sub = branches[idx]
-        rho = sub / np.trace(sub).real
-        out.append((labels[idx], rho))
+        branches, traces, probs = _atom_branches(inst, rho, stacks)
+        # `rng.choice(len(probs), p=probs)` by its own steps: the same draw
+        cdf = list(itertools.accumulate(probs))
+        idx = bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
+        rho = branches[idx] / traces[idx]
+        out.append((inst.outcomes.labels[idx], rho))
     return out
 
 
@@ -533,10 +550,8 @@ def sample_first_steps(inst: CPInstrument, rho0, n: int, seed: int
     """Counts of ``n`` independent first-step outcomes from ``rho0``."""
     if n < 1:
         raise ValueError("need at least one sample")
-    rho = require_state(rho0)
-    probs, _ = _atom_probabilities(inst, rho)
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, probs)
+    _, _, probs = _atom_branches(inst, require_state(rho0))
+    counts = np.random.default_rng(seed).multinomial(n, probs)
     return {s: int(c) for s, c in zip(inst.outcomes.labels, counts)}
 
 

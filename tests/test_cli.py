@@ -631,6 +631,26 @@ def test_sample_artifact_decodes_to_the_trajectory_drawn(tmp_path, capsys):
                               bits(rho))
 
 
+@pytest.mark.parametrize("command", ["extend", "dilate", "sample"])
+def test_write_json_writes_the_compact_sorted_dump(tmp_path, capsys,
+                                                   monkeypatch, command):
+    """An artifact is ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` byte for byte, the cycle check skipped."""
+    written = []
+    write_json = qdil.cli._write_json
+    monkeypatch.setattr(qdil.cli, "_write_json", lambda path, payload:
+                        written.append((path, payload))
+                        or write_json(path, payload))
+    argv = [command, "-i", str(write_fixture(tmp_path, "amp-damp-0.5"))]
+    if command == "sample":
+        argv += ["--state", str(write_plus_state(tmp_path)), "--steps", "40"]
+    assert run(capsys, *argv)[0] in (0, 1)
+    [(path, payload)] = written
+    expected = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    with open(path, "rb") as fh:
+        assert fh.read() == expected.encode("utf-8")
+
+
 def test_fixture_export_round_trips_awkward_entries(tmp_path, capsys,
                                                     monkeypatch):
     """Exports keep -0.0, subnormals, the largest double and 0.1 + 0.2."""

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,8 @@ from qdil.instrument import (
     sample_trajectory,
     verify_cp,
 )
-from qdil.operator_core import dagger, proj, spectral_norm
+from qdil.operator_core import Tolerance, dagger, proj, spectral_norm
+from qdil.vn_model import fixture_names, load_fixture
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -178,6 +181,22 @@ def test_coarse_grain_empties_non_representative_atoms():
     assert len(zero_atoms) == 2
 
 
+def test_luders_and_coarse_grain_check_at_the_given_tolerance():
+    """A completeness defect of 2e-7 passes at ``Tolerance(1e-6)`` and
+    fails at the default; an unchecked instrument stays unchecked."""
+    projections = [P0, np.diag([0.0, 1.0 + 1e-7]).astype(complex)]
+    loose = Tolerance(1e-6)
+    with pytest.raises(ValueError, match="not complete"):
+        luders_instrument(projections)
+    inst = luders_instrument(projections, tol=loose)
+    assert inst.validate == loose
+    with pytest.raises(ValueError, match="not complete"):
+        coarse_grain(inst, [("0", "1")])
+    assert coarse_grain(inst, [("0", "1")], tol=loose).validate == loose
+    unchecked = dataclasses.replace(inst, validate=False)
+    assert coarse_grain(unchecked, [("0", "1")]).validate is False
+
+
 def test_sample_trajectory_is_deterministic():
     inst = luders_z()
     t1 = sample_trajectory(inst, PLUS, 20, seed=5)
@@ -188,22 +207,128 @@ def test_sample_trajectory_is_deterministic():
 
 
 def test_sample_trajectory_forms_each_branch_once_per_step(monkeypatch):
-    """A step forms every atom's branch ``Σ K ρ K*`` once and normalizes
-    the drawn one; the posteriors are those of :func:`apply_predual`."""
+    """A step forms every atom's branch ``Σ K ρ K*`` once, in one stacked
+    product with no `_kraus_sum`, and normalizes the drawn one; the
+    posteriors are those of :func:`apply_predual`."""
     inst = random_cp_instrument(np.random.default_rng(56), 3, 3,
                                 kraus_per_outcome=2)
     rho0 = random_state(np.random.default_rng(57), 3)
-    calls = []
+    calls, kraus_sums = [], []
+    atom_branches = qdil.instrument._atom_branches
     kraus_sum = qdil.instrument._kraus_sum
-    monkeypatch.setattr(qdil.instrument, "_kraus_sum",
-                        lambda *a, **k: calls.append(1) or kraus_sum(*a, **k))
+
+    def counted(*args):
+        branches, traces, probs = atom_branches(*args)
+        calls.append(len(branches))
+        return branches, traces, probs
+
+    monkeypatch.setattr(qdil.instrument, "_atom_branches", counted)
+    monkeypatch.setattr(qdil.instrument, "_kraus_sum", lambda *a, **k:
+                        kraus_sums.append(1) or kraus_sum(*a, **k))
     traj = sample_trajectory(inst, rho0, 8, seed=3)
-    assert len(calls) == 8 * 3
+    assert calls == [3] * 8
+    assert kraus_sums == []
     rho = rho0
     for s, post in traj:
         sub = apply_predual(inst, rho, (s,))
         assert np.array_equal(post, sub / np.trace(sub).real)
         rho = post
+
+
+def _reference_trajectory(inst, rho0, steps, seed):
+    """The per-Kraus sampler the stacked one replaced, as it was: one
+    branch per atom summed term by term, `np.clip`, `rng.choice`."""
+    def probabilities(rho):
+        branches = []
+        for s in inst.outcomes.labels:
+            out = np.zeros(rho.shape, dtype=complex)
+            for j, k in enumerate(inst.kraus[s]):
+                term = k @ rho @ dagger(k)
+                out += (term if inst.weights is None
+                        else inst.weights[s][j] * term)
+            branches.append(out)
+        probs = np.clip([float(np.trace(b).real) for b in branches], 0.0,
+                        None)
+        if probs.sum() <= 0:
+            raise ValueError("all outcome probabilities vanish")
+        return probs / probs.sum(), branches
+
+    rho = np.asarray(rho0, dtype=complex)
+    first, _ = probabilities(rho)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(steps):
+        probs, branches = probabilities(rho)
+        idx = int(rng.choice(len(probs), p=probs))
+        rho = branches[idx] / np.trace(branches[idx]).real
+        out.append((inst.outcomes.labels[idx], rho))
+    counts = np.random.default_rng([seed, 1]).multinomial(steps, first)
+    return out, dict(zip(inst.outcomes.labels, counts.tolist())), first
+
+
+def _weighted_instrument(rng, dim_h, n_outcomes):
+    """A map-level instrument with negative Choi eigenvalues: a random CP
+    instrument's Choi matrices less ``0.01 · 1``."""
+    cp = random_cp_instrument(rng, dim_h, n_outcomes, kraus_per_outcome=2)
+    chois = {s: choi_of_dual(lambda m, s=s: apply_dual(cp, m, (s,)), dim_h)
+             - 0.01 * np.eye(dim_h * dim_h) for s in cp.outcomes.labels}
+    inst = instrument_from_choi(dim_h, cp.outcomes, chois)
+    assert min(w.min() for w in inst.weights.values()) == -1.0
+    return inst
+
+
+def _differential_cases():
+    for name in fixture_names():
+        inst = load_fixture(name)
+        for rho in (np.eye(inst.dim_h) / inst.dim_h,
+                    random_state(np.random.default_rng(3), inst.dim_h)):
+            yield name, inst, rho
+    rng = np.random.default_rng(58)
+    for n_outcomes in range(2, 13):
+        for r in (1, 2, 3):
+            dim_h = int(rng.integers(2, 6))
+            yield (f"random {n_outcomes}x{r}", random_cp_instrument(
+                rng, dim_h, n_outcomes, kraus_per_outcome=r),
+                random_state(rng, dim_h))
+    for dim_h, n_outcomes in ((2, 3), (3, 2), (3, 9)):
+        yield (f"weighted {dim_h}/{n_outcomes}",
+               _weighted_instrument(rng, dim_h, n_outcomes),
+               random_state(rng, dim_h))
+    # atoms of 4 and 0 Kraus operators: the stack pads both to 4
+    yield "coarse-grained", coarse_grain(random_cp_instrument(
+        rng, 2, 3, kraus_per_outcome=2), [("0", "1")]), PLUS
+
+
+def test_stacked_sampler_matches_the_per_kraus_sampler_bit_for_bit():
+    """Outcomes, posterior bits (signed zeros included), first-step
+    probabilities and counts equal the per-Kraus reference on every
+    fixture, on random instruments of 2 to 12 outcomes with 1 to 3 Kraus
+    operators each, on weighted instruments with negative Choi
+    eigenvalues, and on atoms of uneven length."""
+    for case, inst, rho in _differential_cases():
+        for seed in (0, 7):
+            traj, counts, first = _reference_trajectory(inst, rho, 40, seed)
+            assert qdil.instrument._atom_branches(inst, rho)[2] == list(first)
+            got = sample_trajectory(inst, rho, 40, seed)
+            assert [s for s, _ in got] == [s for s, _ in traj], case
+            assert all(a.tobytes() == b.tobytes()
+                       for (_, a), (_, b) in zip(got, traj)), case
+            assert sample_first_steps(inst, rho, 40, [seed, 1]) == counts
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sampling_rejects_a_non_finite_branch_trace(monkeypatch, bad):
+    inst = luders_z()
+    kraus = inst.kraus["0"].copy()
+    kraus[0, 0, 0] = bad
+    monkeypatch.setitem(inst.kraus, "0", kraus)
+    with pytest.raises(ValueError):
+        _reference_trajectory(inst, PLUS, 1, 0)
+    with pytest.raises(ValueError, match="sum to"):
+        sample_trajectory(inst, PLUS, 3, seed=0)
+    with pytest.raises(ValueError, match="sum to"):
+        sample_first_steps(inst, PLUS, 3, seed=0)
 
 
 def test_sample_trajectory_posteriors_are_states():
