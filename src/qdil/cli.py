@@ -44,11 +44,10 @@ from .dilation import (
 )
 from .instrument import (
     CPInstrument,
-    _atom_branches,
     apply_dual,
+    atom_branches,
     instrument_from_json,
     instrument_to_json,
-    sample_first_steps,
     sample_trajectory,
     verify_cp,
 )
@@ -322,14 +321,16 @@ def cmd_sample(args, tol: Tolerance):
         "trajectory": [{"outcome": s, "posterior": p}
                        for (s, _), p in zip(trajectory, posteriors)],
     })
-    counts = sample_first_steps(inst, rho, args.steps, [args.seed, 1])
+    _, exact, probs = atom_branches(inst, rho)  # as `sample_first_steps`
+    counts = np.random.default_rng([args.seed, 1]).multinomial(
+        args.steps, probs).tolist()
     table = {}
-    for s, p in zip(inst.outcomes.labels, _atom_branches(inst, rho)[1]):
+    for s, p, count in zip(inst.outcomes.labels, exact, counts):
         sigma = float(np.sqrt(args.steps * p * (1 - p)))
-        dev = abs(counts[s] - args.steps * p)
+        dev = abs(count - args.steps * p)
         table[s] = {
-            "count": counts[s],
-            "empirical": counts[s] / args.steps,
+            "count": count,
+            "empirical": count / args.steps,
             "exact": p,
             "sigma": sigma,
             "within_3sigma": bool(dev <= 3 * sigma + 1e-9),

@@ -61,6 +61,7 @@ __all__ = [
     "is_weakly_repeatable",
     "is_repeatable",
     "coarse_grain",
+    "atom_branches",
     "sample_trajectory",
     "sample_first_steps",
     "choi_of_kraus",
@@ -137,10 +138,9 @@ class CPInstrument:
     The dual (Heisenberg) action of the atom ``s`` is
     ``M ↦ Σ_j w_{s,j} K_{s,j}* M K_{s,j}``. ``kraus[s]`` is stored as a
     complex ``(r, dimH, dimH)`` stack (``r = 0`` for a null atom; a list of
-    matrices is accepted). The weights, a float ``(r,)`` array per atom,
-    default to one and differ only for map-level (possibly non-CP)
-    diagnostics built by :func:`instrument_from_choi`. ``validate`` is
-    True (the default tolerance), False, or the :class:`Tolerance` to check.
+    matrices is accepted). Its float ``(r,)`` weights are one except for the
+    map-level (maybe non-CP) diagnostics of :func:`instrument_from_choi`.
+    ``validate`` is True (default tolerance), False or the Tolerance to check.
     """
 
     dim_h: int
@@ -247,9 +247,8 @@ def luders_instrument(projections: list[np.ndarray],
     labels = labels if labels is not None else [str(i) for i in range(len(projs))]
     outcomes = OutcomeSpace(tuple(labels))
     algebra = algebra if algebra is not None else full_algebra(dim_h)
-    return CPInstrument(dim_h, algebra, outcomes,
-                        {s: [p] for s, p in zip(outcomes.labels, projs)},
-                        validate=tol)
+    kraus = {s: [p] for s, p in zip(outcomes.labels, projs)}
+    return CPInstrument(dim_h, algebra, outcomes, kraus, validate=tol)
 
 
 def _kraus_sum(inst: CPInstrument, atoms, x: np.ndarray, dual: bool
@@ -466,15 +465,14 @@ def is_repeatable(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
 
 
 def coarse_grain(inst: CPInstrument, generating_events: list,
-                 anchor: dict | None = None, tol: Tolerance = DEFAULT_TOL
-                 ) -> CPInstrument:
+                 anchor: dict | None = None) -> CPInstrument:
     """Coarse-grain onto the maximal partition generated by the events.
 
     Atoms are grouped by their membership signature across the generating
     events; each cell's combined map is moved onto one representative atom
     (the caller's anchor, or the cell's lexicographically first label). The
     result agrees with ``inst`` on every event of the generated σ-field and
-    is checked at ``tol`` when ``inst`` was.
+    is checked as ``inst`` was, at the same tolerance.
     """
     events = [inst.outcomes.event(ev) for ev in generating_events]
     cells: dict[tuple[bool, ...], list[str]] = {}
@@ -496,11 +494,12 @@ def coarse_grain(inst: CPInstrument, generating_events: list,
         new_weights[rep] = np.concatenate([inst.atom_weights(s) for s in cell])
     return CPInstrument(inst.dim_h, inst.algebra, inst.outcomes, new_kraus,
                         new_weights if inst.weights is not None else None,
-                        validate=inst.validate and tol)
+                        validate=inst.validate)
 
 
 def _kraus_stacks(inst: CPInstrument):
-    """The zero-padded ``(j, atom)`` Kraus stack, its adjoints and weights."""
+    """The Kraus stack padded with zeros to ``(max_r, atoms)``, its adjoints
+    and weights: uneven atoms cost ``max_r · atoms`` products, not ``Σ r``."""
     ops = [(inst.kraus[s], inst.atom_weights(s)) for s in inst.outcomes.labels]
     shape = (max(len(w) for _, w in ops), len(ops), inst.dim_h, inst.dim_h)
     ks, w = np.zeros(shape, complex), np.zeros((*shape[:2], 1, 1))
@@ -509,9 +508,9 @@ def _kraus_stacks(inst: CPInstrument):
     return ks, ks.conj().swapaxes(2, 3), None if inst.weights is None else w
 
 
-def _atom_branches(inst: CPInstrument, rho: np.ndarray, stacks=None):
-    """Every atom's branch ``Σ_j w_j K_j ρ K_j*``, summed from +0 in Kraus
-    order as `_kraus_sum` sums it, its trace and normalized probabilities."""
+def atom_branches(inst: CPInstrument, rho: np.ndarray, stacks=None):
+    """Each atom's branch ``Σ_j w_j K_j ρ K_j*`` of ``rho``, summed from +0 in
+    Kraus order as `_kraus_sum` sums it, its trace and normalized weight."""
     ks, kd, w = stacks or _kraus_stacks(inst)
     terms = ks @ rho @ kd if w is None else w * (ks @ rho @ kd)
     branches = sum(terms, np.zeros(terms.shape[1:], complex))
@@ -536,7 +535,7 @@ def sample_trajectory(inst: CPInstrument, rho0, steps: int, seed: int
     stacks = _kraus_stacks(inst)
     out = []
     for _ in range(steps):
-        branches, traces, probs = _atom_branches(inst, rho, stacks)
+        branches, traces, probs = atom_branches(inst, rho, stacks)
         # `rng.choice(len(probs), p=probs)` by its own steps: the same draw
         cdf = list(itertools.accumulate(probs))
         idx = bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
@@ -550,7 +549,7 @@ def sample_first_steps(inst: CPInstrument, rho0, n: int, seed: int
     """Counts of ``n`` independent first-step outcomes from ``rho0``."""
     if n < 1:
         raise ValueError("need at least one sample")
-    _, _, probs = _atom_branches(inst, require_state(rho0))
+    _, _, probs = atom_branches(inst, require_state(rho0))
     counts = np.random.default_rng(seed).multinomial(n, probs)
     return {s: int(c) for s, c in zip(inst.outcomes.labels, counts)}
 

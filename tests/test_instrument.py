@@ -14,6 +14,7 @@ from qdil.instrument import (
     OutcomeSpace,
     apply_dual,
     apply_predual,
+    atom_branches,
     choi_of_dual,
     coarse_grain,
     instrument_from_choi,
@@ -181,18 +182,19 @@ def test_coarse_grain_empties_non_representative_atoms():
     assert len(zero_atoms) == 2
 
 
-def test_luders_and_coarse_grain_check_at_the_given_tolerance():
+def test_luders_checks_at_tol_and_coarse_grain_as_its_input_was():
     """A completeness defect of 2e-7 passes at ``Tolerance(1e-6)`` and
-    fails at the default; an unchecked instrument stays unchecked."""
+    fails at the default; a coarse graining is checked at its input's
+    tolerance, and an unchecked input gives an unchecked result."""
     projections = [P0, np.diag([0.0, 1.0 + 1e-7]).astype(complex)]
     loose = Tolerance(1e-6)
     with pytest.raises(ValueError, match="not complete"):
         luders_instrument(projections)
     inst = luders_instrument(projections, tol=loose)
     assert inst.validate == loose
+    assert coarse_grain(inst, [("0", "1")]).validate == loose
     with pytest.raises(ValueError, match="not complete"):
-        coarse_grain(inst, [("0", "1")])
-    assert coarse_grain(inst, [("0", "1")], tol=loose).validate == loose
+        coarse_grain(dataclasses.replace(inst, validate=True), [("0", "1")])
     unchecked = dataclasses.replace(inst, validate=False)
     assert coarse_grain(unchecked, [("0", "1")]).validate is False
 
@@ -214,7 +216,6 @@ def test_sample_trajectory_forms_each_branch_once_per_step(monkeypatch):
                                 kraus_per_outcome=2)
     rho0 = random_state(np.random.default_rng(57), 3)
     calls, kraus_sums = [], []
-    atom_branches = qdil.instrument._atom_branches
     kraus_sum = qdil.instrument._kraus_sum
 
     def counted(*args):
@@ -222,7 +223,7 @@ def test_sample_trajectory_forms_each_branch_once_per_step(monkeypatch):
         calls.append(len(branches))
         return branches, traces, probs
 
-    monkeypatch.setattr(qdil.instrument, "_atom_branches", counted)
+    monkeypatch.setattr(qdil.instrument, "atom_branches", counted)
     monkeypatch.setattr(qdil.instrument, "_kraus_sum", lambda *a, **k:
                         kraus_sums.append(1) or kraus_sum(*a, **k))
     traj = sample_trajectory(inst, rho0, 8, seed=3)
@@ -308,7 +309,7 @@ def test_stacked_sampler_matches_the_per_kraus_sampler_bit_for_bit():
     for case, inst, rho in _differential_cases():
         for seed in (0, 7):
             traj, counts, first = _reference_trajectory(inst, rho, 40, seed)
-            assert qdil.instrument._atom_branches(inst, rho)[2] == list(first)
+            assert atom_branches(inst, rho)[2] == list(first)
             got = sample_trajectory(inst, rho, 40, seed)
             assert [s for s, _ in got] == [s for s, _ in traj], case
             assert all(a.tobytes() == b.tobytes()
