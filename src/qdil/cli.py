@@ -57,7 +57,6 @@ from .operator_core import (
     is_unitary,
     matrix_from_json,
     matrix_to_json,
-    matrix_units,
     require_state,
     spectral_norm,
 )
@@ -148,9 +147,9 @@ def _load_instrument(path: str, tol: Tolerance, strict: bool = True,
     """The instrument at ``path``, checked with one :func:`verify_cp`.
 
     ``anchor`` must be a label. Algebra closure is held to
-    ``require_valid``'s bound when ``strict``, for commands that build
-    from the instrument with ``validate=False``, and to the loose bound
-    otherwise.
+    ``require_valid``'s bound when ``strict``, and the check is then
+    recorded on the instrument, so builders do not run it again; it is
+    held to the loose bound otherwise.
     """
     inst = _load(path, partial(instrument_from_json, validate=False))
     if anchor is not None and anchor not in inst.outcomes.labels:
@@ -166,6 +165,8 @@ def _load_instrument(path: str, tol: Tolerance, strict: bool = True,
         if failed:
             raise _InputError({"error": error,
                                field: getattr(report, field)})
+    if strict:  # the three gates are verify_cp's at tol: record its check
+        object.__setattr__(inst, "validate", tol)
     return inst
 
 
@@ -184,9 +185,9 @@ def _worst_gap(a, b, xs, events) -> float:
 def _round_trip_residual(inst: CPInstrument, mp, tol: Tolerance) -> float:
     """The worst atom-wise gap between ``inst`` and the one ``mp`` induces."""
     induced = induced_instrument_mp(mp, tol)
+    units = np.eye(inst.dim_h ** 2).reshape(-1, inst.dim_h, inst.dim_h)
     return _worst_gap(partial(apply_dual, inst), partial(apply_dual, induced),
-                      [x for _, _, x in matrix_units(inst.dim_h)],
-                      [(s,) for s in inst.outcomes.labels])
+                      [units], [(s,) for s in inst.outcomes.labels])
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,7 @@ def _round_trip_residual(inst: CPInstrument, mp, tol: Tolerance) -> float:
 def cmd_dilate(args, tol: Tolerance):
     inst = _load_instrument(args.input, tol)
     out_path = _derived_output(args, "mp")
-    sys_corr = from_instrument(inst, tol=tol, validate=False)
+    sys_corr = from_instrument(inst, tol=tol)
     mp = mp_from_correlations(sys_corr, tol, completion_seed=args.seed)
     residual = _round_trip_residual(inst, mp, tol)
     _write_json(out_path, mp_to_json(mp))
@@ -217,7 +218,7 @@ def cmd_dilate(args, tol: Tolerance):
 def cmd_extend(args, tol: Tolerance):
     inst = _load_instrument(args.input, tol, anchor=args.anchor)
     out_path = _derived_output(args, "sys")
-    sys_corr = from_instrument(inst, args.anchor, tol, validate=False)
+    sys_corr = from_instrument(inst, args.anchor, tol)
     _write_json(out_path, system_to_json(sys_corr))
     return {
         "config": _config(tol, output=out_path),
@@ -261,7 +262,7 @@ def cmd_inner(args, tol: Tolerance):
     inst = _load_instrument(args.input, tol)
     out_path = _derived_output(args, "mp")
     try:
-        mp = inner_mp_from_kraus(inst, tol, validate=False)
+        mp = inner_mp_from_kraus(inst, tol)
     except ValueError as exc:
         if "outside the algebra" not in str(exc):
             raise
@@ -284,7 +285,7 @@ def cmd_inner(args, tol: Tolerance):
 def cmd_faithful(args, tol: Tolerance):
     inst = _load_instrument(args.input, tol)
     out_path = _derived_output(args, "mp")
-    mp = faithful_mp(inst, tol, validate=False)
+    mp = faithful_mp(inst, tol)
     labels = inst.outcomes.labels
     dual = partial(apply_dual, inst)
     unit_res = _worst_gap(dual, mp.heisenberg, [np.eye(inst.dim_h)],
@@ -313,7 +314,7 @@ def cmd_sample(args, tol: Tolerance):
     rho = _load(args.state, lambda data: require_state(
         matrix_from_json(_unwrap(data, "rho")), tol), "not-a-state")
     out_path = _derived_output(args, "traj")
-    trajectory = sample_trajectory(inst, rho, args.steps, args.seed)
+    trajectory = sample_trajectory(inst, rho, args.steps, args.seed, tol)
     posteriors = matrix_to_json(np.stack([p for _, p in trajectory]))
     _write_json(out_path, {
         "seed": args.seed,

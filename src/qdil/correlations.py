@@ -193,9 +193,8 @@ def _transport(left: np.ndarray, right: np.ndarray, dim_k: int) -> np.ndarray:
 class CorrelationSystem:
     """Representation triplet ``(C^dimL, {Π_t}, v)`` of a correlation system.
 
-    Construction runs :meth:`require_valid` at the default tolerance when
-    ``validate`` is True, at ``validate`` when it is a :class:`Tolerance`,
-    and not at all when it is False.
+    Construction runs :meth:`require_valid` at ``Tolerance.of(validate)``
+    unless ``validate`` is False.
     """
 
     dim_h: int
@@ -217,8 +216,7 @@ class CorrelationSystem:
         if set(self.pi_atom) != set(self.outcomes.labels):
             raise ValueError("pi_atom labels do not match the outcome space")
         if self.validate:
-            self.require_valid(self.validate if isinstance(
-                self.validate, Tolerance) else DEFAULT_TOL)
+            self.require_valid(Tolerance.of(self.validate))
 
     def letter_map(self, letter) -> PiMap:
         if letter == IN:
@@ -472,8 +470,7 @@ def induced_instrument(sys: CorrelationSystem, tol: Tolerance = DEFAULT_TOL
 
 
 def from_instrument(inst: CPInstrument, anchor: str | None = None,
-                    tol: Tolerance = DEFAULT_TOL,
-                    validate: bool = True) -> CorrelationSystem:
+                    tol: Tolerance = DEFAULT_TOL) -> CorrelationSystem:
     """Block construction of a correlation system from a CP instrument.
 
     The minimal instrument representation ``(K, π₀, E₀, V₀)`` gives the
@@ -484,16 +481,16 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
     first summand for ``v``. The maps are stored by factors ``(p, p*, k)``
     and ``(U*p, p* E({s}) U, k)``, p the permutation of ``diag(M, π₀(M))``.
     Its induced instrument is the input again.
-    ``validate`` is passed on to :func:`instrument_representation`. The
-    system is not re-checked: its invariants follow from the instrument's
-    completeness and the representation that function checks.
+    The system is not re-checked: its invariants follow from the
+    instrument's completeness and the representation
+    :func:`instrument_representation` checks.
     """
     from .dilation import instrument_representation
 
     anchor = inst.outcomes.labels[0] if anchor is None else str(anchor)
     if anchor not in inst.outcomes.labels:
         raise ValueError(f"unknown anchor label {anchor!r}")
-    rep = instrument_representation(inst, tol, validate)
+    rep = instrument_representation(inst, tol)
     dim_h, dim_k = inst.dim_h, rep.dim_k
     dim_l = dim_h + dim_k
 

@@ -142,8 +142,7 @@ class MeasuringProcess:
         if sigma.shape != (self.dim_k, self.dim_k):
             raise ValueError("sigma is not an operator on the meter space")
         if self.validate:
-            self.require_valid(self.validate if isinstance(
-                self.validate, Tolerance) else DEFAULT_TOL)
+            self.require_valid(Tolerance.of(self.validate))
 
     def require_valid(self, tol: Tolerance = DEFAULT_TOL) -> None:
         bound = tol.bound("loose")
@@ -292,18 +291,16 @@ class InstrumentRepresentation:
 
 
 def instrument_representation(inst: CPInstrument,
-                              tol: Tolerance = DEFAULT_TOL,
-                              validate: bool = True
+                              tol: Tolerance = DEFAULT_TOL
                               ) -> InstrumentRepresentation:
     """Direct sum of per-atom minimal Stinespring dilations.
 
     Zero-probability atoms contribute empty blocks. π₀ is stored by its
     factors ``π₀(X) = q (X ⊗ 1) q*``, q the permutation that sends each
-    atom's meter indices to its block. The input, unless
-    ``validate=False``, and the result's invariants are verified.
+    atom's meter indices to its block. The input (through
+    :meth:`CPInstrument.require_valid`) and the result are verified.
     """
-    if validate:
-        inst.require_valid(tol)
+    inst.require_valid(tol)
     dim_h = inst.dim_h
     parts = {s: minimal_stinespring(
         choi_of_kraus(inst.kraus[s], dim_h, inst.atom_weights(s)),
@@ -738,8 +735,8 @@ def halmos_unitary(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             + _kron(eye - vdv, e10) - _kron(dagger(v), e11))
 
 
-def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
-                        validate: bool = True) -> MeasuringProcess:
+def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
+                        ) -> MeasuringProcess:
     """Measuring process with coupling inside ``𝓜 ⊗ B(K)``.
 
     Requires every Kraus operator to lie in the algebra. The meter is
@@ -750,8 +747,7 @@ def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
     slot joins the first atom and the defect slot the last, both with
     zero weight in the induced instrument.
     """
-    if validate:
-        inst.require_valid(tol)
+    inst.require_valid(tol)
     dim_h = inst.dim_h
     flat: list[tuple[str, np.ndarray]] = []
     for s in inst.outcomes.labels:
@@ -792,8 +788,8 @@ def inner_membership(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL):
     return contains(big, mp.u, tol)
 
 
-def faithful_mp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
-                validate: bool = True) -> MeasuringProcess:
+def faithful_mp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
+                ) -> MeasuringProcess:
     """Measuring process with a pointer PVM faithful on non-null atoms.
 
     The instrument is first extended to all of B(H) by composing with
@@ -806,17 +802,15 @@ def faithful_mp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
     atom's pointer projection vanishes only if the atom has zero
     probability in every state.
     """
-    if validate:
-        inst.require_valid(tol)
+    inst.require_valid(tol)
     dim_h = inst.dim_h
     ext_kraus = {}
     for s in inst.outcomes.labels:
         choi = choi_of_dual(lambda x, s=s: apply_dual(
             inst, conditional_expectation(inst.algebra, x), (s,)), dim_h)
         ext_kraus[s] = kraus_from_dual_choi(choi, dim_h, tol)
-    # from_instrument checks the extension, at the caller's tol.
     extended = CPInstrument(dim_h, full_algebra(dim_h), inst.outcomes,
-                            ext_kraus, validate=False)
+                            ext_kraus, validate=tol)
     mp = mp_from_correlations(from_instrument(extended, tol=tol), tol)
     # replace() would re-check what mp_from_correlations just checked.
     object.__setattr__(mp, "algebra", inst.algebra)

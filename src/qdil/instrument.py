@@ -140,7 +140,7 @@ class CPInstrument:
     complex ``(r, dimH, dimH)`` stack (``r = 0`` for a null atom; a list of
     matrices is accepted). Its float ``(r,)`` weights are one except for the
     map-level (maybe non-CP) diagnostics of :func:`instrument_from_choi`.
-    ``validate`` is True (default tolerance), False or the Tolerance to check.
+    ``validate`` is True (default tolerance), False or the Tolerance checked.
     """
 
     dim_h: int
@@ -171,8 +171,7 @@ class CPInstrument:
                     raise ValueError(f"weight count mismatch for '{s}'")
             object.__setattr__(self, "weights", weights)
         if self.validate:
-            self.require_valid(self.validate if isinstance(
-                self.validate, Tolerance) else DEFAULT_TOL)
+            verify_cp(self, Tolerance.of(self.validate)).require_ok()
 
     def atom_weights(self, s: str) -> np.ndarray:
         if self.weights is None:
@@ -180,8 +179,10 @@ class CPInstrument:
         return self.weights[s]
 
     def require_valid(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        """Raise unless the instrument is CP, complete, and algebra-closed."""
-        verify_cp(self, tol).require_ok()
+        """Raise unless CP, complete and algebra-closed; a check recorded in
+        ``validate`` at a tolerance ``<= tol`` stands (bounds grow with it)."""
+        if not (self.validate and Tolerance.of(self.validate) <= tol):
+            verify_cp(self, tol).require_ok()
 
 
 def _kraus_stack(ops, dim: int, what: str = "Kraus data") -> np.ndarray:
@@ -367,9 +368,7 @@ def instrument_from_duals(dim_h: int, algebra: FiniteVonNeumannAlgebra,
     """
     kraus = {s: kraus_from_dual_choi(choi_of_dual_tensor(duals[s]), dim_h, tol)
              for s in outcomes.labels}
-    inst = CPInstrument(dim_h, algebra, outcomes, kraus, validate=False)
-    inst.require_valid(tol)
-    return inst
+    return CPInstrument(dim_h, algebra, outcomes, kraus, validate=tol)
 
 
 @dataclass(frozen=True)
@@ -521,7 +520,8 @@ def atom_branches(inst: CPInstrument, rho: np.ndarray, stacks=None):
     return branches, traces.tolist(), (probs / total).tolist()
 
 
-def sample_trajectory(inst: CPInstrument, rho0, steps: int, seed: int
+def sample_trajectory(inst: CPInstrument, rho0, steps: int, seed: int,
+                      tol: Tolerance = DEFAULT_TOL
                       ) -> list[tuple[str, np.ndarray]]:
     """Sequential Davies-Lewis sampling: outcome then posterior, repeated.
 
@@ -530,7 +530,7 @@ def sample_trajectory(inst: CPInstrument, rho0, steps: int, seed: int
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    rho = require_state(rho0)
+    rho = require_state(rho0, tol)
     rng = np.random.default_rng(seed)
     stacks = _kraus_stacks(inst)
     out = []

@@ -97,6 +97,15 @@ class Tolerance:
         name, factor = self._KINDS[kind]
         return getattr(self, name) * (1 + size) * factor
 
+    def __le__(self, other: Tolerance) -> bool:
+        """Whether each field is at most ``other``'s (a partial order)."""
+        return self.abs <= other.abs and self.psd_slack <= other.psd_slack
+
+    @staticmethod
+    def of(validate: bool | Tolerance) -> Tolerance:
+        """The tolerance a ``validate`` field names: DEFAULT_TOL for True."""
+        return validate if isinstance(validate, Tolerance) else DEFAULT_TOL
+
 
 DEFAULT_TOL = Tolerance()
 

@@ -128,6 +128,41 @@ def test_an_accepted_instrument_builds_a_valid_system(name, fraction,
     from_instrument(inst, tol=tol).require_valid(tol)
 
 
+LEVELS = [1e-9, 1e-7, 1e-5]
+
+
+def level(abs_tol: float) -> Tolerance:
+    return Tolerance(abs_tol, abs_tol * 0.1)
+
+
+@pytest.mark.parametrize("abs_tol", LEVELS)
+@pytest.mark.parametrize("fraction", [0.5, 0.99, 1.01])
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_a_recorded_check_never_changes_a_verdict(name, fraction, abs_tol):
+    """Builders reject exactly what ``verify_cp`` at their tolerance rejects.
+
+    The completeness defect sits at ``fraction`` of the bound at ``tol``,
+    and the instrument carries each record it can: none, or a check at
+    any level that accepts it.
+    """
+    tol = level(abs_tol)
+    inst = scaled_instrument(
+        SWEEP[name], np.sqrt(1 + fraction * tol.bound("strict")))
+    records = [inst] + [dataclasses.replace(inst, validate=level(t0))
+                        for t0 in LEVELS if verify_cp(inst, level(t0)).ok]
+    report = verify_cp(inst, tol)
+    for recorded in records:
+        for build in (from_instrument, faithful_mp):
+            if report.ok:
+                build(recorded, tol=tol)
+                continue
+            with pytest.raises(ValueError) as want:
+                report.require_ok()
+            with pytest.raises(ValueError) as got:
+                build(recorded, tol=tol)
+            assert str(got.value) == str(want.value)
+
+
 def test_inner_mp_decomposes_the_completeness_defect_once(monkeypatch):
     inst = load_fixture("trine-povm")
     shapes = []
@@ -136,5 +171,5 @@ def test_inner_mp_decomposes_the_completeness_defect_once(monkeypatch):
             shapes.append(np.shape(a))
             return original(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
-    inner_mp_from_kraus(inst, validate=False)
+    inner_mp_from_kraus(inst)
     assert shapes.count((inst.dim_h, inst.dim_h)) == 1

@@ -251,6 +251,23 @@ def test_sample_rejects_non_state(tmp_path, capsys):
     assert report["error"] == "not-a-state"
 
 
+def test_sample_checks_the_state_at_the_tol_flag(tmp_path, capsys):
+    # Trace 1 + 2e-7: within the trace bound at --tol 1e-6 (1e-5), not
+    # at the default tolerance (1e-8).
+    inst = write_fixture(tmp_path, "luders-z")
+    state = tmp_path / "heavy.json"
+    state.write_text(json.dumps(matrix_to_json(
+        np.full((2, 2), 0.5) + 1e-7 * np.eye(2))))
+    argv = ["sample", "-i", str(inst), "--state", str(state), "--steps", "5"]
+    code, _ = run(capsys, *argv, "--tol", "1e-6")
+    assert code in (0, 1)
+    traj = json.loads((tmp_path / "luders-z.traj.json").read_text())
+    assert len(traj["trajectory"]) == 5
+    code, report = run(capsys, *argv)
+    assert code == 2
+    assert report["error"] == "not-a-state"
+
+
 def test_vn_model_command(tmp_path, capsys):
     out = tmp_path / "vn.mp.json"
     code, report = run(capsys, "vn-model", "--dim", "8", "-o", str(out))

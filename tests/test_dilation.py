@@ -514,19 +514,30 @@ def test_process_validation_verdict_matches_exact_spectral_norm(factor):
 def test_from_instrument_checks_its_input_once(monkeypatch):
     import qdil.instrument
 
-    inst = random_cp_instrument(np.random.default_rng(8), 2, 3)
     calls = []
     original = qdil.instrument.verify_cp
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(inst, tol=DEFAULT_TOL):
+        calls.append(tol)
+        return original(inst, tol)
 
     monkeypatch.setattr(qdil.instrument, "verify_cp", counting)
+    inst = random_cp_instrument(np.random.default_rng(8), 2, 3)
+    assert calls == [DEFAULT_TOL]
+    # The check recorded at construction covers the default tolerance.
     from_instrument(inst)
-    assert len(calls) == 1
     from_instrument(inst, anchor="1")
-    assert len(calls) == 2
+    assert calls == [DEFAULT_TOL]
+    # An unchecked copy, a record at a looser tolerance, and a builder
+    # at a stricter one each cost one check, at the builder's tolerance.
+    unchecked = dataclasses.replace(inst, validate=False)
+    looser = dataclasses.replace(inst, validate=Tolerance(1e-7))
+    assert calls == [DEFAULT_TOL, Tolerance(1e-7)]
+    for source, tol in ((unchecked, DEFAULT_TOL), (looser, DEFAULT_TOL),
+                        (inst, Tolerance(1e-11, 1e-12))):
+        del calls[:]
+        from_instrument(source, tol=tol)
+        assert calls == [tol]
 
 
 def test_mp_from_correlations_rejects_a_coupling_that_cannot_be_unitary():

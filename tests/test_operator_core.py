@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qdil.operator_core import (
+    DEFAULT_TOL,
     CheckReport,
     _kron,
     _report,
@@ -397,6 +398,19 @@ def test_bound_equals_its_old_expression_bit_for_bit(kind, tol):
         assert _float_bits(tol.bound(kind, n)) == _float_bits(
             OLD_BOUNDS[kind](tol, n)), n
     assert _float_bits(tol.bound(kind)) == _float_bits(UNSCALED[kind](tol))
+
+
+def test_tolerance_order_is_componentwise():
+    a, b = Tolerance(1e-9, 1e-8), Tolerance(1e-7, 1e-9)
+    assert not a <= b and not b <= a
+    assert a <= a and Tolerance(1e-9, 1e-9) <= a and Tolerance(1e-9, 1e-9) <= b
+    assert Tolerance.of(True) is DEFAULT_TOL and Tolerance.of(b) is b
+    # What makes a recorded check at t0 <= t stand at t: no bound shrinks.
+    for t0 in TOLERANCES + [a, b]:
+        for t in TOLERANCES + [a, b]:
+            if t0 <= t:
+                assert all(t0.bound(kind, n) <= t.bound(kind, n)
+                           for kind in OLD_BOUNDS for n in (0, 1, 36))
 
 
 def _tolerance_field_reads(tree):
