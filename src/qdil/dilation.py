@@ -2,18 +2,18 @@
 
 A measuring process is a quadruple (meter space, meter state, pointer
 PVM, coupling unitary) whose compressed Heisenberg maps form a CP
-instrument. This module builds them two ways: from a correlation
-system (its two multiplicity splits ``u1``, ``u2`` give the coupling
-``u2 u1*``), and from Kraus operators inside the algebra (an inner
-process: a block unitary on a small meter). When the Kraus operators
-live outside the algebra, the faithful process is the first
-construction applied to the instrument's extension through the
-conditional expectation, ``from_instrument`` then
-``mp_from_correlations``. The reverse direction reads a
-process through its correlation system (:func:`system_of_mp`), whose
-letter maps ``Π_in(X) = X ⊗ 1`` and ``Π_s(X) = U*(X ⊗ E_s)U`` are
-stored by their factors: induced instruments, correlation values and
-n-equivalence all evaluate words through those maps.
+instrument. A correlation system's two multiplicity splits ``u1``,
+``u2`` give the coupling ``u2 u1*``; every instrument reaches a process
+by this one chain from its system (``from_instrument``), on the meter
+``C^(1+R)``, R the total minimal Kraus rank. The inner process runs it
+on an instrument whose Kraus operators lie in the algebra, read on all
+of B(H), so its coupling lies in ``𝓜 ⊗ B(C^(1+R))``; the faithful
+process runs it on the extension through the conditional expectation.
+The reverse direction reads a process through its correlation system
+(:func:`system_of_mp`), whose letter maps ``Π_in(X) = X ⊗ 1`` and
+``Π_s(X) = U*(X ⊗ E_s)U`` are stored by their factors: induced
+instruments, correlation values and n-equivalence all evaluate words
+through those maps.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .instrument import (
     OutcomeSpace,
     _json_outcomes,
     apply_dual,
-    choi_of_dual,
+    choi_of_dual_tensor,
     choi_of_kraus,
     kraus_from_dual_choi,
 )
@@ -62,7 +62,6 @@ from .operator_core import (
     _require_within,
     _unitary_defects,
     _within,
-    basis_vector,
     compress_by_state,
     dagger,
     matrix_from_json,
@@ -72,7 +71,6 @@ from .operator_core import (
     random_unitary,
     require_state,
     spectral_norm,
-    sqrt_psd,
 )
 
 __all__ = [
@@ -735,51 +733,42 @@ def halmos_unitary(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             + _kron(eye - vdv, e10) - _kron(dagger(v), e11))
 
 
+def _canonical_mp(inst: CPInstrument, algebra: FiniteVonNeumannAlgebra,
+                  tol: Tolerance) -> MeasuringProcess:
+    """The process of ``inst`` read on all of B(H), carrying ``algebra``:
+    :func:`from_instrument`, then :func:`mp_from_correlations` on the full
+    algebra, which the Kraus data acts on whatever ``inst.algebra`` is."""
+    sys = dataclasses.replace(from_instrument(inst, tol=tol),
+                              algebra=full_algebra(inst.dim_h), validate=False)
+    mp = mp_from_correlations(sys, tol)
+    # replace() would re-check what mp_from_correlations just checked.
+    object.__setattr__(mp, "algebra", algebra)
+    return mp
+
+
 def inner_mp_from_kraus(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
                         ) -> MeasuringProcess:
     """Measuring process with coupling inside ``𝓜 ⊗ B(K)``.
 
-    Requires every Kraus operator to lie in the algebra. The meter is
-    ``C^(N+2) ⊗ C^2`` for N total Kraus operators: one meter slot per
-    Kraus operator, one for the initial state, one for the completeness
-    defect (zero in the exact case, retained), and a qubit for the block
-    unitary. Pointer projections group meter slots by atom; the initial
-    slot joins the first atom and the defect slot the last, both with
-    zero weight in the induced instrument.
+    Requires every Kraus operator to lie in the algebra. The process is
+    the one ``dilate`` writes (:func:`from_instrument`, then
+    :func:`mp_from_correlations`) for the instrument read on all of
+    B(H), carrying the input's algebra; its meter is ``C^(1+R)``, R the
+    total minimal Kraus rank. The minimal Kraus operators span the given
+    ones, so the block coupling lies in ``𝓜 ⊗ B(C^(1+R))``.
     """
     inst.require_valid(tol)
-    dim_h = inst.dim_h
-    flat: list[tuple[str, np.ndarray]] = []
     for s in inst.outcomes.labels:
         for k, w in zip(inst.kraus[s], inst.atom_weights(s)):
             if w < 0:
                 raise ValueError("instrument carries negative weights")
-            kk = np.sqrt(w) * k
-            rep = contains(inst.algebra, kk, tol)
-            if rep.residual > tol.bound("loose", dim_h):
+            rep = contains(inst.algebra, np.sqrt(w) * k, tol)
+            if rep.residual > tol.bound("loose", inst.dim_h):
                 raise ValueError(
                     f"Kraus operator of atom {s!r} lies outside the algebra "
                     f"(residual {rep.residual:.3e}); a faithful process can "
                     "still be built through the conditional expectation")
-            flat.append((s, kk))
-    n_tot = len(flat)
-    dim_m = n_tot + 2
-    l_op = sqrt_psd(np.eye(dim_h) - apply_dual(inst, np.eye(dim_h), None), tol)
-
-    # v_op = Σ_n kron(K_n, |n+1><0|), with L = l_op as the last K_n.
-    v_op = np.zeros((dim_h, dim_m, dim_h, dim_m), dtype=complex)
-    v_op[:, 1:, :, 0] = np.stack([k for _, k in flat] + [l_op], axis=1)
-    u = halmos_unitary(v_op.reshape(dim_h * dim_m, -1), tol)
-    dim_k = dim_m * 2
-
-    labels = inst.outcomes.labels
-    slot_atoms = [labels[0]] + [s for s, _ in flat] + [labels[-1]]
-    e = {s: _kron(np.diag([float(t == s) for t in slot_atoms]), np.eye(2))
-         for s in labels}
-
-    sigma = proj(basis_vector(dim_k, 0))
-    return MeasuringProcess(dim_h, inst.algebra, inst.outcomes, dim_k,
-                            sigma, e, u, validate=tol)
+    return _canonical_mp(inst, inst.algebra, tol)
 
 
 def inner_membership(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL):
@@ -804,17 +793,17 @@ def faithful_mp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
     """
     inst.require_valid(tol)
     dim_h = inst.dim_h
+    units = conditional_expectation(
+        inst.algebra, np.eye(dim_h ** 2).reshape(-1, dim_h, dim_h))
     ext_kraus = {}
     for s in inst.outcomes.labels:
-        choi = choi_of_dual(lambda x, s=s: apply_dual(
-            inst, conditional_expectation(inst.algebra, x), (s,)), dim_h)
-        ext_kraus[s] = kraus_from_dual_choi(choi, dim_h, tol)
+        # dual[a, b, i, j] = I(E(e_ij), s)[a, b]
+        dual = np.moveaxis(apply_dual(inst, units, (s,)), 0, -1)
+        ext_kraus[s] = kraus_from_dual_choi(
+            choi_of_dual_tensor(dual.reshape((dim_h,) * 4)), dim_h, tol)
     extended = CPInstrument(dim_h, full_algebra(dim_h), inst.outcomes,
                             ext_kraus, validate=tol)
-    mp = mp_from_correlations(from_instrument(extended, tol=tol), tol)
-    # replace() would re-check what mp_from_correlations just checked.
-    object.__setattr__(mp, "algebra", inst.algebra)
-    return mp
+    return _canonical_mp(extended, inst.algebra, tol)
 
 
 def faithfulness_table(mp: MeasuringProcess, inst: CPInstrument,

@@ -8,6 +8,7 @@ builds: its invariants follow from the checks on the instrument.
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -163,13 +164,23 @@ def test_a_recorded_check_never_changes_a_verdict(name, fraction, abs_tol):
             assert str(got.value) == str(want.value)
 
 
-def test_inner_mp_decomposes_the_completeness_defect_once(monkeypatch):
-    inst = load_fixture("trine-povm")
-    shapes = []
-    for name in ("eigh", "eigvalsh"):
-        def counting(a, *args, original=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(a))
-            return original(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counting)
-    inner_mp_from_kraus(inst)
-    assert shapes.count((inst.dim_h, inst.dim_h)) == 1
+def test_inner_mp_runs_the_chain_once(monkeypatch):
+    """One :func:`mp_from_correlations`; no defect root, no Halmos block."""
+    counts = dict.fromkeys(
+        ("mp_from_correlations", "sqrt_psd", "halmos_unitary"), 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in [m for n, m in list(sys.modules.items())
+                   if n == "qdil" or n.startswith("qdil.")]:
+        for name in counts:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    inner_mp_from_kraus(load_fixture("trine-povm"))
+    assert counts == {"mp_from_correlations": 1, "sqrt_psd": 0,
+                      "halmos_unitary": 0}

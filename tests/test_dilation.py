@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +59,7 @@ from qdil.operator_core import (
     random_unitary,
     spectral_norm,
 )
-from qdil.vn_model import load_fixture
+from qdil.vn_model import fixture_names, load_fixture
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -293,15 +295,105 @@ def test_n_equivalent_order_residuals_match_brute_force(pair):
     assert rep.equivalent == (want[-1] <= rep.bound)
 
 
-def test_canonical_and_inner_dilations_are_equivalent():
-    """Two very different dilations of one instrument agree at depth 2."""
-    inst = luders_instrument([P0, P1])
-    mp_a = mp_from_correlations(from_instrument(inst))
-    mp_b = inner_mp_from_kraus(inst)
-    assert mp_a.dim_k != mp_b.dim_k
-    rep = n_equivalent(mp_a, mp_b, 2)
-    assert rep.equivalent
-    assert rep.worst_residual <= 1e-9
+@pytest.mark.parametrize("inst", [
+    luders_instrument([P0, P1]),
+    random_cp_instrument(np.random.default_rng(89), 3, 2, kraus_per_outcome=2),
+], ids=["luders", "random-3/2/2"])
+def test_inner_dilation_on_the_full_algebra_is_the_canonical_one(inst):
+    """On B(H), inner is the process of the instrument's system, bit for bit."""
+    want = mp_from_correlations(from_instrument(inst))
+    mp = inner_mp_from_kraus(inst)
+    assert mp.dim_k == want.dim_k
+    assert np.array_equal(mp.u, want.u)
+    assert np.array_equal(mp.sigma, want.sigma)
+    assert all(np.array_equal(mp.e[s], want.e[s]) for s in inst.outcomes.labels)
+
+
+@pytest.mark.parametrize("name", sorted(fixture_names()))
+def test_inner_meter_is_one_plus_the_minimal_kraus_rank(name):
+    inst = load_fixture(name)
+    inside = all(contains(inst.algebra, k).ok
+                 for ks in inst.kraus.values() for k in ks)
+    if not inside:
+        with pytest.raises(ValueError, match="outside the algebra"):
+            inner_mp_from_kraus(inst)
+        return
+    rank = sum(instrument_representation(inst).ranks.values())
+    assert inner_mp_from_kraus(inst).dim_k == 1 + rank
+
+
+def random_instrument_in(rng, algebra, n_outcomes, kraus_per_outcome):
+    """Random complete instrument whose Kraus operators lie in ``algebra``."""
+    basis = np.stack(algebra.basis())
+
+    def element():
+        c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        return np.tensordot(c, basis, axes=1)
+
+    blocks = [[element() for _ in range(kraus_per_outcome)]
+              for _ in range(n_outcomes)]
+    total = sum(dagger(k) @ k for ks in blocks for k in ks)
+    vals, vecs = np.linalg.eigh(total)
+    whiten = vecs @ np.diag(vals ** -0.5) @ dagger(vecs)
+    labels = tuple(str(s) for s in range(n_outcomes))
+    return CPInstrument(algebra.dim_h, algebra, OutcomeSpace(labels),
+                        {lab: [k @ whiten for k in ks]
+                         for lab, ks in zip(labels, blocks)})
+
+
+@pytest.mark.parametrize("blocks", [((2, 2),), ((1, 2), (2, 1))],
+                         ids=["M2x1_2", "M1x1_2+M2"])
+def test_inner_mp_on_algebras_with_multiplicity(blocks):
+    rng = np.random.default_rng(90)
+    algebra = FiniteVonNeumannAlgebra(4, blocks, random_unitary(rng, 4))
+    inst = random_instrument_in(rng, algebra, 2, 2)
+    mp = inner_mp_from_kraus(inst)
+    assert inner_membership(mp).residual <= 1e-9
+    assert is_unitary(mp.u).residual <= 1e-12
+    assert instrument_distance(induced_instrument_mp(mp), inst) <= 1e-9
+
+
+def test_inner_and_faithful_agree_at_order_three_on_diag_identity():
+    inst = load_fixture("diag-identity")
+    inner, faithful = inner_mp_from_kraus(inst), faithful_mp(inst)
+    assert (inner.dim_k, faithful.dim_k) == (2, 3)
+    assert n_equivalent(inner, faithful, 3)
+
+
+def _named_calls(tree):
+    """``(scope, name, line)`` of every call of a bare or dotted name."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            found.append((".".join(scope), name, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_every_process_is_built_by_one_chain():
+    # A process is built by the dilation chain, purified, loaded or
+    # modelled; no construction forms a Halmos block of its own.
+    builders = {("dilation.py", "mp_from_correlations"),
+                ("dilation.py", "MeasuringProcess._purification"),
+                ("dilation.py", "mp_from_json"), ("vn_model.py", "build")}
+    src = Path(__file__).resolve().parents[1] / "src" / "qdil"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}:{line} {name} in {scope or 'module'}"
+                      for scope, name, line in _named_calls(tree)
+                      if name == "halmos_unitary" or (
+                          name == "MeasuringProcess"
+                          and (path.name, scope) not in builders)]
+    assert not offenders
 
 
 def test_distinct_instruments_are_not_equivalent():
