@@ -141,7 +141,11 @@ def _square(a) -> np.ndarray:
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron(a, b)``, bit for bit, for a matrix or stack ``a``."""
     (n0, n1), (m0, m1) = a.shape[-2:], b.shape
-    return (a[..., :, None, :, None] * b[:, None, :]).reshape(
+    # ``b`` at the rank of the expanded ``a``, as ``np.kron`` has it: with
+    # fewer axes, a one-entry product takes another NumPy loop, whose
+    # underflowed zero can carry the other sign.
+    b = b.reshape((1,) * (a.ndim - 1) + (m0, 1, m1))
+    return (a[..., :, None, :, None] * b).reshape(
         *a.shape[:-2], n0 * m0, n1 * m1)
 
 

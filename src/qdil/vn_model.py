@@ -58,18 +58,23 @@ def momentum_operator(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteVNModel:
-    """Observable, meter size, pointer state, and coupling strength."""
+    """Observable, meter size, pointer state, and coupling strength.
+
+    ``tol`` bounds the checks that the observable is Hermitian and the
+    pointer state normalized.
+    """
 
     system_observable: np.ndarray = field(repr=False)
     meter_dim: int = 8
     pointer_state: np.ndarray | None = field(default=None, repr=False)
     coupling: float | None = None
+    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         a = np.asarray(self.system_observable, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("observable must be a square matrix")
-        if not is_hermitian(a).ok:
+        if not is_hermitian(a, self.tol).ok:
             raise ValueError("observable is not Hermitian")
         object.__setattr__(self, "system_observable", a)
         if self.meter_dim < 1:
@@ -81,7 +86,7 @@ class DiscreteVNModel:
             alpha[0] = 1.0
         if alpha.shape != (self.meter_dim,):
             raise ValueError("pointer state has the wrong dimension")
-        if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(alpha) - 1.0) > self.tol.bound("strict"):
             raise ValueError("pointer state is not normalized")
         object.__setattr__(self, "pointer_state", alpha)
         lam = (2 * np.pi / self.meter_dim if self.coupling is None

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import builtins
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -702,6 +708,168 @@ def test_report_stays_indented_while_artifact_is_compact(tmp_path, capsys):
     assert printed == json.dumps(json.loads(printed), indent=2,
                                  sort_keys=True) + "\n"
     assert_artifact_is_compact(out)
+
+
+def build_argv(tmp_path, command, out):
+    """``command`` on amp-damp-0.5 writing its artifact to ``out``."""
+    if command == "fixtures":
+        return ["fixtures", "--name", "amp-damp-0.5", "-o", str(out)]
+    argv = [command, "-i", str(write_fixture(tmp_path, "amp-damp-0.5")),
+            "-o", str(out)]
+    if command == "sample":
+        argv += ["--state", str(write_plus_state(tmp_path)), "--steps", "40"]
+    return argv
+
+
+def fresh_artifact(tmp_path, capsys, command):
+    fresh = tmp_path / f"fresh-{command}.json"
+    assert run(capsys, *build_argv(tmp_path, command, fresh))[0] in (0, 1)
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["dilate", "extend", "sample", "fixtures"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_is_output_error(tmp_path, capsys, command, where):
+    out = (tmp_path / "missing" / "x.json" if where == "missing-dir"
+           else tmp_path)
+    code = main(build_argv(tmp_path, command, out))
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["error"] == "output"
+    reason = ("No such file or directory" if where == "missing-dir"
+              else "Is a directory")
+    assert report["detail"] == f"cannot write {out}: {reason}"
+    assert "Traceback" not in captured.err
+
+
+def test_unwritable_output_prints_no_traceback(tmp_path):
+    """Run as a process, the CLI reports the error on stdout and prints
+    no traceback on stderr."""
+    inst = write_fixture(tmp_path, "amp-damp-0.5")
+    src = str(Path(qdil.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdil.cli", "dilate", "-i", str(inst),
+         "-o", str(tmp_path / "missing" / "x.json")],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "output"
+    assert "Traceback" not in proc.stderr
+
+
+def prior_contents(fresh):
+    """What an ``-o`` file may hold before it is overwritten."""
+    junk = np.random.default_rng(7).integers(0, 256, 1 << 20, dtype=np.uint8)
+    return {"junk-1mb": junk.tobytes(),
+            "longer": fresh + b"stale tail" * 10,
+            "shorter": fresh[:len(fresh) // 3]}
+
+
+@pytest.mark.parametrize("command", ["dilate", "extend"])
+@pytest.mark.parametrize("prior", ["junk-1mb", "longer", "shorter"])
+def test_overwritten_output_equals_a_fresh_write(tmp_path, capsys, command,
+                                                 prior):
+    fresh = fresh_artifact(tmp_path, capsys, command)
+    out = tmp_path / "out.json"
+    out.write_bytes(prior_contents(fresh)[prior])
+    assert run(capsys, *build_argv(tmp_path, command, out))[0] == 0
+    assert out.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("command", ["dilate", "extend"])
+def test_overwrite_keeps_inode_and_mode(tmp_path, capsys, command):
+    fresh = fresh_artifact(tmp_path, capsys, command)
+    out = tmp_path / "out.json"
+    out.write_bytes(b"x" * (2 * len(fresh)))
+    out.chmod(0o640)
+    before = out.stat()
+    assert run(capsys, *build_argv(tmp_path, command, out))[0] == 0
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert out.read_bytes() == fresh
+
+
+def test_symlinked_output_writes_its_target(tmp_path, capsys):
+    fresh = fresh_artifact(tmp_path, capsys, "dilate")
+    target = tmp_path / "target.json"
+    target.write_bytes(b"old " * 1000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run(capsys, *build_argv(tmp_path, "dilate", link))[0] == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh
+
+
+def test_output_to_devnull(tmp_path, capsys):
+    code, report = run(capsys, *build_argv(tmp_path, "dilate", os.devnull))
+    assert code == 0
+    assert report["config"]["output"] == os.devnull
+
+
+def test_output_to_a_fifo(tmp_path, capsys):
+    """A FIFO at ``-o`` streams the artifact to its reader; it is not
+    cut, as a regular file is."""
+    fresh = fresh_artifact(tmp_path, capsys, "dilate")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(
+        fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code = main(build_argv(tmp_path, "dilate", fifo))
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert code == 0
+    assert received == [fresh]
+
+
+def test_overwrite_never_truncates_or_renames(tmp_path, capsys, monkeypatch):
+    """The in-place write: no ``O_TRUNC`` open, no ``"w"`` mode open and
+    no rename over the old file. Truncating a file to zero or renaming
+    over it makes some filesystems flush it on close."""
+    out = tmp_path / "out.json"
+    out.write_bytes(b"x" * 100_000)
+    argv = build_argv(tmp_path, "dilate", out)
+    flags, modes = [], []
+    os_open, builtin_open = os.open, builtins.open
+
+    def spy_os_open(path, flag, *args, **kwargs):
+        flags.append((os.fspath(path), flag))
+        return os_open(path, flag, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return builtin_open(file, mode, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the artifact was renamed into place")
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(os, "replace", forbidden)
+    monkeypatch.setattr(os, "rename", forbidden)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert str(out) in [path for path, _ in flags]
+    assert not any(flag & os.O_TRUNC for _, flag in flags)
+    assert not any("w" in mode for mode in modes)
+
+
+def test_vn_model_checks_the_observable_at_the_tol_flag(tmp_path, capsys):
+    obs = tmp_path / "obs.json"
+    obs.write_text("[[0, 1e-8], [0, 1]]")
+    argv = ["vn-model", "--observable", str(obs),
+            "-o", str(tmp_path / "vn.mp.json")]
+    code, report = run(capsys, *argv)
+    assert code == 2
+    assert report["error"] == "invalid-model"
+    assert run(capsys, *argv, "--tol", "1e-6")[0] == 0
 
 
 def loader_mutants():

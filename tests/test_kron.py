@@ -42,6 +42,9 @@ def assert_same_bits(got, want):
 
 @hypothesis.settings(deadline=None)
 @hypothesis.given(operands())
+# one entry each, whose imaginary product underflows to a signed zero
+@hypothesis.example((np.array([[-1.85194834e-97 + 0j]]),
+                     np.array([[4.68495456e-296j]])))
 def test_kron_matches_numpy_kron_bit_for_bit(ab):
     a, b = ab
     assert_same_bits(_kron(a, b), np.kron(a, b))
