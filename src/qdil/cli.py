@@ -89,7 +89,7 @@ def _input_error(kind: str, *errors: type[Exception]):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -483,7 +483,14 @@ def main(argv=None) -> int:
     except _InputError as exc:
         report, code = exc.diagnostic, 2
     if report is not None:
-        _emit({**report, "command": args.command})
+        try:
+            _emit({**report, "command": args.command})
+        except BrokenPipeError:
+            # The reader closed stdout early, so the report is lost. Point
+            # stdout at devnull so that the flush at exit cannot fail too.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

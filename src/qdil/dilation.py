@@ -19,6 +19,8 @@ through those maps.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +48,7 @@ from .instrument import (
     CPInstrument,
     OutcomeSpace,
     _json_outcomes,
+    _minimal_kraus,
     apply_dual,
     choi_of_dual_tensor,
     choi_of_kraus,
@@ -54,6 +57,7 @@ from .instrument import (
 from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
+    _FROBENIUS_MARGIN,
     _json_dim,
     _isometry_defects,
     _json_object,
@@ -103,6 +107,33 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class _ProcessBounds:
+    """Upper bounds on :meth:`MeasuringProcess.require_valid`'s residuals.
+
+    ``unitarity`` bounds ``‖U*U − 1‖`` and ``‖UU* − 1‖`` as the check
+    computes them, rounding included, and clears at half the bound.
+    ``pvm`` is the largest Frobenius norm of the pointer's PVM defects,
+    which clears where :func:`norm_within` would accept it. A sigma of
+    the form ``proj(η)`` is exactly Hermitian, its eigenvalues lie
+    within ``psd_floor`` of {1, 0, …}, and ``trace`` is its trace defect
+    as :func:`is_density_matrix` computes it. Infinite or NaN fields
+    clear nothing.
+    """
+
+    unitarity: float = math.inf
+    pvm: float = math.inf
+    trace: float = math.inf
+    psd_floor: float = math.inf
+
+    def state(self, tol: Tolerance) -> bool:
+        return (self.psd_floor <= tol.bound("psd") / 2
+                and self.trace <= tol.bound("trace"))
+
+
+_NO_BOUNDS = _ProcessBounds()
+
+
+@dataclass(frozen=True)
 class MeasuringProcess:
     """Meter quadruple (sigma, e, u) over ``H ⊗ K`` with outcome atoms.
 
@@ -113,7 +144,11 @@ class MeasuringProcess:
     is a :class:`Tolerance`, not at all when it is False; the
     algebra-closure invariant is checked where the induced instrument is
     actually built (`induced_instrument_mp`), since that is the same
-    computation.
+    computation. A process built by :func:`mp_from_correlations` carries
+    bounds on these residuals from the defects its chain measured, and
+    :meth:`require_valid` skips each check its bound clears; the bounds
+    belong to that instance, so a ``dataclasses.replace`` is checked in
+    full.
     """
 
     dim_h: int
@@ -144,9 +179,14 @@ class MeasuringProcess:
 
     def require_valid(self, tol: Tolerance = DEFAULT_TOL) -> None:
         bound = tol.bound("loose")
-        _require_within(_unitary_defects(self.u), bound, "u is not unitary")
-        _require_within(_pvm_defects(self.e), bound, "e is not a PVM")
-        require_state(self.sigma, tol, what="sigma")
+        known = self.__dict__.get("_bounds", _NO_BOUNDS)
+        if not known.unitarity <= bound / 2:
+            _require_within(_unitary_defects(self.u), bound,
+                            "u is not unitary")
+        if not known.pvm <= bound * _FROBENIUS_MARGIN:
+            _require_within(_pvm_defects(self.e), bound, "e is not a PVM")
+        if not known.state(tol):
+            require_state(self.sigma, tol, what="sigma")
 
     def pointer(self, event) -> np.ndarray:
         return sum((self.e[s] for s in self.outcomes.event(event)),
@@ -241,12 +281,16 @@ def minimal_stinespring(cp_map, dim_h: int, tol: Tolerance = DEFAULT_TOL
     ``cp_map`` is either Kraus data, a stack or list of operators (the
     map being ``M ↦ Σ K*MK``), or the map's dual Choi matrix. The rank of
     the Choi matrix fixes the multiplicity, ``dimK' = dimH · rank``, and
-    ``v = Σ_k kron(K_k, e_k)`` stacks the minimal Kraus family.
+    ``v = Σ_k kron(K_k, e_k)`` stacks the minimal Kraus family. Kraus
+    data reach that family by one SVD of their stack
+    (:func:`~qdil.instrument._minimal_kraus`), a Choi matrix by its
+    ``eigh``; the two give the same family.
     """
     arr = np.asarray(cp_map, dtype=complex)
-    square = arr.shape == (dim_h ** 2, dim_h ** 2)
-    choi = arr if square else choi_of_kraus(arr, dim_h)
-    kraus = kraus_from_dual_choi(choi, dim_h, tol)
+    if arr.shape == (dim_h ** 2, dim_h ** 2):
+        kraus = kraus_from_dual_choi(arr, dim_h, tol)
+    else:
+        kraus = _minimal_kraus(arr, dim_h, tol)
     rank = len(kraus)
     v = kraus.transpose(1, 0, 2).reshape(dim_h * rank, dim_h)
     return MinimalStinespring(dim_h, rank, dim_h * rank, kraus, v)
@@ -346,6 +390,14 @@ def multiplicity_split(pi: PiMap, tol: Tolerance = DEFAULT_TOL
     basis of the range of ``π(|0><0|)`` with the partial isometries
     ``π(|i><0|)``.
     """
+    return _split(pi, tol)[:2]
+
+
+def _split(pi: PiMap, tol: Tolerance
+           ) -> tuple[int, np.ndarray, tuple[float, ...] | None]:
+    """:func:`multiplicity_split` and, on the stored-factor path, the
+    Frobenius norms of ``left*left − 1``, ``left left* − 1`` and
+    ``right − left*`` (None on the general path)."""
     dim_l, dim_h = pi.dim_out, pi.dim_in
     if dim_l % dim_h != 0:
         raise ValueError(f"space of dimension {dim_l} admits no "
@@ -353,10 +405,10 @@ def multiplicity_split(pi: PiMap, tol: Tolerance = DEFAULT_TOL
     dim_k = dim_l // dim_h
     if pi.factors is not None:
         left, right, k = pi.factors
-        if k == dim_k and left.shape == (dim_l, dim_l) and _within(
-                (*_unitary_defects(left), right - dagger(left)),
-                tol.bound("strict", dim_l)):
-            return dim_k, right
+        if k == dim_k and left.shape == (dim_l, dim_l):
+            defects = (*_unitary_defects(left), right - dagger(left))
+            if _within(defects, tol.bound("strict", dim_l)):
+                return dim_k, right, tuple(map(np.linalg.norm, defects))
     p0 = pi.tensor[:, :, 0, 0]
     vals, vecs = np.linalg.eigh((p0 + dagger(p0)) / 2)
     sel = vals > 0.5
@@ -375,7 +427,7 @@ def multiplicity_split(pi: PiMap, tol: Tolerance = DEFAULT_TOL
     misfit = pi.tensor - _transport(w, u1, dim_k)
     _require_within(misfit.transpose(2, 3, 0, 1), scale,
                     "π is not a representation of the full matrix algebra")
-    return dim_k, u1
+    return dim_k, u1, None
 
 
 def commutant_pvm_lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray,
@@ -392,19 +444,28 @@ def commutant_pvm_lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray,
     ``loose(dimL)``, the bound of every check here. The recovered family
     is verified to be of that form and a PVM.
     """
+    return _lift(pi_vals, u2, dim_h, tol)[0]
+
+
+def _lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray, dim_h: int,
+          tol: Tolerance
+          ) -> tuple[dict[str, np.ndarray], dict[str, float], float]:
+    """:func:`commutant_pvm_lift` and the Frobenius norms it measured: each
+    form defect ``‖d‖`` and the largest of the family's PVM defects."""
     dim_l = u2.shape[0]
     if dim_l % dim_h != 0:
         raise ValueError("split dimensions do not divide")
     dim_k = dim_l // dim_h
     scale = tol.bound("loose", dim_l)
     a, b = (np.linalg.norm(m) for m in _unitary_defects(u2))
-    out, transported = {}, None
+    out, forms, transported = {}, {}, None
     for s, p in pi_vals.items():
         p = np.asarray(p, dtype=complex)
         t = (u2 @ p @ dagger(u2)).reshape(dim_h, dim_k, dim_h, dim_k)
         e0 = np.einsum("akal->kl", t) / dim_h
         d = t.reshape(dim_l, dim_l) - _kron(np.eye(dim_h), e0)
-        if not 2 * (1 + a) * (np.linalg.norm(d) + np.linalg.norm(p) * (
+        forms[s] = np.linalg.norm(d)
+        if not 2 * (1 + a) * (forms[s] + np.linalg.norm(p) * (
                 (1 + a) * b + 2 * a + a * a)) <= scale / 2:
             if transported is None:
                 # u2*(x ⊗ 1)u2 for every matrix unit x, as a stack.
@@ -416,8 +477,12 @@ def commutant_pvm_lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray,
         _require_within(d, scale, f"transported projection {s!r} is not of "
                         "the form 1 ⊗ (·)")
         out[s] = e0
-    _require_within(_pvm_defects(out), scale, "lifted family is not a PVM")
-    return out
+    # Frobenius norms within the bound accept, as norm_within has it;
+    # past it the gate decides on the exact norms.
+    pvm = float(np.max([np.linalg.norm(m) for m in _pvm_defects(out)]))
+    if not pvm <= scale * _FROBENIUS_MARGIN:
+        _require_within(_pvm_defects(out), scale, "lifted family is not a PVM")
+    return out, forms, pvm
 
 
 def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
@@ -431,6 +496,13 @@ def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
     ``D = V − 1 ⊗ η_raw``, the sweep over matrix units runs only when
     ``2‖D‖_F`` exceeds half of ``loose(dimL)``, the bound of each check.
     """
+    return _intertwiner(v, tol)[0]
+
+
+def _intertwiner(v: np.ndarray, tol: Tolerance
+                 ) -> tuple[np.ndarray, float, float]:
+    """:func:`intertwiner_vector`, ``‖V − 1 ⊗ η_raw‖_F`` and
+    ``|‖η_raw‖ − 1|``."""
     v = np.asarray(v, dtype=complex)
     dim_h = v.shape[1]
     if v.shape[0] % dim_h != 0:
@@ -439,7 +511,8 @@ def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
     scale = tol.bound("loose", v.shape[0])
     eta_raw = v[:dim_l1, 0].copy()
     defect = v - _kron(np.eye(dim_h), eta_raw.reshape(-1, 1))
-    if not 2 * np.linalg.norm(defect) <= scale / 2:
+    form = np.linalg.norm(defect)
+    if not 2 * form <= scale / 2:
         for _, _, x in matrix_units(dim_h):
             _require_within(_kron(x, np.eye(dim_l1)) @ v - v @ x, scale,
                             "V does not intertwine the system action")
@@ -451,7 +524,7 @@ def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
     mags = np.abs(eta)
     lead = int(np.argmax(mags >= mags.max() * 1e-6))
     phase = eta[lead] / abs(eta[lead])
-    return eta * phase.conjugate()
+    return eta * phase.conjugate(), form, abs(norm - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -473,22 +546,29 @@ def mp_from_correlations(sys: CorrelationSystem,
     coupling ``U = u2 u1*``: ``u1`` carries every letter map and ``v``
     onto the process's, so the two are completely equivalent. Bounds: a
     split ``strict(dimL)`` on stored factors, else ``loose(dimL)``; the
-    lift, η₁ and a six-word spot check ``loose(dimL)``; U and E₀
-    ``loose``. ``completion_seed`` multiplies U by ``1 ⊗ W`` for a seeded
-    unitary W that fixes η₁, which no word can see; when d = 1 there is
-    nothing to rotate and the seed is ignored.
+    lift and η₁ ``loose(dimL)``; U, E₀ and σ = proj(η₁) the process
+    check's ``loose``; six random words, evaluated on both, ``loose(dimL)``.
+    When both splits ran on stored factors, the defects they, the lift
+    and η₁ measured bound U's unitarity residual and the six words'
+    differences (see :func:`_chain_bounds`); each check runs only when
+    its bound exceeds half its own, and decides by the exact norm with
+    its usual message. The lift's PVM norms and σ's trace serve the
+    process check on any system. ``completion_seed`` multiplies U by
+    ``1 ⊗ W`` for a seeded unitary W that fixes η₁, which no word can
+    see; when d = 1 there is nothing to rotate and the seed is ignored.
     """
     if not sys.algebra.is_full:
         raise ValueError("construction requires the full matrix algebra")
     dim_h = sys.dim_h
-    d1, u1 = multiplicity_split(sys.pi_in, tol)
-    d2, u2 = multiplicity_split(sys.letter_map(sys.outcomes.labels), tol)
+    d1, u1, split_in = _split(sys.pi_in, tol)
+    d2, u2, split_atoms = _split(sys.letter_map(sys.outcomes.labels), tol)
     if d1 != d2:
         raise ValueError("splitting dimensions disagree; the letter maps "
                          "do not act on a common space")
-    e0 = commutant_pvm_lift(sys.atom_units(), u2, dim_h, tol)
-    eta1 = intertwiner_vector(u1 @ sys.v, tol)
+    e0, forms, pvm = _lift(sys.atom_units(), u2, dim_h, tol)
+    eta1, *vector = _intertwiner(u1 @ sys.v, tol)
     u = u2 @ dagger(u1)
+    rotation = (0.0, 0.0, 0.0)
     if completion_seed is not None and d1 > 1:
         # W = |η₁><η₁| + P R P*, P an orthonormal basis of η₁^⊥.
         q, _ = np.linalg.qr(np.column_stack([eta1, np.eye(d1)]))
@@ -496,29 +576,149 @@ def mp_from_correlations(sys: CorrelationSystem,
         rot = random_unitary(np.random.default_rng(completion_seed), d1 - 1)
         w = proj(eta1) + perp @ rot @ dagger(perp)
         u = u @ _kron(np.eye(dim_h), w)
+        rotation = tuple(np.linalg.norm(m) for m in (
+            *_unitary_defects(w), dagger(w) @ eta1 - eta1))
 
-    # The MeasuringProcess constructor below checks u's unitarity at tol.
-    mp = MeasuringProcess(dim_h, sys.algebra, sys.outcomes, d1, proj(eta1),
-                          e0, u, validate=tol)
+    words, norm, length = _spot_words(dim_h, len(sys.outcomes.labels))
+    unitarity = spot = math.inf
+    if split_in is not None and split_atoms is not None:
+        unitarity, spot = _chain_bounds(
+            split_in, split_atoms, rotation, list(forms.values()),
+            [np.linalg.norm(sys.pi_atom[s].factors[1])
+             for s in sys.outcomes.labels],
+            vector, sys.dim_l, norm, length)
+    sigma = proj(eta1)
+    # proj(η) comes out Hermitian bit for bit, and rounding moves its
+    # eigenvalues off {1, 0, …} by a few ulps; the floor allows for
+    # eigvalsh's own error too.
+    floor = math.inf if (sigma - dagger(sigma)).any() else 16 * (d1 + 1) * _EPS
+    known = _ProcessBounds(unitarity, pvm,
+                           abs(complex(np.trace(sigma)) - 1.0), floor)
+    mp = MeasuringProcess(dim_h, sys.algebra, sys.outcomes, d1, sigma,
+                          e0, u, validate=False)
+    # The one check of the process, at tol, reads these bounds; the
+    # record validate=tol stays for copies, which carry no bounds.
+    object.__setattr__(mp, "_bounds", known)
+    mp.require_valid(tol)
+    object.__setattr__(mp, "validate", tol)
 
     # Spot check: the process reproduces the system's correlation values.
-    back = _system_of(mp, tol)
+    bound = tol.bound("loose", dim_h * d1)
+    if not spot <= bound / 2:
+        _require_within(_spot_residuals(sys, mp, words, tol), bound,
+                        "constructed process fails to reproduce the "
+                        "correlation values")
+    return mp
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+@functools.lru_cache(maxsize=64)
+def _spot_words(dim_h: int, n_atoms: int
+                ) -> tuple[tuple[tuple[tuple[int, ...], np.ndarray], ...],
+                           float, int]:
+    """The spot check's six words from the seeded stream, drawn once.
+
+    Each word is its letter indices (0 the input letter, ``1 + i`` atom
+    i) and its read-only operators ``1 + 0.3·diag(z)``; also returned
+    are the largest operator norm (at least 1) and the longest length.
+    """
     rng = np.random.default_rng(7)
-    diffs = []
-    labels = list(sys.outcomes.labels)
+    words = []
     for _ in range(6):
         length = int(rng.integers(1, 3))
-        letters = tuple(
-            ([IN] + labels)[int(rng.integers(1 + len(labels)))]
-            for _ in range(length))
-        ms = [np.eye(dim_h) + 0.3 * np.diag(rng.standard_normal(dim_h))
-              for _ in range(length)]
-        diffs.append(eval_W(back, letters, ms, tol, check_membership=False)
-                     - eval_W(sys, letters, ms, tol, check_membership=False))
-    _require_within(np.stack(diffs), tol.bound("loose", dim_h * d1),
-                    "constructed process fails to reproduce the correlation "
-                    "values")
-    return mp
+        letters = tuple(int(rng.integers(1 + n_atoms)) for _ in range(length))
+        ms = np.stack([np.eye(dim_h) + 0.3 * np.diag(rng.standard_normal(
+            dim_h)) for _ in range(length)])
+        ms.setflags(write=False)
+        words.append((letters, ms))
+    norm = max(1.0, *(float(np.abs(np.diagonal(ms, axis1=1, axis2=2)).max())
+                      for _, ms in words))
+    return tuple(words), norm, max(len(letters) for letters, _ in words)
+
+
+def _spot_residuals(sys: CorrelationSystem, mp: MeasuringProcess, words,
+                    tol: Tolerance) -> np.ndarray:
+    """The value differences of ``words`` between ``mp`` and ``sys``."""
+    back = _system_of(mp, tol)
+    alphabet = [IN, *sys.outcomes.labels]
+    diffs = []
+    for letters, ms in words:
+        word = tuple(alphabet[i] for i in letters)
+        diffs.append(eval_W(back, word, ms, tol, check_membership=False)
+                     - eval_W(sys, word, ms, tol, check_membership=False))
+    return np.stack(diffs)
+
+
+def _near_inverse(a: float, b: float, c: float) -> tuple[float, ...]:
+    """Bounds for factors ``(L, R)``, ``R = L* + C``, from ``a = ‖L*L − 1‖``,
+    ``b = ‖LL* − 1‖`` and ``c = ‖C‖``: ``‖L‖``, ``‖R‖``, ``‖RR* − 1‖``,
+    ``‖R*R − 1‖`` and ``‖RL − 1‖``."""
+    ell = math.sqrt(1 + min(a, b))
+    return (ell, ell + c, a + (2 * ell + c) * c, b + (2 * ell + c) * c,
+            a + ell * c)
+
+
+def _chain_bounds(split_in, split_atoms, rotation, forms, rights, vector,
+                  dim_l: int, norm: float, length: int
+                  ) -> tuple[float, float]:
+    """Bounds on the process's unitarity residual and on the spot check's.
+
+    The inputs are the Frobenius norms the chain measured, each at least
+    the spectral norm: each split's ``(a, b, c)`` of :func:`_near_inverse`
+    (factors ``(P, u1)`` of ``Π_in`` and ``(L, u2)``, L the atoms' shared
+    left factor and ``u2 = ΣR_s``); W's two unitarity defects and
+    ``‖W*η₁ − η₁‖`` (zeros without W); each atom's lift form defect
+    ``‖Δ_s‖``, ``Δ_s = u2 L R_s u2* − 1 ⊗ E₀(s)``; each ``‖R_s‖``;
+    ``(‖u1 v − 1 ⊗ η_raw‖, |‖η_raw‖ − 1|)``; and the largest operator
+    norm x and length ℓ of the words. Each input gets an allowance for
+    the rounding of products of dimension dimL.
+
+    ``U = u2 u1* (1 ⊗ W)``, so ``U*U − 1`` and ``UU* − 1`` expand into
+    the splits' and W's defects. For the words, ``J = (1 ⊗ W*)u1``
+    carries the system onto the process: ``J*J − 1`` is within γ,
+    ``J Π_in(X) J* − X ⊗ 1 = (1 ⊗ W*)[(u1P − 1)(X ⊗ 1)u1u1* + (X ⊗ 1)
+    (u1u1* − 1)](1 ⊗ W) + X ⊗ (W*W − 1)``, and, with ``M = u2L − 1``,
+    ``N = u2*u2 − 1``, ``Π_s(X) − u2*(X ⊗ E₀(s))u2 = (L − u2*)(X ⊗ 1)R_s
+    − u2*(X ⊗ 1)(M R_s + (1 + M)R_s N) + u2*(X ⊗ 1)Δ_s u2``, which J
+    carries onto the process's atom map's difference. This is where the
+    atoms' one left factor counts: each atom map is fixed by ``Π_s(1)``
+    up to M. ``Jv`` is ``1 ⊗ η₁`` up to a phase and ε_v. Inserting
+    ``J*J`` between the letters and telescoping, a word's values differ
+    by at most ``((1+γ)^(ℓ+1) − 1)ν²(ax)^ℓ + 2νε_v(ãx)^ℓ +
+    ν²ℓεx(ãx)^(ℓ−1)``, for letter norms a (system) and ã (frames), the
+    largest letter defect ε and ``ν ≥ ‖v‖``; a last term covers the
+    rounding of the words' own evaluation.
+    """
+    fuzz = 4 * dim_l ** 2 * _EPS * (1 + max(rights)) ** 2
+    a1, b1, c1, a2, b2, c2, om, om_, zeta, form_v, norm_v = (
+        x + fuzz for x in (*split_in, *split_atoms, *rotation, *vector))
+    p, mu1, g1, gam0, f1 = _near_inverse(a1, b1, c1)
+    ell, mu2, h2, n2, m2 = _near_inverse(a2, b2, c2)
+    w2 = 1 + om  # ‖W‖²
+    # U formed, and U*U, UU* formed from it, in floating point.
+    rounding = fuzz * (mu1 * mu2) ** 2 * w2
+    unitarity = max(om + w2 * (g1 + mu1 ** 2 * n2),
+                    h2 + mu2 ** 2 * (gam0 + mu1 ** 2 * om_)) + 4 * rounding
+    gamma = gam0 + mu1 ** 2 * om_
+    if not gamma < 0.5:
+        return unitarity, math.inf
+    j2 = 1 + gamma  # ‖J‖²
+    eps_in = om + w2 * (f1 * (1 + g1) + g1)
+    eps_s = j2 * max(r * (c2 + mu2 * (m2 + (1 + m2) * n2))
+                     + mu2 ** 2 * (d + fuzz) for r, d in zip(rights, forms))
+    eps = max(eps_in, eps_s) + rounding
+    a = max(p * mu1, ell * max(rights))
+    ax, atx = a * norm, (j2 * a + eps) * norm
+    nu = max(math.sqrt(w2) * (1 + norm_v + form_v) / math.sqrt(1 - gamma),
+             1.0) + fuzz
+    e_v = norm_v + (1 + norm_v) * zeta + math.sqrt(w2) * form_v + fuzz
+    k = length
+    return unitarity, (((1 + gamma) ** (k + 1) - 1) * nu ** 2 * ax ** k
+                       + 2 * nu * e_v * atx ** k
+                       + nu ** 2 * k * eps * norm * atx ** (k - 1)
+                       + fuzz * (2 + 3 * k) * nu ** 2 * (1 + atx) ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +762,36 @@ def induced_instrument_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
 
     This is :func:`induced_instrument` of the process's system: each
     atom's Heisenberg map is the compression of its letter map by the
-    cyclic isometry. Raises when a compressed value leaves the algebra
+    cyclic isometry, ``X ↦ A*(X ⊗ E_s)A`` with ``A = U(1 ⊗ η)`` (σ
+    purified to η). For a projection ``E_s`` that is ``B*(X ⊗ 1)B`` with
+    ``B = (1 ⊗ E_s)A``, so the meter blocks of B are Kraus operators and
+    one SVD of them gives the minimal family
+    (:func:`~qdil.instrument._minimal_kraus`). The two maps differ by
+    ``A*(X ⊗ (E_s − E_s*E_s))A``, whose Choi matrix is at most
+    ``‖A‖_F² ‖E_s − E_s*E_s‖_F``; that route runs while this is at most
+    half of ``psd``, where the compression's Choi matrix could not be
+    rejected as non-CP. Otherwise, and whenever its result fails
+    :func:`verify_cp`, the compression's Choi matrix decides, with its
+    own message. Raises when a compressed value leaves the algebra
     (closure violation).
     """
+    pure, eta = mp._purification(tol)
+    if eta is not None:
+        dim_h, dim_k = pure.dim_h, pure.dim_k
+        # a[i, k, j] = A[(i, k), j]
+        a = (pure.u.reshape(-1, dim_h, dim_k) @ eta).reshape(dim_h, dim_k,
+                                                             dim_h)
+        spill = np.linalg.norm(a) ** 2 * max(
+            np.linalg.norm(e - dagger(e) @ e) for e in pure.e.values())
+        if spill <= tol.bound("psd") / 2:
+            kraus = {s: _minimal_kraus((pure.e[s] @ a).transpose(1, 0, 2),
+                                       dim_h, tol)
+                     for s in mp.outcomes.labels}
+            try:
+                return CPInstrument(dim_h, mp.algebra, mp.outcomes, kraus,
+                                    validate=tol)
+            except ValueError:
+                pass  # the compression's own verdict and message follow
     return induced_instrument(_system_of(mp, tol), tol)
 
 

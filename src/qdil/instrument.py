@@ -349,11 +349,41 @@ def kraus_from_dual_choi(j: np.ndarray, dim: int,
     if vals.size and vals.min() < -tol.bound("psd", abs(scale)):
         raise ValueError(
             f"Choi matrix has negative eigenvalue {vals.min():.3e}")
+    return _kept_kraus(vals, vecs, dim, tol)
+
+
+def _kept_kraus(vals: np.ndarray, vecs: np.ndarray, dim: int,
+                tol: Tolerance) -> np.ndarray:
+    """The Kraus stack of the Choi eigenpairs above ``strict(λ_max)``.
+
+    ``vals`` ascend, as ``eigh`` gives them; each kept eigenvector is
+    phased so that its first coordinate above 1e-12 is real positive.
+    """
+    scale = float(vals[-1]) if vals.size else 0.0
     keep = vals > tol.bound("strict", abs(scale))
     cols = vecs[:, keep]
     lead = cols[np.argmax(np.abs(cols) > 1e-12, axis=0),
                 np.arange(cols.shape[1])]
     return _kraus_of_eigenvectors(vals[keep], cols * (abs(lead) / lead), dim)
+
+
+def _minimal_kraus(kraus, dim: int, tol: Tolerance = DEFAULT_TOL
+                   ) -> np.ndarray:
+    """``kraus_from_dual_choi(choi_of_kraus(kraus, dim), dim, tol)``, by SVD.
+
+    The Choi matrix ``Σ_j z_j z_j*`` (see :func:`choi_of_kraus`) is
+    ``Z Z*`` for the ``dim² × r`` stack ``Z`` of the ``z_j``: its
+    eigenvectors are Z's left singular vectors, its eigenvalues the
+    squared singular values. Taken in ascending order, they go through
+    the same cut-off and phase rule, so the family is the same, with one
+    SVD of ``Z`` in place of the Choi matrix and its ``eigh``.
+    """
+    ks = _kraus_stack(kraus, dim)
+    if not len(ks):
+        return ks
+    z = ks.transpose(0, 2, 1).reshape(len(ks), dim * dim).T
+    left, sv, _ = np.linalg.svd(z, full_matrices=False)
+    return _kept_kraus((sv * sv)[::-1], left[:, ::-1], dim, tol)
 
 
 def instrument_from_duals(dim_h: int, algebra: FiniteVonNeumannAlgebra,

@@ -743,21 +743,45 @@ def test_unwritable_output_is_output_error(tmp_path, capsys, command, where):
     assert "Traceback" not in captured.err
 
 
+def cli_env() -> dict:
+    """The environment of a CLI subprocess that imports this checkout."""
+    src = str(Path(qdil.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_unwritable_output_prints_no_traceback(tmp_path):
     """Run as a process, the CLI reports the error on stdout and prints
     no traceback on stderr."""
     inst = write_fixture(tmp_path, "amp-damp-0.5")
-    src = str(Path(qdil.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "qdil.cli", "dilate", "-i", str(inst),
          "-o", str(tmp_path / "missing" / "x.json")],
-        capture_output=True, text=True, env=env, check=False)
+        capture_output=True, text=True, env=cli_env(), check=False)
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"] == "output"
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("output,code", [("/dev/stdout", 2), ("file", 0)])
+def test_reader_closing_stdout_early_prints_no_traceback(tmp_path, output,
+                                                         code):
+    """stdout's reader is gone before the CLI writes. The report is lost,
+    nothing is printed on stderr, and the exit code is the command's
+    own: 0 with the artifact in a file, 2 (``output``) when the artifact
+    itself went to the closed stdout."""
+    inst = write_fixture(tmp_path, "amp-damp-0.5")
+    out = str(tmp_path / "x.mp.json") if output == "file" else output
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qdil.cli", "dilate", "-i", str(inst),
+         "-o", out],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == code
+    assert err == ""
 
 
 def prior_contents(fresh):
