@@ -175,29 +175,23 @@ def contains(alg: FiniteVonNeumannAlgebra, x,
 def _swap_matrix(dim_a: int, dim_b: int) -> np.ndarray:
     """Unitary ``C^a ⊗ C^b → C^b ⊗ C^a`` with ``u ⊗ v ↦ v ⊗ u``."""
     s = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
-    for i in range(dim_a):
-        for j in range(dim_b):
-            s[j * dim_a + i, i * dim_b + j] = 1.0
+    i, j = np.divmod(np.arange(dim_a * dim_b), dim_b)
+    s[j * dim_a + i, i * dim_b + j] = 1.0
     return s
 
 
 def commutant(alg: FiniteVonNeumannAlgebra) -> FiniteVonNeumannAlgebra:
     """The commutant, with factor and multiplicity roles swapped."""
-    swaps = []
+    big = np.zeros((alg.dim_h, alg.dim_h), dtype=complex)
+    offset = 0
     for n, m in alg.blocks:
         # members of the commutant look like 1_n ⊗ B on the block, which is
         # the swap-conjugated B ⊗ 1_n
-        swaps.append(_swap_matrix(m, n))
-    big = np.zeros((alg.dim_h, alg.dim_h), dtype=complex)
-    offset = 0
-    for (n, m), s in zip(alg.blocks, swaps):
-        big[offset:offset + n * m, offset:offset + n * m] = s
+        big[offset:offset + n * m, offset:offset + n * m] = _swap_matrix(m, n)
         offset += n * m
-    return FiniteVonNeumannAlgebra(
-        alg.dim_h,
-        tuple((m, n) for n, m in alg.blocks),
-        alg.basis_change @ big,
-    )
+    return FiniteVonNeumannAlgebra(alg.dim_h,
+                                   tuple((m, n) for n, m in alg.blocks),
+                                   alg.basis_change @ big)
 
 
 def tensor_with_full(alg: FiniteVonNeumannAlgebra, dim_k: int
@@ -212,12 +206,9 @@ def tensor_with_full(alg: FiniteVonNeumannAlgebra, dim_k: int
     perm = np.zeros((d, d), dtype=complex)
     offset = 0
     for n, m in alg.blocks:
-        for a in range(n):
-            for c in range(m):
-                for k in range(dim_k):
-                    old = (offset + a * m + c) * dim_k + k
-                    new = offset * dim_k + a * (dim_k * m) + k * m + c
-                    perm[old, new] = 1.0
+        a, c, k = np.indices((n, m, dim_k)).reshape(3, -1)
+        perm[(offset + a * m + c) * dim_k + k,
+             offset * dim_k + a * (dim_k * m) + k * m + c] = 1.0
         offset += n * m
     return FiniteVonNeumannAlgebra(
         d,

@@ -45,11 +45,10 @@ from .dilation import (
 )
 from .instrument import (
     CPInstrument,
+    _trajectory,
     apply_dual,
-    atom_branches,
     instrument_from_json,
     instrument_to_json,
-    sample_trajectory,
     verify_cp,
 )
 from .operator_core import (
@@ -65,6 +64,7 @@ from .vn_model import (
     DiscreteVNModel,
     build as build_vn,
     fixture_names,
+    fixtures,
     load_fixture,
 )
 
@@ -338,7 +338,8 @@ def cmd_sample(args, tol: Tolerance):
     rho = _load(args.state, lambda data: require_state(
         matrix_from_json(_unwrap(data, "rho")), tol), "not-a-state")
     out_path = _derived_output(args, "traj")
-    trajectory = sample_trajectory(inst, rho, args.steps, args.seed, tol)
+    # The loader checked the state at tol; the first step gives the table.
+    trajectory, (exact, probs) = _trajectory(inst, rho, args.steps, args.seed)
     posteriors = matrix_to_json(np.stack([p for _, p in trajectory]))
     _write_json(out_path, {
         "seed": args.seed,
@@ -346,7 +347,6 @@ def cmd_sample(args, tol: Tolerance):
         "trajectory": [{"outcome": s, "posterior": p}
                        for (s, _), p in zip(trajectory, posteriors)],
     })
-    _, exact, probs = atom_branches(inst, rho)  # as `sample_first_steps`
     counts = np.random.default_rng([args.seed, 1]).multinomial(
         args.steps, probs).tolist()
     table = {}
@@ -389,15 +389,11 @@ def cmd_vn_model(args, tol: Tolerance):
 def cmd_fixtures(args, tol: Tolerance):
     names = fixture_names()
     if args.name is None:
-        catalog = {}
-        for name in names:
-            inst = load_fixture(name)
-            catalog[name] = {
-                "dim": inst.dim_h,
-                "outcomes": list(inst.outcomes.labels),
-                "algebra": algebra_to_json(inst.algebra)["blocks"],
-            }
-        return {"fixtures": catalog}, True
+        return {"fixtures": {name: {
+            "dim": inst.dim_h,
+            "outcomes": list(inst.outcomes.labels),
+            "algebra": algebra_to_json(inst.algebra)["blocks"],
+        } for name, inst in fixtures().items()}}, True
     if args.name not in names:
         raise _InputError({"error": "unknown-fixture", "name": args.name,
                            "available": names})

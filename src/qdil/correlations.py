@@ -140,9 +140,11 @@ class PiMap:
         return self._tensor
 
     def _lift(self, m: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``(m ⊗ 1_k) y``; a stack of operators gives a stack."""
-        z = m @ y.reshape(self.dim_in, -1)
-        return z.reshape(*m.shape[:-2], -1, *y.shape[1:])
+        """``(m ⊗ 1_k) y``; a stack of operators gives a stack, and with a
+        stack of ``y`` pairs them."""
+        z = m @ y.reshape(*y.shape[:-2], self.dim_in, -1)
+        return z.reshape(*z.shape[:-2], *(y.shape[-2:] if y.ndim > 1
+                                          else (-1,)))
 
     def apply(self, m) -> np.ndarray:
         """``Π(m)``, or the stack of images of a stack of operators."""
@@ -157,7 +159,8 @@ class PiMap:
             -1, self.dim_out, self.dim_out)
 
     def push(self, m, states: np.ndarray) -> np.ndarray:
-        """``Π(m) states``; a factored map never forms ``Π(m)``."""
+        """``Π(m) states``, a factored ``Π(m)`` never formed; a stack of
+        operators pushes one state or pairs with a stack of states."""
         if self.factors is None:
             return self.apply(m) @ states
         left, right, _ = self.factors
@@ -273,18 +276,29 @@ class CorrelationSystem:
                         "v does not intertwine Π_in")
 
 
-def _push(sys: CorrelationSystem, letters, ms, state: np.ndarray
-          ) -> np.ndarray:
-    """``Π_{t1}(M_1)···Π_{tk}(M_k) state``, the last letter applied first."""
-    for letter, m in zip(reversed(letters), reversed(ms)):
-        state = sys.letter_map(letter).push(m, state)
-    return state
+def _eval_words(sys: CorrelationSystem, words: list) -> np.ndarray:
+    """The stack of values ``v* Π_{t1}(M_1)···Π_{tk}(M_k) v`` of a list of
+    ``(letters, operators)`` words, walked from their last letters: at
+    each position each letter map pushes the stack of its words' operators
+    and states at once, or a lone word's one operator."""
+    states = np.repeat(sys.v[None], len(words), axis=0)
+    for back in range(1, max(len(letters) for letters, _ in words) + 1):
+        groups: dict = {}
+        for i, (letters, _) in enumerate(words):
+            if len(letters) >= back:
+                groups.setdefault(letters[-back], []).append(i)
+        for letter, idx in groups.items():
+            ms = np.stack([words[i][1][-back] for i in idx])
+            states[idx] = sys.letter_map(letter).push(
+                ms[0] if len(idx) == 1 else ms, states[idx])
+    return dagger(sys.v) @ states
 
 
 def eval_W(sys: CorrelationSystem, t: TimeWord, ms,
            tol: Tolerance = DEFAULT_TOL, check_membership: bool = True
            ) -> np.ndarray:
-    """Evaluate ``W_T(M⃗) = v* Π_{t1}(M_1)···Π_{tk}(M_k) v``."""
+    """``W_T(M⃗) = v* Π_{t1}(M_1)···Π_{tk}(M_k) v`` by :func:`_eval_words` on
+    one word; :func:`verify_axioms` batches its probes' words, not MC2's."""
     letters = t.letters if isinstance(t, TimeWord) else TimeWord(t).letters
     ms = list(ms)
     if len(ms) != len(letters):
@@ -294,7 +308,7 @@ def eval_W(sys: CorrelationSystem, t: TimeWord, ms,
             _require_within(_membership_defects(sys.algebra, m),
                             tol.bound("strict"),
                             "operator slot outside the algebra")
-    return dagger(sys.v) @ _push(sys, letters, ms, sys.v)
+    return _eval_words(sys, [(letters, ms)])[0]
 
 
 @dataclass(frozen=True)
@@ -323,9 +337,21 @@ def _condition(alg: FiniteVonNeumannAlgebra, draws: list) -> np.ndarray:
     one stack; return their norms. A draw of norm ≤ 1e-12 becomes 1."""
     ms = conditional_expectation(alg, np.stack(draws))
     norms = np.linalg.svd(ms, compute_uv=False).max(-1)
-    for m, member, norm in zip(draws, ms, norms):
-        m[...] = member / norm if norm > 1e-12 else np.eye(alg.dim_h)
+    small = norms <= 1e-12
+    ms /= np.where(small, 1.0, norms)[:, None, None]
+    ms[small] = np.eye(alg.dim_h)
+    for m, member in zip(draws, ms):
+        m[...] = member
     return norms
+
+
+def _antihermitian_norm(rows: np.ndarray, cols: np.ndarray) -> float:
+    """``‖G − G*‖`` for ``G = rows @ cols``, exactly, without forming it:
+    ``G − G* = [R, −C*][C; R*]``, so with ``[R, −C*] = Q_a T_a`` and
+    ``[C*, R] = Q_b T_b`` (rank ≤ 2·dimL) it is ``‖T_a T_b*‖``."""
+    ta, tb = (np.linalg.qr(np.hstack(pair), mode="r")
+              for pair in ((rows, -dagger(cols)), (dagger(cols), rows)))
+    return spectral_norm(ta @ dagger(tb))
 
 
 def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
@@ -340,7 +366,10 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     atoms by construction), so its entry reports the PVM property of the
     atom units, which is what a corrupted system breaks.
     Every sample is drawn from ``seed`` first, probe by probe; members
-    are then conditioned, and each probe's residuals reduced, in stacks.
+    are then conditioned in one stack, and each other probe's words are
+    evaluated in one batch. MC2's Gram is pushed word by word, as stacked
+    products would move the digits of the noise-level eigenvalue its
+    note prints.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -376,25 +405,25 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     plan_mc5, plan_adjoint, plan_closure = (list(words()) for _ in range(3))
     _condition(sys.algebra, raw)
 
-    def w(letters, ms) -> np.ndarray:
-        return eval_W(sys, TimeWord(tuple(letters)), ms, tol,
-                      check_membership=False)
-
-    def probe(name: str, plan, residual, note: str = "", worst: float = 0.0,
-              norm=spectral_norm) -> None:
-        """Enter the worst ``norm`` of the stacked residuals over the plan."""
-        worst = max(worst, norm(np.stack([residual(*p) for p in plan])))
+    def probe(name: str, plan, words_of, residual, note: str = "",
+              worst: float = 0.0, norm=spectral_norm) -> None:
+        """Enter the worst ``norm`` of ``residual(w)``: every item's words
+        ``words_of(*item)`` in one batch, ``w[j]`` their j-th values."""
+        w = _eval_words(sys, [x for item in plan for x in words_of(*item)])
+        w = w.reshape(len(plan), -1, *w.shape[1:]).swapaxes(0, 1)
+        worst = max(worst, norm(residual(w)))
         entries[name] = AxiomEntry(worst <= tol.bound("loose"), float(worst),
                                    note)
 
     # MC1: separate linearity in each slot.
-    def linearity(letters, ms, slot, a, b, alpha) -> np.ndarray:
-        def at(m: np.ndarray) -> np.ndarray:  # m in the slot
-            return w(letters, ms[:slot] + [m] + ms[slot + 1:])
-        return at(alpha * a + b) - (alpha * at(a) + at(b))
+    def linearity(letters, ms, slot, a, b, alpha) -> list:
+        return [(letters, ms[:slot] + [m] + ms[slot + 1:])  # m in the slot
+                for m in (alpha * a + b, a, b)]
 
-    probe("MC1", plan_mc1, linearity, "linearity probes; ultraweak continuity "
-                                      "is vacuous in finite dimension")
+    alpha = np.array([item[-1] for item in plan_mc1])[:, None, None]
+    probe("MC1", plan_mc1, linearity, lambda w: w[0] - (alpha * w[1] + w[2]),
+          "linearity probes; ultraweak continuity is vacuous in finite "
+          "dimension")
 
     # MC2: positive definiteness of the sampled word Gram matrix.
     rows = np.zeros((samples, sys.dim_l), dtype=complex)
@@ -404,13 +433,13 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
         # The row is pushed from the left through the reversed word, not
         # taken as the adjoint of the column: that would make the Gram
         # matrix PSD whatever the letter maps are.
-        row = dagger(base)
-        for letter, m in zip(reversed(letters), _reverse_slots(ms)):
-            row = row @ sys.letter_map(letter).apply(m)
-        rows[i] = row
-        cols[:, i] = _push(sys, letters, ms, base)
+        row, col = dagger(base), base
+        for letter, m in zip(reversed(letters), reversed(ms)):
+            pm = sys.letter_map(letter)
+            row, col = row @ pm.apply(dagger(m)), pm.push(m, col)
+        rows[i], cols[:, i] = row, col
     gram = rows @ cols
-    herm_res = spectral_norm(gram - dagger(gram))
+    herm_res = _antihermitian_norm(rows, cols)
     vals = np.linalg.eigvalsh((gram + dagger(gram)) / 2)
     scale = float(np.abs(vals).max())
     min_eig = float(vals.min())
@@ -421,22 +450,23 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
 
     # MC3: left module property over the input letter.
     probe("MC3", plan_mc3, lambda letters, ms, m:
-          m @ w(letters, ms) - w([IN] + letters, [m] + ms))
+          [(letters, ms), ([IN] + letters, [m] + ms)],
+          lambda w: np.stack([m for *_, m in plan_mc3]) @ w[0] - w[1])
 
     # MC4: merging adjacent equal letters with the operator product.
-    def merge(letters, ms, pos, x) -> np.ndarray:
-        doubled = w(letters[:pos + 1] + letters[pos:],
-                    ms[:pos + 1] + [x] + ms[pos + 1:])
-        return doubled - w(letters, ms[:pos] + [ms[pos] @ x] + ms[pos + 1:])
+    def merge(letters, ms, pos, x) -> list:
+        return [(letters[:pos + 1] + letters[pos:],
+                 ms[:pos + 1] + [x] + ms[pos + 1:]),
+                (letters, ms[:pos] + [ms[pos] @ x] + ms[pos + 1:])]
 
-    probe("MC4", plan_mc4, merge)
+    probe("MC4", plan_mc4, merge, lambda w: w[0] - w[1])
 
     # MC5: unit normalization and unit-slot absorption.
     eye = np.eye(sys.dim_h)
-    res_in = spectral_norm(w([IN], [eye]) - eye)
-    res_s = spectral_norm(w([tuple(sys.outcomes.labels)], [eye]) - eye)
+    res_in, res_s = (spectral_norm(m) for m in _eval_words(
+        sys, [([IN], [eye]), ([tuple(sys.outcomes.labels)], [eye])]) - eye)
     probe("MC5", plan_mc5, lambda letters, ms:
-          w(letters + [IN], ms + [eye]) - w(letters, ms),
+          [(letters + [IN], ms + [eye]), (letters, ms)], lambda w: w[0] - w[1],
           f"W_in(1) residual {res_in:.3e}, W_S(1) residual {res_s:.3e}",
           max(res_in, res_s))
 
@@ -451,11 +481,12 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
 
     # Adjoint symmetry of the correlation family.
     probe("adjoint_symmetry", plan_adjoint, lambda letters, ms:
-          dagger(w(letters, ms)) - w(letters[::-1], _reverse_slots(ms)))
+          [(letters, ms), (letters[::-1], _reverse_slots(ms))],
+          lambda w: w[0].conj().swapaxes(1, 2) - w[1])
 
     # Closure: compressions land in the algebra.
-    probe("closure", plan_closure, w,
-          "sampled W values projected onto the algebra",
+    probe("closure", plan_closure, lambda letters, ms: [(letters, ms)],
+          lambda w: w[0], "sampled W values projected onto the algebra",
           norm=lambda values: contains(sys.algebra, values, tol).residual)
     return AxiomReport(entries)
 

@@ -39,6 +39,7 @@ from .correlations import (
     CorrelationSystem,
     PiMap,
     TimeWord,
+    _eval_words,
     _transport,
     eval_W,
     from_instrument,
@@ -161,12 +162,10 @@ class MeasuringProcess:
     validate: bool | Tolerance = True
 
     def __post_init__(self) -> None:
-        sigma = np.asarray(self.sigma, dtype=complex)
-        u = np.asarray(self.u, dtype=complex)
+        sigma, u = (np.asarray(x, dtype=complex) for x in (self.sigma, self.u))
         e = {s: np.asarray(p, dtype=complex) for s, p in self.e.items()}
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "e", e)
+        for name, value in (("sigma", sigma), ("u", u), ("e", e)):
+            object.__setattr__(self, name, value)
         if set(e) != set(self.outcomes.labels):
             raise ValueError("pointer PVM labels do not match the outcomes")
         n = self.dim_h * self.dim_k
@@ -641,14 +640,9 @@ def _spot_words(dim_h: int, n_atoms: int
 def _spot_residuals(sys: CorrelationSystem, mp: MeasuringProcess, words,
                     tol: Tolerance) -> np.ndarray:
     """The value differences of ``words`` between ``mp`` and ``sys``."""
-    back = _system_of(mp, tol)
     alphabet = [IN, *sys.outcomes.labels]
-    diffs = []
-    for letters, ms in words:
-        word = tuple(alphabet[i] for i in letters)
-        diffs.append(eval_W(back, word, ms, tol, check_membership=False)
-                     - eval_W(sys, word, ms, tol, check_membership=False))
-    return np.stack(diffs)
+    batch = [([alphabet[i] for i in letters], ms) for letters, ms in words]
+    return _eval_words(_system_of(mp, tol), batch) - _eval_words(sys, batch)
 
 
 def _near_inverse(a: float, b: float, c: float) -> tuple[float, ...]:

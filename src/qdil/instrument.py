@@ -504,18 +504,12 @@ def coarse_grain(inst: CPInstrument, generating_events: list,
     is checked as ``inst`` was, at the same tolerance.
     """
     events = [inst.outcomes.event(ev) for ev in generating_events]
-    cells: dict[tuple[bool, ...], list[str]] = {}
-    order: list[tuple[bool, ...]] = []
+    cells: dict[tuple[bool, ...], list[str]] = {}  # in order of first atom
     for s in inst.outcomes.labels:
-        sig = tuple(s in ev for ev in events)
-        if sig not in cells:
-            cells[sig] = []
-            order.append(sig)
-        cells[sig].append(s)
+        cells.setdefault(tuple(s in ev for ev in events), []).append(s)
     anchor = dict(anchor) if anchor else {}
     new_kraus, new_weights = {}, {}
-    for sig in order:
-        cell = cells[sig]
+    for cell in cells.values():
         rep = anchor.get(tuple(cell), anchor.get(frozenset(cell), min(cell)))
         if rep not in cell:
             raise ValueError(f"anchor '{rep}' does not belong to its cell {cell}")
@@ -560,18 +554,24 @@ def sample_trajectory(inst: CPInstrument, rho0, steps: int, seed: int,
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    rho = require_state(rho0, tol)
+    return _trajectory(inst, require_state(rho0, tol), steps, seed)[0]
+
+
+def _trajectory(inst: CPInstrument, rho: np.ndarray, steps: int, seed: int):
+    """:func:`sample_trajectory` from a checked state, and the first step's
+    traces and outcome probabilities (see :func:`atom_branches`)."""
     rng = np.random.default_rng(seed)
     stacks = _kraus_stacks(inst)
-    out = []
+    out, first = [], None
     for _ in range(steps):
         branches, traces, probs = atom_branches(inst, rho, stacks)
+        first = first or (traces, probs)
         # `rng.choice(len(probs), p=probs)` by its own steps: the same draw
         cdf = list(itertools.accumulate(probs))
         idx = bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
         rho = branches[idx] / traces[idx]
         out.append((inst.outcomes.labels[idx], rho))
-    return out
+    return out, first
 
 
 def sample_first_steps(inst: CPInstrument, rho0, n: int, seed: int

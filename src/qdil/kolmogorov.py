@@ -122,13 +122,7 @@ class NotEquivalent:
 
 def gram_matrix(k: OperatorKernel) -> np.ndarray:
     """The block Gram matrix, blocks ordered by the kernel's label order."""
-    n = len(k.labels)
-    g = np.zeros((n * k.dim_h, n * k.dim_h), dtype=complex)
-    for i, c1 in enumerate(k.labels):
-        for j, c2 in enumerate(k.labels):
-            g[i * k.dim_h:(i + 1) * k.dim_h,
-              j * k.dim_h:(j + 1) * k.dim_h] = k.entry(c1, c2)
-    return g
+    return np.block([[k.entry(c1, c2) for c2 in k.labels] for c1 in k.labels])
 
 
 def is_positive_definite(k: OperatorKernel, tol: Tolerance = DEFAULT_TOL
@@ -214,11 +208,8 @@ def kernel_from_factors(labels, factors: dict[str, np.ndarray], dim_h: int,
 
 
 def kernel_to_json(k: OperatorKernel) -> dict:
-    entries = {}
-    for i, c1 in enumerate(k.labels):
-        for j, c2 in enumerate(k.labels):
-            if i <= j:
-                entries[f"{c1}|{c2}"] = matrix_to_json(k.entry(c1, c2))
+    entries = {f"{c1}|{c2}": matrix_to_json(k.entry(c1, c2))
+               for i, c1 in enumerate(k.labels) for c2 in k.labels[i:]}
     return {"dim": k.dim_h, "labels": list(k.labels), "entries": entries}
 
 

@@ -79,11 +79,8 @@ class DiscreteVNModel:
         object.__setattr__(self, "system_observable", a)
         if self.meter_dim < 1:
             raise ValueError("meter dimension must be at least 1")
-        alpha = (np.zeros(self.meter_dim, dtype=complex)
-                 if self.pointer_state is None
+        alpha = (basis_vector(self.meter_dim, 0) if self.pointer_state is None
                  else np.asarray(self.pointer_state, dtype=complex).reshape(-1))
-        if self.pointer_state is None:
-            alpha[0] = 1.0
         if alpha.shape != (self.meter_dim,):
             raise ValueError("pointer state has the wrong dimension")
         if abs(np.linalg.norm(alpha) - 1.0) > self.tol.bound("strict"):

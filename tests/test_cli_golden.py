@@ -10,7 +10,8 @@ After a deliberate change to a report, rewrite the recording with::
     PYTHONPATH=src python tests/test_cli_golden.py
 
 The rewrite keeps every recorded float that the replay accepts, so its
-diff holds only the values that changed beyond 1e-12.
+diff holds only the values that changed beyond 1e-12, and it prints
+each of them to stderr as ``case: key path: old → new``.
 """
 
 from __future__ import annotations
@@ -140,6 +141,54 @@ def keep_accepted(got, recorded):
     return got
 
 
+class _Absent:
+    def __repr__(self) -> str:
+        return "(absent)"
+
+
+ABSENT = _Absent()
+
+
+def moved_values(old, new, path: str = ""):
+    """``(key path, old, new)`` for each value that differs between two
+    JSON documents, descending into objects and equal-length arrays."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(new) + [k for k in old if k not in new]:
+            yield from moved_values(old.get(key, ABSENT), new.get(key, ABSENT),
+                                    f"{path}.{key}" if path else key)
+    elif (isinstance(old, list) and isinstance(new, list)
+          and len(old) == len(new)):
+        for i, (o, n) in enumerate(zip(old, new)):
+            yield from moved_values(o, n, f"{path}[{i}]")
+    elif ABSENT in (old, new) or json.dumps(old) != json.dumps(new):
+        yield path, old, new
+
+
+def print_moved(old_cases: dict, new_cases: dict) -> None:
+    """Print each value of a rewrite that moved, case by case, to stderr."""
+    for case in list(new_cases) + [c for c in old_cases if c not in new_cases]:
+        for path, old, new in moved_values(old_cases.get(case, ABSENT),
+                                           new_cases.get(case, ABSENT)):
+            print(f"{case}: {path or '(case)'}: {old!r} → {new!r}",
+                  file=sys.stderr)
+
+
+def by_case(records: list[dict]) -> dict:
+    """Recorded runs keyed by their command line (no case repeats one)."""
+    return {" ".join(r["argv"]): {"exit": r["exit"], "report": r["report"]}
+            for r in records}
+
+
+def test_rewrite_lists_each_moved_value(capsys):
+    old = {"a": {"x": 1.5, "y": [1, 2], "z": None}, "gone": 1}
+    print_moved(old, old)
+    assert capsys.readouterr().err == ""
+    print_moved(old, {"a": {"x": 1.5, "y": [1, 3], "z": 0.0}, "new": True})
+    assert capsys.readouterr().err.splitlines() == [
+        "a: y[1]: 2 → 3", "a: z: None → 0.0", "new: (case): (absent) → True",
+        "gone: (case): 1 → (absent)"]
+
+
 def test_cli_reports_match_golden(tmp_path, monkeypatch):
     monkeypatch.delenv("QDIL_TOL", raising=False)
     expected = json.loads(GOLDEN.read_text())
@@ -152,8 +201,9 @@ def test_cli_reports_match_golden(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
+    recorded = json.loads(GOLDEN.read_text())
     with tempfile.TemporaryDirectory() as tmp:
-        records = keep_accepted(replay(Path(tmp)),
-                                json.loads(GOLDEN.read_text()))
+        records = keep_accepted(replay(Path(tmp)), recorded)
+    print_moved(by_case(recorded), by_case(records))
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(records)} reports to {GOLDEN}", file=sys.stderr)

@@ -20,6 +20,7 @@ from qdil.correlations import (
     CorrelationSystem,
     PiMap,
     TimeWord,
+    _antihermitian_norm,
     _condition,
     eval_W,
     from_instrument,
@@ -339,6 +340,88 @@ def test_axiom_suite_conditions_in_a_fixed_number_of_calls(monkeypatch):
         assert verify_axioms(sys_c, 3, samples, seed=5).all_pass
         counts[samples] = len(calls)
     assert counts == {16: 1, 200: 1}
+
+
+def test_axiom_suite_letter_map_applications_do_not_grow_with_samples(
+        monkeypatch):
+    """Outside MC2's Gram, which pushes word by word, the letter maps are
+    applied in the batches of ``_eval_words``: at most once per letter and
+    word position in each batch, so their number stays within a bound
+    that does not depend on ``samples`` while the words evaluated grow.
+
+    The counts are not equal at every seed: eight words per probe need
+    not place every letter at every position.
+    """
+    sys_c = from_instrument(load_fixture("diag-amp-damp"))
+    evaluate, push = qdil.correlations._eval_words, PiMap.push
+    batches, applications, inside = [], [], []
+
+    def counted_eval(sys, words):
+        batches.append(len(words))
+        applications.append(0)
+        inside.append(True)
+        try:
+            return evaluate(sys, words)
+        finally:
+            inside.pop()
+
+    def counted_push(self, m, states):
+        if inside:
+            applications[-1] += 1
+        return push(self, m, states)
+
+    monkeypatch.setattr(qdil.correlations, "_eval_words", counted_eval)
+    monkeypatch.setattr(PiMap, "push", counted_push)
+    counts, words = {}, {}
+    for samples in (16, 200):
+        batches.clear()
+        applications.clear()
+        assert verify_axioms(sys_c, 3, samples, seed=5).all_pass
+        counts[samples], words[samples] = applications[:], sum(batches)
+    # Six probes of words up to depth + 1 letters over 1 + 2 letters, and
+    # the two unit words of MC5.
+    assert len(counts[16]) == len(counts[200]) == 7
+    for per_batch in counts.values():
+        assert sum(per_batch) <= 6 * (3 + 1) * 3 + 2
+    assert words[200] > 3 * words[16]
+
+
+@pytest.mark.parametrize("case", ["psd", "phase-twisted", "few-samples"])
+def test_antihermitian_residual_is_the_spectral_norm(monkeypatch, case):
+    """MC2's ``‖G − G*‖``, read off two QRs, is the spectral norm of the
+    formed difference, on the Gram matrices ``verify_axioms`` builds."""
+    good = from_instrument(luders_instrument([P0, P1]))
+    twisted = CorrelationSystem(
+        good.dim_h, good.algebra, good.outcomes, good.dim_l, good.pi_in,
+        {"0": good.pi_atom["0"], "1": PiMap(1j * good.pi_atom["1"].tensor)},
+        good.v, validate=False)
+    sys_c, samples = {"psd": (good, 200), "phase-twisted": (twisted, 200),
+                      "few-samples": (good, 3)}[case]
+    real, seen = qdil.correlations._antihermitian_norm, []
+    monkeypatch.setattr(qdil.correlations, "_antihermitian_norm",
+                        lambda rows, cols: seen.append(
+                            (rows, cols, real(rows, cols))) or seen[-1][2])
+    verify_axioms(sys_c, depth=3, samples=samples, seed=0)
+    [(rows, cols, got)] = seen
+    assert (samples < 2 * sys_c.dim_l) == (case == "few-samples")
+    gram = rows @ cols
+    want = spectral_norm(gram - dagger(gram))
+    assert abs(got - want) <= 1e-12 * max(1.0, spectral_norm(gram))
+    if case == "phase-twisted":
+        assert want > 1e-3
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (1, 4)])
+def test_antihermitian_residual_of_drawn_factors(shape):
+    """Off Gram matrices too: ``R`` is n × d and ``C`` d × n, with n
+    above and below 2d."""
+    rng = np.random.default_rng(43)
+    n, d = shape
+    rows, cols = random_ginibre(rng, n, d), random_ginibre(rng, d, n)
+    gram = rows @ cols
+    want = spectral_norm(gram - dagger(gram))
+    assert abs(_antihermitian_norm(rows, cols) - want) <= 1e-12 * max(
+        1.0, spectral_norm(gram))
 
 
 def test_draws_that_condition_to_zero_become_the_identity(monkeypatch):

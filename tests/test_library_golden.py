@@ -13,7 +13,8 @@ recording with::
 
     PYTHONPATH=src python tests/test_library_golden.py
 
-The rewrite keeps every recorded float that the replay accepts.
+The rewrite keeps every recorded float that the replay accepts, and
+prints each value it changes to stderr as ``case: key path: old → new``.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from qdil.instrument import (
 )
 from qdil.operator_core import proj, spectral_norm
 from qdil.vn_model import fixture_names, load_fixture
-from test_cli_golden import assert_matches, keep_accepted
+from test_cli_golden import assert_matches, keep_accepted, print_moved
 
 GOLDEN = Path(__file__).parent / "golden" / "library_verdicts.json"
 
@@ -321,9 +322,16 @@ def test_library_verdicts_match_golden():
     assert_matches(json.loads(json.dumps(verdicts())), expected, "verdicts")
 
 
+def by_case(doc: dict) -> dict:
+    """The recording keyed ``section/case``."""
+    return {f"{section}/{case}": value for section, cases in doc.items()
+            for case, value in cases.items()}
+
+
 if __name__ == "__main__":
-    got = keep_accepted(json.loads(json.dumps(verdicts())),
-                        json.loads(GOLDEN.read_text(encoding="utf-8")))
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = keep_accepted(json.loads(json.dumps(verdicts())), recorded)
+    print_moved(by_case(recorded), by_case(got))
     GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True,
                                  ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}", file=sys.stderr)
