@@ -32,6 +32,7 @@ from .correlations import (
     verify_axioms,
 )
 from .dilation import (
+    GramTooLarge,
     _order_note,
     faithful_mp,
     faithfulness_table,
@@ -269,8 +270,13 @@ def cmd_equiv(args, tol: Tolerance):
     with _input_error("invalid-measuring-process"):
         for mp in mps:
             mp.require_valid(tol)
-    with _input_error("mismatch"):
-        rep = n_equivalent(mps[0], mps[1], args.order, tol=tol)
+    try:
+        with _input_error("mismatch"):
+            rep = n_equivalent(mps[0], mps[1], args.order, tol=tol)
+    except GramTooLarge as exc:
+        raise _InputError({"error": "too-large", "detail": str(exc),
+                           "estimated_bytes": exc.estimate,
+                           "budget_bytes": exc.budget}) from None
     orders = {str(k): {"equivalent": res <= rep.bound,
                        "worst_residual": res,
                        "note": _order_note(k)}

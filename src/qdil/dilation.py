@@ -49,6 +49,7 @@ from .instrument import (
     CPInstrument,
     OutcomeSpace,
     _json_outcomes,
+    _kraus_mass,
     _minimal_kraus,
     apply_dual,
     choi_of_dual_tensor,
@@ -58,7 +59,9 @@ from .instrument import (
 from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
+    _EPS,
     _FROBENIUS_MARGIN,
+    _frobenius,
     _json_dim,
     _isometry_defects,
     _json_object,
@@ -92,6 +95,7 @@ __all__ = [
     "correlations_of_mp",
     "system_of_mp",
     "EquivalenceReport",
+    "GramTooLarge",
     "n_equivalent",
     "halmos_unitary",
     "inner_mp_from_kraus",
@@ -306,29 +310,93 @@ class InstrumentRepresentation:
     v: np.ndarray = field(repr=False)
     ranks: dict[str, int] = field(repr=False, default_factory=dict)
 
-    def require_valid(self, inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
-                      ) -> None:
+    def require_valid(self, inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
+                      chois: dict[str, np.ndarray] | None = None) -> None:
+        """Raise unless π₀ commutes with E₀, ``V*π₀(·)E₀(s)V`` is the
+        instrument and the ``π₀(x)E₀(s)Vξ`` span K. A bound may accept
+        each check (:func:`_representation_bounds`, reading the
+        instrument's Choi matrices ``chois`` if given); past it the exact
+        check over every matrix unit decides, with its message."""
         scale = tol.bound("strict", self.dim_k)
+        commute, misfit, spans = _representation_bounds(self, inst, tol, chois)
         units = np.eye(self.dim_h ** 2).reshape(-1, self.dim_h, self.dim_h)
         # π₀ of every matrix unit, in the order of ``units``.
-        images = self.pi0.apply(units)
+        images = functools.cache(lambda: self.pi0.apply(units))
         for s, e in self.e0.items():
-            _require_within(images @ e - e @ images, scale,
-                            f"π₀ does not commute with E₀({s!r})")
+            if not commute.get(s, math.inf) <= scale / 2:
+                _require_within(images() @ e - e @ images(), scale,
+                                f"π₀ does not commute with E₀({s!r})")
+        if misfit <= scale / 2 and spans:
+            return
         labels = inst.outcomes.labels
         # blocks[u, a] = π₀(x_u) E₀(s_a) V for unit x_u and atom s_a.
         pointers = np.stack([self.e0[s] for s in labels])
-        blocks = images[:, None] @ pointers @ self.v
-        misfit = dagger(self.v) @ blocks - np.stack(
-            [apply_dual(inst, units, (s,)) for s in labels], axis=1)
-        _require_within(misfit, scale,
-                        "representation does not reconstruct the instrument")
+        blocks = images()[:, None] @ pointers @ self.v
+        if not misfit <= scale / 2:
+            _require_within(dagger(self.v) @ blocks - np.stack(
+                [apply_dual(inst, units, (s,)) for s in labels], axis=1),
+                scale, "representation does not reconstruct the instrument")
+        if spans:
+            return
         stacked = blocks.transpose(2, 0, 1, 3).reshape(self.dim_k, -1)
         sv = np.linalg.svd(stacked, compute_uv=False)
         rank = int(np.count_nonzero(sv > tol.bound("strict", sv[0] if sv.size else 0)))
         if rank != self.dim_k:
             raise ValueError(f"representation is not minimal: span rank "
                              f"{rank} < dimK {self.dim_k}")
+
+
+def _representation_bounds(rep: InstrumentRepresentation, inst: CPInstrument,
+                           tol: Tolerance, chois=None
+                           ) -> tuple[dict[str, float], float, bool]:
+    """Each atom's commutator bound, a bound on the misfit's Frobenius
+    norm, and whether minimality is certain; none (``{}, inf, False``)
+    unless ``π₀(X) = u*(X ⊗ 1)u`` is stored with ``left = u*``, u square.
+
+    Commutators are :func:`_commutation`'s. ``V*π₀(X)E₀(s)V`` is
+    ``A*(X ⊗ 1)B_s``, ``A = uV`` and ``B_s = uE₀(s)V``, so the misfit's
+    entries are those of its Choi matrix, ``Σ_k z(B_s,k)z(A_k)*`` over
+    meter blocks, less the instrument's. The span is ``u*(C^dimH ⊗ W)``,
+    W spanned by the meter columns of every ``B_s``; Gershgorin bounds on
+    their Gram matrix, spread by u's defect, bound the singular values the
+    exact SVD finds. Each figure allows for rounding.
+    """
+    dim_h, dim_k, labels = rep.dim_h, rep.dim_k, inst.outcomes.labels
+    if rep.pi0.factors is None or set(rep.e0) != set(labels):
+        return {}, math.inf, False
+    left, u, k = rep.pi0.factors
+    if not (dim_k == dim_h * k and left.shape == (dim_k, dim_k)
+            and (left == dagger(u)).all()):
+        return {}, math.inf, False
+    # ‖u*u − 1‖ and ‖uu* − 1‖, as left = u*.
+    a, b = _frobenius(np.stack([left @ u, u @ left]) - np.eye(dim_k))
+    pointers = np.stack([rep.e0[s] for s in labels])
+    commute = dict(zip(labels, _commutation(pointers, u, dim_h, a, b)[3]))
+
+    def z(x):  # z[..., k, (i, a)] = X_k[a, i] for the meter blocks X_k of x
+        return x.reshape(-1, dim_h, k, dim_h).transpose(0, 2, 3, 1).reshape(
+            -1, k, dim_h ** 2)
+
+    zb = z(u @ pointers @ rep.v)
+    if chois is None:
+        chois = {s: choi_of_kraus(inst.kraus[s], dim_h, inst.atom_weights(s))
+                 for s in labels}
+    size = (1 + a) * np.vdot(rep.v, rep.v).real + sum(
+        _kraus_mass(inst, s) for s in labels)
+    misfit = (zb.transpose(0, 2, 1) @ z(u @ rep.v)[0].conj()
+              - np.stack([chois[s] for s in labels]))
+    misfit = math.sqrt(np.vdot(misfit, misfit).real) + 16 * (
+        dim_k + dim_h ** 2) * _EPS * size
+    w = zb.transpose(1, 0, 2).reshape(k, -1)
+    gram = w @ dagger(w)
+    diag, magnitude = gram.diagonal().real, np.abs(gram)
+    off = magnitude.sum(axis=1) - magnitude.diagonal()
+    fuzz = 16 * (w.shape[1] + dim_k) * _EPS * diag.sum()
+    low = math.sqrt(max(float((diag - off).min() - fuzz), 0.0)
+                    * max(1 - b, 0.0))
+    high = math.sqrt(float((diag + off).max() + fuzz) * (1 + b))
+    spans = low > 2 * tol.bound("strict", high) + 16 * dim_k * _EPS * high
+    return commute, float(misfit), bool(spans)
 
 
 def instrument_representation(inst: CPInstrument,
@@ -343,9 +411,9 @@ def instrument_representation(inst: CPInstrument,
     """
     inst.require_valid(tol)
     dim_h = inst.dim_h
-    parts = {s: minimal_stinespring(
-        choi_of_kraus(inst.kraus[s], dim_h, inst.atom_weights(s)),
-        dim_h, tol) for s in inst.outcomes.labels}
+    chois = {s: choi_of_kraus(inst.kraus[s], dim_h, inst.atom_weights(s))
+             for s in inst.outcomes.labels}
+    parts = {s: minimal_stinespring(chois[s], dim_h, tol) for s in chois}
     ranks = {s: parts[s].rank for s in inst.outcomes.labels}
     dim_k = dim_h * sum(ranks.values())
 
@@ -369,7 +437,7 @@ def instrument_representation(inst: CPInstrument,
     q = np.vstack(q)
     rep = InstrumentRepresentation(dim_h, dim_k, PiMap.factored(
         q, dagger(q), len(meter)), e0, v, ranks)
-    rep.require_valid(inst, tol)
+    rep.require_valid(inst, tol, chois)
     return rep
 
 
@@ -457,31 +525,57 @@ def _lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray, dim_h: int,
     dim_k = dim_l // dim_h
     scale = tol.bound("loose", dim_l)
     a, b = (np.linalg.norm(m) for m in _unitary_defects(u2))
-    out, forms, transported = {}, {}, None
-    for s, p in pi_vals.items():
-        p = np.asarray(p, dtype=complex)
-        t = (u2 @ p @ dagger(u2)).reshape(dim_h, dim_k, dim_h, dim_k)
-        e0 = np.einsum("akal->kl", t) / dim_h
-        d = t.reshape(dim_l, dim_l) - _kron(np.eye(dim_h), e0)
-        forms[s] = np.linalg.norm(d)
-        if not 2 * (1 + a) * (forms[s] + np.linalg.norm(p) * (
-                (1 + a) * b + 2 * a + a * a)) <= scale / 2:
-            if transported is None:
-                # u2*(x ⊗ 1)u2 for every matrix unit x, as a stack.
-                transported = _transport(dagger(u2), u2, dim_k).transpose(
-                    2, 3, 0, 1).reshape(-1, dim_l, dim_l)
-            _require_within(p @ transported - transported @ p, scale,
-                            f"projection {s!r} does not commute with the "
-                            "transported algebra")
-        _require_within(d, scale, f"transported projection {s!r} is not of "
-                        "the form 1 ⊗ (·)")
-        out[s] = e0
+    ps = np.stack([np.asarray(p, dtype=complex) for p in pi_vals.values()])
+    e0s, d, norms, bounds = _commutation(ps, u2, dim_h, a, b)
+    transported = None
+    # Each atom in turn: the commutators past their bound, then the form.
+    if not (bounds.max() <= scale / 2
+            and norms.max() <= scale * _FROBENIUS_MARGIN):
+        for i, s in enumerate(pi_vals):
+            if not bounds[i] <= scale / 2:
+                if transported is None:
+                    # u2*(x ⊗ 1)u2 for every matrix unit x, as a stack.
+                    transported = _transport(dagger(u2), u2, dim_k).transpose(
+                        2, 3, 0, 1).reshape(-1, dim_l, dim_l)
+                _require_within(ps[i] @ transported - transported @ ps[i],
+                                scale, f"projection {s!r} does not commute "
+                                "with the transported algebra")
+            _require_within(d[i], scale, f"transported projection {s!r} is "
+                            "not of the form 1 ⊗ (·)")
+    out = dict(zip(pi_vals, e0s))
     # Frobenius norms within the bound accept, as norm_within has it;
-    # past it the gate decides on the exact norms.
-    pvm = float(np.max([np.linalg.norm(m) for m in _pvm_defects(out)]))
+    # past it the gate decides on the exact norms. One stacked product
+    # gives every E_i E_j, a superset of _pvm_defects' pairs i < j, and
+    # on its diagonal E_i² − E_i.
+    n = len(e0s)
+    prods = (e0s[:, None] @ e0s[None]).reshape(n * n, dim_k, dim_k)
+    prods[::n + 1] -= e0s
+    pvm = float(_frobenius(np.concatenate([
+        prods, e0s - e0s.conj().transpose(0, 2, 1),
+        [e0s.sum(axis=0) - np.eye(dim_k)]])).max())
     if not pvm <= scale * _FROBENIUS_MARGIN:
         _require_within(_pvm_defects(out), scale, "lifted family is not a PVM")
-    return out, forms, pvm
+    return out, dict(zip(pi_vals, norms)), pvm
+
+
+def _commutation(ps: np.ndarray, u: np.ndarray, dim_h: int, a: float,
+                 b: float) -> tuple[np.ndarray, ...]:
+    """Each p of a stack read through u as ``1 ⊗ E₀``: ``t = u p u*`` gives
+    E₀ (its partial trace over the first leg, over dimH) and the defect
+    ``d = t − 1 ⊗ E₀``. For ``a ≥ ‖u*u − 1‖``, ``b ≥ ‖uu* − 1‖`` every
+    commutator of p with ``u*(x ⊗ 1)u``, x a matrix unit, is at most
+    ``2(1+a)(‖d‖ + ‖p‖((1+a)b + 2a + a²))``, here in Frobenius norms and
+    with the rounding of the exact sweeps added. Returns the stacks of E₀
+    and d, and each ``‖d‖_F`` and bound."""
+    dim_l = len(u)
+    dim_k = dim_l // dim_h
+    t = (u @ ps @ dagger(u)).reshape(-1, dim_h, dim_k, dim_h, dim_k)
+    e0 = np.einsum("nakal->nkl", t) / dim_h
+    d = (t - np.eye(dim_h)[:, None, :, None] * e0[:, None, :, None]).reshape(
+        -1, dim_l, dim_l)
+    norms = _frobenius(d)
+    return e0, d, norms, 2 * (1 + a) * (norms + _frobenius(ps) * (
+        (1 + a) * b + 2 * a + a * a + 8 * dim_l * _EPS))
 
 
 def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
@@ -608,9 +702,6 @@ def mp_from_correlations(sys: CorrelationSystem,
                         "constructed process fails to reproduce the "
                         "correlation values")
     return mp
-
-
-_EPS = float(np.finfo(float).eps)
 
 
 @functools.lru_cache(maxsize=64)
@@ -818,6 +909,22 @@ class EquivalenceReport:
         return self.equivalent
 
 
+# The most bytes one array of _gram_blocks may take. The tests, the golden
+# replay and the benchmark stay under 3 MB, 4/4/3 at order 4 takes about
+# 133 MB, and dimH = 8 at order 4 would need 7.3 GB.
+_GRAM_BUDGET = 1 << 29
+
+
+class GramTooLarge(MemoryError):
+    """The word values of :func:`n_equivalent` would exceed the budget."""
+
+    def __init__(self, estimate: int) -> None:
+        super().__init__(f"the word values of this order need arrays of "
+                         f"about {estimate} bytes, over the budget of "
+                         f"{_GRAM_BUDGET}")
+        self.estimate, self.budget = estimate, _GRAM_BUDGET
+
+
 def _order_note(n: int) -> str:
     return "statistical equivalence" if n == 2 else ""
 
@@ -845,6 +952,13 @@ def _gram_blocks(mp: MeasuringProcess, ops: np.ndarray, n: int,
     maps = [sys.pi_in] + [sys.pi_atom[s] for s in mp.outcomes.labels]
     dim_h, dim, dim_k = sys.dim_h, sys.dim_l, sys.pi_in.factors[2]
     half = n // 2
+    # The largest arrays, by their shapes below: a node's Gram blocks g
+    # (maps × dimH·width × dimH²) or the frames (maps × dimH·width × dimK),
+    # 16 bytes per entry; estimated before anything is allocated.
+    width = dim_h * sum((len(maps) * len(ops)) ** a for a in range(half + 1))
+    estimate = 16 * len(maps) * dim_h * width * max(dim_h ** 2, dim_k)
+    if estimate > _GRAM_BUDGET:
+        raise GramTooLarge(estimate)
     v = sys.v
 
     def children(ms, states):

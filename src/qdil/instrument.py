@@ -31,6 +31,7 @@ from .algebra import (
 from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
+    _EPS,
     _json_dim,
     _json_labels,
     _json_object,
@@ -40,6 +41,7 @@ from .operator_core import (
     matrix_from_json,
     matrix_to_json,
     matrix_units,
+    norm_within,
     require_state,
     spectral_norm,
 )
@@ -171,7 +173,7 @@ class CPInstrument:
                     raise ValueError(f"weight count mismatch for '{s}'")
             object.__setattr__(self, "weights", weights)
         if self.validate:
-            verify_cp(self, Tolerance.of(self.validate)).require_ok()
+            _require_cp(self, Tolerance.of(self.validate))
 
     def atom_weights(self, s: str) -> np.ndarray:
         if self.weights is None:
@@ -182,7 +184,7 @@ class CPInstrument:
         """Raise unless CP, complete and algebra-closed; a check recorded in
         ``validate`` at a tolerance ``<= tol`` stands (bounds grow with it)."""
         if not (self.validate and Tolerance.of(self.validate) <= tol):
-            verify_cp(self, tol).require_ok()
+            _require_cp(self, tol)
 
 
 def _kraus_stack(ops, dim: int, what: str = "Kraus data") -> np.ndarray:
@@ -460,6 +462,33 @@ def verify_cp(inst: CPInstrument, tol: Tolerance = DEFAULT_TOL) -> CPReport:
         algebra_residual=float(alg_res),
         algebra_ok=alg_res <= tol.bound("strict"),
     )
+
+
+def _kraus_mass(inst: CPInstrument, s: str) -> float:
+    """``Σ_j |w_j|·‖K_j‖_F²`` over atom ``s``'s Kraus operators."""
+    ks = inst.kraus[s]
+    if inst.weights is None:
+        return float(np.vdot(ks, ks).real)
+    return float(np.abs(inst.weights[s]) @ np.einsum(
+        "jab,jab->j", ks.conj(), ks).real)
+
+
+def _require_cp(inst: CPInstrument, tol: Tolerance) -> None:
+    """``verify_cp(inst, tol).require_ok()``, or acceptance by bounds: with
+    weights None or nonnegative each Choi matrix ``Σ w z z*`` is PSD, and
+    rounding moves its computed least eigenvalue by at most ``32(n + r)·
+    eps·Σ w‖z‖²`` (n = dimH², r operators). When that is within half of
+    ``psd``, the completeness defect passes :func:`norm_within` (Frobenius
+    first) and the algebra is full, nothing is left to check."""
+    if inst.algebra.is_full and (inst.weights is None or all(
+            (w >= 0).all() for w in inst.weights.values())):
+        worst = max((inst.dim_h ** 2 + len(inst.kraus[s]))
+                    * _kraus_mass(inst, s) for s in inst.outcomes.labels)
+        eye = np.eye(inst.dim_h)
+        if 32 * _EPS * worst <= tol.bound("psd") / 2 and norm_within(
+                apply_dual(inst, eye, None) - eye, tol.bound("strict")):
+            return
+    verify_cp(inst, tol).require_ok()
 
 
 def _repeatability(inst: CPInstrument, x: np.ndarray, step, tol: Tolerance

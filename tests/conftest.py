@@ -18,6 +18,17 @@ from qdil.dilation import MeasuringProcess
 from qdil.instrument import CPInstrument, OutcomeSpace, instrument_to_json
 from qdil.vn_model import load_fixture
 
+try:
+    import hypothesis
+except ImportError:  # the property tests skip themselves
+    hypothesis = None
+if hypothesis is not None:
+    # QDIL_HYPOTHESIS_PROFILE=ci draws every example from a fixed seed, so
+    # a property that fails in CI fails the same way when run locally.
+    hypothesis.settings.register_profile("ci", derandomize=True)
+    hypothesis.settings.load_profile(
+        os.environ.get("QDIL_HYPOTHESIS_PROFILE", "default"))
+
 
 def random_cp_instrument(rng, dim_h, n_outcomes, kraus_per_outcome=1,
                          algebra=None):

@@ -4,8 +4,9 @@
 and the six-word spot check's residual by the defects its splits, lift
 and intertwiner measured; `induced_instrument_mp` and
 `minimal_stinespring` read a minimal Kraus family off one SVD of a
-Kraus stack. A bound may accept. Past it, today's exact check runs and
-decides, with its own message.
+Kraus stack. The representation check, the instrument's CP check and the
+lift's PVM gate accept by bounds too. A bound may accept. Past it,
+today's exact check runs and decides, with its own message.
 """
 
 from __future__ import annotations
@@ -16,25 +17,36 @@ import numpy as np
 import pytest
 
 import qdil.dilation
-from conftest import random_cp_instrument
+import qdil.instrument
+from conftest import random_cp_instrument, scaled_instrument
+from qdil.algebra import full_algebra
 from qdil.correlations import PiMap, from_instrument
 from qdil.dilation import (
+    InstrumentRepresentation,
     _spot_residuals,
     _spot_words,
+    commutant_pvm_lift,
     induced_instrument_mp,
+    instrument_representation,
     minimal_stinespring,
     mp_from_correlations,
+    multiplicity_split,
 )
 from qdil.instrument import (
+    CPInstrument,
+    OutcomeSpace,
     _minimal_kraus,
     apply_dual,
     choi_of_kraus,
+    instrument_from_choi,
     kraus_from_dual_choi,
+    verify_cp,
 )
 from qdil.operator_core import (
     DEFAULT_TOL,
     Tolerance,
     _kron,
+    _pvm_defects,
     _unitary_defects,
     dagger,
     spectral_norm,
@@ -47,16 +59,16 @@ st = hypothesis.strategies
 SPOT_MESSAGE = "constructed process fails to reproduce the correlation values"
 
 
-def count_calls(monkeypatch, name):
-    """Record the arguments of each call of ``qdil.dilation.<name>``."""
+def count_calls(monkeypatch, name, module=qdil.dilation):
+    """Record the arguments of each call of ``module.<name>``."""
     calls = []
-    real = getattr(qdil.dilation, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(qdil.dilation, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -400,3 +412,287 @@ def test_pointer_off_projection_takes_the_choi_route(monkeypatch):
     except ValueError as exc:
         want = str(exc)
     assert got == want
+
+
+
+# ---------------------------------------------------------------------------
+# The representation check, the CP check and the lift's PVM gate
+
+
+def outcome(fn):
+    """``None`` when ``fn()`` passes, else its ``ValueError``'s message."""
+    try:
+        fn()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def exact_only(monkeypatch):
+    """No bound accepts: the representation has none, and every Frobenius
+    figure the lift reads is infinite, so only the exact checks decide."""
+    monkeypatch.setattr(qdil.dilation, "_representation_bounds",
+                        lambda *args: ({}, np.inf, False))
+    monkeypatch.setattr(qdil.dilation, "_frobenius",
+                        lambda stack: np.full(len(stack), np.inf))
+
+
+def units_of(dim):
+    return np.eye(dim * dim).reshape(-1, dim, dim)
+
+
+def hermitian(rng, dim):
+    """A random Hermitian matrix of spectral norm 1."""
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (h + dagger(h)) / spectral_norm(h + dagger(h))
+
+
+def test_commutation_past_its_bound_is_rejected_by_the_exact_check(
+        monkeypatch):
+    """E₀(s) plus κH for a Hermitian H: at κ = 1e-3 of the bound nothing
+    is swept; at 3× the bound the sweep over matrix units rejects."""
+    inst = load_fixture("trine-povm")
+    rep = instrument_representation(inst)
+    scale = DEFAULT_TOL.bound("strict", rep.dim_k)
+    h = hermitian(np.random.default_rng(36), rep.dim_k)
+    first = inst.outcomes.labels[0]
+    sweeps = count_calls(monkeypatch, "_require_within")
+    images = rep.pi0.apply(units_of(rep.dim_h))
+    for kappa in (1e-3 * scale, 3 * scale):
+        e = rep.e0[first] + kappa * h
+        del sweeps[:]
+        got = outcome(lambda: dataclasses.replace(
+            rep, e0={**rep.e0, first: e}).require_valid(inst))
+        if kappa < scale:
+            assert (got, sweeps) == (None, [])
+            continue
+        res = spectral_norm(images @ e - e @ images)
+        assert res > scale
+        assert got == (f"π₀ does not commute with E₀({first!r}) "
+                       f"(residual {res:.3e})")
+
+
+def test_reconstruction_past_its_bound_is_rejected_by_the_exact_check(
+        monkeypatch):
+    """V scaled by ``1 + κ`` misses the instrument by ``(2κ + κ²)I(·)``:
+    at κ = 1e-3 of the bound nothing is swept, at the bound the misfit
+    over matrix units rejects, its residual the largest ``‖I(e_ij, s)‖``
+    scaled."""
+    inst = random_cp_instrument(np.random.default_rng(37), 3, 2, 2)
+    rep = instrument_representation(inst)
+    scale = DEFAULT_TOL.bound("strict", rep.dim_k)
+    duals = count_calls(monkeypatch, "apply_dual")
+    assert outcome(lambda: dataclasses.replace(
+        rep, v=(1 + 1e-3 * scale) * rep.v).require_valid(inst)) is None
+    assert duals == []
+    units = units_of(inst.dim_h)
+    res = spectral_norm(np.stack([apply_dual(inst, units, (s,))
+                                  for s in inst.outcomes.labels])
+                        * ((1 + scale) ** 2 - 1))
+    assert res > scale
+    assert outcome(lambda: dataclasses.replace(
+        rep, v=(1 + scale) * rep.v).require_valid(inst)) == (
+        f"representation does not reconstruct the instrument "
+        f"(residual {res:.3e})")
+
+
+def doubled_luders(delta):
+    """``luders-z`` with atom '0' given the Kraus pair ``P0/√2`` and
+    ``P0/√2 + δX``, and the representation that stacks them: it
+    reconstructs its instrument and commutes, and with δ = 0 it is not
+    minimal."""
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    kraus = np.stack([p0 / np.sqrt(2), p0 / np.sqrt(2) + delta * x, p1])
+    v = kraus.transpose(1, 0, 2).reshape(6, 2).astype(complex)
+    e0 = {"0": _kron(np.eye(2), np.diag([1.0, 1.0, 0.0])),
+          "1": _kron(np.eye(2), np.diag([0.0, 0.0, 1.0]))}
+    eye = np.eye(6, dtype=complex)
+    inst = CPInstrument(2, full_algebra(2), OutcomeSpace(("0", "1")),
+                        {"0": kraus[:2], "1": kraus[2:]}, validate=False)
+    return InstrumentRepresentation(2, 6, PiMap.factored(eye, eye, 3), e0,
+                                    v), inst
+
+
+def test_minimality_past_its_bound_takes_the_exact_svd(monkeypatch):
+    """Two equal Kraus operators make the meter Gram matrix singular, so
+    Gershgorin cannot clear it, and the SVD rejects with today's message.
+    At δ = 1e-6 the Gram's least eigenvalue is about 1e-12: the bound
+    does not clear either, and the SVD finds full rank."""
+    minimal = instrument_representation(load_fixture("luders-z"))
+    svds = count_calls(monkeypatch, "svd", np.linalg)
+    minimal.require_valid(load_fixture("luders-z"))
+    assert svds == []
+    rep, inst = doubled_luders(0.0)
+    assert outcome(lambda: rep.require_valid(inst)) == (
+        "representation is not minimal: span rank 4 < dimK 6")
+    rep, inst = doubled_luders(1e-6)
+    assert outcome(lambda: rep.require_valid(inst)) is None
+    assert len(svds) == 2
+
+
+def instrument_failure(inst, tol):
+    """The message :func:`verify_cp` gives ``inst`` at ``tol``, or None."""
+    return outcome(lambda: verify_cp(inst, tol).require_ok())
+
+
+def test_cp_past_its_bound_is_rejected_by_the_exact_check(monkeypatch):
+    """Nonnegative weights are certified CP at the default ``psd``; at a
+    ``psd`` of 1e-300 the bound cannot clear, and ``eigvalsh`` finds the
+    rounding-level negative eigenvalue of a rank-one Choi matrix. Negative
+    weights always take the exact check."""
+    exact = count_calls(monkeypatch, "verify_cp", qdil.instrument)
+    inst = random_cp_instrument(np.random.default_rng(38), 3, 2)
+    assert exact == []
+    tiny = Tolerance(1e-9, 1e-300)
+    want = instrument_failure(inst, tiny)
+    assert want.startswith("instrument is not completely positive (min Choi "
+                           "eigenvalue -")
+    del exact[:]
+    assert outcome(lambda: dataclasses.replace(inst, validate=tiny)) == want
+    assert len(exact) == 1
+    chois = {s: choi_of_kraus(inst.kraus[s], 3) for s in inst.outcomes.labels}
+    w = np.random.default_rng(39).standard_normal(9)
+    for size in (1e-11, 1e-8):
+        bent = {**chois, "0": chois["0"] - size * np.outer(w, w) / (w @ w)}
+        # A cut-off under 1e-11 keeps the negative eigenvalue as a weight.
+        neg = instrument_from_choi(3, inst.outcomes, bent,
+                                   tol=Tolerance(1e-14))
+        assert (neg.weights["0"] < 0).any()
+        del exact[:]
+        got = outcome(lambda: dataclasses.replace(neg, validate=True))
+        assert len(exact) == 1
+        assert got == instrument_failure(neg, DEFAULT_TOL)
+        assert (got is None) == (size < 1e-10)
+
+
+def test_completeness_past_its_bound_is_rejected_by_the_exact_check(
+        monkeypatch):
+    """Kraus operators scaled so that ``I(1,S) − 1 = c·1``: on dimH = 3 a
+    Frobenius norm √3·c over the bound with c within it is accepted by
+    the exact spectral norm without ``verify_cp``; past it ``verify_cp``
+    rejects, with its message."""
+    exact = count_calls(monkeypatch, "verify_cp", qdil.instrument)
+    inst = random_cp_instrument(np.random.default_rng(40), 3, 2)
+    bound = DEFAULT_TOL.bound("strict")
+    for c in (0.8 * bound, 1.2 * bound):
+        scaled = scaled_instrument(inst, np.sqrt(1 + c))
+        del exact[:]
+        got = outcome(lambda: dataclasses.replace(scaled, validate=True))
+        assert got == instrument_failure(scaled, DEFAULT_TOL)
+        assert (got is None, len(exact)) == ((True, 0) if c < bound
+                                            else (False, 1))
+    assert got.startswith("instrument is not complete (residual 1.2")
+
+
+def test_lifted_pvm_past_its_bound_is_rejected_by_the_exact_check(
+        monkeypatch):
+    """A pointer family ``P0 + κP1, (1 − κ)P1`` through the identity: it
+    is Hermitian and sums to 1, so only its products and projection
+    defects, about κ, show. Within the bound no PVM defect is formed;
+    past it the exact gate rejects with the largest spectral norm of
+    ``_pvm_defects``."""
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    scale = DEFAULT_TOL.bound("loose", 4)
+    defects = count_calls(monkeypatch, "_pvm_defects")
+    for kappa in (1e-3 * scale, 3 * scale):
+        family = {"0": p0 + kappa * p1, "1": (1 - kappa) * p1}
+        del defects[:]
+        got = outcome(lambda: commutant_pvm_lift(
+            {s: _kron(np.eye(2), e) for s, e in family.items()},
+            np.eye(4), 2))
+        if kappa < scale:
+            assert (got, defects) == (None, [])
+            continue
+        res = max(map(spectral_norm, _pvm_defects(family)))
+        assert got == f"lifted family is not a PVM (residual {res:.3e})"
+
+
+NON_FULL = [name for name in fixture_names()
+            if not load_fixture(name).algebra.is_full]
+
+
+@st.composite
+def drawn_instruments(draw):
+    """A ``full`` random instrument, a ``non-full`` fixture, or a random
+    one whose atom '0' lost ``size·ww*`` from its Choi matrix, read back
+    by ``instrument_from_choi`` with a ``negative`` weight; each with
+    its Kraus operators scaled near the completeness bound."""
+    kind = draw(st.sampled_from(["full", "non-full", "negative"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "non-full":
+        inst = load_fixture(draw(st.sampled_from(NON_FULL)))
+    else:
+        inst = random_cp_instrument(rng, draw(st.integers(1, 4)),
+                                    draw(st.integers(1, 3)),
+                                    draw(st.integers(1, 3)))
+    if kind == "negative":
+        dim = inst.dim_h
+        chois = {s: choi_of_kraus(inst.kraus[s], dim)
+                 for s in inst.outcomes.labels}
+        w = rng.standard_normal(dim * dim)
+        size = draw(st.sampled_from([1e-12, 1e-10, 1e-9]))
+        chois["0"] = chois["0"] - size * np.outer(w, w) / (w @ w)
+        inst = instrument_from_choi(dim, inst.outcomes, chois,
+                                    tol=Tolerance(1e-14))
+        hypothesis.assume((inst.weights["0"] < 0).any())
+    factor = 1 + draw(st.sampled_from([0.0, 4e-10, 6e-10, 1e-9]))
+    return kind, scaled_instrument(inst, np.sqrt(factor))
+
+
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(drawn=drawn_instruments(),
+                  tol=st.sampled_from([DEFAULT_TOL, Tolerance(1e-7, 1e-8),
+                                       Tolerance(1e-9, 1e-300)]),
+                  bend=st.sampled_from([0.0, 0.3, 3.0]),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_certified_gates_give_the_exact_verdict(drawn, tol, bend, seed):
+    """The CP gate, the representation check (of the instrument's own
+    representation, V scaled and E₀ bent by ``bend`` × its bound) and
+    the lift (atom units bent likewise) each give the verdict and
+    message of their exact checks alone. Negative weights take the exact
+    CP check."""
+    kind, inst = drawn
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        exact = count_calls(monkeypatch, "verify_cp", qdil.instrument)
+        got = outcome(lambda: qdil.instrument._require_cp(inst, tol))
+    assert got == instrument_failure(inst, tol)
+    assert exact or kind != "negative"
+    hypothesis.event(f"{kind}, CP gate {'exact' if exact else 'certified'}, "
+                     f"{'rejected' if got else 'accepted'}")
+    if got is not None or not inst.algebra.is_full:
+        return
+    rng = np.random.default_rng(seed)
+    try:
+        rep = instrument_representation(inst, tol)
+    except ValueError as exc:  # a psd of 1e-300 fails the Choi route's eigh
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            exact_only(monkeypatch)
+            assert outcome(lambda: instrument_representation(inst, tol)) \
+                == str(exc)
+        return
+    scale = bend * tol.bound("strict", rep.dim_k)
+    first = inst.outcomes.labels[0]
+    sys_c = from_instrument(inst, tol=tol)
+    u2 = multiplicity_split(sys_c.letter_map(inst.outcomes.labels), tol)[1]
+    loose = bend * tol.bound("loose", sys_c.dim_l)
+    units = {s: p + loose * hermitian(rng, sys_c.dim_l)
+             for s, p in sys_c.atom_units().items()}
+    checks = [
+        lambda: rep.require_valid(inst, tol),
+        lambda: dataclasses.replace(rep, v=(1 + scale) * rep.v)
+        .require_valid(inst, tol),
+        lambda: dataclasses.replace(rep, e0={**rep.e0, first: rep.e0[first]
+                                             + scale * hermitian(
+                                                 rng, rep.dim_k)})
+        .require_valid(inst, tol),
+        lambda: commutant_pvm_lift(units, u2, inst.dim_h, tol),
+    ]
+    for i, check in enumerate(checks):
+        state = rng.bit_generator.state
+        got = outcome(check)
+        rng.bit_generator.state = state
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            exact_only(monkeypatch)
+            assert outcome(check) == got
+        hypothesis.event(f"check {i} {'rejected' if got else 'accepted'}")

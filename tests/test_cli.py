@@ -784,6 +784,31 @@ def test_reader_closing_stdout_early_prints_no_traceback(tmp_path, output,
     assert err == ""
 
 
+def test_equiv_past_the_memory_budget_exits_too_large(tmp_path, capsys):
+    """At dimH = 8 and order 4 one node's Gram blocks take about 7.3 GB.
+    Under a 2 GiB address-space limit, set on the child process alone,
+    ``equiv`` finishes or exits 2 with ``too-large``; it is never killed."""
+    resource = pytest.importorskip("resource")
+    inst = tmp_path / "8x2x2.json"
+    inst.write_text(json.dumps(instrument_to_json(random_cp_instrument(
+        np.random.default_rng(3), 8, 2, 2))))
+    mp = str(tmp_path / "8x2x2.mp.json")
+    assert run(capsys, "dilate", "-i", str(inst), "-o", mp)[0] == 0
+    limit = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdil.cli", "equiv", mp, mp, "--order", "4"],
+        capture_output=True, text=True, env=cli_env(), check=False,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    report = json.loads(proc.stdout)
+    if proc.returncode == 2:
+        assert report["error"] == "too-large"
+        assert report["estimated_bytes"] > report["budget_bytes"]
+    else:
+        assert proc.returncode == 0 and report["all_equivalent"]
+    assert "Traceback" not in proc.stderr
+
+
 def prior_contents(fresh):
     """What an ``-o`` file may hold before it is overwritten."""
     junk = np.random.default_rng(7).integers(0, 256, 1 << 20, dtype=np.uint8)
@@ -924,14 +949,18 @@ def test_each_instrument_is_checked_once_at_the_callers_tolerance(
 
     inst = write_fixture(tmp_path, name)
     checked = []
-    original = qdil.instrument.verify_cp
 
-    def counting(instrument, tol=qdil.instrument.DEFAULT_TOL):
-        checked.append((instrument, tol.abs))
-        return original(instrument, tol)
+    def counting(original):
+        def counted(instrument, tol=qdil.instrument.DEFAULT_TOL):
+            checked.append((instrument, tol.abs))
+            return original(instrument, tol)
+        return counted
 
-    monkeypatch.setattr(qdil.instrument, "verify_cp", counting)
-    monkeypatch.setattr(qdil.cli, "verify_cp", counting)
+    # The loader reads verify_cp's report; a constructor or require_valid
+    # checks through _require_cp, which may accept by its bounds.
+    monkeypatch.setattr(qdil.cli, "verify_cp", counting(qdil.cli.verify_cp))
+    monkeypatch.setattr(qdil.instrument, "_require_cp",
+                        counting(qdil.instrument._require_cp))
     code, _ = run(capsys, command, "-i", str(inst), "--tol", "1e-6")
     assert code == 0
     # The input, then the induced instrument (dilate) or the extension

@@ -607,13 +607,13 @@ def test_from_instrument_checks_its_input_once(monkeypatch):
     import qdil.instrument
 
     calls = []
-    original = qdil.instrument.verify_cp
+    original = qdil.instrument._require_cp
 
     def counting(inst, tol=DEFAULT_TOL):
         calls.append(tol)
         return original(inst, tol)
 
-    monkeypatch.setattr(qdil.instrument, "verify_cp", counting)
+    monkeypatch.setattr(qdil.instrument, "_require_cp", counting)
     inst = random_cp_instrument(np.random.default_rng(8), 2, 3)
     assert calls == [DEFAULT_TOL]
     # The check recorded at construction covers the default tolerance.

@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import qdil.dilation
 from conftest import luders_z_schema_mutants
 from qdil.cli import main
 from qdil.instrument import coarse_grain, instrument_to_json
@@ -62,6 +63,26 @@ def test_error_report_validates(tmp_path, capsys):
     assert report["command"] == "dilate"
     assert "error" in report
     jsonschema.validate(report, schema("report"))
+
+
+def test_too_large_report_validates(tmp_path, capsys, monkeypatch):
+    """Past the budget of ``_gram_blocks``, ``equiv`` reports the
+    estimate, which the schema requires of a ``too-large`` error."""
+    inst_path = tmp_path / "luders-z.json"
+    inst_path.write_text(json.dumps(instrument_to_json(
+        load_fixture("luders-z"))))
+    assert main(["dilate", "-i", str(inst_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(qdil.dilation, "_GRAM_BUDGET", 1000)
+    mp = str(tmp_path / "luders-z.mp.json")
+    assert main(["equiv", mp, mp, "--order", "2"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "too-large"
+    assert report["estimated_bytes"] > report["budget_bytes"] == 1000
+    jsonschema.validate(report, schema("report"))
+    del report["estimated_bytes"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, schema("report"))
 
 
 def test_coarse_grained_export_validates():
