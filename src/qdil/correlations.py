@@ -166,6 +166,13 @@ class PiMap:
         left, right, _ = self.factors
         return left @ self._lift(np.asarray(m, dtype=complex), right @ states)
 
+    def adjoint(self) -> "PiMap":
+        """The map ``X ↦ Π(X*)*``, stored in the form of this one."""
+        if self.factors is None:
+            return PiMap(self._tensor.conj().transpose(1, 0, 3, 2))
+        left, right, k = self.factors
+        return PiMap.factored(dagger(right), dagger(left), k)
+
     def compressed(self, v: np.ndarray) -> "PiMap":
         """The map ``X ↦ v* Π(X) v``, stored in the form of this one."""
         if self.factors is None:
@@ -276,29 +283,37 @@ class CorrelationSystem:
                         "v does not intertwine Π_in")
 
 
-def _eval_words(sys: CorrelationSystem, words: list) -> np.ndarray:
-    """The stack of values ``v* Π_{t1}(M_1)···Π_{tk}(M_k) v`` of a list of
-    ``(letters, operators)`` words, walked from their last letters: at
-    each position each letter map pushes the stack of its words' operators
-    and states at once, or a lone word's one operator."""
-    states = np.repeat(sys.v[None], len(words), axis=0)
-    for back in range(1, max(len(letters) for letters, _ in words) + 1):
+def _push_words(sys: CorrelationSystem, words: list, states: np.ndarray,
+                adjoint: bool = False) -> np.ndarray:
+    """The stack ``states`` of a list of ``(letters, operators, ...)`` words
+    pushed in place through them (through ``Π(X*)*`` if ``adjoint``) from
+    their last letters: at each position each letter map pushes the stack
+    of its words' operators and states, or a lone word's one operator."""
+    for back in range(1, max(len(letters) for letters, *_ in words) + 1):
         groups: dict = {}
-        for i, (letters, _) in enumerate(words):
+        for i, (letters, *_) in enumerate(words):
             if len(letters) >= back:
                 groups.setdefault(letters[-back], []).append(i)
         for letter, idx in groups.items():
             ms = np.stack([words[i][1][-back] for i in idx])
-            states[idx] = sys.letter_map(letter).push(
+            pm = sys.letter_map(letter)
+            states[idx] = (pm.adjoint() if adjoint else pm).push(
                 ms[0] if len(idx) == 1 else ms, states[idx])
-    return dagger(sys.v) @ states
+    return states
+
+
+def _eval_words(sys: CorrelationSystem, words: list) -> np.ndarray:
+    """The stack of values ``v* Π_{t1}(M_1)···Π_{tk}(M_k) v`` of a list of
+    ``(letters, operators)`` words, by :func:`_push_words` from ``v``."""
+    return dagger(sys.v) @ _push_words(
+        sys, words, np.repeat(sys.v[None], len(words), axis=0))
 
 
 def eval_W(sys: CorrelationSystem, t: TimeWord, ms,
            tol: Tolerance = DEFAULT_TOL, check_membership: bool = True
            ) -> np.ndarray:
     """``W_T(M⃗) = v* Π_{t1}(M_1)···Π_{tk}(M_k) v`` by :func:`_eval_words` on
-    one word; :func:`verify_axioms` batches its probes' words, not MC2's."""
+    one word; :func:`verify_axioms` batches its probes' words."""
     letters = t.letters if isinstance(t, TimeWord) else TimeWord(t).letters
     ms = list(ms)
     if len(ms) != len(letters):
@@ -354,6 +369,17 @@ def _antihermitian_norm(rows: np.ndarray, cols: np.ndarray) -> float:
     return spectral_norm(ta @ dagger(tb))
 
 
+def _hermitian_spectrum(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The ascending spectrum of ``(G + G*)/2`` for ``G = rows @ cols``,
+    without forming it: ``(G + G*)/2 = [C*, R] J [C*, R]*`` with
+    ``J = ½[[0, 1], [1, 0]]``, so with ``[C*, R] = Q T`` it is that of the
+    ≤ 2·dimL square ``T J T*`` and ``samples − 2·dimL`` zeros."""
+    t = np.linalg.qr(np.hstack((dagger(cols), rows)), mode="r")
+    d = rows.shape[1]
+    vals = np.linalg.eigvalsh(np.hstack((t[:, d:], t[:, :d])) / 2 @ dagger(t))
+    return np.sort(np.concatenate([vals, np.zeros(len(rows) - len(vals))]))
+
+
 def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
                   tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     """Numerically verify the six correlation axioms plus adjoint symmetry.
@@ -366,10 +392,9 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     atoms by construction), so its entry reports the PVM property of the
     atom units, which is what a corrupted system breaks.
     Every sample is drawn from ``seed`` first, probe by probe; members
-    are then conditioned in one stack, and each other probe's words are
-    evaluated in one batch. MC2's Gram is pushed word by word, as stacked
-    products would move the digits of the noise-level eigenvalue its
-    note prints.
+    are then conditioned in one stack, and each probe's words are pushed
+    in one batch. MC2 reads its spectrum off a factor of side ≤ 2·dimL
+    (:func:`_hermitian_spectrum`); only the formed Gram may fail it.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -425,24 +450,19 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
           "linearity probes; ultraweak continuity is vacuous in finite "
           "dimension")
 
-    # MC2: positive definiteness of the sampled word Gram matrix.
-    rows = np.zeros((samples, sys.dim_l), dtype=complex)
-    cols = np.zeros((sys.dim_l, samples), dtype=complex)
-    for i, (letters, ms, xi) in enumerate(plan_mc2):
-        base = sys.v @ (xi / np.linalg.norm(xi))
-        # The row is pushed from the left through the reversed word, not
-        # taken as the adjoint of the column: that would make the Gram
-        # matrix PSD whatever the letter maps are.
-        row, col = dagger(base), base
-        for letter, m in zip(reversed(letters), reversed(ms)):
-            pm = sys.letter_map(letter)
-            row, col = row @ pm.apply(dagger(m)), pm.push(m, col)
-        rows[i], cols[:, i] = row, col
-    gram = rows @ cols
+    # MC2: positive definiteness of the sampled word Gram matrix. Rows taken
+    # as the columns' adjoints would make it PSD whatever the letter maps.
+    xis = np.stack([xi for *_, xi in plan_mc2])
+    bases = (xis / np.linalg.norm(xis, axis=1, keepdims=True)) @ sys.v.T
+    cols = _push_words(sys, plan_mc2, bases[..., None].copy())[..., 0].T
+    rows = _push_words(sys, plan_mc2, bases[..., None], True)[..., 0].conj()
     herm_res = _antihermitian_norm(rows, cols)
-    vals = np.linalg.eigvalsh((gram + dagger(gram)) / 2)
-    scale = float(np.abs(vals).max())
-    min_eig = float(vals.min())
+    vals = _hermitian_spectrum(rows, cols)
+    scale, min_eig = float(np.abs(vals).max()), float(vals.min())
+    if not min_eig >= -tol.bound("psd", scale) / 2:
+        gram = rows @ cols
+        vals = np.linalg.eigvalsh((gram + dagger(gram)) / 2)
+        scale, min_eig = float(np.abs(vals).max()), float(vals.min())
     mc2_res = max(0.0, -min_eig, herm_res)
     entries["MC2"] = AxiomEntry(
         min_eig >= -tol.bound("psd", scale) and herm_res <= tol.bound("loose"),
@@ -526,11 +546,8 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
     dim_l = dim_h + dim_k
 
     v0 = rep.v
-    q = np.eye(dim_k) - v0 @ dagger(v0)
-    u = np.zeros((dim_l, dim_l), dtype=complex)
-    u[:dim_h, dim_h:] = -dagger(v0)
-    u[dim_h:, :dim_h] = v0
-    u[dim_h:, dim_h:] = q
+    u = np.block([[np.zeros((dim_h, dim_h)), -dagger(v0)],
+                  [v0, np.eye(dim_k) - v0 @ dagger(v0)]])
 
     # Meter index 0 feeds the H summand, the others feed π₀.
     pi0_left, _, k0 = rep.pi0.factors

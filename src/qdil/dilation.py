@@ -406,14 +406,19 @@ def instrument_representation(inst: CPInstrument,
 
     Zero-probability atoms contribute empty blocks. π₀ is stored by its
     factors ``π₀(X) = q (X ⊗ 1) q*``, q the permutation that sends each
-    atom's meter indices to its block. The input (through
+    atom's meter indices to its block. Each atom's minimal family comes
+    from its Kraus stack scaled by ``√w`` when its weights are
+    nonnegative, and from its Choi matrix otherwise. The input (through
     :meth:`CPInstrument.require_valid`) and the result are verified.
     """
     inst.require_valid(tol)
     dim_h = inst.dim_h
-    chois = {s: choi_of_kraus(inst.kraus[s], dim_h, inst.atom_weights(s))
-             for s in inst.outcomes.labels}
-    parts = {s: minimal_stinespring(chois[s], dim_h, tol) for s in chois}
+    weights = {s: inst.atom_weights(s) for s in inst.outcomes.labels}
+    chois = {s: choi_of_kraus(inst.kraus[s], dim_h, w)
+             for s, w in weights.items()}
+    parts = {s: minimal_stinespring(
+        np.sqrt(w)[:, None, None] * inst.kraus[s] if np.all(w >= 0)
+        else chois[s], dim_h, tol) for s, w in weights.items()}
     ranks = {s: parts[s].rank for s in inst.outcomes.labels}
     dim_k = dim_h * sum(ranks.values())
 

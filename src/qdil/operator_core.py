@@ -531,10 +531,36 @@ def matrix_from_json(data) -> np.ndarray:
 
     Bare numbers are also accepted in place of ``[re, im]`` pairs so that
     hand-written real matrices stay readable. JSON ``true``/``false`` are
-    not numbers here, although Python's ``bool`` is an ``int``.
+    not numbers here, although Python's ``bool`` is an ``int``. What
+    :func:`matrix_to_json` writes is converted in one call; anything else
+    goes entry by entry, which gives every error its message.
     """
     if not isinstance(data, list) or not data:
         raise ValueError("matrix JSON must be a nonempty list of rows")
+    m = _pairs_matrix(data)
+    return _entries_matrix(data) if m is None else m
+
+
+def _pairs_matrix(data: list) -> np.ndarray | None:
+    """A nonempty rectangular list of rows of finite ``[re, im]`` pairs of
+    ints and floats as a matrix, by one conversion; None for anything else."""
+    if set(map(type, data)) != {list} or len(set(map(len, data))) != 1:
+        return None
+    pairs = list(itertools.chain.from_iterable(data))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    leaves = list(itertools.chain.from_iterable(pairs))
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    try:
+        m = np.fromiter(leaves, float, len(leaves)).view(complex)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return m.reshape(len(data), -1) if np.isfinite(m).all() else None
+
+
+def _entries_matrix(data: list) -> np.ndarray:
+    """:func:`matrix_from_json` entry by entry, with its error messages."""
     rows = []
     width = None
     try:

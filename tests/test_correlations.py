@@ -344,7 +344,7 @@ def test_axiom_suite_conditions_in_a_fixed_number_of_calls(monkeypatch):
 
 def test_axiom_suite_letter_map_applications_do_not_grow_with_samples(
         monkeypatch):
-    """Outside MC2's Gram, which pushes word by word, the letter maps are
+    """Outside MC2, whose pushes are counted below, the letter maps are
     applied in the batches of ``_eval_words``: at most once per letter and
     word position in each batch, so their number stays within a bound
     that does not depend on ``samples`` while the words evaluated grow.
@@ -644,3 +644,167 @@ def test_unital_message_prints_the_exact_residual():
     with pytest.raises(ValueError, match="Π_in is not unital") as err:
         bad.require_valid()
     assert str(err.value) == f"Π_in is not unital (residual {exact:.3e})"
+
+
+def twisted_luders():
+    """The Lüders system with ``Π_1 ↦ i·Π_1``: not *-preserving, so its
+    Gram matrix is not Hermitian."""
+    good = from_instrument(luders_instrument([P0, P1]))
+    return CorrelationSystem(
+        good.dim_h, good.algebra, good.outcomes, good.dim_l, good.pi_in,
+        {"0": good.pi_atom["0"], "1": PiMap(1j * good.pi_atom["1"].tensor)},
+        good.v, validate=False)
+
+
+MC2_SYSTEMS = {
+    "factored": lambda: from_instrument(random_cp_instrument(
+        np.random.default_rng(83), 3, 2, kraus_per_outcome=2)),
+    "json": lambda: system_from_json(json.loads(json.dumps(system_to_json(
+        from_instrument(load_fixture("trine-povm")))))),
+    "kernel-table": lambda: from_kernel_table(table_from_system(
+        from_instrument(luders_instrument([P0, P1])), 4), 2, [SX]),
+    "phase-twisted": twisted_luders,
+}
+
+
+def mc2_reference(sys_c, words, bases):
+    """MC2's rows and columns word by word, one letter at a time: each row
+    pushed from the left through the reversed word by ``Π(M*)``."""
+    rows, cols = [], []
+    for (letters, ms, *_), base in zip(words, bases):
+        row, col = dagger(base), base
+        for letter, m in zip(reversed(letters), reversed(ms)):
+            pm = sys_c.letter_map(letter)
+            row, col = row @ pm.apply(dagger(m)), pm.apply(m) @ col
+        rows.append(row[0])
+        cols.append(col[:, 0])
+    return np.array(rows), np.array(cols).T
+
+
+def capture_mc2(monkeypatch, sys_c, depth, samples, seed=0):
+    """Run ``verify_axioms`` and return MC2's words, base vectors, rows,
+    columns and entry."""
+    push = qdil.correlations._push_words
+    norm = qdil.correlations._antihermitian_norm
+    pushed, seen = [], []
+
+    def recorded(sys, words, states, adjoint=False):
+        if states.shape[-1] == 1:  # MC2 pushes vectors, the others v
+            pushed.append((words, states[..., 0].copy()))
+        return push(sys, words, states, adjoint)
+
+    monkeypatch.setattr(qdil.correlations, "_push_words", recorded)
+    monkeypatch.setattr(qdil.correlations, "_antihermitian_norm",
+                        lambda rows, cols: seen.append((rows, cols))
+                        or norm(rows, cols))
+    entry = verify_axioms(sys_c, depth, samples, seed).entries["MC2"]
+    (words, bases), (_, again) = pushed
+    assert np.array_equal(bases, again)
+    [(rows, cols)] = seen
+    return words, bases, rows, cols, entry
+
+
+@pytest.mark.parametrize("name", sorted(MC2_SYSTEMS))
+def test_mc2_rows_and_columns_match_the_word_by_word_push(monkeypatch, name):
+    """The stacked pushes give each word's row and column as the word by
+    word product does, the rows through the adjoint maps."""
+    sys_c = MC2_SYSTEMS[name]()
+    words, bases, rows, cols, _ = capture_mc2(monkeypatch, sys_c, 3, 200)
+    assert len(words) == 200 and bases.shape == (200, sys_c.dim_l)
+    want_rows, want_cols = mc2_reference(sys_c, words, bases[..., None])
+    for got, want in ((rows, want_rows), (cols, want_cols)):
+        assert got.shape == want.shape
+        assert spectral_norm(got - want) <= 1e-12 * (1 + spectral_norm(want))
+    if name == "phase-twisted":
+        assert spectral_norm(rows - dagger(cols)) > 1e-3
+
+
+@pytest.mark.parametrize("samples", [5, 200])
+@pytest.mark.parametrize("name", sorted(MC2_SYSTEMS))
+def test_mc2_spectrum_of_the_small_factor_is_the_formed_grams(
+        monkeypatch, name, samples):
+    """``_hermitian_spectrum`` is ``eigvalsh`` of the formed Gram's
+    Hermitian part, zeros included, with ``samples`` above and below
+    2·dimL; so are MC2's least eigenvalue and scale."""
+    sys_c = MC2_SYSTEMS[name]()
+    *_, rows, cols, entry = capture_mc2(monkeypatch, sys_c, 3, samples)
+    assert (samples > 2 * sys_c.dim_l) == (samples == 200)
+    gram = rows @ cols
+    want = np.linalg.eigvalsh((gram + dagger(gram)) / 2)
+    got = qdil.correlations._hermitian_spectrum(rows, cols)
+    scale = np.abs(want).max()
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * (1 + scale)
+    assert abs(np.abs(got).max() - scale) <= 1e-12 * (1 + scale)
+    # The note prints four digits.
+    min_eig = float(entry.note.rsplit(" ", 1)[1])
+    assert abs(min_eig - want.min()) <= 1e-12 * (1 + scale) + 5e-4 * abs(
+        want.min())
+
+
+@pytest.mark.parametrize("shape", [(9, 3), (6, 3), (2, 5)])
+def test_hermitian_spectrum_of_drawn_factors(shape):
+    """Off Gram matrices too, where ``(G + G*)/2`` is indefinite: ``R`` is
+    n × d and ``C`` d × n, with n above, at and below 2d."""
+    rng = np.random.default_rng(44)
+    n, d = shape
+    rows, cols = random_ginibre(rng, n, d), random_ginibre(rng, d, n)
+    gram = rows @ cols
+    want = np.linalg.eigvalsh((gram + dagger(gram)) / 2)
+    got = qdil.correlations._hermitian_spectrum(rows, cols)
+    assert want.min() < -0.1 and want.max() > 0.1
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(want).max())
+
+
+@pytest.mark.parametrize("name", sorted(MC2_SYSTEMS))
+def test_only_the_formed_gram_fails_mc2(monkeypatch, name):
+    """MC2 forms its Gram and runs ``eigvalsh`` on it only when the small
+    factor's least eigenvalue does not clear half of its bound: once on the
+    phase-twisted system, which it then fails, never on the others."""
+    sys_c = MC2_SYSTEMS[name]()
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(
+        np.shape(a)) or eigvalsh(a))
+    entry = verify_axioms(sys_c, 3, 200, seed=0).entries["MC2"]
+    formed = shapes.count((200, 200))
+    assert formed == (name == "phase-twisted")
+    assert entry.passed == (name != "phase-twisted")
+
+
+@pytest.mark.parametrize("load", [False, True])
+def test_mc2_letter_map_applications_do_not_grow_with_samples(monkeypatch,
+                                                              load):
+    """Outside ``_eval_words``, MC2 pushes its columns and its rows once
+    per word position and letter, on factored and tensor-stored maps."""
+    sys_c = from_instrument(load_fixture("diag-amp-damp"))
+    if load:
+        sys_c = system_from_json(json.loads(json.dumps(system_to_json(sys_c))))
+    evaluate, inside, outside = qdil.correlations._eval_words, [], [0]
+
+    def counted_eval(sys, words):
+        inside.append(True)
+        try:
+            return evaluate(sys, words)
+        finally:
+            inside.pop()
+
+    def counted(method):
+        def wrapper(self, *args):
+            if not inside:
+                outside[0] += 1
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(qdil.correlations, "_eval_words", counted_eval)
+    monkeypatch.setattr(PiMap, "push", counted(PiMap.push))
+    monkeypatch.setattr(PiMap, "apply", counted(PiMap.apply))
+    counts = {}
+    for samples in (16, 200):
+        outside[0] = 0
+        assert verify_axioms(sys_c, 3, samples, seed=5).all_pass
+        counts[samples] = outside[0]
+    # Columns and rows over 3 positions and 3 letters, each push applying
+    # a tensor map once, and MC6's two atom units.
+    bound = 2 * 3 * 3 * (2 if load else 1) + 2
+    assert counts[16] <= bound and counts[200] <= bound

@@ -43,7 +43,11 @@ from qdil.instrument import (
     CPInstrument,
     OutcomeSpace,
     apply_dual,
+    choi_of_kraus,
+    instrument_from_choi,
+    kraus_from_dual_choi,
     luders_instrument,
+    verify_cp,
 )
 from qdil.operator_core import (
     DEFAULT_TOL,
@@ -128,6 +132,60 @@ def test_instrument_representation_reconstructs():
     for s in inst.outcomes.labels:
         got = dagger(rep.v) @ rep.pi0.apply(m) @ rep.e0[s] @ rep.v
         assert np.allclose(got, apply_dual(inst, m, (s,)))
+
+
+def test_instrument_representation_takes_what_verify_cp_accepts():
+    """At a ``psd`` of 1e-300 ``verify_cp`` accepts this 2/2/3 instrument,
+    but the ``eigh`` of its Choi matrices finds rounding-level negative
+    eigenvalues. Its minimal families come from its Kraus stacks by SVD, so
+    it is represented."""
+    tiny = Tolerance(1e-9, 1e-300)
+    inst = random_cp_instrument(np.random.default_rng(2), 2, 2,
+                                kraus_per_outcome=3)
+    assert verify_cp(inst, tiny).cp_ok
+    with pytest.raises(ValueError, match="Choi matrix has negative "
+                                         "eigenvalue -5.742e-17"):
+        kraus_from_dual_choi(choi_of_kraus(inst.kraus["0"], 2), 2, tiny)
+    rep = instrument_representation(inst, tiny)
+    assert rep.ranks == {"0": 3, "1": 3}
+    m = random_unitary(np.random.default_rng(3), 2)
+    for s in inst.outcomes.labels:
+        got = dagger(rep.v) @ rep.pi0.apply(m) @ rep.e0[s] @ rep.v
+        assert spectral_norm(got - apply_dual(inst, m, (s,))) <= 1e-14
+
+
+def test_instrument_representation_scales_kraus_stacks_by_their_weights(
+        monkeypatch):
+    """Nonnegative weights reach ``minimal_stinespring`` as Kraus stacks
+    scaled by ``√w``; an atom with a negative weight as its Choi matrix."""
+    inst = random_cp_instrument(np.random.default_rng(84), 2, 2,
+                                kraus_per_outcome=2)
+    w = np.array([0.25, 4.0])
+    weighted = CPInstrument(2, inst.algebra, inst.outcomes,
+                            {s: inst.kraus[s] / np.sqrt(w)[:, None, None]
+                             for s in inst.outcomes.labels},
+                            {s: w for s in inst.outcomes.labels})
+    chois = {s: choi_of_kraus(inst.kraus[s], 2) for s in inst.outcomes.labels}
+    bent = np.random.default_rng(85).standard_normal(4)
+    chois["1"] = chois["1"] - 1e-11 * np.outer(bent, bent) / (bent @ bent)
+    negative = instrument_from_choi(2, inst.outcomes, chois,
+                                    tol=Tolerance(1e-14))
+    assert (negative.weights["1"] < 0).any()
+    assert (negative.weights["0"] > 0).all()
+    stinespring, seen = qdil.dilation.minimal_stinespring, []
+    monkeypatch.setattr(qdil.dilation, "minimal_stinespring",
+                        lambda cp_map, *args: seen.append(np.ndim(cp_map))
+                        or stinespring(cp_map, *args))
+    m = random_unitary(np.random.default_rng(86), 2)
+    # The Choi route drops the 1e-11 eigenvalue.
+    for case, want, err in ((weighted, [3, 3], 1e-14),
+                            (negative, [3, 2], 2e-11)):
+        seen.clear()
+        rep = instrument_representation(case)
+        assert seen == want
+        for s in inst.outcomes.labels:
+            got = dagger(rep.v) @ rep.pi0.apply(m) @ rep.e0[s] @ rep.v
+            assert spectral_norm(got - apply_dual(case, m, (s,))) <= err
 
 
 def test_multiplicity_split_of_double_block():

@@ -356,6 +356,105 @@ def test_matrix_json_of_a_stack_nests_each_matrix():
         assert np.array_equal(_bits(matrix_from_json(enc)), _bits(m))
 
 
+def _decoded(decode, doc):
+    """What ``decode(doc)`` gives: its bits, dtype and shape, or its error."""
+    try:
+        m = decode(doc)
+    except ValueError as exc:
+        return "error", str(exc)
+    return m.tobytes(), m.dtype, m.shape
+
+
+# Leaves whose conversion is easy to get wrong: signed zeros, subnormals,
+# the ends of the float range, and integers that a double cannot hold.
+AWKWARD_LEAVES = [0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1e308, -1e308, 1.7976931348623157e308, 2 ** 53 + 1,
+                  -(2 ** 53) - 1, 2 ** 63 - 1, 2 ** 63 + 1, 2 ** 64 + 1,
+                  -(2 ** 64) - 3, 3 ** 100]
+# Each replaces one leaf, one entry or one row of a document.
+LEAF_MUTANTS = [True, False, "1.5", None, float("nan"), float("inf"),
+                float("-inf"), 2 ** 1024, -(3 ** 700)]
+ENTRY_MUTANTS = [[1.0], [1.0, 2.0, 3.0], [], {"re": 1.0, "im": 2.0},
+                 (1.0, 2.0), "ab", [[1.0], 2.0]]
+ROW_MUTANTS = [1.5, 2, None, "row", {"0": [1.0, 0.0]}, (1.0, 2.0)]
+
+
+def _documents(st):
+    """Rectangular documents of ``[re, im]`` pairs, some of whose rows
+    hold bare numbers when ``bare`` is drawn."""
+    leaf = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(-(2 ** 70), 2 ** 70),
+                     st.sampled_from(AWKWARD_LEAVES))
+    return st.integers(1, 4).flatmap(lambda width: st.lists(st.one_of(
+        st.lists(st.lists(leaf, min_size=2, max_size=2), min_size=width,
+                 max_size=width),
+        st.lists(leaf, min_size=width, max_size=width)),
+        min_size=1, max_size=4))
+
+
+def test_decoder_fast_path_equals_the_loop():
+    """On rectangular documents the one-conversion path gives the bits,
+    dtype and shape of the entry-by-entry loop, and it takes every
+    document of ``[re, im]`` pairs; bare-number rows go to the loop."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from qdil.operator_core import _entries_matrix, _pairs_matrix
+
+    @hypothesis.settings(deadline=None, max_examples=300)
+    @hypothesis.given(_documents(hypothesis.strategies))
+    def check(doc):
+        doc = json.loads(json.dumps(doc))
+        want = _decoded(_entries_matrix, doc)
+        assert want[0] != "error"
+        assert _decoded(matrix_from_json, doc) == want
+        pairs = all(isinstance(z, list) for row in doc for z in row)
+        fast = _pairs_matrix(doc)
+        assert (fast is not None) == pairs
+        if pairs:
+            assert _decoded(_pairs_matrix, doc) == want
+
+    check()
+
+
+def test_decoder_fast_path_leaves_every_error_to_the_loop():
+    """One leaf, entry or row of a document mutated, or ``[[]]``: the fast
+    path declines it, and the decoder gives the loop's outcome, which is
+    an error with its message but for ``[[]]``."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from qdil.operator_core import _entries_matrix, _pairs_matrix
+
+    @hypothesis.settings(deadline=None, max_examples=300)
+    @hypothesis.given(doc=_documents(st), where=st.tuples(
+        st.integers(0, 3), st.integers(0, 3), st.integers(0, 1)),
+        mutant=st.one_of(
+            st.tuples(st.just("leaf"), st.sampled_from(LEAF_MUTANTS)),
+            st.tuples(st.just("entry"), st.sampled_from(ENTRY_MUTANTS)),
+            st.tuples(st.just("row"), st.sampled_from(ROW_MUTANTS)),
+            st.tuples(st.just("ragged"), st.just(None)),
+            st.tuples(st.just("empty"), st.just(None))))
+    def check(doc, where, mutant):
+        doc = [[z if isinstance(z, list) else [z, 0] for z in row]
+               for row in json.loads(json.dumps(doc))]
+        i, j, k = where[0] % len(doc), where[1] % len(doc[0]), where[2]
+        kind, value = mutant
+        if kind == "leaf":
+            doc[i][j][k] = value
+        elif kind == "entry":
+            doc[i][j] = value
+        elif kind == "row":
+            doc[i] = value
+        elif kind == "ragged":
+            doc.append(doc[0] + [[0.0, 0.0]])
+        else:
+            doc = [[]]
+        assert _pairs_matrix(doc) is None
+        got = _decoded(matrix_from_json, doc)
+        assert got == _decoded(_entries_matrix, doc)
+        assert (got[0] == "error") == (kind != "empty")
+
+    check()
+
+
 @pytest.mark.parametrize("bad", [np.zeros(3), np.array([[1.0, np.inf]]),
                                  np.full((2, 2, 2), np.nan)])
 def test_matrix_json_rejects_non_matrices_and_non_finite(bad):
