@@ -126,6 +126,8 @@ class PiMap:
     @classmethod
     def factored(cls, left, right, dim_k: int) -> "PiMap":
         """The map ``X ↦ left (X ⊗ 1_k) right``, the ``X`` leg first."""
+        if dim_k < 1:
+            raise ValueError(f"a factored map needs k ≥ 1, got k = {dim_k}")
         pm = cls.__new__(cls)
         left = np.asarray(left, dtype=complex)
         pm._tensor = None
@@ -223,6 +225,8 @@ class CorrelationSystem:
             raise ValueError(f"v has shape {vv.shape}, "
                              f"expected {(self.dim_l, self.dim_h)}")
         object.__setattr__(self, "v", vv)
+        if self.algebra.dim_h != self.dim_h:
+            raise ValueError("algebra dimension does not match dimH")
         if set(self.pi_atom) != set(self.outcomes.labels):
             raise ValueError("pi_atom labels do not match the outcome space")
         if self.validate:
@@ -362,11 +366,12 @@ def _condition(alg: FiniteVonNeumannAlgebra, draws: list) -> np.ndarray:
 
 def _antihermitian_norm(rows: np.ndarray, cols: np.ndarray) -> float:
     """``‖G − G*‖`` for ``G = rows @ cols``, exactly, without forming it:
-    ``G − G* = [R, −C*][C; R*]``, so with ``[R, −C*] = Q_a T_a`` and
-    ``[C*, R] = Q_b T_b`` (rank ≤ 2·dimL) it is ``‖T_a T_b*‖``."""
-    ta, tb = (np.linalg.qr(np.hstack(pair), mode="r")
-              for pair in ((rows, -dagger(cols)), (dagger(cols), rows)))
-    return spectral_norm(ta @ dagger(tb))
+    with ``[C*, R] = Q[T₁, T₂]`` (rank ≤ 2·dimL), ``G = Q T₂T₁* Q*``, so it
+    is ``‖T₂T₁* − T₁T₂*‖``."""
+    t = np.linalg.qr(np.hstack((dagger(cols), rows)), mode="r")
+    d = rows.shape[1]
+    a = t[:, d:] @ dagger(t[:, :d])
+    return spectral_norm(a - dagger(a))
 
 
 def _hermitian_spectrum(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -520,21 +525,39 @@ def induced_instrument(sys: CorrelationSystem, tol: Tolerance = DEFAULT_TOL
                                  tol)
 
 
+def _process_system(dim_h: int, algebra: FiniteVonNeumannAlgebra,
+                    outcomes: OutcomeSpace, u: np.ndarray,
+                    e: dict[str, np.ndarray], eta: np.ndarray
+                    ) -> CorrelationSystem:
+    """The system of the process ``(u, e, eta)`` on ``H ⊗ C^k``, unchecked:
+    ``Π_in(X) = X ⊗ 1`` by identity factors, ``Π_s(X) = U*(X ⊗ 1)(1 ⊗ E_s)U``
+    by ``(U*, (1 ⊗ E_s)U)``, U* shared, and ``v ξ = ξ ⊗ η``."""
+    dim_k = len(eta)
+    dim_l = dim_h * dim_k
+    eye, u_star = np.eye(dim_l), dagger(u)
+    pi_atom = {s: PiMap.factored(
+        u_star, (e[s] @ u.reshape(dim_h, dim_k, -1)).reshape(dim_l, dim_l),
+        dim_k) for s in outcomes.labels}
+    return CorrelationSystem(dim_h, algebra, outcomes, dim_l,
+                             PiMap.factored(eye, eye, dim_k), pi_atom,
+                             _kron(np.eye(dim_h), eta.reshape(-1, 1)),
+                             validate=False)
+
+
 def from_instrument(inst: CPInstrument, anchor: str | None = None,
                     tol: Tolerance = DEFAULT_TOL) -> CorrelationSystem:
     """Block construction of a correlation system from a CP instrument.
 
-    The minimal instrument representation ``(K, π₀, E₀, V₀)`` gives the
-    space ``L = H ⊕ K`` with ``Π_in(M) = diag(M, π₀(M))``, the pointer
-    projections ``E({s}) = diag(δ_{s,anchor}·1, E₀({s}))``, the block
-    unitary ``U = [[0, -V₀*], [V₀, 1-V₀V₀*]]``, letter maps
-    ``Π_s(M) = U* Π_in(M) E({s}) U``, and the inclusion of ``H`` as the
-    first summand for ``v``. The maps are stored by factors ``(p, p*, k)``
-    and ``(U*p, p* E({s}) U, k)``, p the permutation of ``diag(M, π₀(M))``.
-    Its induced instrument is the input again.
-    The system is not re-checked: its invariants follow from the
-    instrument's completeness and the representation
-    :func:`instrument_representation` checks.
+    The minimal instrument representation ``(K, π₀, E₀, V)`` lives on
+    ``K = H ⊗ C^R``, so ``L = H ⊕ K`` is ``H ⊗ C^(1+R)``, meter index 0
+    carrying the H summand. The system is that of the process with the
+    block coupling ``U = [[0, −V*], [V, 1 − VV*]]``, pointer
+    ``E_s = δ_{s,anchor}|0><0| ⊕ P_s`` (``E₀(s) = 1 ⊗ P_s``) and meter
+    vector e₀, stored as :func:`_process_system` stores any process's, so
+    :func:`~qdil.dilation.mp_from_correlations` returns U as the coupling.
+    Its induced instrument is the input again. The system is not
+    re-checked: its invariants follow from the instrument's completeness
+    and the representation :func:`instrument_representation` checks.
     """
     from .dilation import instrument_representation
 
@@ -543,30 +566,18 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
         raise ValueError(f"unknown anchor label {anchor!r}")
     rep = instrument_representation(inst, tol)
     dim_h, dim_k = inst.dim_h, rep.dim_k
-    dim_l = dim_h + dim_k
-
-    v0 = rep.v
-    u = np.block([[np.zeros((dim_h, dim_h)), -dagger(v0)],
-                  [v0, np.eye(dim_k) - v0 @ dagger(v0)]])
-
-    # Meter index 0 feeds the H summand, the others feed π₀.
-    pi0_left, _, k0 = rep.pi0.factors
-    sel = np.eye(1 + k0)
-    p = np.vstack([_kron(np.eye(dim_h), sel[:1]),
-                   pi0_left @ _kron(np.eye(dim_h), sel[1:])])
-
-    udp = dagger(u) @ p
-    pi_atom = {}
-    for s in inst.outcomes.labels:
-        e = np.zeros((dim_l, dim_l), dtype=complex)
-        if s == anchor:
-            e[:dim_h, :dim_h] = np.eye(dim_h)
-        e[dim_h:, dim_h:] = rep.e0[s]
-        pi_atom[s] = PiMap.factored(udp, dagger(p) @ e @ u, 1 + k0)
-
-    return CorrelationSystem(dim_h, inst.algebra, inst.outcomes, dim_l,
-                             PiMap.factored(p, dagger(p), 1 + k0), pi_atom,
-                             np.eye(dim_l, dim_h), validate=False)
+    r = dim_k // dim_h
+    # u[a, m, b, n]: meter index m = 0 carries H, m = 1..R carry K.
+    u = np.zeros((dim_h, 1 + r, dim_h, 1 + r), dtype=complex)
+    u[:, 1:, :, 0] = rep.v.reshape(dim_h, r, dim_h)
+    u[:, 0, :, 1:] = -dagger(rep.v).reshape(dim_h, dim_h, r)
+    u[:, 1:, :, 1:] = (np.eye(dim_k) - rep.v @ dagger(rep.v)).reshape(
+        dim_h, r, dim_h, r)
+    # P_s's diagonal leads E₀(s)'s.
+    e = {s: np.diag(np.append(s == anchor, rep.e0[s].diagonal()[:r]))
+         for s in inst.outcomes.labels}
+    return _process_system(dim_h, inst.algebra, inst.outcomes,
+                           u.reshape(dim_h + dim_k, -1), e, np.eye(1 + r)[0])
 
 
 class _SystemTable:

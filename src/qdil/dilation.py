@@ -40,6 +40,7 @@ from .correlations import (
     PiMap,
     TimeWord,
     _eval_words,
+    _process_system,
     _transport,
     eval_W,
     from_instrument,
@@ -170,8 +171,14 @@ class MeasuringProcess:
         e = {s: np.asarray(p, dtype=complex) for s, p in self.e.items()}
         for name, value in (("sigma", sigma), ("u", u), ("e", e)):
             object.__setattr__(self, name, value)
+        if self.algebra.dim_h != self.dim_h:
+            raise ValueError("algebra dimension does not match dimH")
         if set(e) != set(self.outcomes.labels):
             raise ValueError("pointer PVM labels do not match the outcomes")
+        for s, p in e.items():
+            if p.shape != (self.dim_k,) * 2:
+                raise ValueError(f"pointer projection {s!r} has shape "
+                                 f"{p.shape}, expected {(self.dim_k,) * 2}")
         n = self.dim_h * self.dim_k
         if u.shape != (n, n):
             raise ValueError(f"u has shape {u.shape}, expected {(n, n)}")
@@ -351,39 +358,38 @@ def _representation_bounds(rep: InstrumentRepresentation, inst: CPInstrument,
                            ) -> tuple[dict[str, float], float, bool]:
     """Each atom's commutator bound, a bound on the misfit's Frobenius
     norm, and whether minimality is certain; none (``{}, inf, False``)
-    unless ``π₀(X) = u*(X ⊗ 1)u`` is stored with ``left = u*``, u square.
+    unless ``π₀(X) = X ⊗ 1`` is stored with identity factors.
 
     Commutators are :func:`_commutation`'s. ``V*π₀(X)E₀(s)V`` is
-    ``A*(X ⊗ 1)B_s``, ``A = uV`` and ``B_s = uE₀(s)V``, so the misfit's
-    entries are those of its Choi matrix, ``Σ_k z(B_s,k)z(A_k)*`` over
-    meter blocks, less the instrument's. The span is ``u*(C^dimH ⊗ W)``,
-    W spanned by the meter columns of every ``B_s``; Gershgorin bounds on
-    their Gram matrix, spread by u's defect, bound the singular values the
-    exact SVD finds. Each figure allows for rounding.
+    ``V*(X ⊗ 1)B_s``, ``B_s = E₀(s)V``, so the misfit's entries are those
+    of its Choi matrix, ``Σ_k z(B_s,k)z(V_k)*`` over meter blocks, less
+    the instrument's. The span is ``C^dimH ⊗ W``, W spanned by the meter
+    columns of every ``B_s``; Gershgorin bounds on their Gram matrix bound
+    the singular values the exact SVD finds. Each figure allows for
+    rounding.
     """
     dim_h, dim_k, labels = rep.dim_h, rep.dim_k, inst.outcomes.labels
     if rep.pi0.factors is None or set(rep.e0) != set(labels):
         return {}, math.inf, False
-    left, u, k = rep.pi0.factors
-    if not (dim_k == dim_h * k and left.shape == (dim_k, dim_k)
-            and (left == dagger(u)).all()):
+    left, right, k = rep.pi0.factors
+    eye = np.eye(dim_k)
+    if not (dim_k == dim_h * k and np.array_equal(left, eye)
+            and np.array_equal(right, eye)):
         return {}, math.inf, False
-    # ‖u*u − 1‖ and ‖uu* − 1‖, as left = u*.
-    a, b = _frobenius(np.stack([left @ u, u @ left]) - np.eye(dim_k))
     pointers = np.stack([rep.e0[s] for s in labels])
-    commute = dict(zip(labels, _commutation(pointers, u, dim_h, a, b)[3]))
+    commute = dict(zip(labels, _commutation(pointers, eye, dim_h, 0, 0)[3]))
 
     def z(x):  # z[..., k, (i, a)] = X_k[a, i] for the meter blocks X_k of x
         return x.reshape(-1, dim_h, k, dim_h).transpose(0, 2, 3, 1).reshape(
             -1, k, dim_h ** 2)
 
-    zb = z(u @ pointers @ rep.v)
+    zb = z(pointers @ rep.v)
     if chois is None:
         chois = {s: choi_of_kraus(inst.kraus[s], dim_h, inst.atom_weights(s))
                  for s in labels}
-    size = (1 + a) * np.vdot(rep.v, rep.v).real + sum(
-        _kraus_mass(inst, s) for s in labels)
-    misfit = (zb.transpose(0, 2, 1) @ z(u @ rep.v)[0].conj()
+    size = np.vdot(rep.v, rep.v).real + sum(_kraus_mass(inst, s)
+                                            for s in labels)
+    misfit = (zb.transpose(0, 2, 1) @ z(rep.v)[0].conj()
               - np.stack([chois[s] for s in labels]))
     misfit = math.sqrt(np.vdot(misfit, misfit).real) + 16 * (
         dim_k + dim_h ** 2) * _EPS * size
@@ -392,9 +398,8 @@ def _representation_bounds(rep: InstrumentRepresentation, inst: CPInstrument,
     diag, magnitude = gram.diagonal().real, np.abs(gram)
     off = magnitude.sum(axis=1) - magnitude.diagonal()
     fuzz = 16 * (w.shape[1] + dim_k) * _EPS * diag.sum()
-    low = math.sqrt(max(float((diag - off).min() - fuzz), 0.0)
-                    * max(1 - b, 0.0))
-    high = math.sqrt(float((diag + off).max() + fuzz) * (1 + b))
+    low = math.sqrt(max(float((diag - off).min() - fuzz), 0.0))
+    high = math.sqrt(float((diag + off).max() + fuzz))
     spans = low > 2 * tol.bound("strict", high) + 16 * dim_k * _EPS * high
     return commute, float(misfit), bool(spans)
 
@@ -402,46 +407,39 @@ def _representation_bounds(rep: InstrumentRepresentation, inst: CPInstrument,
 def instrument_representation(inst: CPInstrument,
                               tol: Tolerance = DEFAULT_TOL
                               ) -> InstrumentRepresentation:
-    """Direct sum of per-atom minimal Stinespring dilations.
+    """Direct sum of per-atom minimal Stinespring dilations on
+    ``K = H ⊗ C^R``, R the total minimal Kraus rank.
 
-    Zero-probability atoms contribute empty blocks. π₀ is stored by its
-    factors ``π₀(X) = q (X ⊗ 1) q*``, q the permutation that sends each
-    atom's meter indices to its block. Each atom's minimal family comes
+    The atoms' minimal Kraus families take consecutive meter indices in
+    outcome order: ``Vξ = Σ_m K_m ξ ⊗ e_m``, π₀(X) = X ⊗ 1 is stored with
+    identity factors, and ``E₀(s) = 1 ⊗ P_s``, P_s the diagonal projection
+    onto atom s's indices (zero for a null atom). An atom's family comes
     from its Kraus stack scaled by ``√w`` when its weights are
-    nonnegative, and from its Choi matrix otherwise. The input (through
+    nonnegative, else from its Choi matrix. The input (through
     :meth:`CPInstrument.require_valid`) and the result are verified.
     """
     inst.require_valid(tol)
-    dim_h = inst.dim_h
-    weights = {s: inst.atom_weights(s) for s in inst.outcomes.labels}
+    dim_h, labels = inst.dim_h, inst.outcomes.labels
+    weights = {s: inst.atom_weights(s) for s in labels}
     chois = {s: choi_of_kraus(inst.kraus[s], dim_h, w)
              for s, w in weights.items()}
     parts = {s: minimal_stinespring(
         np.sqrt(w)[:, None, None] * inst.kraus[s] if np.all(w >= 0)
         else chois[s], dim_h, tol) for s, w in weights.items()}
-    ranks = {s: parts[s].rank for s in inst.outcomes.labels}
-    dim_k = dim_h * sum(ranks.values())
-
-    meter = np.eye(dim_k // dim_h)
-    q = []
-    e0 = {}
-    v = np.zeros((dim_k, dim_h), dtype=complex)
-    offset = 0
-    for s in inst.outcomes.labels:
-        part = parts[s]
-        size = part.dim_k
-        sl = slice(offset, offset + size)
-        # This atom's block is X ⊗ 1 on its own meter indices.
-        first = offset // dim_h
-        q.append(_kron(np.eye(dim_h), meter[first:first + part.rank]))
-        v[sl, :] = part.v
-        p = np.zeros((dim_k, dim_k), dtype=complex)
-        p[sl, sl] = np.eye(size)
-        e0[s] = p
-        offset += size
-    q = np.vstack(q)
-    rep = InstrumentRepresentation(dim_h, dim_k, PiMap.factored(
-        q, dagger(q), len(meter)), e0, v, ranks)
+    ranks = {s: parts[s].rank for s in labels}
+    kraus = np.concatenate([parts[s].kraus for s in labels])
+    r = len(kraus)
+    if not r:
+        raise ValueError(
+            f"the rank cut-off strict(λ_max) = {tol.abs:.3g}·(1 + λ_max) "
+            "drops every Kraus operator: no meter is left at this tolerance")
+    owner = np.repeat(np.arange(len(labels)), list(ranks.values()))
+    eye = np.eye(dim_h * r)
+    e0 = {s: _kron(np.eye(dim_h), np.diag((owner == i).astype(complex)))
+          for i, s in enumerate(labels)}
+    v = kraus.transpose(1, 0, 2).reshape(dim_h * r, dim_h)
+    rep = InstrumentRepresentation(dim_h, dim_h * r,
+                                   PiMap.factored(eye, eye, r), e0, v, ranks)
     rep.require_valid(inst, tol, chois)
     return rep
 
@@ -820,17 +818,8 @@ def _system_of(mp: MeasuringProcess, tol: Tolerance) -> CorrelationSystem:
     pure, eta = mp._purification(tol)
     if eta is None:
         raise ValueError("sigma is not a vector state")
-    dim_h, dim_k = pure.dim_h, pure.dim_k
-    dim_l = dim_h * dim_k
-    eye_l, u, u_star = np.eye(dim_l), pure.u, dagger(pure.u)
-    pi_atom = {s: PiMap.factored(
-        u_star, (pure.e[s] @ u.reshape(dim_h, dim_k, -1)).reshape(
-            dim_l, dim_l), dim_k)
-        for s in mp.outcomes.labels}
-    return CorrelationSystem(
-        mp.dim_h, mp.algebra, mp.outcomes, dim_l,
-        PiMap.factored(eye_l, eye_l, dim_k), pi_atom,
-        _kron(np.eye(dim_h), eta.reshape(-1, 1)), validate=False)
+    return _process_system(mp.dim_h, mp.algebra, mp.outcomes, pure.u, pure.e,
+                           eta)
 
 
 def system_of_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL

@@ -19,7 +19,8 @@ from conftest import (
     scaled_instrument,
 )
 from qdil.cli import main
-from qdil.correlations import from_instrument
+from qdil.algebra import algebra_to_json, full_algebra
+from qdil.correlations import from_instrument, system_to_json
 from qdil.dilation import mp_from_correlations, mp_to_json
 from qdil.instrument import instrument_to_json
 from qdil.operator_core import Tolerance, matrix_to_json
@@ -762,6 +763,66 @@ def test_unwritable_output_prints_no_traceback(tmp_path):
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"] == "output"
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,tol", [("dilate", "0.6"), ("extend", "0.6"),
+                                         ("inner", "0.6"), ("faithful", "1")])
+def test_tolerance_that_drops_every_kraus_operator_is_invalid_input(
+        tmp_path, command, tol):
+    """At a tolerance whose rank cut-off drops every Kraus operator no
+    meter is left: the CLI exits 2 with ``invalid-input`` naming the
+    cut-off, and prints no traceback."""
+    inst = write_fixture(tmp_path, "luders-z")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdil.cli", command, "-i", str(inst),
+         "--tol", tol, "-o", str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=cli_env(), check=False)
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert (report["error"], report["command"]) == ("invalid-input", command)
+    assert "rank cut-off" in report["detail"]
+    assert "Traceback" not in proc.stderr
+
+
+def off_dimension_documents(tmp_path) -> dict[str, tuple[list[str], str]]:
+    """Documents whose data do not fit their own dimensions, each with the
+    argument vector that loads it and the message that refuses it."""
+    inst = load_fixture("luders-z")
+    sys_doc = system_to_json(from_instrument(inst))
+    mp_doc = mp_to_json(mp_from_correlations(from_instrument(inst)))
+    good = tmp_path / "lz.mp.json"
+    good.write_text(json.dumps(mp_doc))
+    docs = {
+        "pointer 1x1": ({**mp_doc, "pvm": {s: matrix_to_json(np.eye(1))
+                                           for s in mp_doc["pvm"]}},
+                        "pointer projection '0' has shape (1, 1), expected "
+                        "(3, 3)"),
+        "process algebra on C^1": (
+            {**mp_doc, "algebra": algebra_to_json(full_algebra(1))},
+            "algebra dimension does not match dimH"),
+        "system algebra on C^3": (
+            {**sys_doc, "algebra": algebra_to_json(full_algebra(3))},
+            "algebra dimension does not match dimH"),
+    }
+    out = {}
+    for name, (doc, message) in docs.items():
+        path = tmp_path / f"{name.replace(' ', '-')}.json"
+        path.write_text(json.dumps(doc))
+        argv = (["verify-mc", "-i", str(path)] if "system" in name
+                else ["equiv", str(good), str(path)])
+        out[name] = argv, message
+    return out
+
+
+@pytest.mark.parametrize("name", ["pointer 1x1", "process algebra on C^1",
+                                  "system algebra on C^3"])
+def test_documents_off_their_own_dimensions_are_schema_errors(
+        tmp_path, capsys, name):
+    argv, message = off_dimension_documents(tmp_path)[name]
+    code, report = run(capsys, *argv)
+    assert code == 2
+    assert report == {"error": "schema", "detail": message,
+                      "command": argv[0]}
 
 
 @pytest.mark.parametrize("output,code", [("/dev/stdout", 2), ("file", 0)])

@@ -111,24 +111,8 @@ def floats_agree(got: float, expected: float) -> bool:
     return math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12)
 
 
-def assert_matches(got, expected, where: str) -> None:
-    assert type(got) is type(expected), f"{where}: {got!r} != {expected!r}"
-    if isinstance(expected, dict):
-        assert sorted(got) == sorted(expected), where
-        for key in expected:
-            assert_matches(got[key], expected[key], f"{where}.{key}")
-    elif isinstance(expected, list):
-        assert len(got) == len(expected), where
-        for i, (g, e) in enumerate(zip(got, expected)):
-            assert_matches(g, e, f"{where}[{i}]")
-    elif isinstance(expected, float):
-        assert floats_agree(got, expected), f"{where}: {got!r} != {expected!r}"
-    else:
-        assert got == expected, f"{where}: {got!r} != {expected!r}"
-
-
 def keep_accepted(got, recorded):
-    """``got`` with each float that :func:`assert_matches` accepts against
+    """``got`` with each float that :func:`mismatches` accepts against
     ``recorded`` replaced by its recording, for rewriting a golden file."""
     if type(got) is float and type(recorded) is float:
         return recorded if floats_agree(got, recorded) else got
@@ -149,28 +133,36 @@ class _Absent:
 ABSENT = _Absent()
 
 
-def moved_values(old, new, path: str = ""):
-    """``(key path, old, new)`` for each value that differs between two
-    JSON documents, descending into objects and equal-length arrays."""
+def mismatches(old, new, path: str = ""):
+    """``(key path, old, new)`` for each value of ``new`` that the replay
+    does not accept against ``old``, descending into objects and
+    equal-length arrays: keys, strings, ints and bools must be equal,
+    floats must agree within 1e-12, and NaN never agrees."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in list(new) + [k for k in old if k not in new]:
-            yield from moved_values(old.get(key, ABSENT), new.get(key, ABSENT),
-                                    f"{path}.{key}" if path else key)
+            yield from mismatches(old.get(key, ABSENT), new.get(key, ABSENT),
+                                  f"{path}.{key}" if path else key)
     elif (isinstance(old, list) and isinstance(new, list)
           and len(old) == len(new)):
         for i, (o, n) in enumerate(zip(old, new)):
-            yield from moved_values(o, n, f"{path}[{i}]")
-    elif ABSENT in (old, new) or json.dumps(old) != json.dumps(new):
+            yield from mismatches(o, n, f"{path}[{i}]")
+    elif type(old) is not type(new) or not (
+            floats_agree(new, old) if type(old) is float else old == new):
         yield path, old, new
 
 
-def print_moved(old_cases: dict, new_cases: dict) -> None:
-    """Print each value of a rewrite that moved, case by case, to stderr."""
+def moved_lines(old_cases: dict, new_cases: dict):
+    """``case: key path: old → new`` for each mismatch, case by case."""
     for case in list(new_cases) + [c for c in old_cases if c not in new_cases]:
-        for path, old, new in moved_values(old_cases.get(case, ABSENT),
-                                           new_cases.get(case, ABSENT)):
-            print(f"{case}: {path or '(case)'}: {old!r} → {new!r}",
-                  file=sys.stderr)
+        for path, old, new in mismatches(old_cases.get(case, ABSENT),
+                                         new_cases.get(case, ABSENT)):
+            yield f"{case}: {path or '(case)'}: {old!r} → {new!r}"
+
+
+def print_moved(old_cases: dict, new_cases: dict) -> None:
+    """Print each value of a rewrite that moved to stderr."""
+    for line in moved_lines(old_cases, new_cases):
+        print(line, file=sys.stderr)
 
 
 def by_case(records: list[dict]) -> dict:
@@ -189,15 +181,29 @@ def test_rewrite_lists_each_moved_value(capsys):
         "gone: (case): 1 → (absent)"]
 
 
+def test_replay_rules_list_every_mismatch():
+    """Keys, strings, ints and bools exact; floats within 1e-12; NaN never
+    agrees, not even with itself; every mismatch is listed."""
+    nan = float("nan")
+    old = {"c": {"f": 1.0, "g": 1.0, "n": nan, "i": 1, "b": True, "s": "x",
+                 "l": [1, 2], "k": 0}}
+    new = {"c": {"f": 1.0 + 1e-13, "g": 1.0 + 1e-9, "n": nan, "i": 1.0,
+                 "b": 1, "s": "y", "l": [1, 2, 3], "extra": 0}}
+    assert list(moved_lines(old, old)) == ["c: n: nan → nan"]
+    assert list(moved_lines(old, new)) == [
+        f"c: g: 1.0 → {1.0 + 1e-9!r}", "c: n: nan → nan", "c: i: 1 → 1.0",
+        "c: b: True → 1", "c: s: 'x' → 'y'", "c: l: [1, 2] → [1, 2, 3]",
+        "c: extra: (absent) → 0", "c: k: 0 → (absent)"]
+
+
 def test_cli_reports_match_golden(tmp_path, monkeypatch):
+    """Every mismatch is listed, in the rewrite's form, before it fails."""
     monkeypatch.delenv("QDIL_TOL", raising=False)
     expected = json.loads(GOLDEN.read_text())
     got = replay(tmp_path)
     assert [r["argv"] for r in got] == [r["argv"] for r in expected]
-    for g, e in zip(got, expected):
-        where = " ".join(e["argv"])
-        assert g["exit"] == e["exit"], where
-        assert_matches(g["report"], e["report"], where)
+    moved = list(moved_lines(by_case(expected), by_case(got)))
+    assert not moved, "\n".join(moved)
 
 
 if __name__ == "__main__":

@@ -563,10 +563,10 @@ def _corrupt(good, branch):
     elif branch == "multiplicative":
         pi_atom["1"] = PiMap(2 * pi_atom["1"].tensor)
     elif branch == "unital":
-        # Π_in(M) = M ⊕ 0: still a *-homomorphism, but not unital.
-        t = pi_in.tensor.copy()
-        t[good.dim_h:, good.dim_h:] = 0
-        pi_in = PiMap(t)
+        # Π_in(M) = M ⊗ |0><0|: still a *-homomorphism, but not unital.
+        e00 = np.diag(np.eye(good.dim_l // good.dim_h)[0])
+        pi_in = PiMap.from_function(lambda m: np.kron(m, e00), good.dim_h,
+                                    good.dim_l)
     elif branch == "pvm":
         pi_atom["1"] = pi_atom["0"]
     elif branch == "isometry":
@@ -635,7 +635,7 @@ def test_system_validation_verdict_matches_exact_spectral_norm(algebra,
 
 
 def test_unital_message_prints_the_exact_residual():
-    """Π_in(M) = M ⊕ 0 misses unitality by the projection onto the meter."""
+    """Π_in(M) = M ⊗ |0><0| misses unitality by ``1 ⊗ (1 − |0><0|)``."""
     good = from_instrument(luders_instrument([P0, P1]))
     pi_in, pi_atom, v = _corrupt(good, "unital")
     bad = CorrelationSystem(good.dim_h, good.algebra, good.outcomes,

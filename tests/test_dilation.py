@@ -233,10 +233,85 @@ def test_measuring_process_validation():
                          np.eye(2, dtype=complex))
 
 
+@pytest.mark.parametrize("anchor", ["0", "null"])
+def test_null_atom_has_a_zero_pointer_unless_it_anchors(anchor):
+    """A null atom owns no Kraus index: P_s = 0, so its pointer is
+    ``|0><0|`` as the anchor and zero otherwise; the round trip holds."""
+    inst = CPInstrument(2, full_algebra(2), OutcomeSpace(("0", "1", "null")),
+                        {"0": [P0], "1": [P1], "null": []})
+    rep = instrument_representation(inst)
+    assert not rep.e0["null"].any() and rep.ranks["null"] == 0
+    mp = mp_from_correlations(from_instrument(inst, anchor))
+    want = np.diag([1.0, 0.0, 0.0]) if anchor == "null" else np.zeros((3, 3))
+    assert np.allclose(mp.e["null"], want, rtol=0, atol=1e-12)
+    assert instrument_distance(induced_instrument_mp(mp), inst) <= 1e-9
+
+
+def test_measuring_process_rejects_data_off_its_dimensions():
+    """Pointers of another size and an algebra on another space are
+    refused at construction, validated or not."""
+    mp = mp_from_correlations(from_instrument(luders_instrument([P0, P1])))
+    for validate in (True, False):
+        with pytest.raises(ValueError, match=r"pointer projection '0' has "
+                           r"shape \(1, 1\), expected \(3, 3\)"):
+            dataclasses.replace(mp, e={**mp.e, "0": np.eye(1)},
+                                validate=validate)
+        with pytest.raises(ValueError, match="algebra dimension does not "
+                           "match dimH"):
+            dataclasses.replace(mp, algebra=full_algebra(1),
+                                validate=validate)
+    sys_c = from_instrument(luders_instrument([P0, P1]))
+    with pytest.raises(ValueError, match="algebra dimension does not match "
+                       "dimH"):
+        dataclasses.replace(sys_c, algebra=full_algebra(3), validate=False)
+
+
 def test_mp_from_correlations_round_trip():
     inst = luders_instrument([P0, P1])
     mp = mp_from_correlations(from_instrument(inst))
     assert instrument_distance(induced_instrument_mp(mp), inst) <= 1e-9
+
+
+def fixed_point_instruments():
+    """The five full-algebra fixtures and seeded random dimH/outcomes/Kraus
+    shapes 2/3/2, 3/2/1, 4/2/2 and 2/4/3."""
+    out = {name: load_fixture(name) for name in fixture_names()
+           if load_fixture(name).algebra.is_full}
+    assert len(out) == 5
+    for seed, shape in enumerate([(2, 3, 2), (3, 2, 1), (4, 2, 2), (2, 4, 3)]):
+        out["/".join(map(str, shape))] = random_cp_instrument(
+            np.random.default_rng(90 + seed), shape[0], shape[1],
+            kraus_per_outcome=shape[2])
+    return out
+
+
+FIXED_POINT = fixed_point_instruments()
+
+
+@pytest.mark.parametrize("inst", FIXED_POINT.values(), ids=list(FIXED_POINT))
+def test_process_of_a_system_is_its_stored_coupling(inst):
+    """``from_instrument`` stores the system of its own measuring process:
+    the process read back has the stored coupling entry for entry, and
+    its system has the stored maps."""
+    assert all(np.array_equal(f, np.eye(len(f)))
+               for f in instrument_representation(inst).pi0.factors[:2])
+    sys_c = from_instrument(inst)
+    labels = inst.outcomes.labels
+    coupling = dagger(sys_c.pi_atom[labels[0]].factors[0])
+    mp = mp_from_correlations(sys_c)
+    assert np.array_equal(mp.u, coupling)
+    back = system_of_mp(mp)
+    assert all(np.array_equal(a, b) for a, b in zip(back.pi_in.factors,
+                                                    sys_c.pi_in.factors))
+    for s in labels:
+        (left, right, k), (left0, right0, k0) = (
+            back.pi_atom[s].factors, sys_c.pi_atom[s].factors)
+        assert k == k0 and np.array_equal(left, left0)
+        assert spectral_norm(right - right0) <= 1e-12 * (
+            1 + spectral_norm(right0))
+    phase = np.vdot(sys_c.v[:, 0], back.v[:, 0])
+    assert abs(abs(phase) - 1) <= 1e-12
+    assert np.allclose(back.v, phase * sys_c.v, rtol=0, atol=1e-12)
 
 
 def test_mp_round_trip_on_random_instrument():

@@ -64,7 +64,7 @@ from qdil.instrument import (
 )
 from qdil.operator_core import proj, spectral_norm
 from qdil.vn_model import fixture_names, load_fixture
-from test_cli_golden import assert_matches, keep_accepted, print_moved
+from test_cli_golden import keep_accepted, moved_lines, print_moved
 
 GOLDEN = Path(__file__).parent / "golden" / "library_verdicts.json"
 
@@ -164,14 +164,16 @@ def corruption_cases() -> dict:
     for alg_name, algebra in (("full", full_algebra(2)),
                               ("diagonal", diagonal_algebra(2))):
         good = from_instrument(luders_instrument([P0, P1], algebra=algebra))
-        t = good.pi_in.tensor.copy()
-        t[good.dim_h:, good.dim_h:] = 0
+        # Π_in(M) = M ⊗ |0><0|: a *-homomorphism, but not unital.
+        e00 = np.diag(np.eye(good.dim_l // good.dim_h)[0])
+        unital = PiMap.from_function(lambda m: np.kron(m, e00), good.dim_h,
+                                     good.dim_l)
         changes = {
             "star": {"pi_in": PiMap(1j * good.pi_in.tensor)},
             "multiplicative": {"pi_atom": {
                 "0": good.pi_atom["0"],
                 "1": PiMap(2 * good.pi_atom["1"].tensor)}},
-            "unital": {"pi_in": PiMap(t)},
+            "unital": {"pi_in": unital},
             "pvm": {"pi_atom": {"0": good.pi_atom["0"],
                                 "1": good.pi_atom["0"]}},
             "isometry": {"v": 2 * good.v},
@@ -248,7 +250,7 @@ def dilation_step_cases() -> dict:
     """The rejection paths of the steps between a system and a process."""
     inst = luders_instrument([P0, P1])
     rep = instrument_representation(inst)
-    plus = proj([1.0, 0.0, 1.0, 0.0])
+    plus = proj([1.0, 1.0, 0.0, 0.0])
     luders = from_instrument(inst)
     bent = luders.pi_in.tensor.copy()
     bent[:, :, 1, 1] += 1e-3 * np.eye(luders.dim_l)
@@ -317,15 +319,18 @@ def verdicts() -> dict:
     }
 
 
-def test_library_verdicts_match_golden():
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert_matches(json.loads(json.dumps(verdicts())), expected, "verdicts")
-
-
 def by_case(doc: dict) -> dict:
     """The recording keyed ``section/case``."""
     return {f"{section}/{case}": value for section, cases in doc.items()
             for case, value in cases.items()}
+
+
+def test_library_verdicts_match_golden():
+    """Every mismatch is listed, in the rewrite's form, before it fails."""
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = json.loads(json.dumps(verdicts()))
+    moved = list(moved_lines(by_case(expected), by_case(got)))
+    assert not moved, "\n".join(moved)
 
 
 if __name__ == "__main__":
