@@ -32,7 +32,6 @@ from .operator_core import (
     hermitize,
     matrix_from_json,
     matrix_to_json,
-    matrix_units,
 )
 
 __all__ = [
@@ -90,10 +89,16 @@ class FiniteVonNeumannAlgebra:
 
     @cached_property
     def _basis(self) -> np.ndarray:
-        zero = [np.zeros((n, n)) for n, _ in self.blocks]
-        out = np.stack([self.member(zero[:i] + [unit] + zero[i + 1:])
-                        for i, (n, _) in enumerate(self.blocks)
-                        for _, _, unit in matrix_units(n)])
+        units = np.zeros((self.linear_dimension(), self.dim_h, self.dim_h),
+                         dtype=complex)
+        first = offset = 0
+        for n, m in self.blocks:
+            units[first:first + n * n, offset:offset + n * m,
+                  offset:offset + n * m] = _kron(
+                np.eye(n * n).reshape(-1, n, n), np.eye(m))
+            first, offset = first + n * n, offset + n * m
+        w = self.basis_change
+        out = w @ units @ dagger(w)
         out.flags.writeable = False
         return out
 
@@ -138,12 +143,15 @@ def conditional_expectation(alg: FiniteVonNeumannAlgebra, x) -> np.ndarray:
     multiplicity legs; it is unital, positive, idempotent, and
     bimodular over the algebra, and coincides with the orthogonal
     projection onto the algebra in the Hilbert-Schmidt inner product.
-    ``x`` is an operator or a stack of operators, mapped one by one.
+    ``x`` is an operator or a stack of operators, mapped one by one. On
+    all of B(H), in any basis, it is the identity map: a copy of ``x``.
     """
     xm = np.asarray(x, dtype=complex)
     if xm.ndim > 3 or xm.shape[-2:] != (alg.dim_h, alg.dim_h):
         raise ValueError(f"operator has shape {xm.shape}, "
                          f"expected {(alg.dim_h, alg.dim_h)}")
+    if alg.is_full:
+        return xm.copy()
     w = alg.basis_change
     y = dagger(w) @ xm @ w
     out = np.zeros_like(y)

@@ -5,9 +5,10 @@ and writes any produced artifact (a measuring process, correlation
 system, or trajectory) to a file. :func:`main` frames every command: it
 resolves the tolerance, prints the command's JSON report to stdout and
 maps the outcome to the exit code: 0 success, 1 verification failure,
-2 input error. All commands are deterministic given their inputs, flags,
-and seed. The QDIL_TOL environment variable overrides the default
-tolerance; an explicit ``--tol`` flag wins over both.
+2 input error, an argument vector the parser refuses included. All
+commands are deterministic given their inputs, flags, and seed. The
+QDIL_TOL environment variable overrides the default tolerance; an
+explicit ``--tol`` flag wins over both.
 """
 
 from __future__ import annotations
@@ -415,9 +416,20 @@ def cmd_fixtures(args, tol: Tolerance):
 # Argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an exit-2 ``usage`` report, not usage text;
+    ``command`` names the subcommand a subparser parses."""
+
+    command = None
+
+    def error(self, message: str):
+        raise _InputError({"error": "usage", "detail": message,
+                           "command": self.command})
+
+
 @cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdil",
         description="CP instruments, measurement correlations, and unitary "
                     "dilations on finite-dimensional spaces.")
@@ -425,6 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(fn, name: str, summary: str, input_file=True, output=True):
         p = sub.add_parser(name, help=summary)
+        p.command = name
         if input_file:
             p.add_argument("--input", "-i", required=True)
         p.add_argument("--tol", type=float, default=None,
@@ -477,8 +490,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    command = None
     try:
+        args, extra = _build_parser().parse_known_args(argv)
+        command = args.command
+        if extra:
+            raise _InputError({"error": "usage", "command": command,
+                               "detail": "unrecognized arguments: "
+                                         + " ".join(extra)})
         with _input_error("invalid-input"):
             report, passed = args.fn(args, _tolerance(args))
         code = 0 if passed else 1
@@ -486,7 +505,7 @@ def main(argv=None) -> int:
         report, code = exc.diagnostic, 2
     if report is not None:
         try:
-            _emit({**report, "command": args.command})
+            _emit({"command": command, **report})
         except BrokenPipeError:
             # The reader closed stdout early, so the report is lost. Point
             # stdout at devnull so that the flush at exit cannot fail too.

@@ -43,6 +43,7 @@ from .operator_core import (
     _isometry_defects,
     _json_object,
     _kron,
+    _pairs_matrix,
     _pvm_defects,
     _require_within,
     dagger,
@@ -51,7 +52,6 @@ from .operator_core import (
     matrix_to_json,
     matrix_units,
     psd_factorize,
-    random_ginibre,
     spectral_norm,
 )
 
@@ -352,37 +352,35 @@ class AxiomReport:
 
 
 def _condition(alg: FiniteVonNeumannAlgebra, draws: list) -> np.ndarray:
-    """Condition raw draws onto the algebra at unit norm, in place and in
-    one stack; return their norms. A draw of norm ≤ 1e-12 becomes 1."""
-    ms = conditional_expectation(alg, np.stack(draws))
+    """Condition raw draws, matrices or stacks of them, onto the algebra at
+    unit norm, in place and in one stack; return their norms. A draw of
+    norm ≤ 1e-12 becomes 1."""
+    d = alg.dim_h
+    ms = conditional_expectation(alg, np.concatenate(
+        [np.reshape(x, (-1, d, d)) for x in draws]))
     norms = np.linalg.svd(ms, compute_uv=False).max(-1)
     small = norms <= 1e-12
     ms /= np.where(small, 1.0, norms)[:, None, None]
-    ms[small] = np.eye(alg.dim_h)
-    for m, member in zip(draws, ms):
-        m[...] = member
+    ms[small] = np.eye(d)
+    ends = np.cumsum([np.size(x) // (d * d) for x in draws])
+    for x, member in zip(draws, np.split(ms, ends[:-1])):
+        x[...] = member.reshape(np.shape(x))
     return norms
 
 
-def _antihermitian_norm(rows: np.ndarray, cols: np.ndarray) -> float:
-    """``‖G − G*‖`` for ``G = rows @ cols``, exactly, without forming it:
-    with ``[C*, R] = Q[T₁, T₂]`` (rank ≤ 2·dimL), ``G = Q T₂T₁* Q*``, so it
-    is ``‖T₂T₁* − T₁T₂*‖``."""
+def _gram_spectra(rows: np.ndarray, cols: np.ndarray
+                  ) -> tuple[float, np.ndarray]:
+    """``‖G − G*‖`` and the ascending spectrum of ``(G + G*)/2`` for
+    ``G = rows @ cols``, exactly, without forming it, from one QR
+    ``[C*, R] = Q[T₁, T₂]`` (rank ≤ 2·dimL): ``G = Q A Q*`` with
+    ``A = T₂T₁*``, so the norm is ``‖A − A*‖``, and the spectrum is that
+    of the ≤ 2·dimL square ``(A + A*)/2`` and ``samples − 2·dimL``
+    zeros."""
     t = np.linalg.qr(np.hstack((dagger(cols), rows)), mode="r")
-    d = rows.shape[1]
-    a = t[:, d:] @ dagger(t[:, :d])
-    return spectral_norm(a - dagger(a))
-
-
-def _hermitian_spectrum(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The ascending spectrum of ``(G + G*)/2`` for ``G = rows @ cols``,
-    without forming it: ``(G + G*)/2 = [C*, R] J [C*, R]*`` with
-    ``J = ½[[0, 1], [1, 0]]``, so with ``[C*, R] = Q T`` it is that of the
-    ≤ 2·dimL square ``T J T*`` and ``samples − 2·dimL`` zeros."""
-    t = np.linalg.qr(np.hstack((dagger(cols), rows)), mode="r")
-    d = rows.shape[1]
-    vals = np.linalg.eigvalsh(np.hstack((t[:, d:], t[:, :d])) / 2 @ dagger(t))
-    return np.sort(np.concatenate([vals, np.zeros(len(rows) - len(vals))]))
+    a = t[:, rows.shape[1]:] @ dagger(t[:, :rows.shape[1]])
+    vals = np.linalg.eigvalsh((a + dagger(a)) / 2)
+    return spectral_norm(a - dagger(a)), np.sort(
+        np.concatenate([vals, np.zeros(len(rows) - len(vals))]))
 
 
 def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
@@ -396,10 +394,13 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     representation-stored systems (events evaluate as sums over their
     atoms by construction), so its entry reports the PVM property of the
     atom units, which is what a corrupted system breaks.
-    Every sample is drawn from ``seed`` first, probe by probe; members
-    are then conditioned in one stack, and each probe's words are pushed
-    in one batch. MC2 reads its spectrum off a factor of side ≤ 2·dimL
-    (:func:`_hermitian_spectrum`); only the formed Gram may fail it.
+    Every sample is drawn from ``seed`` first, probe by probe, each probe
+    in one generator call per kind (word lengths, letters, members,
+    slots, scalars, vectors), so the number of calls depends on neither
+    ``samples`` nor ``depth``; members are then conditioned in one
+    stack, and each probe's words are pushed in one batch. MC2 reads its
+    spectrum off a factor of side ≤ 2·dimL (:func:`_gram_spectra`); only
+    the formed Gram may fail it.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -408,31 +409,40 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     rng = np.random.default_rng(seed)
     entries: dict[str, AxiomEntry] = {}
     n_checks = max(8, samples // 8)
-    alphabet = [IN] + list(sys.outcomes.labels)
+    alphabet = np.array([IN] + list(sys.outcomes.labels), dtype=object)
     raw: list[np.ndarray] = []
 
-    def members(n: int) -> list[np.ndarray]:
-        """``n`` calls of :func:`random_ginibre` from one draw, as a stream."""
-        z = rng.standard_normal((n, 2, sys.dim_h, sys.dim_h))
-        raw.extend((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2))
-        return raw[-n:]
+    def complex_normal(*shape: int) -> np.ndarray:
+        """One draw of standard complex Gaussians of ``shape``."""
+        z = rng.standard_normal((2, *shape))
+        return (z[0] + 1j * z[1]) / np.sqrt(2)
 
-    def words(n: int = n_checks):
-        """``n`` words, each drawn when consumed, so its extras follow it."""
-        for _ in range(n):
-            length = int(rng.integers(1, depth + 1))
-            yield ([alphabet[int(rng.integers(len(alphabet)))]
-                    for _ in range(length)], members(length))
+    def words(n: int = n_checks, extra: int = 0):
+        """``n`` words of 1 to ``depth`` letters, their lengths and
+        ``extra`` more members for each word, stacked ``(n, extra)``; the
+        members are views of one stack in ``raw``."""
+        lengths = rng.integers(1, depth + 1, n)
+        ends = np.cumsum(lengths).tolist()
+        letters = alphabet[rng.integers(len(alphabet), size=ends[-1])]
+        raw.append(complex_normal(ends[-1] + extra * n, sys.dim_h, sys.dim_h))
+        ms = list(raw[-1][:ends[-1]])
+        return ([(letters[a:b].tolist(), ms[a:b])
+                 for a, b in zip([0] + ends, ends)], lengths,
+                raw[-1][ends[-1]:].reshape(n, extra, sys.dim_h, sys.dim_h))
 
-    plan_mc1 = [(letters, ms, int(rng.integers(len(ms))), *members(2),
-                 complex(rng.standard_normal(), rng.standard_normal()))
-                for letters, ms in words()]
-    plan_mc2 = [(letters, ms, random_ginibre(rng, sys.dim_h, 1).reshape(-1))
-                for letters, ms in words(samples)]
-    plan_mc3 = [(letters, ms, *members(1)) for letters, ms in words()]
-    plan_mc4 = [(letters, ms, int(rng.integers(len(ms))), *members(1))
-                for letters, ms in words()]
-    plan_mc5, plan_adjoint, plan_closure = (list(words()) for _ in range(3))
+    plan_mc1, lengths, extras = words(extra=2)
+    slots, alphas = rng.integers(lengths).tolist(), complex_normal(n_checks)
+    plan_mc1 = [(letters, ms, slot, a, b, alpha) for (letters, ms), slot,
+                (a, b), alpha in zip(plan_mc1, slots, extras, alphas)]
+    plan_mc2, _, _ = words(samples)
+    xis = complex_normal(samples, sys.dim_h)
+    plan_mc3, _, extras = words(extra=1)
+    plan_mc3 = [(letters, ms, m) for (letters, ms), (m,) in
+                zip(plan_mc3, extras)]
+    plan_mc4, lengths, extras = words(extra=1)
+    plan_mc4 = [(letters, ms, slot, x) for (letters, ms), slot, (x,) in
+                zip(plan_mc4, rng.integers(lengths).tolist(), extras)]
+    plan_mc5, plan_adjoint, plan_closure = (words()[0] for _ in range(3))
     _condition(sys.algebra, raw)
 
     def probe(name: str, plan, words_of, residual, note: str = "",
@@ -450,19 +460,17 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
         return [(letters, ms[:slot] + [m] + ms[slot + 1:])  # m in the slot
                 for m in (alpha * a + b, a, b)]
 
-    alpha = np.array([item[-1] for item in plan_mc1])[:, None, None]
+    alpha = alphas[:, None, None]
     probe("MC1", plan_mc1, linearity, lambda w: w[0] - (alpha * w[1] + w[2]),
           "linearity probes; ultraweak continuity is vacuous in finite "
           "dimension")
 
     # MC2: positive definiteness of the sampled word Gram matrix. Rows taken
     # as the columns' adjoints would make it PSD whatever the letter maps.
-    xis = np.stack([xi for *_, xi in plan_mc2])
     bases = (xis / np.linalg.norm(xis, axis=1, keepdims=True)) @ sys.v.T
     cols = _push_words(sys, plan_mc2, bases[..., None].copy())[..., 0].T
     rows = _push_words(sys, plan_mc2, bases[..., None], True)[..., 0].conj()
-    herm_res = _antihermitian_norm(rows, cols)
-    vals = _hermitian_spectrum(rows, cols)
+    herm_res, vals = _gram_spectra(rows, cols)
     scale, min_eig = float(np.abs(vals).max()), float(vals.min())
     if not min_eig >= -tol.bound("psd", scale) / 2:
         gram = rows @ cols
@@ -727,6 +735,14 @@ def system_from_json(data, validate: bool = True) -> CorrelationSystem:
                         for row in js)):
             raise ValueError(f"{name} must be a {dim_h}×{dim_h} nested list "
                              "of matrices")
+        # What system_to_json writes converts in one call; anything else
+        # goes matrix by matrix, which gives every error its message.
+        if all(isinstance(m, list) and len(m) == dim_l
+               for row in js for m in row):
+            t = _pairs_matrix([r for row in js for m in row for r in m])
+            if t is not None and t.shape[1] == dim_l:
+                return PiMap(np.ascontiguousarray(t.reshape(
+                    dim_h, dim_h, dim_l, dim_l).transpose(2, 3, 0, 1)))
         t = np.zeros((dim_l, dim_l, dim_h, dim_h), dtype=complex)
         for i, j in itertools.product(range(dim_h), repeat=2):
             m = matrix_from_json(js[i][j])

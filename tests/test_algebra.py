@@ -51,16 +51,36 @@ def test_basis_is_built_once_read_only_and_equal_to_a_fresh_build(
     alg = FiniteVonNeumannAlgebra(5, ((1, 2), (3, 1)), w)
     fresh = FiniteVonNeumannAlgebra(5, alg.blocks, w.copy()).basis()
     built = []
-    units = qdil.algebra.matrix_units
-    monkeypatch.setattr(qdil.algebra, "matrix_units",
-                        lambda n: built.append(n) or units(n))
+    dagger = qdil.algebra.dagger
+    monkeypatch.setattr(qdil.algebra, "dagger",
+                        lambda a: built.append(np.shape(a)) or dagger(a))
     first, second = alg.basis(), alg.basis()
-    assert built == [1, 3]  # one pass over the blocks, on the first call
+    assert built == [(5, 5)]  # one conjugation of one stack, on first use
     assert len(first) == alg.linear_dimension() == 10
     for b, again, new in zip(first, second, fresh):
         assert np.shares_memory(b, again) and np.array_equal(b, new)
         with pytest.raises(ValueError):
             b[0, 0] = 1.0
+    # The units e_ab ⊗ 1_m, block by block in row-major order.
+    units = [alg.member([u, np.zeros((3, 3))]) for u in np.eye(1)[None]] + [
+        alg.member([np.zeros((1, 1)), u]) for u in np.eye(9).reshape(9, 3, 3)]
+    for b, unit in zip(first, units):
+        assert np.abs(b - unit).max() <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [None, 11])
+def test_conditional_expectation_on_all_of_b_h_is_the_identity(seed):
+    """On B(H), in the standard basis or a random one, the conditional
+    expectation returns a copy of its input, bit for bit, and membership
+    has residual 0."""
+    alg = (full_algebra(3) if seed is None else FiniteVonNeumannAlgebra(
+        3, ((3, 1),), random_unitary(np.random.default_rng(seed), 3)))
+    rng = np.random.default_rng(29)
+    for x in (random_ginibre(rng, 3),
+              random_ginibre(rng, 12, 3).reshape(4, 3, 3)):
+        out = conditional_expectation(alg, x)
+        assert np.array_equal(out, x) and not np.shares_memory(out, x)
+        assert contains(alg, x).residual == 0.0
 
 
 def test_contains_on_diagonal_algebra():

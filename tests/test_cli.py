@@ -784,6 +784,58 @@ def test_tolerance_that_drops_every_kraus_operator_is_invalid_input(
     assert "Traceback" not in proc.stderr
 
 
+USAGE_ERRORS = {
+    "sample without --state": (["sample", "-i", "x.json"], "sample",
+                               "the following arguments are required: "
+                               "--state"),
+    "non-numeric --tol": (["dilate", "-i", "x.json", "--tol", "abc"],
+                          "dilate", "argument --tol: invalid float value: "
+                                    "'abc'"),
+    "non-numeric --depth": (["verify-mc", "-i", "x.json", "--depth", "two"],
+                            "verify-mc", "argument --depth: invalid int "
+                                         "value: 'two'"),
+    "unknown option": (["extend", "-i", "x.json", "--bogus", "1"], "extend",
+                       "unrecognized arguments: --bogus 1"),
+    "unknown subcommand": (["bogus"], None, "argument command: invalid "
+                                            "choice: 'bogus'"),
+    "missing subcommand": ([], None, "the following arguments are required: "
+                                     "command"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_is_an_exit_2_report(capsys, case):
+    """An argument vector argparse refuses gives the ``usage`` report with
+    the subcommand, if one was named, and exit code 2; nothing reaches
+    stderr and no input file is read."""
+    argv, command, detail = USAGE_ERRORS[case]
+    code, report = run(capsys, *argv)
+    assert code == 2
+    assert report.keys() == {"error", "detail", "command"}
+    assert (report["error"], report["command"]) == ("usage", command)
+    assert report["detail"].startswith(detail)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify-mc", "--help"]])
+def test_help_still_exits_0_with_usage_text(argv):
+    proc = subprocess.run([sys.executable, "-m", "qdil.cli", *argv],
+                          capture_output=True, text=True, env=cli_env(),
+                          check=False)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: qdil")
+    assert proc.stderr == ""
+
+
+def test_usage_error_in_a_process_prints_only_the_report():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdil.cli", "sample", "-i", "x.json"],
+        capture_output=True, text=True, env=cli_env(), check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "usage"
+    assert proc.stderr == ""
+
+
 def off_dimension_documents(tmp_path) -> dict[str, tuple[list[str], str]]:
     """Documents whose data do not fit their own dimensions, each with the
     argument vector that loads it and the message that refuses it."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -20,8 +21,8 @@ from qdil.correlations import (
     CorrelationSystem,
     PiMap,
     TimeWord,
-    _antihermitian_norm,
     _condition,
+    _gram_spectra,
     eval_W,
     from_instrument,
     from_kernel_table,
@@ -222,47 +223,43 @@ def test_axioms_pass_on_constructed_system():
 
 
 class CountingGenerator:
-    """A ``numpy.random.Generator`` that counts its ``standard_normal``
-    calls and forwards everything to the generator it wraps."""
+    """A ``numpy.random.Generator`` that counts its calls by method and
+    forwards everything to the generator it wraps."""
 
     def __init__(self, rng):
-        self.rng, self.normal_calls = rng, 0
-
-    def standard_normal(self, *args, **kwargs):
-        self.normal_calls += 1
-        return self.rng.standard_normal(*args, **kwargs)
+        self.rng, self.calls = rng, collections.Counter()
 
     def __getattr__(self, name):
-        return getattr(self.rng, name)
+        method = getattr(self.rng, name)
 
-
-def test_one_normal_draw_holds_consecutive_ginibre_draws():
-    """The stream ``verify_axioms`` relies on: one ``(n, 2, d, d)`` draw
-    holds n Ginibre draws, real then imaginary part, and leaves the
-    generator where n separate draws would."""
-    one, many = np.random.default_rng(5), np.random.default_rng(5)
-    z = one.standard_normal((4, 2, 3, 3))
-    stacked = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
-    for m in stacked:
-        assert np.array_equal(m, random_ginibre(many, 3))
-    assert one.integers(10 ** 9) == many.integers(10 ** 9)
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
 
 
 def test_verify_axioms_draws_each_word_at_once(monkeypatch):
-    """The number of ``standard_normal`` calls does not grow with the
-    members per word, and a seed gives a byte-identical report."""
+    """Each probe draws its plan in one generator call per kind, so the
+    calls depend on neither ``samples`` nor ``depth``, and a seed gives a
+    byte-identical report."""
     sys = from_instrument(random_cp_instrument(np.random.default_rng(74), 2,
                                                2, kraus_per_outcome=2))
-    plain = {depth: json.dumps(verify_axioms(sys, depth, 40, seed=6).to_json())
-             for depth in (1, 3)}
+    cases = [(depth, samples) for depth in (1, 3) for samples in (16, 200)]
+    plain = {case: json.dumps(verify_axioms(sys, *case, seed=6).to_json())
+             for case in cases}
     made = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(
         CountingGenerator(default_rng(seed))) or made[-1])
-    for depth in (1, 3):
-        report = verify_axioms(sys, depth, 40, seed=6).to_json()
-        assert json.dumps(report) == plain[depth]
-    assert len(made) == 2 and made[0].normal_calls == made[1].normal_calls
+    for case in cases:
+        report = verify_axioms(sys, *case, seed=6).to_json()
+        assert json.dumps(report) == plain[case]
+    assert len(made) == len(cases)
+    # Seven probes draw lengths, letters and members; MC1 and MC4 slots,
+    # MC1 its scalars and MC2 its vectors.
+    for generator in made:
+        assert generator.calls == {"integers": 7 * 2 + 2,
+                                   "standard_normal": 7 + 2}
 
 
 def test_axioms_detect_dropped_atom():
@@ -388,7 +385,7 @@ def test_axiom_suite_letter_map_applications_do_not_grow_with_samples(
 
 @pytest.mark.parametrize("case", ["psd", "phase-twisted", "few-samples"])
 def test_antihermitian_residual_is_the_spectral_norm(monkeypatch, case):
-    """MC2's ``‖G − G*‖``, read off two QRs, is the spectral norm of the
+    """MC2's ``‖G − G*‖``, read off one QR, is the spectral norm of the
     formed difference, on the Gram matrices ``verify_axioms`` builds."""
     good = from_instrument(luders_instrument([P0, P1]))
     twisted = CorrelationSystem(
@@ -397,12 +394,12 @@ def test_antihermitian_residual_is_the_spectral_norm(monkeypatch, case):
         good.v, validate=False)
     sys_c, samples = {"psd": (good, 200), "phase-twisted": (twisted, 200),
                       "few-samples": (good, 3)}[case]
-    real, seen = qdil.correlations._antihermitian_norm, []
-    monkeypatch.setattr(qdil.correlations, "_antihermitian_norm",
+    real, seen = qdil.correlations._gram_spectra, []
+    monkeypatch.setattr(qdil.correlations, "_gram_spectra",
                         lambda rows, cols: seen.append(
                             (rows, cols, real(rows, cols))) or seen[-1][2])
     verify_axioms(sys_c, depth=3, samples=samples, seed=0)
-    [(rows, cols, got)] = seen
+    [(rows, cols, (got, _))] = seen
     assert (samples < 2 * sys_c.dim_l) == (case == "few-samples")
     gram = rows @ cols
     want = spectral_norm(gram - dagger(gram))
@@ -420,7 +417,7 @@ def test_antihermitian_residual_of_drawn_factors(shape):
     rows, cols = random_ginibre(rng, n, d), random_ginibre(rng, d, n)
     gram = rows @ cols
     want = spectral_norm(gram - dagger(gram))
-    assert abs(_antihermitian_norm(rows, cols) - want) <= 1e-12 * max(
+    assert abs(_gram_spectra(rows, cols)[0] - want) <= 1e-12 * max(
         1.0, spectral_norm(gram))
 
 
@@ -685,7 +682,7 @@ def capture_mc2(monkeypatch, sys_c, depth, samples, seed=0):
     """Run ``verify_axioms`` and return MC2's words, base vectors, rows,
     columns and entry."""
     push = qdil.correlations._push_words
-    norm = qdil.correlations._antihermitian_norm
+    spectra = qdil.correlations._gram_spectra
     pushed, seen = [], []
 
     def recorded(sys, words, states, adjoint=False):
@@ -694,9 +691,9 @@ def capture_mc2(monkeypatch, sys_c, depth, samples, seed=0):
         return push(sys, words, states, adjoint)
 
     monkeypatch.setattr(qdil.correlations, "_push_words", recorded)
-    monkeypatch.setattr(qdil.correlations, "_antihermitian_norm",
+    monkeypatch.setattr(qdil.correlations, "_gram_spectra",
                         lambda rows, cols: seen.append((rows, cols))
-                        or norm(rows, cols))
+                        or spectra(rows, cols))
     entry = verify_axioms(sys_c, depth, samples, seed).entries["MC2"]
     (words, bases), (_, again) = pushed
     assert np.array_equal(bases, again)
@@ -723,7 +720,7 @@ def test_mc2_rows_and_columns_match_the_word_by_word_push(monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(MC2_SYSTEMS))
 def test_mc2_spectrum_of_the_small_factor_is_the_formed_grams(
         monkeypatch, name, samples):
-    """``_hermitian_spectrum`` is ``eigvalsh`` of the formed Gram's
+    """``_gram_spectra``'s spectrum is ``eigvalsh`` of the formed Gram's
     Hermitian part, zeros included, with ``samples`` above and below
     2·dimL; so are MC2's least eigenvalue and scale."""
     sys_c = MC2_SYSTEMS[name]()
@@ -731,7 +728,7 @@ def test_mc2_spectrum_of_the_small_factor_is_the_formed_grams(
     assert (samples > 2 * sys_c.dim_l) == (samples == 200)
     gram = rows @ cols
     want = np.linalg.eigvalsh((gram + dagger(gram)) / 2)
-    got = qdil.correlations._hermitian_spectrum(rows, cols)
+    got = _gram_spectra(rows, cols)[1]
     scale = np.abs(want).max()
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * (1 + scale)
@@ -751,7 +748,7 @@ def test_hermitian_spectrum_of_drawn_factors(shape):
     rows, cols = random_ginibre(rng, n, d), random_ginibre(rng, d, n)
     gram = rows @ cols
     want = np.linalg.eigvalsh((gram + dagger(gram)) / 2)
-    got = qdil.correlations._hermitian_spectrum(rows, cols)
+    got = _gram_spectra(rows, cols)[1]
     assert want.min() < -0.1 and want.max() > 0.1
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(want).max())

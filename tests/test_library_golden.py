@@ -31,6 +31,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
+import pytest
 
 from conftest import random_cp_instrument
 from qdil.algebra import diagonal_algebra, full_algebra
@@ -138,6 +139,35 @@ def systems() -> dict[str, CorrelationSystem]:
         "kernel-table": from_kernel_table(
             table_from_system(rebuilt_from, 4), 2, [P0, P1, SX]),
     }
+
+
+# Each system's verdict from the axiom suite: the valid systems and the
+# ones perturbed within the loose bound pass, the planted violations fail.
+ALL_PASS = {
+    "random-2x2x2": True, "random-3x3x1": True, "luders-full": True,
+    "luders-diagonal": True, "v-scaled": True, "system-of-mp-luders": True,
+    "system-of-mp-faithful-diag-amp-damp": True,
+    "sign-flipped": False, "twisted-1j": False, "dropped-atom": False,
+    "pi-in-scaled": False, "kernel-table": False,
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_systems() -> dict[str, CorrelationSystem]:
+    built = systems()
+    assert sorted(built) == sorted(ALL_PASS)
+    return built
+
+
+@pytest.mark.parametrize("name", sorted(ALL_PASS))
+def test_axiom_suite_verdict_holds_on_every_seed(sweep_systems, name):
+    """``all_pass`` of each system at seeds 0–19 and both depths: no seed
+    passes a planted violation or fails a valid system."""
+    got = {(seed, depth): verify_axioms(sweep_systems[name], depth, SAMPLES,
+                                        seed).all_pass
+           for seed in range(20) for depth in DEPTHS}
+    assert [key for key, verdict in got.items()
+            if verdict is not ALL_PASS[name]] == []
 
 
 def system_cases(sys_c: CorrelationSystem) -> dict:

@@ -65,6 +65,20 @@ def test_error_report_validates(tmp_path, capsys):
     jsonschema.validate(report, schema("report"))
 
 
+@pytest.mark.parametrize("argv", [["bogus"], ["sample", "-i", "x.json"]])
+def test_usage_report_validates(capsys, argv):
+    """A usage report validates, with ``command`` null only when no
+    subcommand was named; a null ``command`` on any other report does
+    not."""
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "usage"
+    jsonschema.validate(report, schema("report"))
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({**report, "command": None, "error": "schema"},
+                            schema("report"))
+
+
 def test_too_large_report_validates(tmp_path, capsys, monkeypatch):
     """Past the budget of ``_gram_blocks``, ``equiv`` reports the
     estimate, which the schema requires of a ``too-large`` error."""
