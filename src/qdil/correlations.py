@@ -43,7 +43,6 @@ from .operator_core import (
     _isometry_defects,
     _json_object,
     _kron,
-    _pairs_matrix,
     _pvm_defects,
     _require_within,
     dagger,
@@ -52,6 +51,7 @@ from .operator_core import (
     matrix_to_json,
     matrix_units,
     psd_factorize,
+    random_ginibre,
     spectral_norm,
 )
 
@@ -395,12 +395,12 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     atoms by construction), so its entry reports the PVM property of the
     atom units, which is what a corrupted system breaks.
     Every sample is drawn from ``seed`` first, probe by probe, each probe
-    in one generator call per kind (word lengths, letters, members,
-    slots, scalars, vectors), so the number of calls depends on neither
-    ``samples`` nor ``depth``; members are then conditioned in one
-    stack, and each probe's words are pushed in one batch. MC2 reads its
-    spectrum off a factor of side ≤ 2·dimL (:func:`_gram_spectra`); only
-    the formed Gram may fail it.
+    in one draw per kind (word lengths, letters, members, slots, scalars,
+    vectors; :func:`random_ginibre` for the complex ones), so the number
+    of generator calls depends on neither ``samples`` nor ``depth``;
+    members are then conditioned in one stack, and each probe's words are
+    pushed in one batch. MC2 reads its spectrum off a factor of side
+    ≤ 2·dimL (:func:`_gram_spectra`); only the formed Gram may fail it.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -412,11 +412,6 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
     alphabet = np.array([IN] + list(sys.outcomes.labels), dtype=object)
     raw: list[np.ndarray] = []
 
-    def complex_normal(*shape: int) -> np.ndarray:
-        """One draw of standard complex Gaussians of ``shape``."""
-        z = rng.standard_normal((2, *shape))
-        return (z[0] + 1j * z[1]) / np.sqrt(2)
-
     def words(n: int = n_checks, extra: int = 0):
         """``n`` words of 1 to ``depth`` letters, their lengths and
         ``extra`` more members for each word, stacked ``(n, extra)``; the
@@ -424,18 +419,20 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
         lengths = rng.integers(1, depth + 1, n)
         ends = np.cumsum(lengths).tolist()
         letters = alphabet[rng.integers(len(alphabet), size=ends[-1])]
-        raw.append(complex_normal(ends[-1] + extra * n, sys.dim_h, sys.dim_h))
+        raw.append(random_ginibre(rng, (ends[-1] + extra * n) * sys.dim_h,
+                                  sys.dim_h).reshape(-1, sys.dim_h, sys.dim_h))
         ms = list(raw[-1][:ends[-1]])
         return ([(letters[a:b].tolist(), ms[a:b])
                  for a, b in zip([0] + ends, ends)], lengths,
                 raw[-1][ends[-1]:].reshape(n, extra, sys.dim_h, sys.dim_h))
 
     plan_mc1, lengths, extras = words(extra=2)
-    slots, alphas = rng.integers(lengths).tolist(), complex_normal(n_checks)
+    slots = rng.integers(lengths).tolist()
+    alphas = random_ginibre(rng, n_checks, 1).ravel()
     plan_mc1 = [(letters, ms, slot, a, b, alpha) for (letters, ms), slot,
                 (a, b), alpha in zip(plan_mc1, slots, extras, alphas)]
     plan_mc2, _, _ = words(samples)
-    xis = complex_normal(samples, sys.dim_h)
+    xis = random_ginibre(rng, samples, sys.dim_h)
     plan_mc3, _, extras = words(extra=1)
     plan_mc3 = [(letters, ms, m) for (letters, ms), (m,) in
                 zip(plan_mc3, extras)]
@@ -735,14 +732,6 @@ def system_from_json(data, validate: bool = True) -> CorrelationSystem:
                         for row in js)):
             raise ValueError(f"{name} must be a {dim_h}×{dim_h} nested list "
                              "of matrices")
-        # What system_to_json writes converts in one call; anything else
-        # goes matrix by matrix, which gives every error its message.
-        if all(isinstance(m, list) and len(m) == dim_l
-               for row in js for m in row):
-            t = _pairs_matrix([r for row in js for m in row for r in m])
-            if t is not None and t.shape[1] == dim_l:
-                return PiMap(np.ascontiguousarray(t.reshape(
-                    dim_h, dim_h, dim_l, dim_l).transpose(2, 3, 0, 1)))
         t = np.zeros((dim_l, dim_l, dim_h, dim_h), dtype=complex)
         for i, j in itertools.product(range(dim_h), repeat=2):
             m = matrix_from_json(js[i][j])

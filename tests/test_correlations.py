@@ -238,6 +238,18 @@ class CountingGenerator:
         return counted
 
 
+def test_one_normal_draw_holds_consecutive_ginibre_draws():
+    """The stream ``verify_axioms`` relies on: one ``(n, 2, d, d)`` draw
+    holds n Ginibre draws, real then imaginary part, and leaves the
+    generator where n separate draws would."""
+    one, many = np.random.default_rng(5), np.random.default_rng(5)
+    z = one.standard_normal((4, 2, 3, 3))
+    stacked = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+    for m in stacked:
+        assert np.array_equal(m, random_ginibre(many, 3))
+    assert one.integers(10 ** 9) == many.integers(10 ** 9)
+
+
 def test_verify_axioms_draws_each_word_at_once(monkeypatch):
     """Each probe draws its plan in one generator call per kind, so the
     calls depend on neither ``samples`` nor ``depth``, and a seed gives a
@@ -256,10 +268,11 @@ def test_verify_axioms_draws_each_word_at_once(monkeypatch):
         assert json.dumps(report) == plain[case]
     assert len(made) == len(cases)
     # Seven probes draw lengths, letters and members; MC1 and MC4 slots,
-    # MC1 its scalars and MC2 its vectors.
+    # MC1 its scalars and MC2 its vectors. A complex draw is a real and
+    # an imaginary part.
     for generator in made:
         assert generator.calls == {"integers": 7 * 2 + 2,
-                                   "standard_normal": 7 + 2}
+                                   "standard_normal": 2 * (7 + 2)}
 
 
 def test_axioms_detect_dropped_atom():
