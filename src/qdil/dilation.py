@@ -317,91 +317,72 @@ class InstrumentRepresentation:
     v: np.ndarray = field(repr=False)
     ranks: dict[str, int] = field(repr=False, default_factory=dict)
 
-    def require_valid(self, inst: CPInstrument, tol: Tolerance = DEFAULT_TOL,
-                      chois: dict[str, np.ndarray] | None = None) -> None:
+    def require_valid(self, inst: CPInstrument, tol: Tolerance = DEFAULT_TOL
+                      ) -> None:
         """Raise unless π₀ commutes with E₀, ``V*π₀(·)E₀(s)V`` is the
-        instrument and the ``π₀(x)E₀(s)Vξ`` span K. A bound may accept
-        each check (:func:`_representation_bounds`, reading the
-        instrument's Choi matrices ``chois`` if given); past it the exact
-        check over every matrix unit decides, with its message."""
-        scale = tol.bound("strict", self.dim_k)
-        commute, misfit, spans = _representation_bounds(self, inst, tol, chois)
-        units = np.eye(self.dim_h ** 2).reshape(-1, self.dim_h, self.dim_h)
-        # π₀ of every matrix unit, in the order of ``units``.
-        images = functools.cache(lambda: self.pi0.apply(units))
+        instrument and the ``π₀(x)E₀(s)Vξ`` span K, each checked over
+        every matrix unit; labels or shapes that do not fit ``inst``
+        raise first."""
+        dim_h, dim_k, labels = inst.dim_h, self.dim_k, inst.outcomes.labels
+        if set(self.e0) != set(labels):
+            raise ValueError("E₀ labels do not match the outcomes")
+        shapes = {f"E₀({s!r})": (np.shape(e), (dim_k, dim_k))
+                  for s, e in self.e0.items()}
+        shapes["V"] = np.shape(self.v), (dim_k, self.dim_h)
+        shapes["π₀"] = (self.pi0.dim_out, self.pi0.dim_in), (dim_k, dim_h)
+        for name, (got, want) in shapes.items():
+            if got != want:
+                raise ValueError(f"{name} has shape {got}, expected {want}")
+        scale = tol.bound("strict", dim_k)
+        units = np.eye(dim_h ** 2).reshape(-1, dim_h, dim_h)
+        images = self.pi0.apply(units)  # π₀ of every matrix unit
         for s, e in self.e0.items():
-            if not commute.get(s, math.inf) <= scale / 2:
-                _require_within(images() @ e - e @ images(), scale,
-                                f"π₀ does not commute with E₀({s!r})")
-        if misfit <= scale / 2 and spans:
-            return
-        labels = inst.outcomes.labels
+            _require_within(images @ e - e @ images, scale,
+                            f"π₀ does not commute with E₀({s!r})")
         # blocks[u, a] = π₀(x_u) E₀(s_a) V for unit x_u and atom s_a.
         pointers = np.stack([self.e0[s] for s in labels])
-        blocks = images()[:, None] @ pointers @ self.v
-        if not misfit <= scale / 2:
-            _require_within(dagger(self.v) @ blocks - np.stack(
-                [apply_dual(inst, units, (s,)) for s in labels], axis=1),
-                scale, "representation does not reconstruct the instrument")
-        if spans:
-            return
-        stacked = blocks.transpose(2, 0, 1, 3).reshape(self.dim_k, -1)
+        blocks = images[:, None] @ pointers @ self.v
+        _require_within(dagger(self.v) @ blocks - np.stack(
+            [apply_dual(inst, units, (s,)) for s in labels], axis=1),
+            scale, "representation does not reconstruct the instrument")
+        stacked = blocks.transpose(2, 0, 1, 3).reshape(dim_k, -1)
         sv = np.linalg.svd(stacked, compute_uv=False)
         rank = int(np.count_nonzero(sv > tol.bound("strict", sv[0] if sv.size else 0)))
-        if rank != self.dim_k:
+        if rank != dim_k:
             raise ValueError(f"representation is not minimal: span rank "
-                             f"{rank} < dimK {self.dim_k}")
+                             f"{rank} < dimK {dim_k}")
 
 
-def _representation_bounds(rep: InstrumentRepresentation, inst: CPInstrument,
-                           tol: Tolerance, chois=None
-                           ) -> tuple[dict[str, float], float, bool]:
-    """Each atom's commutator bound, a bound on the misfit's Frobenius
-    norm, and whether minimality is certain; none (``{}, inf, False``)
-    unless ``π₀(X) = X ⊗ 1`` is stored with identity factors.
+def _representation_certified(inst: CPInstrument, kraus: np.ndarray,
+                              owner: np.ndarray, tol: Tolerance) -> bool:
+    """Whether :meth:`InstrumentRepresentation.require_valid` accepts the
+    representation :func:`instrument_representation` stacks from the SVD
+    families ``kraus`` (operator m of atom ``owner[m]``), read off their
+    spectra, for an instrument whose weights are nonnegative.
 
-    Commutators are :func:`_commutation`'s. ``V*π₀(X)E₀(s)V`` is
-    ``V*(X ⊗ 1)B_s``, ``B_s = E₀(s)V``, so the misfit's entries are those
-    of its Choi matrix, ``Σ_k z(B_s,k)z(V_k)*`` over meter blocks, less
-    the instrument's. The span is ``C^dimH ⊗ W``, W spanned by the meter
-    columns of every ``B_s``; Gershgorin bounds on their Gram matrix bound
-    the singular values the exact SVD finds. Each figure allows for
-    rounding.
+    π₀ = X ⊗ 1 commutes with E₀(s) = 1 ⊗ P_s exactly. Atom s's misfit
+    ``V*π₀(·)E₀(s)V − I(·, s)`` is the map of the singular values its SVD
+    dropped: a PSD Choi matrix whose trace, the atom's ``_kraus_mass``
+    less its family's ``Σ‖K_m‖²_F``, bounds each ``‖misfit(e_ij)‖``. The
+    span's Gram is ``1 ⊗ (⊕ G_s)``, G_s the Hilbert–Schmidt Gram of atom
+    s's family, diagonal up to rounding since its singular vectors are
+    orthonormal; so the exact SVD's singular values are the ``‖K_m‖_F``.
+    Each figure allows for the rounding of the SVD and of the exact
+    check's products, and clears at half of that check's bound.
     """
-    dim_h, dim_k, labels = rep.dim_h, rep.dim_k, inst.outcomes.labels
-    if rep.pi0.factors is None or set(rep.e0) != set(labels):
-        return {}, math.inf, False
-    left, right, k = rep.pi0.factors
-    eye = np.eye(dim_k)
-    if not (dim_k == dim_h * k and np.array_equal(left, eye)
-            and np.array_equal(right, eye)):
-        return {}, math.inf, False
-    pointers = np.stack([rep.e0[s] for s in labels])
-    commute = dict(zip(labels, _commutation(pointers, eye, dim_h, 0, 0)[3]))
-
-    def z(x):  # z[..., k, (i, a)] = X_k[a, i] for the meter blocks X_k of x
-        return x.reshape(-1, dim_h, k, dim_h).transpose(0, 2, 3, 1).reshape(
-            -1, k, dim_h ** 2)
-
-    zb = z(pointers @ rep.v)
-    if chois is None:
-        chois = {s: choi_of_kraus(inst.kraus[s], dim_h, inst.atom_weights(s))
-                 for s in labels}
-    size = np.vdot(rep.v, rep.v).real + sum(_kraus_mass(inst, s)
-                                            for s in labels)
-    misfit = (zb.transpose(0, 2, 1) @ z(rep.v)[0].conj()
-              - np.stack([chois[s] for s in labels]))
-    misfit = math.sqrt(np.vdot(misfit, misfit).real) + 16 * (
-        dim_k + dim_h ** 2) * _EPS * size
-    w = zb.transpose(1, 0, 2).reshape(k, -1)
-    gram = w @ dagger(w)
-    diag, magnitude = gram.diagonal().real, np.abs(gram)
-    off = magnitude.sum(axis=1) - magnitude.diagonal()
-    fuzz = 16 * (w.shape[1] + dim_k) * _EPS * diag.sum()
-    low = math.sqrt(max(float((diag - off).min() - fuzz), 0.0))
-    high = math.sqrt(float((diag + off).max() + fuzz))
-    spans = low > 2 * tol.bound("strict", high) + 16 * dim_k * _EPS * high
-    return commute, float(misfit), bool(spans)
+    labels = inst.outcomes.labels
+    dim_k = inst.dim_h * len(kraus)
+    fuzz = 16 * (dim_k + inst.dim_h ** 2) * _EPS
+    squares = (np.abs(kraus) ** 2).sum(axis=(1, 2))
+    kept = np.bincount(owner, squares, len(labels))
+    mass = np.array([_kraus_mass(inst, s) for s in labels])
+    slack = fuzz * squares.sum()
+    low = math.sqrt(max(squares.min() - slack, 0.0))
+    high = math.sqrt(squares.max() + slack)
+    return bool((mass - kept + fuzz * (mass + kept)).max()
+                <= tol.bound("strict", dim_k) / 2
+                and low > 2 * tol.bound("strict", high)
+                + 16 * dim_k * _EPS * high)
 
 
 def instrument_representation(inst: CPInstrument,
@@ -414,18 +395,19 @@ def instrument_representation(inst: CPInstrument,
     outcome order: ``Vξ = Σ_m K_m ξ ⊗ e_m``, π₀(X) = X ⊗ 1 is stored with
     identity factors, and ``E₀(s) = 1 ⊗ P_s``, P_s the diagonal projection
     onto atom s's indices (zero for a null atom). An atom's family comes
-    from its Kraus stack scaled by ``√w`` when its weights are
-    nonnegative, else from its Choi matrix. The input (through
-    :meth:`CPInstrument.require_valid`) and the result are verified.
+    from one SVD of its Kraus stack scaled by ``√w`` when its weights are
+    nonnegative, else from its Choi matrix. The input is checked; the
+    result is accepted from its SVD spectra by
+    :func:`_representation_certified`, and otherwise, or on a negative
+    weight, :meth:`InstrumentRepresentation.require_valid` decides.
     """
     inst.require_valid(tol)
     dim_h, labels = inst.dim_h, inst.outcomes.labels
     weights = {s: inst.atom_weights(s) for s in labels}
-    chois = {s: choi_of_kraus(inst.kraus[s], dim_h, w)
-             for s, w in weights.items()}
     parts = {s: minimal_stinespring(
         np.sqrt(w)[:, None, None] * inst.kraus[s] if np.all(w >= 0)
-        else chois[s], dim_h, tol) for s, w in weights.items()}
+        else choi_of_kraus(inst.kraus[s], dim_h, w), dim_h, tol)
+        for s, w in weights.items()}
     ranks = {s: parts[s].rank for s in labels}
     kraus = np.concatenate([parts[s].kraus for s in labels])
     r = len(kraus)
@@ -440,7 +422,9 @@ def instrument_representation(inst: CPInstrument,
     v = kraus.transpose(1, 0, 2).reshape(dim_h * r, dim_h)
     rep = InstrumentRepresentation(dim_h, dim_h * r,
                                    PiMap.factored(eye, eye, r), e0, v, ranks)
-    rep.require_valid(inst, tol, chois)
+    if not (all(np.all(w >= 0) for w in weights.values())
+            and _representation_certified(inst, kraus, owner, tol)):
+        rep.require_valid(inst, tol)
     return rep
 
 
@@ -478,7 +462,7 @@ def _split(pi: PiMap, tol: Tolerance
         if k == dim_k and left.shape == (dim_l, dim_l):
             defects = (*_unitary_defects(left), right - dagger(left))
             if _within(defects, tol.bound("strict", dim_l)):
-                return dim_k, right, tuple(map(np.linalg.norm, defects))
+                return dim_k, right, tuple(_frobenius(defects))
     p0 = pi.tensor[:, :, 0, 0]
     vals, vecs = np.linalg.eigh((p0 + dagger(p0)) / 2)
     sel = vals > 0.5
@@ -527,9 +511,18 @@ def _lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray, dim_h: int,
         raise ValueError("split dimensions do not divide")
     dim_k = dim_l // dim_h
     scale = tol.bound("loose", dim_l)
-    a, b = (np.linalg.norm(m) for m in _unitary_defects(u2))
+    a, b = _frobenius([*_unitary_defects(u2)])
     ps = np.stack([np.asarray(p, dtype=complex) for p in pi_vals.values()])
-    e0s, d, norms, bounds = _commutation(ps, u2, dim_h, a, b)
+    # t = u2 p u2* read as 1 ⊗ E₀ (E₀ its partial trace over the first
+    # leg, d = t − 1 ⊗ E₀); commutant_pvm_lift's commutator bound in
+    # Frobenius norms, plus the rounding of the exact sweeps.
+    t = (u2 @ ps @ dagger(u2)).reshape(-1, dim_h, dim_k, dim_h, dim_k)
+    e0s = np.einsum("nakal->nkl", t) / dim_h
+    d = (t - np.eye(dim_h)[:, None, :, None] * e0s[:, None, :, None]
+         ).reshape(-1, dim_l, dim_l)
+    norms = _frobenius(d)
+    bounds = 2 * (1 + a) * (norms + _frobenius(ps) * (
+        (1 + a) * b + 2 * a + a * a + 8 * dim_l * _EPS))
     transported = None
     # Each atom in turn: the commutators past their bound, then the form.
     if not (bounds.max() <= scale / 2
@@ -561,26 +554,6 @@ def _lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray, dim_h: int,
     return out, dict(zip(pi_vals, norms)), pvm
 
 
-def _commutation(ps: np.ndarray, u: np.ndarray, dim_h: int, a: float,
-                 b: float) -> tuple[np.ndarray, ...]:
-    """Each p of a stack read through u as ``1 ⊗ E₀``: ``t = u p u*`` gives
-    E₀ (its partial trace over the first leg, over dimH) and the defect
-    ``d = t − 1 ⊗ E₀``. For ``a ≥ ‖u*u − 1‖``, ``b ≥ ‖uu* − 1‖`` every
-    commutator of p with ``u*(x ⊗ 1)u``, x a matrix unit, is at most
-    ``2(1+a)(‖d‖ + ‖p‖((1+a)b + 2a + a²))``, here in Frobenius norms and
-    with the rounding of the exact sweeps added. Returns the stacks of E₀
-    and d, and each ``‖d‖_F`` and bound."""
-    dim_l = len(u)
-    dim_k = dim_l // dim_h
-    t = (u @ ps @ dagger(u)).reshape(-1, dim_h, dim_k, dim_h, dim_k)
-    e0 = np.einsum("nakal->nkl", t) / dim_h
-    d = (t - np.eye(dim_h)[:, None, :, None] * e0[:, None, :, None]).reshape(
-        -1, dim_l, dim_l)
-    norms = _frobenius(d)
-    return e0, d, norms, 2 * (1 + a) * (norms + _frobenius(ps) * (
-        (1 + a) * b + 2 * a + a * a + 8 * dim_l * _EPS))
-
-
 def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
                        ) -> np.ndarray:
     """Extract η from an intertwining isometry ``V ξ = ξ ⊗ η``.
@@ -607,7 +580,7 @@ def _intertwiner(v: np.ndarray, tol: Tolerance
     scale = tol.bound("loose", v.shape[0])
     eta_raw = v[:dim_l1, 0].copy()
     defect = v - _kron(np.eye(dim_h), eta_raw.reshape(-1, 1))
-    form = np.linalg.norm(defect)
+    form = _frobenius([defect])[0]
     if not 2 * form <= scale / 2:
         for _, _, x in matrix_units(dim_h):
             _require_within(_kron(x, np.eye(dim_l1)) @ v - v @ x, scale,
@@ -644,19 +617,20 @@ def mp_from_correlations(sys: CorrelationSystem,
     split ``strict(dimL)`` on stored factors, else ``loose(dimL)``; the
     lift and η₁ ``loose(dimL)``; U, E₀ and σ = proj(η₁) the process
     check's ``loose``; six random words, evaluated on both, ``loose(dimL)``.
-    When both splits ran on stored factors, the defects they, the lift
-    and η₁ measured bound U's unitarity residual and the six words'
-    differences (see :func:`_chain_bounds`); each check runs only when
-    its bound exceeds half its own, and decides by the exact norm with
-    its usual message. The lift's PVM norms and σ's trace serve the
-    process check on any system. ``completion_seed`` multiplies U by
-    ``1 ⊗ W`` for a seeded unitary W that fixes η₁, which no word can
-    see; when d = 1 there is nothing to rotate and the seed is ignored.
+    When ``Π_in`` has identity factors (u1 = 1) and the atoms' split ran
+    on stored factors, the defects it, the lift and η₁ measured bound U's
+    unitarity residual and the six words' differences
+    (:func:`_chain_bounds`); each check runs only when its bound exceeds
+    half its own, and decides by the exact norm with its usual message.
+    Any other system takes both checks. The lift's PVM norms and σ's
+    trace serve the process check on any system. ``completion_seed``
+    multiplies U by ``1 ⊗ W`` for a seeded unitary W that fixes η₁, which
+    no word can see; when d = 1 there is nothing to rotate.
     """
     if not sys.algebra.is_full:
         raise ValueError("construction requires the full matrix algebra")
     dim_h = sys.dim_h
-    d1, u1, split_in = _split(sys.pi_in, tol)
+    d1, u1, _ = _split(sys.pi_in, tol)
     d2, u2, split_atoms = _split(sys.letter_map(sys.outcomes.labels), tol)
     if d1 != d2:
         raise ValueError("splitting dimensions disagree; the letter maps "
@@ -672,16 +646,18 @@ def mp_from_correlations(sys: CorrelationSystem,
         rot = random_unitary(np.random.default_rng(completion_seed), d1 - 1)
         w = proj(eta1) + perp @ rot @ dagger(perp)
         u = u @ _kron(np.eye(dim_h), w)
-        rotation = tuple(np.linalg.norm(m) for m in (
-            *_unitary_defects(w), dagger(w) @ eta1 - eta1))
+        rotation = (*_frobenius([*_unitary_defects(w)]),
+                    _frobenius([dagger(w) @ eta1 - eta1])[0])
 
     words, norm, length = _spot_words(dim_h, len(sys.outcomes.labels))
     unitarity = spot = math.inf
-    if split_in is not None and split_atoms is not None:
+    eye, factors = np.eye(sys.dim_l), sys.pi_in.factors
+    if split_atoms is not None and factors is not None and all(
+            np.array_equal(f, eye) for f in factors[:2]):
         unitarity, spot = _chain_bounds(
-            split_in, split_atoms, rotation, list(forms.values()),
-            [np.linalg.norm(sys.pi_atom[s].factors[1])
-             for s in sys.outcomes.labels],
+            split_atoms, rotation, list(forms.values()),
+            _frobenius([sys.pi_atom[s].factors[1]
+                        for s in sys.outcomes.labels]),
             vector, sys.dim_l, norm, length)
     sigma = proj(eta1)
     # proj(η) comes out Hermitian bit for bit, and rounding moves its
@@ -739,66 +715,52 @@ def _spot_residuals(sys: CorrelationSystem, mp: MeasuringProcess, words,
     return _eval_words(_system_of(mp, tol), batch) - _eval_words(sys, batch)
 
 
-def _near_inverse(a: float, b: float, c: float) -> tuple[float, ...]:
-    """Bounds for factors ``(L, R)``, ``R = L* + C``, from ``a = ‖L*L − 1‖``,
-    ``b = ‖LL* − 1‖`` and ``c = ‖C‖``: ``‖L‖``, ``‖R‖``, ``‖RR* − 1‖``,
-    ``‖R*R − 1‖`` and ``‖RL − 1‖``."""
-    ell = math.sqrt(1 + min(a, b))
-    return (ell, ell + c, a + (2 * ell + c) * c, b + (2 * ell + c) * c,
-            a + ell * c)
-
-
-def _chain_bounds(split_in, split_atoms, rotation, forms, rights, vector,
+def _chain_bounds(split_atoms, rotation, forms, rights, vector,
                   dim_l: int, norm: float, length: int
                   ) -> tuple[float, float]:
-    """Bounds on the process's unitarity residual and on the spot check's.
+    """Bounds on the process's unitarity residual and on the spot check's,
+    for a system whose ``Π_in`` has identity factors, so that u1 = 1.
 
-    The inputs are the Frobenius norms the chain measured, each at least
-    the spectral norm: each split's ``(a, b, c)`` of :func:`_near_inverse`
-    (factors ``(P, u1)`` of ``Π_in`` and ``(L, u2)``, L the atoms' shared
-    left factor and ``u2 = ΣR_s``); W's two unitarity defects and
-    ``‖W*η₁ − η₁‖`` (zeros without W); each atom's lift form defect
-    ``‖Δ_s‖``, ``Δ_s = u2 L R_s u2* − 1 ⊗ E₀(s)``; each ``‖R_s‖``;
-    ``(‖u1 v − 1 ⊗ η_raw‖, |‖η_raw‖ − 1|)``; and the largest operator
-    norm x and length ℓ of the words. Each input gets an allowance for
-    the rounding of products of dimension dimL.
+    The inputs are Frobenius norms the chain measured, each at least the
+    spectral norm: a, b, c of ``L*L − 1``, ``LL* − 1`` and ``u2 − L*``
+    (L the atoms' one left factor, ``u2 = ΣR_s``); W's two unitarity
+    defects and ``‖W*η₁ − η₁‖`` (zeros without W); each lift form defect
+    ``Δ_s = u2 L R_s u2* − 1 ⊗ E₀(s)``; each ``‖R_s‖``; ``‖v − 1 ⊗ η_raw‖``
+    and ``|‖η_raw‖ − 1|``; the words' largest operator norm x and length
+    ℓ. Each gets an allowance for the rounding of dimL-sized products.
 
-    ``U = u2 u1* (1 ⊗ W)``, so ``U*U − 1`` and ``UU* − 1`` expand into
-    the splits' and W's defects. For the words, ``J = (1 ⊗ W*)u1``
-    carries the system onto the process: ``J*J − 1`` is within γ,
-    ``J Π_in(X) J* − X ⊗ 1 = (1 ⊗ W*)[(u1P − 1)(X ⊗ 1)u1u1* + (X ⊗ 1)
-    (u1u1* − 1)](1 ⊗ W) + X ⊗ (W*W − 1)``, and, with ``M = u2L − 1``,
-    ``N = u2*u2 − 1``, ``Π_s(X) − u2*(X ⊗ E₀(s))u2 = (L − u2*)(X ⊗ 1)R_s
-    − u2*(X ⊗ 1)(M R_s + (1 + M)R_s N) + u2*(X ⊗ 1)Δ_s u2``, which J
-    carries onto the process's atom map's difference. This is where the
-    atoms' one left factor counts: each atom map is fixed by ``Π_s(1)``
-    up to M. ``Jv`` is ``1 ⊗ η₁`` up to a phase and ε_v. Inserting
-    ``J*J`` between the letters and telescoping, a word's values differ
-    by at most ``((1+γ)^(ℓ+1) − 1)ν²(ax)^ℓ + 2νε_v(ãx)^ℓ +
+    ``‖L‖ ≤ λ = √(1 + min(a, b))`` and ``‖u2‖ ≤ μ = λ + c``; ``u2u2* − 1``,
+    ``N = u2*u2 − 1`` and ``M = u2L − 1`` are within ``a + (2λ + c)c``,
+    ``b + (2λ + c)c`` and ``a + λc``, and ``U = u2(1 ⊗ W)``. ``J = 1 ⊗
+    W*`` carries the system onto the process: ``J*J − 1`` is within γ =
+    ``‖WW* − 1‖``, ``J Π_in(X) J* − X ⊗ 1 = X ⊗ (W*W − 1)``, and ``Π_s(X)
+    − u2*(X ⊗ E₀(s))u2 = (L − u2*)(X ⊗ 1)R_s − u2*(X ⊗ 1)(M R_s + (1 +
+    M)R_s N) + u2*(X ⊗ 1)Δ_s u2``: each atom map is fixed by ``Π_s(1)`` up
+    to M, as the atoms share L. ``Jv`` is ``1 ⊗ η₁`` up to a phase and
+    ε_v. Inserting ``J*J`` between letters and telescoping, a word's
+    values differ by at most ``((1+γ)^(ℓ+1) − 1)ν²(ax)^ℓ + 2νε_v(ãx)^ℓ +
     ν²ℓεx(ãx)^(ℓ−1)``, for letter norms a (system) and ã (frames), the
-    largest letter defect ε and ``ν ≥ ‖v‖``; a last term covers the
-    rounding of the words' own evaluation.
+    largest letter defect ε and ``ν ≥ ‖v‖``, plus the words' rounding.
     """
     fuzz = 4 * dim_l ** 2 * _EPS * (1 + max(rights)) ** 2
-    a1, b1, c1, a2, b2, c2, om, om_, zeta, form_v, norm_v = (
-        x + fuzz for x in (*split_in, *split_atoms, *rotation, *vector))
-    p, mu1, g1, gam0, f1 = _near_inverse(a1, b1, c1)
-    ell, mu2, h2, n2, m2 = _near_inverse(a2, b2, c2)
+    a, b, c, om, om_, zeta, form_v, norm_v = (
+        x + fuzz for x in (*split_atoms, *rotation, *vector))
+    ell = math.sqrt(1 + min(a, b))
+    mu, m = ell + c, a + ell * c
+    h, n = (x + (2 * ell + c) * c for x in (a, b))
     w2 = 1 + om  # ‖W‖²
     # U formed, and U*U, UU* formed from it, in floating point.
-    rounding = fuzz * (mu1 * mu2) ** 2 * w2
-    unitarity = max(om + w2 * (g1 + mu1 ** 2 * n2),
-                    h2 + mu2 ** 2 * (gam0 + mu1 ** 2 * om_)) + 4 * rounding
-    gamma = gam0 + mu1 ** 2 * om_
+    rounding = fuzz * mu ** 2 * w2
+    unitarity = max(om + w2 * n, h + mu ** 2 * om_) + 4 * rounding
+    gamma = om_
     if not gamma < 0.5:
         return unitarity, math.inf
     j2 = 1 + gamma  # ‖J‖²
-    eps_in = om + w2 * (f1 * (1 + g1) + g1)
-    eps_s = j2 * max(r * (c2 + mu2 * (m2 + (1 + m2) * n2))
-                     + mu2 ** 2 * (d + fuzz) for r, d in zip(rights, forms))
-    eps = max(eps_in, eps_s) + rounding
-    a = max(p * mu1, ell * max(rights))
-    ax, atx = a * norm, (j2 * a + eps) * norm
+    eps_s = j2 * max(r * (c + mu * (m + (1 + m) * n)) + mu ** 2 * (d + fuzz)
+                     for r, d in zip(rights, forms))
+    eps = max(om, eps_s) + rounding
+    letter = max(1.0, ell * max(rights))
+    ax, atx = letter * norm, (j2 * letter + eps) * norm
     nu = max(math.sqrt(w2) * (1 + norm_v + form_v) / math.sqrt(1 - gamma),
              1.0) + fuzz
     e_v = norm_v + (1 + norm_v) * zeta + math.sqrt(w2) * form_v + fuzz
@@ -860,8 +822,9 @@ def induced_instrument_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
         # a[i, k, j] = A[(i, k), j]
         a = (pure.u.reshape(-1, dim_h, dim_k) @ eta).reshape(dim_h, dim_k,
                                                              dim_h)
-        spill = np.linalg.norm(a) ** 2 * max(
-            np.linalg.norm(e - dagger(e) @ e) for e in pure.e.values())
+        es = np.stack(list(pure.e.values()))
+        spill = _frobenius([a])[0] ** 2 * _frobenius(
+            es - es.conj().transpose(0, 2, 1) @ es).max()
         if spill <= tol.bound("psd") / 2:
             kraus = {s: _minimal_kraus((pure.e[s] @ a).transpose(1, 0, 2),
                                        dim_h, tol)

@@ -184,10 +184,11 @@ _FROBENIUS_MARGIN = 1 - 1e-10
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of a complex stack, in one pass."""
+    """The Frobenius norm of each array of a complex stack (or a list of
+    equal shapes), one row product per array."""
     flat = np.ascontiguousarray(stack, dtype=complex).reshape(
-        len(stack), -1).view(float)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        len(stack), 1, -1).view(float)
+    return np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
 
 
 def norm_within(a, bound: float) -> bool:

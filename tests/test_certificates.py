@@ -1,12 +1,14 @@
 """The dilation chain's certificates, and the exact checks behind them.
 
-`mp_from_correlations` bounds the process check's unitarity residual
-and the six-word spot check's residual by the defects its splits, lift
-and intertwiner measured; `induced_instrument_mp` and
-`minimal_stinespring` read a minimal Kraus family off one SVD of a
-Kraus stack. The representation check, the instrument's CP check and the
-lift's PVM gate accept by bounds too. A bound may accept. Past it,
-today's exact check runs and decides, with its own message.
+On a system whose ``Π_in`` has identity factors, `mp_from_correlations`
+bounds the process check's unitarity residual and the six-word spot
+check's residual by the defects its atoms' split, lift and intertwiner
+measured; `induced_instrument_mp` and `minimal_stinespring` read a
+minimal Kraus family off one SVD of a Kraus stack, and
+`instrument_representation` accepts its result from those SVD spectra.
+The instrument's CP check and the lift's PVM gate accept by bounds too.
+A bound may accept. Past it, today's exact check runs and decides, with
+its own message.
 """
 
 from __future__ import annotations
@@ -150,10 +152,11 @@ def test_stored_factors_are_certified_and_tensors_are_not(monkeypatch, name):
 
 
 def perturbed(sys_c, rng, sizes):
-    """``sys_c`` with each stored factor, and v, moved by a random matrix of
-    Frobenius norm ``sizes[...]``; the atoms keep one left factor. A
-    ``transfer`` adds one such matrix to the first atom's right factor
-    and takes it from the second's, so that only the lift sees it."""
+    """``sys_c`` with each atom's stored factors, and v, moved by a random
+    matrix of Frobenius norm ``sizes[...]``; the atoms keep one left
+    factor and ``Π_in`` its identity factors. A ``transfer`` adds one
+    such matrix to the first atom's right factor and takes it from the
+    second's, so that only the lift sees it."""
     def draw(shape, size):
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return size * z / np.linalg.norm(z)
@@ -161,20 +164,18 @@ def perturbed(sys_c, rng, sizes):
     def moved(m, size):
         return m + draw(m.shape, size)
 
-    p, p_r, k = sys_c.pi_in.factors
+    k = sys_c.pi_in.factors[2]
     labels = sys_c.outcomes.labels
     left = moved(sys_c.pi_atom[labels[0]].factors[0], sizes["left"])
     rights = {s: moved(pm.factors[1], sizes["right"])
               for s, pm in sys_c.pi_atom.items()}
     if len(labels) > 1:
-        shift = draw(p.shape, sizes["transfer"])
+        shift = draw(left.shape, sizes["transfer"])
         rights[labels[0]] = rights[labels[0]] + shift
         rights[labels[1]] = rights[labels[1]] - shift
     atoms = {s: PiMap.factored(left, r, k) for s, r in rights.items()}
-    return dataclasses.replace(
-        sys_c, pi_in=PiMap.factored(moved(p, sizes["p"]),
-                                    moved(p_r, sizes["p_r"]), k),
-        pi_atom=atoms, v=moved(sys_c.v, sizes["v"]), validate=False)
+    return dataclasses.replace(sys_c, pi_atom=atoms,
+                               v=moved(sys_c.v, sizes["v"]), validate=False)
 
 
 INSTRUMENTS = {
@@ -183,7 +184,7 @@ INSTRUMENTS = {
     "random 3/2/1": random_cp_instrument(np.random.default_rng(32), 3, 2),
     "random 4/2/2": random_cp_instrument(np.random.default_rng(33), 4, 2, 2),
 }
-MOVES = ["p", "p_r", "left", "right", "transfer", "v"]
+MOVES = ["left", "right", "transfer", "v"]
 
 
 @st.composite
@@ -204,9 +205,9 @@ def move_sizes(draw):
                   completion=st.sampled_from([None, 4]),
                   sizes=move_sizes())
 def test_bounds_cover_the_exact_residuals(name, seed, completion, sizes):
-    """On stored factors moved by small random amounts, the bounds are at
-    least the exact spot-check residual of the same six words and the
-    exact unitarity residual of U."""
+    """On atom factors and v moved by small random amounts, with and
+    without W, the bounds are at least the exact spot-check residual of
+    the same six words and the exact unitarity residual of U."""
     tol = Tolerance(1e-6, 1e-7)  # the stored-factor splits take 1e-6 moves
     sys_c = perturbed(from_instrument(INSTRUMENTS[name]),
                       np.random.default_rng(seed), sizes)
@@ -228,17 +229,17 @@ def test_bounds_cover_the_exact_residuals(name, seed, completion, sizes):
 
 
 def test_unitarity_past_its_bound_is_rejected_by_the_exact_check(monkeypatch):
-    """``Π_in``'s right factor scaled by ``1 + κ``: its split takes κ up to
-    ``strict(dimL)``, but U's unitarity defect 2κ exceeds ``loose`` once
-    dimL > 50; the bound, past half of ``loose``, leaves it to the
+    """Atom 0's right factor scaled by ``1 + κ``: the atoms' split takes κ
+    up to ``strict(dimL)``, but U's unitarity defect 2κ exceeds ``loose``
+    once dimL > 50; the bound, past half of ``loose``, leaves it to the
     check."""
     sys_c = from_instrument(random_cp_instrument(
         np.random.default_rng(34), 4, 4, 4))
     assert sys_c.dim_l == 68
-    p, p_r, k = sys_c.pi_in.factors
+    left, right, k = sys_c.pi_atom["0"].factors
     kappa = 0.9 * DEFAULT_TOL.bound("strict", sys_c.dim_l)
-    skewed = dataclasses.replace(
-        sys_c, pi_in=PiMap.factored(p, (1 + kappa) * p_r, k), validate=False)
+    skewed = dataclasses.replace(sys_c, validate=False, pi_atom={
+        **sys_c.pi_atom, "0": PiMap.factored(left, (1 + kappa) * right, k)})
     bounds = recorded_bounds(monkeypatch)
     with pytest.raises(ValueError, match=r"^u is not unitary \(residual "
                                          r"1\.2\d\de-07\)$"):
@@ -307,6 +308,31 @@ def test_words_past_their_bound_are_rejected_by_the_exact_check(monkeypatch):
             with pytest.raises(ValueError, match=SPOT_MESSAGE):
                 mp_from_correlations(moved)
     assert len(spot) == 2
+
+
+@pytest.mark.parametrize("name", ["luders-z", "trine-povm", "random 4/2/2"])
+def test_permuted_input_frame_takes_the_exact_checks(monkeypatch, name):
+    """The system conjugated by a permutation Q, ``Π_in`` stored as
+    ``(Q, Q*)``: its split's defects are exact zeros too, but only
+    identity factors are certified, so no chain bound is formed and the
+    spot check runs; the process is the unpermuted one."""
+    sys_c = from_instrument(INSTRUMENTS[name])
+    q = np.eye(sys_c.dim_l)[np.random.default_rng(41).permutation(
+        sys_c.dim_l)]
+    left, _, k = sys_c.pi_atom[sys_c.outcomes.labels[0]].factors
+    moved_left = q @ left
+    permuted = dataclasses.replace(
+        sys_c, pi_in=PiMap.factored(q, q.T, k), v=q @ sys_c.v,
+        validate=False, pi_atom={s: PiMap.factored(
+            moved_left, pm.factors[1] @ q.T, k)
+            for s, pm in sys_c.pi_atom.items()})
+    want = mp_from_correlations(sys_c)
+    bounds = recorded_bounds(monkeypatch)
+    spot = count_calls(monkeypatch, "_spot_residuals")
+    mp = mp_from_correlations(permuted)
+    assert (bounds, len(spot)) == ([], 1)
+    assert np.array_equal(mp.u, want.u)
+    assert np.array_equal(mp.sigma, want.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +442,7 @@ def test_pointer_off_projection_takes_the_choi_route(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The representation check, the CP check and the lift's PVM gate
+# The representation certificate, the CP check and the lift's PVM gate
 
 
 def outcome(fn):
@@ -429,10 +455,11 @@ def outcome(fn):
 
 
 def exact_only(monkeypatch):
-    """No bound accepts: the representation has none, and every Frobenius
-    figure the lift reads is infinite, so only the exact checks decide."""
-    monkeypatch.setattr(qdil.dilation, "_representation_bounds",
-                        lambda *args: ({}, np.inf, False))
+    """No bound accepts: the representation's spectra certify nothing, and
+    every Frobenius figure the lift reads is infinite, so only the exact
+    checks decide."""
+    monkeypatch.setattr(qdil.dilation, "_representation_certified",
+                        lambda *args: False)
     monkeypatch.setattr(qdil.dilation, "_frobenius",
                         lambda stack: np.full(len(stack), np.inf))
 
@@ -447,24 +474,21 @@ def hermitian(rng, dim):
     return (h + dagger(h)) / spectral_norm(h + dagger(h))
 
 
-def test_commutation_past_its_bound_is_rejected_by_the_exact_check(
-        monkeypatch):
-    """E₀(s) plus κH for a Hermitian H: at κ = 1e-3 of the bound nothing
-    is swept; at 3× the bound the sweep over matrix units rejects."""
+def test_commutation_is_decided_by_the_exact_check():
+    """E₀(s) plus κH for a Hermitian H: the sweep over matrix units
+    accepts κ = 1e-3 of the bound and rejects 3× the bound."""
     inst = load_fixture("trine-povm")
     rep = instrument_representation(inst)
     scale = DEFAULT_TOL.bound("strict", rep.dim_k)
     h = hermitian(np.random.default_rng(36), rep.dim_k)
     first = inst.outcomes.labels[0]
-    sweeps = count_calls(monkeypatch, "_require_within")
     images = rep.pi0.apply(units_of(rep.dim_h))
     for kappa in (1e-3 * scale, 3 * scale):
         e = rep.e0[first] + kappa * h
-        del sweeps[:]
         got = outcome(lambda: dataclasses.replace(
             rep, e0={**rep.e0, first: e}).require_valid(inst))
         if kappa < scale:
-            assert (got, sweeps) == (None, [])
+            assert got is None
             continue
         res = spectral_norm(images @ e - e @ images)
         assert res > scale
@@ -472,19 +496,15 @@ def test_commutation_past_its_bound_is_rejected_by_the_exact_check(
                        f"(residual {res:.3e})")
 
 
-def test_reconstruction_past_its_bound_is_rejected_by_the_exact_check(
-        monkeypatch):
+def test_reconstruction_is_decided_by_the_exact_check():
     """V scaled by ``1 + κ`` misses the instrument by ``(2κ + κ²)I(·)``:
-    at κ = 1e-3 of the bound nothing is swept, at the bound the misfit
-    over matrix units rejects, its residual the largest ``‖I(e_ij, s)‖``
-    scaled."""
+    at κ = 1e-3 of the bound the misfit over matrix units accepts, at the
+    bound it rejects, its residual the largest ``‖I(e_ij, s)‖`` scaled."""
     inst = random_cp_instrument(np.random.default_rng(37), 3, 2, 2)
     rep = instrument_representation(inst)
     scale = DEFAULT_TOL.bound("strict", rep.dim_k)
-    duals = count_calls(monkeypatch, "apply_dual")
     assert outcome(lambda: dataclasses.replace(
         rep, v=(1 + 1e-3 * scale) * rep.v).require_valid(inst)) is None
-    assert duals == []
     units = units_of(inst.dim_h)
     res = spectral_norm(np.stack([apply_dual(inst, units, (s,))
                                   for s in inst.outcomes.labels])
@@ -514,21 +534,79 @@ def doubled_luders(delta):
                                     v), inst
 
 
-def test_minimality_past_its_bound_takes_the_exact_svd(monkeypatch):
-    """Two equal Kraus operators make the meter Gram matrix singular, so
-    Gershgorin cannot clear it, and the SVD rejects with today's message.
-    At δ = 1e-6 the Gram's least eigenvalue is about 1e-12: the bound
-    does not clear either, and the SVD finds full rank."""
-    minimal = instrument_representation(load_fixture("luders-z"))
-    svds = count_calls(monkeypatch, "svd", np.linalg)
-    minimal.require_valid(load_fixture("luders-z"))
-    assert svds == []
+def test_minimality_is_decided_by_the_exact_svd(monkeypatch):
+    """``instrument_representation`` accepts its own ``luders-z`` result
+    from the SVD spectra, without the exact checks. Two equal Kraus
+    operators make the meter Gram matrix singular, and the SVD rejects
+    with today's message; at δ = 1e-6 the SVD finds full rank."""
+    exact = count_calls(monkeypatch, "require_valid", InstrumentRepresentation)
+    instrument_representation(load_fixture("luders-z"))
+    assert exact == []
     rep, inst = doubled_luders(0.0)
     assert outcome(lambda: rep.require_valid(inst)) == (
         "representation is not minimal: span rank 4 < dimK 6")
     rep, inst = doubled_luders(1e-6)
     assert outcome(lambda: rep.require_valid(inst)) is None
-    assert len(svds) == 2
+
+
+def luders_with_tail(tail, extra):
+    """``luders-z`` with atom '0' also given the Kraus operators ``tσx``,
+    and if ``extra``, ``tσy`` and ``t√2·P1``, each of ``‖·‖²_F = tail =
+    2t²`` and orthogonal to the rest; P0 and P1 are scaled to keep the
+    instrument complete."""
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    t = np.sqrt(tail / 2)
+    ops = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+           np.sqrt(2) * p1][:3 if extra else 1]
+    share = sum(np.diag(o.conj().T @ o).real for o in ops) * t * t
+    kraus = {"0": np.stack([np.sqrt(1 - share[0]) * p0, *(t * o for o in ops)]),
+             "1": np.sqrt(1 - share[1])[None, None, None] * p1}
+    return CPInstrument(2, full_algebra(2), OutcomeSpace(("0", "1")), kraus)
+
+
+def test_dropped_mass_past_half_the_bound_takes_the_exact_check(monkeypatch):
+    """The SVD drops three tail operators, whose mass of 3·2t² is the
+    reconstruction figure. At 0.99 of half of ``strict(dimK)`` the
+    spectra certify the representation; at 1.01 the exact check runs and
+    accepts, as it does alone."""
+    exact = count_calls(monkeypatch, "require_valid", InstrumentRepresentation)
+    half = DEFAULT_TOL.bound("strict", 4) / 2
+    for share, runs in ((0.99, 0), (1.01, 1)):
+        inst = luders_with_tail(share * half / 3, extra=True)
+        del exact[:]
+        rep = instrument_representation(inst)
+        assert (rep.ranks, len(exact)) == ({"0": 1, "1": 1}, runs)
+        with pytest.MonkeyPatch.context() as patch:
+            exact_only(patch)
+            assert np.array_equal(instrument_representation(inst).v, rep.v)
+
+
+def test_kept_operator_above_the_cut_off_takes_the_exact_svd(monkeypatch):
+    """At ``abs`` = 0.3 a tail operator of ``‖K‖²_F`` = 0.54, 4% above the
+    SVD's cut-off, is kept, and ``‖K‖_F`` is within twice the span's
+    ``strict`` bound: the exact SVD runs and accepts, as it does alone."""
+    tol = Tolerance(0.3)
+    inst = luders_with_tail(0.54, extra=False)
+    assert 0.54 > 1.04 * tol.bound("strict", 0.73)  # ‖√0.73·P0‖²_F = 0.73
+    assert np.sqrt(0.54) < 2 * tol.bound("strict", np.sqrt(0.73))
+    exact = count_calls(monkeypatch, "require_valid", InstrumentRepresentation)
+    rep = instrument_representation(inst, tol)
+    assert (rep.ranks, len(exact)) == ({"0": 2, "1": 1}, 1)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda rep: {"e0": {"0": rep.e0["0"]}},
+     "E₀ labels do not match the outcomes"),
+    (lambda rep: {"v": rep.v[:-1]}, r"V has shape \(3, 2\), expected "
+                                    r"\(4, 2\)"),
+    (lambda rep: {"e0": {**rep.e0, "1": rep.e0["1"][:3]}},
+     r"E₀\('1'\) has shape \(3, 4\), expected \(4, 4\)"),
+])
+def test_misshaped_representation_is_a_value_error(change, message):
+    inst = load_fixture("luders-z")
+    rep = instrument_representation(inst)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(rep, **change(rep)).require_valid(inst)
 
 
 def instrument_failure(inst, tol):
@@ -647,11 +725,11 @@ def drawn_instruments(draw):
                   bend=st.sampled_from([0.0, 0.3, 3.0]),
                   seed=st.integers(0, 2 ** 32 - 1))
 def test_certified_gates_give_the_exact_verdict(drawn, tol, bend, seed):
-    """The CP gate, the representation check (of the instrument's own
-    representation, V scaled and E₀ bent by ``bend`` × its bound) and
-    the lift (atom units bent likewise) each give the verdict and
-    message of their exact checks alone. Negative weights take the exact
-    CP check."""
+    """The CP gate, ``instrument_representation`` with its spectra's
+    certificate, the representation check (V scaled and E₀ bent by
+    ``bend`` × its bound) and the lift (atom units bent likewise) each
+    give the verdict and message of their exact checks alone. Negative
+    weights take the exact CP check."""
     kind, inst = drawn
     with pytest.MonkeyPatch.context() as monkeypatch:
         exact = count_calls(monkeypatch, "verify_cp", qdil.instrument)
@@ -679,6 +757,7 @@ def test_certified_gates_give_the_exact_verdict(drawn, tol, bend, seed):
     units = {s: p + loose * hermitian(rng, sys_c.dim_l)
              for s, p in sys_c.atom_units().items()}
     checks = [
+        lambda: instrument_representation(inst, tol),
         lambda: rep.require_valid(inst, tol),
         lambda: dataclasses.replace(rep, v=(1 + scale) * rep.v)
         .require_valid(inst, tol),
