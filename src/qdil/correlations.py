@@ -536,17 +536,26 @@ def _process_system(dim_h: int, algebra: FiniteVonNeumannAlgebra,
                     ) -> CorrelationSystem:
     """The system of the process ``(u, e, eta)`` on ``H ⊗ C^k``, unchecked:
     ``Π_in(X) = X ⊗ 1`` by identity factors, ``Π_s(X) = U*(X ⊗ 1)(1 ⊗ E_s)U``
-    by ``(U*, (1 ⊗ E_s)U)``, U* shared, and ``v ξ = ξ ⊗ η``."""
+    by ``(U*, (1 ⊗ E_s)U)``, U* shared, and ``v ξ = ξ ⊗ η``.
+
+    The system keeps ``(u, e, eta)`` as its private record ``_process``,
+    from which :func:`~qdil.dilation.mp_from_correlations` builds its
+    process. The record belongs to this instance: a
+    ``dataclasses.replace`` copy carries none.
+    """
+    eta = np.asarray(eta, dtype=complex)
     dim_k = len(eta)
     dim_l = dim_h * dim_k
     eye, u_star = np.eye(dim_l), dagger(u)
     pi_atom = {s: PiMap.factored(
         u_star, (e[s] @ u.reshape(dim_h, dim_k, -1)).reshape(dim_l, dim_l),
         dim_k) for s in outcomes.labels}
-    return CorrelationSystem(dim_h, algebra, outcomes, dim_l,
-                             PiMap.factored(eye, eye, dim_k), pi_atom,
-                             _kron(np.eye(dim_h), eta.reshape(-1, 1)),
-                             validate=False)
+    sys = CorrelationSystem(dim_h, algebra, outcomes, dim_l,
+                            PiMap.factored(eye, eye, dim_k), pi_atom,
+                            _kron(np.eye(dim_h), eta.reshape(-1, 1)),
+                            validate=False)
+    object.__setattr__(sys, "_process", (u, e, eta))
+    return sys
 
 
 def from_instrument(inst: CPInstrument, anchor: str | None = None,
@@ -558,8 +567,9 @@ def from_instrument(inst: CPInstrument, anchor: str | None = None,
     carrying the H summand. The system is that of the process with the
     block coupling ``U = [[0, −V*], [V, 1 − VV*]]``, pointer
     ``E_s = δ_{s,anchor}|0><0| ⊕ P_s`` (``E₀(s) = 1 ⊗ P_s``) and meter
-    vector e₀, stored as :func:`_process_system` stores any process's, so
-    :func:`~qdil.dilation.mp_from_correlations` returns U as the coupling.
+    vector e₀, stored as :func:`_process_system` stores any process's, with
+    ``(U, E, e₀)`` as its record: :func:`~qdil.dilation.mp_from_correlations`
+    returns that process, U times ``1 ⊗ W`` under a ``completion_seed``.
     Its induced instrument is the input again. The system is not
     re-checked: its invariants follow from the instrument's completeness
     and the representation :func:`instrument_representation` checks.

@@ -3,22 +3,22 @@
 A measuring process is a quadruple (meter space, meter state, pointer
 PVM, coupling unitary) whose compressed Heisenberg maps form a CP
 instrument. A correlation system's two multiplicity splits ``u1``,
-``u2`` give the coupling ``u2 u1*``; every instrument reaches a process
-by this one chain from its system (``from_instrument``), on the meter
-``C^(1+R)``, R the total minimal Kraus rank. The inner process runs it
-on an instrument whose Kraus operators lie in the algebra, read on all
-of B(H), so its coupling lies in ``𝓜 ⊗ B(C^(1+R))``; the faithful
-process runs it on the extension through the conditional expectation.
-The reverse direction reads a process through its correlation system
-(:func:`system_of_mp`), whose letter maps ``Π_in(X) = X ⊗ 1`` and
-``Π_s(X) = U*(X ⊗ E_s)U`` are stored by their factors: induced
-instruments, correlation values and n-equivalence all evaluate words
-through those maps.
+``u2`` give the coupling ``u2 u1*``. Every instrument reaches a process
+through its system (``from_instrument``), on the meter ``C^(1+R)``, R
+the total minimal Kraus rank: that system is built from its process
+and records it, so the process is read off the record and checked. The
+inner process is that of an instrument whose Kraus operators lie in the
+algebra, read on all of B(H), so its coupling lies in
+``𝓜 ⊗ B(C^(1+R))``; the faithful process is that of the extension
+through the conditional expectation. The reverse direction reads a
+process through its correlation system (:func:`system_of_mp`), whose
+letter maps ``Π_in(X) = X ⊗ 1`` and ``Π_s(X) = U*(X ⊗ E_s)U`` are stored
+by their factors: induced instruments, correlation values and
+n-equivalence all evaluate words through those maps.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -114,10 +114,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _ProcessBounds:
-    """Upper bounds on :meth:`MeasuringProcess.require_valid`'s residuals.
+    """Upper bounds on :meth:`MeasuringProcess.require_valid`'s PVM and
+    state residuals.
 
-    ``unitarity`` bounds ``‖U*U − 1‖`` and ``‖UU* − 1‖`` as the check
-    computes them, rounding included, and clears at half the bound.
     ``pvm`` is the largest Frobenius norm of the pointer's PVM defects,
     which clears where :func:`norm_within` would accept it. A sigma of
     the form ``proj(η)`` is exactly Hermitian, its eigenvalues lie
@@ -126,7 +125,6 @@ class _ProcessBounds:
     clear nothing.
     """
 
-    unitarity: float = math.inf
     pvm: float = math.inf
     trace: float = math.inf
     psd_floor: float = math.inf
@@ -151,10 +149,10 @@ class MeasuringProcess:
     algebra-closure invariant is checked where the induced instrument is
     actually built (`induced_instrument_mp`), since that is the same
     computation. A process built by :func:`mp_from_correlations` carries
-    bounds on these residuals from the defects its chain measured, and
-    :meth:`require_valid` skips each check its bound clears; the bounds
-    belong to that instance, so a ``dataclasses.replace`` is checked in
-    full.
+    bounds on its PVM and state residuals, and :meth:`require_valid`
+    skips each of these checks its bound clears; unitarity is always
+    checked. The bounds belong to that instance, so a
+    ``dataclasses.replace`` is checked in full.
     """
 
     dim_h: int
@@ -190,9 +188,7 @@ class MeasuringProcess:
     def require_valid(self, tol: Tolerance = DEFAULT_TOL) -> None:
         bound = tol.bound("loose")
         known = self.__dict__.get("_bounds", _NO_BOUNDS)
-        if not known.unitarity <= bound / 2:
-            _require_within(_unitary_defects(self.u), bound,
-                            "u is not unitary")
+        _require_within(_unitary_defects(self.u), bound, "u is not unitary")
         if not known.pvm <= bound * _FROBENIUS_MARGIN:
             _require_within(_pvm_defects(self.e), bound, "e is not a PVM")
         if not known.state(tol):
@@ -444,14 +440,6 @@ def multiplicity_split(pi: PiMap, tol: Tolerance = DEFAULT_TOL
     basis of the range of ``π(|0><0|)`` with the partial isometries
     ``π(|i><0|)``.
     """
-    return _split(pi, tol)[:2]
-
-
-def _split(pi: PiMap, tol: Tolerance
-           ) -> tuple[int, np.ndarray, tuple[float, ...] | None]:
-    """:func:`multiplicity_split` and, on the stored-factor path, the
-    Frobenius norms of ``left*left − 1``, ``left left* − 1`` and
-    ``right − left*`` (None on the general path)."""
     dim_l, dim_h = pi.dim_out, pi.dim_in
     if dim_l % dim_h != 0:
         raise ValueError(f"space of dimension {dim_l} admits no "
@@ -459,10 +447,10 @@ def _split(pi: PiMap, tol: Tolerance
     dim_k = dim_l // dim_h
     if pi.factors is not None:
         left, right, k = pi.factors
-        if k == dim_k and left.shape == (dim_l, dim_l):
-            defects = (*_unitary_defects(left), right - dagger(left))
-            if _within(defects, tol.bound("strict", dim_l)):
-                return dim_k, right, tuple(_frobenius(defects))
+        if k == dim_k and left.shape == (dim_l, dim_l) and _within(
+                (*_unitary_defects(left), right - dagger(left)),
+                tol.bound("strict", dim_l)):
+            return dim_k, right
     p0 = pi.tensor[:, :, 0, 0]
     vals, vecs = np.linalg.eigh((p0 + dagger(p0)) / 2)
     sel = vals > 0.5
@@ -481,7 +469,7 @@ def _split(pi: PiMap, tol: Tolerance
     misfit = pi.tensor - _transport(w, u1, dim_k)
     _require_within(misfit.transpose(2, 3, 0, 1), scale,
                     "π is not a representation of the full matrix algebra")
-    return dim_k, u1, None
+    return dim_k, u1
 
 
 def commutant_pvm_lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray,
@@ -502,10 +490,9 @@ def commutant_pvm_lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray,
 
 
 def _lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray, dim_h: int,
-          tol: Tolerance
-          ) -> tuple[dict[str, np.ndarray], dict[str, float], float]:
-    """:func:`commutant_pvm_lift` and the Frobenius norms it measured: each
-    form defect ``‖d‖`` and the largest of the family's PVM defects."""
+          tol: Tolerance) -> tuple[dict[str, np.ndarray], float]:
+    """:func:`commutant_pvm_lift` and the largest Frobenius norm of the
+    family's PVM defects (:func:`_pvm_frobenius`)."""
     dim_l = u2.shape[0]
     if dim_l % dim_h != 0:
         raise ValueError("split dimensions do not divide")
@@ -540,18 +527,23 @@ def _lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray, dim_h: int,
                             "not of the form 1 ⊗ (·)")
     out = dict(zip(pi_vals, e0s))
     # Frobenius norms within the bound accept, as norm_within has it;
-    # past it the gate decides on the exact norms. One stacked product
-    # gives every E_i E_j, a superset of _pvm_defects' pairs i < j, and
-    # on its diagonal E_i² − E_i.
-    n = len(e0s)
-    prods = (e0s[:, None] @ e0s[None]).reshape(n * n, dim_k, dim_k)
-    prods[::n + 1] -= e0s
-    pvm = float(_frobenius(np.concatenate([
-        prods, e0s - e0s.conj().transpose(0, 2, 1),
-        [e0s.sum(axis=0) - np.eye(dim_k)]])).max())
+    # past it the gate decides on the exact norms.
+    pvm = _pvm_frobenius(e0s)
     if not pvm <= scale * _FROBENIUS_MARGIN:
         _require_within(_pvm_defects(out), scale, "lifted family is not a PVM")
-    return out, dict(zip(pi_vals, norms)), pvm
+    return out, pvm
+
+
+def _pvm_frobenius(es: np.ndarray) -> float:
+    """The largest Frobenius norm of a stacked family's PVM defects, from
+    one stacked product: it gives every ``E_i E_j``, a superset of
+    :func:`_pvm_defects`' pairs i < j, and on its diagonal ``E_i² − E_i``."""
+    n, dim = es.shape[:2]
+    prods = (es[:, None] @ es[None]).reshape(n * n, dim, dim)
+    prods[::n + 1] -= es
+    return float(_frobenius(np.concatenate([
+        prods, es - es.conj().transpose(0, 2, 1),
+        [es.sum(axis=0) - np.eye(dim)]])).max())
 
 
 def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
@@ -565,13 +557,6 @@ def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
     ``D = V − 1 ⊗ η_raw``, the sweep over matrix units runs only when
     ``2‖D‖_F`` exceeds half of ``loose(dimL)``, the bound of each check.
     """
-    return _intertwiner(v, tol)[0]
-
-
-def _intertwiner(v: np.ndarray, tol: Tolerance
-                 ) -> tuple[np.ndarray, float, float]:
-    """:func:`intertwiner_vector`, ``‖V − 1 ⊗ η_raw‖_F`` and
-    ``|‖η_raw‖ − 1|``."""
     v = np.asarray(v, dtype=complex)
     dim_h = v.shape[1]
     if v.shape[0] % dim_h != 0:
@@ -580,8 +565,7 @@ def _intertwiner(v: np.ndarray, tol: Tolerance
     scale = tol.bound("loose", v.shape[0])
     eta_raw = v[:dim_l1, 0].copy()
     defect = v - _kron(np.eye(dim_h), eta_raw.reshape(-1, 1))
-    form = _frobenius([defect])[0]
-    if not 2 * form <= scale / 2:
+    if not 2 * _frobenius([defect])[0] <= scale / 2:
         for _, _, x in matrix_units(dim_h):
             _require_within(_kron(x, np.eye(dim_l1)) @ v - v @ x, scale,
                             "V does not intertwine the system action")
@@ -592,8 +576,7 @@ def _intertwiner(v: np.ndarray, tol: Tolerance
     eta = eta_raw / norm
     mags = np.abs(eta)
     lead = int(np.argmax(mags >= mags.max() * 1e-6))
-    phase = eta[lead] / abs(eta[lead])
-    return eta * phase.conjugate(), form, abs(norm - 1.0)
+    return eta * (eta[lead] / abs(eta[lead])).conjugate()
 
 
 # ---------------------------------------------------------------------------
@@ -606,81 +589,139 @@ def mp_from_correlations(sys: CorrelationSystem,
                          ) -> MeasuringProcess:
     """Build a measuring process reproducing a full-algebra system.
 
-    Both the input letter map and the summed atom map are unital
-    representations of B(H) on the same space, so their multiplicity
-    splits ``Π_in(X) = u1*(X ⊗ 1)u1`` and ``ΣΠ_s(X) = u2*(X ⊗ 1)u2``
-    share one multiplicity space C^d. In the frame of ``u1`` the system
-    is the process with meter C^d, meter state η₁ (``u1 v ξ = ξ ⊗ η₁`` up
-    to a phase), pointer PVM E₀ (``u2 Π_s(1) u2* = 1 ⊗ E₀(s)``) and
-    coupling ``U = u2 u1*``: ``u1`` carries every letter map and ``v``
-    onto the process's, so the two are completely equivalent. Bounds: a
-    split ``strict(dimL)`` on stored factors, else ``loose(dimL)``; the
-    lift and η₁ ``loose(dimL)``; U, E₀ and σ = proj(η₁) the process
-    check's ``loose``; six random words, evaluated on both, ``loose(dimL)``.
-    When ``Π_in`` has identity factors (u1 = 1) and the atoms' split ran
-    on stored factors, the defects it, the lift and η₁ measured bound U's
-    unitarity residual and the six words' differences
-    (:func:`_chain_bounds`); each check runs only when its bound exceeds
-    half its own, and decides by the exact norm with its usual message.
-    Any other system takes both checks. The lift's PVM norms and σ's
-    trace serve the process check on any system. ``completion_seed``
-    multiplies U by ``1 ⊗ W`` for a seeded unitary W that fixes η₁, which
-    no word can see; when d = 1 there is nothing to rotate.
+    A system that :func:`_process_system` built from a process
+    ``(U, E, η)``, as :func:`from_instrument` and :func:`system_of_mp`
+    build theirs, records it, and the result is ``(U, E, proj(η))``.
+
+    Any other system (tensor-stored, loaded from JSON, rebuilt by
+    :func:`from_kernel_table`, or a ``dataclasses.replace`` copy) is
+    dilated through its maps. Both the input letter map and the summed
+    atom map are unital representations of B(H) on the same space, so
+    their multiplicity splits ``Π_in(X) = u1*(X ⊗ 1)u1`` and
+    ``ΣΠ_s(X) = u2*(X ⊗ 1)u2`` share one multiplicity space C^d. In the
+    frame of ``u1`` the system is the process with meter C^d, meter state
+    η₁ (``u1 v ξ = ξ ⊗ η₁`` up to a phase), pointer PVM E₀
+    (``u2 Π_s(1) u2* = 1 ⊗ E₀(s)``) and coupling ``U = u2 u1*``: ``u1``
+    carries every letter map and ``v`` onto the process's, so the two
+    are completely equivalent. Bounds: a split ``strict(dimL)`` on stored
+    factors, else ``loose(dimL)``; the lift and η₁ ``loose(dimL)``.
+
+    Either way the process is checked once at ``loose``: U's unitarity
+    exactly, E past the Frobenius norms of its PVM defects (one stacked
+    product of the recorded E, or the lift's) and σ past its rounding
+    floor. Six random words, evaluated on both, must agree within
+    ``loose(dimL)``; they run unless :func:`_record_spot_bound` clears
+    half of that. ``completion_seed`` multiplies U by ``1 ⊗ W`` for a
+    seeded unitary W that fixes η, which no word can see; when d = 1
+    there is nothing to rotate.
     """
     if not sys.algebra.is_full:
         raise ValueError("construction requires the full matrix algebra")
-    dim_h = sys.dim_h
-    d1, u1, _ = _split(sys.pi_in, tol)
-    d2, u2, split_atoms = _split(sys.letter_map(sys.outcomes.labels), tol)
+    if "_process" in vars(sys):
+        return _recorded_mp(sys, tol, completion_seed)
+    d1, u1 = multiplicity_split(sys.pi_in, tol)
+    d2, u2 = multiplicity_split(sys.letter_map(sys.outcomes.labels), tol)
     if d1 != d2:
         raise ValueError("splitting dimensions disagree; the letter maps "
                          "do not act on a common space")
-    e0, forms, pvm = _lift(sys.atom_units(), u2, dim_h, tol)
-    eta1, *vector = _intertwiner(u1 @ sys.v, tol)
-    u = u2 @ dagger(u1)
-    rotation = (0.0, 0.0, 0.0)
-    if completion_seed is not None and d1 > 1:
-        # W = |η₁><η₁| + P R P*, P an orthonormal basis of η₁^⊥.
-        q, _ = np.linalg.qr(np.column_stack([eta1, np.eye(d1)]))
-        perp = q[:, 1:]
-        rot = random_unitary(np.random.default_rng(completion_seed), d1 - 1)
-        w = proj(eta1) + perp @ rot @ dagger(perp)
-        u = u @ _kron(np.eye(dim_h), w)
-        rotation = (*_frobenius([*_unitary_defects(w)]),
-                    _frobenius([dagger(w) @ eta1 - eta1])[0])
+    e0, pvm = _lift(sys.atom_units(), u2, sys.dim_h, tol)
+    return _checked_mp(sys, u2 @ dagger(u1), e0,
+                       intertwiner_vector(u1 @ sys.v, tol), pvm, tol,
+                       completion_seed)
 
-    words, norm, length = _spot_words(dim_h, len(sys.outcomes.labels))
-    unitarity = spot = math.inf
-    eye, factors = np.eye(sys.dim_l), sys.pi_in.factors
-    if split_atoms is not None and factors is not None and all(
-            np.array_equal(f, eye) for f in factors[:2]):
-        unitarity, spot = _chain_bounds(
-            split_atoms, rotation, list(forms.values()),
-            _frobenius([sys.pi_atom[s].factors[1]
-                        for s in sys.outcomes.labels]),
-            vector, sys.dim_l, norm, length)
-    sigma = proj(eta1)
+
+def _recorded_mp(sys: CorrelationSystem, tol: Tolerance,
+                 completion_seed: int | None = None) -> MeasuringProcess:
+    """:func:`mp_from_correlations` of a system that records its process."""
+    u, e, eta = sys._process
+    pvm = _pvm_frobenius(np.stack([e[s] for s in sys.outcomes.labels]))
+    return _checked_mp(sys, u, e, eta, pvm, tol, completion_seed)
+
+
+def _checked_mp(sys: CorrelationSystem, u: np.ndarray,
+                e: dict[str, np.ndarray], eta: np.ndarray, pvm: float,
+                tol: Tolerance, completion_seed: int | None
+                ) -> MeasuringProcess:
+    """The process ``(u·(1 ⊗ W), e, proj(eta))`` of ``sys``, checked with
+    ``pvm`` bounding its PVM defects, then spot-checked against ``sys``;
+    a system that records this process tries :func:`_record_spot_bound`
+    first."""
+    dim_h, d = sys.dim_h, len(eta)
+    w = None
+    if completion_seed is not None and d > 1:
+        # W = |η><η| + P R P*, P an orthonormal basis of η^⊥.
+        q, _ = np.linalg.qr(np.column_stack([eta, np.eye(d)]))
+        perp = q[:, 1:]
+        rot = random_unitary(np.random.default_rng(completion_seed), d - 1)
+        w = proj(eta) + perp @ rot @ dagger(perp)
+        u = u @ _kron(np.eye(dim_h), w)
+    sigma = proj(eta)
     # proj(η) comes out Hermitian bit for bit, and rounding moves its
     # eigenvalues off {1, 0, …} by a few ulps; the floor allows for
     # eigvalsh's own error too.
-    floor = math.inf if (sigma - dagger(sigma)).any() else 16 * (d1 + 1) * _EPS
-    known = _ProcessBounds(unitarity, pvm,
-                           abs(complex(np.trace(sigma)) - 1.0), floor)
-    mp = MeasuringProcess(dim_h, sys.algebra, sys.outcomes, d1, sigma,
-                          e0, u, validate=False)
+    floor = math.inf if (sigma - dagger(sigma)).any() else 16 * (d + 1) * _EPS
+    mp = MeasuringProcess(dim_h, sys.algebra, sys.outcomes, d, sigma, e, u,
+                          validate=False)
     # The one check of the process, at tol, reads these bounds; the
     # record validate=tol stays for copies, which carry no bounds.
-    object.__setattr__(mp, "_bounds", known)
+    object.__setattr__(mp, "_bounds", _ProcessBounds(
+        pvm, abs(complex(np.trace(sigma)) - 1.0), floor))
     mp.require_valid(tol)
     object.__setattr__(mp, "validate", tol)
 
     # Spot check: the process reproduces the system's correlation values.
-    bound = tol.bound("loose", dim_h * d1)
+    words, norm, length = _spot_words(dim_h, len(sys.outcomes.labels))
+    bound = tol.bound("loose", dim_h * d)
+    spot = (_record_spot_bound(mp, eta, pvm, w, tol, norm, length)
+            if "_process" in vars(sys) else math.inf)
     if not spot <= bound / 2:
         _require_within(_spot_residuals(sys, mp, words, tol), bound,
                         "constructed process fails to reproduce the "
                         "correlation values")
     return mp
+
+
+def _record_spot_bound(mp: MeasuringProcess, eta: np.ndarray, pvm: float,
+                       w: np.ndarray | None, tol: Tolerance, norm: float,
+                       length: int) -> float:
+    """A bound on the spot residual of ``mp``, the process built from a
+    system's record ``(U, E, η)`` and W (None without one), once ``mp``
+    passed its check; ``pvm`` bounds E's PVM defects.
+
+    Let ``J = 1 ⊗ W``. The process's atom maps are the system's
+    conjugated by J, its input map ``X ⊗ 1`` is ``J*(X ⊗ 1)J`` up to
+    ``X ⊗ (W*W − 1)``, and its system's v is ``1 ⊗ η′``, η′ the vector
+    σ purifies to. So a word's values differ by at most
+    ``A(‖W‖‖η′‖ + ‖η‖)(‖W‖δ + ζ)`` for ``δ = min_c ‖cη′ − η‖`` over
+    phases c and ``ζ = ‖Wη − η‖``, A bounding the word's letter
+    products: each letter is within ``x‖W‖²·max(1, ‖U‖²‖E_s‖)``, x the
+    words' largest operator norm. ``‖U‖²`` is within ``(1 + loose)/(1 −
+    ω)`` by the passed unitarity check, ω W's unitarity defect in
+    Frobenius norm, and ``‖E‖² ≤ ‖E‖ + ‖E² − E‖ + ‖E* − E‖‖E‖`` gives
+    ``‖E_s‖ ≤ (1 + f + √((1 + f)² + 4f))/2`` for f = ``pvm``. W's
+    defects, the rounding of ``U(1 ⊗ W)`` and of both evaluations add
+    at most ``(ℓ + 1)(3ω + 4·dimL²·ε)(‖η′‖² + ‖η‖²)A`` over words of
+    length ≤ ℓ. Infinite when σ does not purify to one vector.
+    """
+    pure, eta_p = mp._purification(tol)
+    fuzz = 4 * (mp.dim_h * mp.dim_k) ** 2 * _EPS
+    omega = zeta = 0.0
+    if w is not None:
+        omega = float(_frobenius([*_unitary_defects(w)]).max())
+        zeta = float(np.linalg.norm(w @ eta - eta))
+    if pure is not mp or eta_p is None or not omega + fuzz < 0.5:
+        return math.inf
+    w2 = 1 + omega  # ‖W‖²
+    u2 = (1 + tol.bound("loose") + fuzz) / (1 - omega - fuzz)
+    e_norm = (1 + pvm + math.sqrt((1 + pvm) ** 2 + 4 * pvm)) / 2
+    reach = (w2 * max(1.0, u2 * e_norm) * norm) ** length  # A
+    overlap = complex(np.vdot(eta_p, eta))
+    phase = overlap / abs(overlap) if overlap else 1.0
+    delta, nu, n_eta = (math.sqrt(np.vdot(x, x).real)
+                        for x in (phase * eta_p - eta, eta_p, eta))
+    moved = (math.sqrt(w2) * nu + n_eta) * (math.sqrt(w2) * delta + zeta)
+    rounding = (length + 1) * (3 * omega + fuzz) * (nu ** 2 + n_eta ** 2)
+    return reach * (moved + rounding)
 
 
 @functools.lru_cache(maxsize=64)
@@ -715,62 +756,6 @@ def _spot_residuals(sys: CorrelationSystem, mp: MeasuringProcess, words,
     return _eval_words(_system_of(mp, tol), batch) - _eval_words(sys, batch)
 
 
-def _chain_bounds(split_atoms, rotation, forms, rights, vector,
-                  dim_l: int, norm: float, length: int
-                  ) -> tuple[float, float]:
-    """Bounds on the process's unitarity residual and on the spot check's,
-    for a system whose ``Π_in`` has identity factors, so that u1 = 1.
-
-    The inputs are Frobenius norms the chain measured, each at least the
-    spectral norm: a, b, c of ``L*L − 1``, ``LL* − 1`` and ``u2 − L*``
-    (L the atoms' one left factor, ``u2 = ΣR_s``); W's two unitarity
-    defects and ``‖W*η₁ − η₁‖`` (zeros without W); each lift form defect
-    ``Δ_s = u2 L R_s u2* − 1 ⊗ E₀(s)``; each ``‖R_s‖``; ``‖v − 1 ⊗ η_raw‖``
-    and ``|‖η_raw‖ − 1|``; the words' largest operator norm x and length
-    ℓ. Each gets an allowance for the rounding of dimL-sized products.
-
-    ``‖L‖ ≤ λ = √(1 + min(a, b))`` and ``‖u2‖ ≤ μ = λ + c``; ``u2u2* − 1``,
-    ``N = u2*u2 − 1`` and ``M = u2L − 1`` are within ``a + (2λ + c)c``,
-    ``b + (2λ + c)c`` and ``a + λc``, and ``U = u2(1 ⊗ W)``. ``J = 1 ⊗
-    W*`` carries the system onto the process: ``J*J − 1`` is within γ =
-    ``‖WW* − 1‖``, ``J Π_in(X) J* − X ⊗ 1 = X ⊗ (W*W − 1)``, and ``Π_s(X)
-    − u2*(X ⊗ E₀(s))u2 = (L − u2*)(X ⊗ 1)R_s − u2*(X ⊗ 1)(M R_s + (1 +
-    M)R_s N) + u2*(X ⊗ 1)Δ_s u2``: each atom map is fixed by ``Π_s(1)`` up
-    to M, as the atoms share L. ``Jv`` is ``1 ⊗ η₁`` up to a phase and
-    ε_v. Inserting ``J*J`` between letters and telescoping, a word's
-    values differ by at most ``((1+γ)^(ℓ+1) − 1)ν²(ax)^ℓ + 2νε_v(ãx)^ℓ +
-    ν²ℓεx(ãx)^(ℓ−1)``, for letter norms a (system) and ã (frames), the
-    largest letter defect ε and ``ν ≥ ‖v‖``, plus the words' rounding.
-    """
-    fuzz = 4 * dim_l ** 2 * _EPS * (1 + max(rights)) ** 2
-    a, b, c, om, om_, zeta, form_v, norm_v = (
-        x + fuzz for x in (*split_atoms, *rotation, *vector))
-    ell = math.sqrt(1 + min(a, b))
-    mu, m = ell + c, a + ell * c
-    h, n = (x + (2 * ell + c) * c for x in (a, b))
-    w2 = 1 + om  # ‖W‖²
-    # U formed, and U*U, UU* formed from it, in floating point.
-    rounding = fuzz * mu ** 2 * w2
-    unitarity = max(om + w2 * n, h + mu ** 2 * om_) + 4 * rounding
-    gamma = om_
-    if not gamma < 0.5:
-        return unitarity, math.inf
-    j2 = 1 + gamma  # ‖J‖²
-    eps_s = j2 * max(r * (c + mu * (m + (1 + m) * n)) + mu ** 2 * (d + fuzz)
-                     for r, d in zip(rights, forms))
-    eps = max(om, eps_s) + rounding
-    letter = max(1.0, ell * max(rights))
-    ax, atx = letter * norm, (j2 * letter + eps) * norm
-    nu = max(math.sqrt(w2) * (1 + norm_v + form_v) / math.sqrt(1 - gamma),
-             1.0) + fuzz
-    e_v = norm_v + (1 + norm_v) * zeta + math.sqrt(w2) * form_v + fuzz
-    k = length
-    return unitarity, (((1 + gamma) ** (k + 1) - 1) * nu ** 2 * ax ** k
-                       + 2 * nu * e_v * atx ** k
-                       + nu ** 2 * k * eps * norm * atx ** (k - 1)
-                       + fuzz * (2 + 3 * k) * nu ** 2 * (1 + atx) ** k)
-
-
 # ---------------------------------------------------------------------------
 # Measuring process -> correlation system, instrument and values
 
@@ -791,10 +776,15 @@ def system_of_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
     The meter state is purified (see :meth:`MeasuringProcess.purified`),
     so the space is ``H ⊗ K_pure`` and ``v ξ = ξ ⊗ η``. The letter maps
     ``Π_in(X) = X ⊗ 1`` and ``Π_s(X) = U*(X ⊗ 1)·(1 ⊗ E_s)U`` are stored
-    by these factors. The functions below read a process through the
-    same system, unchecked.
+    by these factors, and the system keeps the purified process as its
+    record (see :func:`mp_from_correlations`). The functions below read a
+    process through the same system, unchecked.
     """
-    return dataclasses.replace(_system_of(mp, tol), validate=tol)
+    sys = _system_of(mp, tol)
+    sys.require_valid(tol)
+    # A dataclasses.replace copy would drop the record.
+    object.__setattr__(sys, "validate", tol)
+    return sys
 
 
 def induced_instrument_mp(mp: MeasuringProcess, tol: Tolerance = DEFAULT_TOL
@@ -1028,12 +1018,11 @@ def halmos_unitary(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def _canonical_mp(inst: CPInstrument, algebra: FiniteVonNeumannAlgebra,
                   tol: Tolerance) -> MeasuringProcess:
     """The process of ``inst`` read on all of B(H), carrying ``algebra``:
-    :func:`from_instrument`, then :func:`mp_from_correlations` on the full
-    algebra, which the Kraus data acts on whatever ``inst.algebra`` is."""
-    sys = dataclasses.replace(from_instrument(inst, tol=tol),
-                              algebra=full_algebra(inst.dim_h), validate=False)
-    mp = mp_from_correlations(sys, tol)
-    # replace() would re-check what mp_from_correlations just checked.
+    the process :func:`from_instrument`'s system records, checked as
+    :func:`mp_from_correlations` checks it, whatever algebra the Kraus
+    data belongs to."""
+    mp = _recorded_mp(from_instrument(inst, tol=tol), tol)
+    # replace() would re-check what _recorded_mp just checked.
     object.__setattr__(mp, "algebra", algebra)
     return mp
 

@@ -165,9 +165,10 @@ def test_a_recorded_check_never_changes_a_verdict(name, fraction, abs_tol):
 
 
 def test_inner_mp_runs_the_chain_once(monkeypatch):
-    """One :func:`mp_from_correlations`; no defect root, no Halmos block."""
-    counts = dict.fromkeys(
-        ("mp_from_correlations", "sqrt_psd", "halmos_unitary"), 0)
+    """One process built and checked, from the record of the instrument's
+    system; no dilation of a copy, no defect root, no Halmos block."""
+    counts = dict.fromkeys(("_checked_mp", "mp_from_correlations",
+                            "sqrt_psd", "halmos_unitary"), 0)
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -182,5 +183,5 @@ def test_inner_mp_runs_the_chain_once(monkeypatch):
                 monkeypatch.setattr(module, name,
                                     counting(name, getattr(module, name)))
     inner_mp_from_kraus(load_fixture("trine-povm"))
-    assert counts == {"mp_from_correlations": 1, "sqrt_psd": 0,
-                      "halmos_unitary": 0}
+    assert counts == {"_checked_mp": 1, "mp_from_correlations": 0,
+                      "sqrt_psd": 0, "halmos_unitary": 0}

@@ -514,7 +514,7 @@ def _named_calls(tree):
 def test_every_process_is_built_by_one_chain():
     # A process is built by the dilation chain, purified, loaded or
     # modelled; no construction forms a Halmos block of its own.
-    builders = {("dilation.py", "mp_from_correlations"),
+    builders = {("dilation.py", "_checked_mp"),
                 ("dilation.py", "MeasuringProcess._purification"),
                 ("dilation.py", "mp_from_json"), ("vn_model.py", "build")}
     src = Path(__file__).resolve().parents[1] / "src" / "qdil"
