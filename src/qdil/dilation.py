@@ -2,14 +2,16 @@
 
 A measuring process is a quadruple (meter space, meter state, pointer
 PVM, coupling unitary) whose compressed Heisenberg maps form a CP
-instrument. A correlation system's two multiplicity splits ``u1``,
-``u2`` give the coupling ``u2 u1*``. Every instrument reaches a process
-through its system (``from_instrument``), on the meter ``C^(1+R)``, R
-the total minimal Kraus rank: that system is built from its process
-and records it, so the process is read off the record and checked. The
-inner process is that of an instrument whose Kraus operators lie in the
-algebra, read on all of B(H), so its coupling lies in
-``𝓜 ⊗ B(C^(1+R))``; the faithful process is that of the extension
+instrument. Every instrument reaches a process through its system
+(``from_instrument``), on the meter ``C^(1+R)``, R the total minimal
+Kraus rank: that system is built from its process and records it, so
+the process is read off the record and checked there, where bounds
+computed from the record may stand in for the exact checks. Any other
+full-algebra system is dilated through its maps, with exact checks
+only: its two multiplicity splits ``u1``, ``u2`` give the coupling
+``u2 u1*``. The inner process is that of an instrument whose Kraus
+operators lie in the algebra, read on all of B(H), so its coupling lies
+in ``𝓜 ⊗ B(C^(1+R))``; the faithful process is that of the extension
 through the conditional expectation. The reverse direction reads a
 process through its correlation system (:func:`system_of_mp`), whose
 letter maps ``Π_in(X) = X ⊗ 1`` and ``Π_s(X) = U*(X ⊗ E_s)U`` are stored
@@ -70,7 +72,6 @@ from .operator_core import (
     _pvm_defects,
     _require_within,
     _unitary_defects,
-    _within,
     compress_by_state,
     dagger,
     matrix_from_json,
@@ -98,7 +99,6 @@ __all__ = [
     "EquivalenceReport",
     "GramTooLarge",
     "n_equivalent",
-    "halmos_unitary",
     "inner_mp_from_kraus",
     "inner_membership",
     "faithful_mp",
@@ -113,31 +113,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class _ProcessBounds:
-    """Upper bounds on :meth:`MeasuringProcess.require_valid`'s PVM and
-    state residuals.
-
-    ``pvm`` is the largest Frobenius norm of the pointer's PVM defects,
-    which clears where :func:`norm_within` would accept it. A sigma of
-    the form ``proj(η)`` is exactly Hermitian, its eigenvalues lie
-    within ``psd_floor`` of {1, 0, …}, and ``trace`` is its trace defect
-    as :func:`is_density_matrix` computes it. Infinite or NaN fields
-    clear nothing.
-    """
-
-    pvm: float = math.inf
-    trace: float = math.inf
-    psd_floor: float = math.inf
-
-    def state(self, tol: Tolerance) -> bool:
-        return (self.psd_floor <= tol.bound("psd") / 2
-                and self.trace <= tol.bound("trace"))
-
-
-_NO_BOUNDS = _ProcessBounds()
-
-
-@dataclass(frozen=True)
 class MeasuringProcess:
     """Meter quadruple (sigma, e, u) over ``H ⊗ K`` with outcome atoms.
 
@@ -148,11 +123,11 @@ class MeasuringProcess:
     is a :class:`Tolerance`, not at all when it is False; the
     algebra-closure invariant is checked where the induced instrument is
     actually built (`induced_instrument_mp`), since that is the same
-    computation. A process built by :func:`mp_from_correlations` carries
-    bounds on its PVM and state residuals, and :meth:`require_valid`
-    skips each of these checks its bound clears; unitarity is always
-    checked. The bounds belong to that instance, so a
-    ``dataclasses.replace`` is checked in full.
+    computation. :meth:`require_valid` runs the three exact checks. A
+    process that :func:`mp_from_correlations` reads off a system's
+    record is checked there instead (see :func:`_recorded_mp`) and
+    carries ``validate=tol``, so a ``dataclasses.replace`` copy is
+    checked in full.
     """
 
     dim_h: int
@@ -187,12 +162,9 @@ class MeasuringProcess:
 
     def require_valid(self, tol: Tolerance = DEFAULT_TOL) -> None:
         bound = tol.bound("loose")
-        known = self.__dict__.get("_bounds", _NO_BOUNDS)
         _require_within(_unitary_defects(self.u), bound, "u is not unitary")
-        if not known.pvm <= bound * _FROBENIUS_MARGIN:
-            _require_within(_pvm_defects(self.e), bound, "e is not a PVM")
-        if not known.state(tol):
-            require_state(self.sigma, tol, what="sigma")
+        _require_within(_pvm_defects(self.e), bound, "e is not a PVM")
+        require_state(self.sigma, tol, what="sigma")
 
     def pointer(self, event) -> np.ndarray:
         return sum((self.e[s] for s in self.outcomes.event(event)),
@@ -433,24 +405,16 @@ def multiplicity_split(pi: PiMap, tol: Tolerance = DEFAULT_TOL
     """Split a unital representation of B(H) as ``π(X) = U₁*(X ⊗ 1)U₁``.
 
     Returns ``(dimK, u1)`` with ``u1`` a unitary from the representation
-    space onto ``H ⊗ C^dimK``. A factored ``(left, right, dimK)`` with
-    ``left`` unitary and ``right = left*`` within ``strict(dimL)``, 100×
-    under the ``loose(dimL)`` the general path accepts, gives ``right``.
-    Otherwise the unitary is assembled by propagating an orthonormal
+    space onto ``H ⊗ C^dimK``, assembled by propagating an orthonormal
     basis of the range of ``π(|0><0|)`` with the partial isometries
-    ``π(|i><0|)``.
+    ``π(|i><0|)``; the basis and the split are checked at
+    ``loose(dimL)``.
     """
     dim_l, dim_h = pi.dim_out, pi.dim_in
     if dim_l % dim_h != 0:
         raise ValueError(f"space of dimension {dim_l} admits no "
                          f"multiplicity split over dimension {dim_h}")
     dim_k = dim_l // dim_h
-    if pi.factors is not None:
-        left, right, k = pi.factors
-        if k == dim_k and left.shape == (dim_l, dim_l) and _within(
-                (*_unitary_defects(left), right - dagger(left)),
-                tol.bound("strict", dim_l)):
-            return dim_k, right
     p0 = pi.tensor[:, :, 0, 0]
     vals, vecs = np.linalg.eigh((p0 + dagger(p0)) / 2)
     sel = vals > 0.5
@@ -477,73 +441,35 @@ def commutant_pvm_lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray,
                        ) -> dict[str, np.ndarray]:
     """Read a commutant PVM through a multiplicity split.
 
-    Each projection must commute with ``u2*(X ⊗ 1)u2``; then
-    ``t = u2 P u2*`` has the form ``1 ⊗ E₀`` and ``E₀`` is recovered by
-    partial trace over the first leg. Every commutator with a matrix unit
-    is at most ``2(1+a)(‖d‖ + ‖P‖((1+a)b + 2a + a²))`` for ``d = t − 1 ⊗
-    E₀``, ``a = ‖u2*u2 − 1‖``, ``b = ‖u2u2* − 1‖``; the sweep over them
-    runs only when that, in Frobenius norms, exceeds half of
-    ``loose(dimL)``, the bound of every check here. The recovered family
-    is verified to be of that form and a PVM.
+    Each projection must commute with ``u2*(X ⊗ 1)u2`` for every matrix
+    unit X; then ``t = u2 P u2*`` has the form ``1 ⊗ E₀`` and ``E₀`` is
+    recovered by partial trace over the first leg. Each atom in turn is
+    swept over the matrix units and checked for that form, then the
+    recovered family is checked to be a PVM, each at ``loose(dimL)``.
     """
-    return _lift(pi_vals, u2, dim_h, tol)[0]
-
-
-def _lift(pi_vals: dict[str, np.ndarray], u2: np.ndarray, dim_h: int,
-          tol: Tolerance) -> tuple[dict[str, np.ndarray], float]:
-    """:func:`commutant_pvm_lift` and the largest Frobenius norm of the
-    family's PVM defects (:func:`_pvm_frobenius`)."""
     dim_l = u2.shape[0]
     if dim_l % dim_h != 0:
         raise ValueError("split dimensions do not divide")
     dim_k = dim_l // dim_h
     scale = tol.bound("loose", dim_l)
-    a, b = _frobenius([*_unitary_defects(u2)])
     ps = np.stack([np.asarray(p, dtype=complex) for p in pi_vals.values()])
-    # t = u2 p u2* read as 1 ⊗ E₀ (E₀ its partial trace over the first
-    # leg, d = t − 1 ⊗ E₀); commutant_pvm_lift's commutator bound in
-    # Frobenius norms, plus the rounding of the exact sweeps.
+    # t = u2 p u2* read as 1 ⊗ E₀, E₀ its partial trace over the first leg.
     t = (u2 @ ps @ dagger(u2)).reshape(-1, dim_h, dim_k, dim_h, dim_k)
     e0s = np.einsum("nakal->nkl", t) / dim_h
     d = (t - np.eye(dim_h)[:, None, :, None] * e0s[:, None, :, None]
          ).reshape(-1, dim_l, dim_l)
-    norms = _frobenius(d)
-    bounds = 2 * (1 + a) * (norms + _frobenius(ps) * (
-        (1 + a) * b + 2 * a + a * a + 8 * dim_l * _EPS))
-    transported = None
-    # Each atom in turn: the commutators past their bound, then the form.
-    if not (bounds.max() <= scale / 2
-            and norms.max() <= scale * _FROBENIUS_MARGIN):
-        for i, s in enumerate(pi_vals):
-            if not bounds[i] <= scale / 2:
-                if transported is None:
-                    # u2*(x ⊗ 1)u2 for every matrix unit x, as a stack.
-                    transported = _transport(dagger(u2), u2, dim_k).transpose(
-                        2, 3, 0, 1).reshape(-1, dim_l, dim_l)
-                _require_within(ps[i] @ transported - transported @ ps[i],
-                                scale, f"projection {s!r} does not commute "
-                                "with the transported algebra")
-            _require_within(d[i], scale, f"transported projection {s!r} is "
-                            "not of the form 1 ⊗ (·)")
+    # u2*(x ⊗ 1)u2 for every matrix unit x, as a stack.
+    transported = _transport(dagger(u2), u2, dim_k).transpose(
+        2, 3, 0, 1).reshape(-1, dim_l, dim_l)
+    for i, s in enumerate(pi_vals):
+        _require_within(ps[i] @ transported - transported @ ps[i], scale,
+                        f"projection {s!r} does not commute with the "
+                        "transported algebra")
+        _require_within(d[i], scale, f"transported projection {s!r} is not "
+                        "of the form 1 ⊗ (·)")
     out = dict(zip(pi_vals, e0s))
-    # Frobenius norms within the bound accept, as norm_within has it;
-    # past it the gate decides on the exact norms.
-    pvm = _pvm_frobenius(e0s)
-    if not pvm <= scale * _FROBENIUS_MARGIN:
-        _require_within(_pvm_defects(out), scale, "lifted family is not a PVM")
-    return out, pvm
-
-
-def _pvm_frobenius(es: np.ndarray) -> float:
-    """The largest Frobenius norm of a stacked family's PVM defects, from
-    one stacked product: it gives every ``E_i E_j``, a superset of
-    :func:`_pvm_defects`' pairs i < j, and on its diagonal ``E_i² − E_i``."""
-    n, dim = es.shape[:2]
-    prods = (es[:, None] @ es[None]).reshape(n * n, dim, dim)
-    prods[::n + 1] -= es
-    return float(_frobenius(np.concatenate([
-        prods, es - es.conj().transpose(0, 2, 1),
-        [es.sum(axis=0) - np.eye(dim)]])).max())
+    _require_within(_pvm_defects(out), scale, "lifted family is not a PVM")
+    return out
 
 
 def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
@@ -551,11 +477,10 @@ def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
     """Extract η from an intertwining isometry ``V ξ = ξ ⊗ η``.
 
     The vector is read off the image of the first basis vector and
-    re-phased so its first significant component is real positive; the
-    product form is verified against the raw (un-phased) extraction, so
-    the check is phase-free. As ``(x ⊗ 1)V − Vx = (x ⊗ 1)D − Dx`` for
-    ``D = V − 1 ⊗ η_raw``, the sweep over matrix units runs only when
-    ``2‖D‖_F`` exceeds half of ``loose(dimL)``, the bound of each check.
+    re-phased so its first significant component is real positive. V
+    must intertwine every matrix unit, and the product form is verified
+    against the raw (un-phased) extraction, so the check is phase-free;
+    each at ``loose(dimL)``.
     """
     v = np.asarray(v, dtype=complex)
     dim_h = v.shape[1]
@@ -563,13 +488,12 @@ def intertwiner_vector(v: np.ndarray, tol: Tolerance = DEFAULT_TOL
         raise ValueError("isometry shape does not factor over the system")
     dim_l1 = v.shape[0] // dim_h
     scale = tol.bound("loose", v.shape[0])
-    eta_raw = v[:dim_l1, 0].copy()
-    defect = v - _kron(np.eye(dim_h), eta_raw.reshape(-1, 1))
-    if not 2 * _frobenius([defect])[0] <= scale / 2:
-        for _, _, x in matrix_units(dim_h):
-            _require_within(_kron(x, np.eye(dim_l1)) @ v - v @ x, scale,
-                            "V does not intertwine the system action")
-    _require_within(defect, scale, "V is not of the form ξ ↦ ξ ⊗ η")
+    for _, _, x in matrix_units(dim_h):
+        _require_within(_kron(x, np.eye(dim_l1)) @ v - v @ x, scale,
+                        "V does not intertwine the system action")
+    eta_raw = v[:dim_l1, 0]
+    _require_within(v - _kron(np.eye(dim_h), eta_raw.reshape(-1, 1)), scale,
+                    "V is not of the form ξ ↦ ξ ⊗ η")
     norm = np.linalg.norm(eta_raw)
     if abs(norm - 1.0) > scale:
         raise ValueError("extracted vector is not normalized")
@@ -591,7 +515,8 @@ def mp_from_correlations(sys: CorrelationSystem,
 
     A system that :func:`_process_system` built from a process
     ``(U, E, η)``, as :func:`from_instrument` and :func:`system_of_mp`
-    build theirs, records it, and the result is ``(U, E, proj(η))``.
+    build theirs, records it, and the result is that process, checked by
+    :func:`_recorded_mp`.
 
     Any other system (tensor-stored, loaded from JSON, rebuilt by
     :func:`from_kernel_table`, or a ``dataclasses.replace`` copy) is
@@ -603,17 +528,15 @@ def mp_from_correlations(sys: CorrelationSystem,
     η₁ (``u1 v ξ = ξ ⊗ η₁`` up to a phase), pointer PVM E₀
     (``u2 Π_s(1) u2* = 1 ⊗ E₀(s)``) and coupling ``U = u2 u1*``: ``u1``
     carries every letter map and ``v`` onto the process's, so the two
-    are completely equivalent. Bounds: a split ``strict(dimL)`` on stored
-    factors, else ``loose(dimL)``; the lift and η₁ ``loose(dimL)``.
+    are completely equivalent. The splits, the lift and η₁ are checked
+    at ``loose(dimL)``, the process by
+    :meth:`MeasuringProcess.require_valid` at ``loose``, and six random
+    words, evaluated on both, must agree within ``loose(dimH·d)``; every
+    one of these checks is exact.
 
-    Either way the process is checked once at ``loose``: U's unitarity
-    exactly, E past the Frobenius norms of its PVM defects (one stacked
-    product of the recorded E, or the lift's) and σ past its rounding
-    floor. Six random words, evaluated on both, must agree within
-    ``loose(dimL)``; they run unless :func:`_record_spot_bound` clears
-    half of that. ``completion_seed`` multiplies U by ``1 ⊗ W`` for a
-    seeded unitary W that fixes η, which no word can see; when d = 1
-    there is nothing to rotate.
+    ``completion_seed`` multiplies U by ``1 ⊗ W`` for a seeded unitary W
+    that fixes η, which no word can see; when d = 1 there is nothing to
+    rotate.
     """
     if not sys.algebra.is_full:
         raise ValueError("construction requires the full matrix algebra")
@@ -624,66 +547,94 @@ def mp_from_correlations(sys: CorrelationSystem,
     if d1 != d2:
         raise ValueError("splitting dimensions disagree; the letter maps "
                          "do not act on a common space")
-    e0, pvm = _lift(sys.atom_units(), u2, sys.dim_h, tol)
-    return _checked_mp(sys, u2 @ dagger(u1), e0,
-                       intertwiner_vector(u1 @ sys.v, tol), pvm, tol,
-                       completion_seed)
+    e0 = commutant_pvm_lift(sys.atom_units(), u2, sys.dim_h, tol)
+    eta = intertwiner_vector(u1 @ sys.v, tol)
+    u, _ = _completed(u2 @ dagger(u1), eta, sys.dim_h, completion_seed)
+    mp = MeasuringProcess(sys.dim_h, sys.algebra, sys.outcomes, len(eta),
+                          proj(eta), e0, u, validate=tol)
+    _spot_check(sys, mp, tol)
+    return mp
 
 
 def _recorded_mp(sys: CorrelationSystem, tol: Tolerance,
                  completion_seed: int | None = None) -> MeasuringProcess:
-    """:func:`mp_from_correlations` of a system that records its process."""
+    """:func:`mp_from_correlations` of a system that records its process
+    ``(U, E, η)``: the process ``(U(1 ⊗ W), E, proj(η))``.
+
+    It is checked here, at ``loose`` as
+    :meth:`MeasuringProcess.require_valid` checks a process, and carries
+    ``validate=tol``. U's unitarity is checked exactly. E's PVM check runs
+    when the Frobenius norms of one stacked product of E
+    (:func:`_pvm_frobenius`) do not clear it, σ's state check when
+    proj(η)'s rounding floor or trace does not, and the six spot words
+    when :func:`_record_spot_bound` is not within half of their bound.
+    """
     u, e, eta = sys._process
-    pvm = _pvm_frobenius(np.stack([e[s] for s in sys.outcomes.labels]))
-    return _checked_mp(sys, u, e, eta, pvm, tol, completion_seed)
-
-
-def _checked_mp(sys: CorrelationSystem, u: np.ndarray,
-                e: dict[str, np.ndarray], eta: np.ndarray, pvm: float,
-                tol: Tolerance, completion_seed: int | None
-                ) -> MeasuringProcess:
-    """The process ``(u·(1 ⊗ W), e, proj(eta))`` of ``sys``, checked with
-    ``pvm`` bounding its PVM defects, then spot-checked against ``sys``;
-    a system that records this process tries :func:`_record_spot_bound`
-    first."""
     dim_h, d = sys.dim_h, len(eta)
-    w = None
-    if completion_seed is not None and d > 1:
-        # W = |η><η| + P R P*, P an orthonormal basis of η^⊥.
-        q, _ = np.linalg.qr(np.column_stack([eta, np.eye(d)]))
-        perp = q[:, 1:]
-        rot = random_unitary(np.random.default_rng(completion_seed), d - 1)
-        w = proj(eta) + perp @ rot @ dagger(perp)
-        u = u @ _kron(np.eye(dim_h), w)
+    u, w = _completed(u, eta, dim_h, completion_seed)
     sigma = proj(eta)
+    mp = MeasuringProcess(dim_h, sys.algebra, sys.outcomes, d, sigma, e, u,
+                          validate=False)
+    bound = tol.bound("loose")
+    _require_within(_unitary_defects(mp.u), bound, "u is not unitary")
+    pvm = _pvm_frobenius(np.stack([e[s] for s in sys.outcomes.labels]))
+    if not pvm <= bound * _FROBENIUS_MARGIN:
+        _require_within(_pvm_defects(mp.e), bound, "e is not a PVM")
     # proj(η) comes out Hermitian bit for bit, and rounding moves its
     # eigenvalues off {1, 0, …} by a few ulps; the floor allows for
     # eigvalsh's own error too.
     floor = math.inf if (sigma - dagger(sigma)).any() else 16 * (d + 1) * _EPS
-    mp = MeasuringProcess(dim_h, sys.algebra, sys.outcomes, d, sigma, e, u,
-                          validate=False)
-    # The one check of the process, at tol, reads these bounds; the
-    # record validate=tol stays for copies, which carry no bounds.
-    object.__setattr__(mp, "_bounds", _ProcessBounds(
-        pvm, abs(complex(np.trace(sigma)) - 1.0), floor))
-    mp.require_valid(tol)
+    trace = abs(complex(np.trace(sigma)) - 1.0)
+    if not (floor <= tol.bound("psd") / 2 and trace <= tol.bound("trace")):
+        require_state(sigma, tol, what="sigma")
     object.__setattr__(mp, "validate", tol)
-
-    # Spot check: the process reproduces the system's correlation values.
-    words, norm, length = _spot_words(dim_h, len(sys.outcomes.labels))
-    bound = tol.bound("loose", dim_h * d)
-    spot = (_record_spot_bound(mp, eta, pvm, w, tol, norm, length)
-            if "_process" in vars(sys) else math.inf)
-    if not spot <= bound / 2:
-        _require_within(_spot_residuals(sys, mp, words, tol), bound,
-                        "constructed process fails to reproduce the "
-                        "correlation values")
+    _spot_check(sys, mp, tol, _record_spot_bound(mp, eta, pvm, w, tol))
     return mp
 
 
+def _completed(u: np.ndarray, eta: np.ndarray, dim_h: int,
+               completion_seed: int | None
+               ) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(u·(1 ⊗ W), W)`` for the seeded unitary W that fixes ``eta``, or
+    ``(u, None)`` without a seed or when d = 1."""
+    d = len(eta)
+    if completion_seed is None or d == 1:
+        return u, None
+    # W = |η><η| + P R P*, P an orthonormal basis of η^⊥.
+    q, _ = np.linalg.qr(np.column_stack([eta, np.eye(d)]))
+    perp = q[:, 1:]
+    rot = random_unitary(np.random.default_rng(completion_seed), d - 1)
+    w = proj(eta) + perp @ rot @ dagger(perp)
+    return u @ _kron(np.eye(dim_h), w), w
+
+
+def _spot_check(sys: CorrelationSystem, mp: MeasuringProcess,
+                tol: Tolerance, spot: float = math.inf) -> None:
+    """Raise unless ``mp`` reproduces the six spot words' values of
+    ``sys`` within ``loose(dimH·d)``; the words run unless ``spot``, a
+    bound on their residual, is within half of that."""
+    bound = tol.bound("loose", mp.dim_h * mp.dim_k)
+    if not spot <= bound / 2:
+        words, _, _ = _spot_words(mp.dim_h, len(mp.outcomes.labels))
+        _require_within(_spot_residuals(sys, mp, words, tol), bound,
+                        "constructed process fails to reproduce the "
+                        "correlation values")
+
+
+def _pvm_frobenius(es: np.ndarray) -> float:
+    """The largest Frobenius norm of a stacked family's PVM defects, from
+    one stacked product: it gives every ``E_i E_j``, a superset of
+    :func:`_pvm_defects`' pairs i < j, and on its diagonal ``E_i² − E_i``."""
+    n, dim = es.shape[:2]
+    prods = (es[:, None] @ es[None]).reshape(n * n, dim, dim)
+    prods[::n + 1] -= es
+    return float(_frobenius(np.concatenate([
+        prods, es - es.conj().transpose(0, 2, 1),
+        [es.sum(axis=0) - np.eye(dim)]])).max())
+
+
 def _record_spot_bound(mp: MeasuringProcess, eta: np.ndarray, pvm: float,
-                       w: np.ndarray | None, tol: Tolerance, norm: float,
-                       length: int) -> float:
+                       w: np.ndarray | None, tol: Tolerance) -> float:
     """A bound on the spot residual of ``mp``, the process built from a
     system's record ``(U, E, η)`` and W (None without one), once ``mp``
     passed its check; ``pvm`` bounds E's PVM defects.
@@ -701,8 +652,10 @@ def _record_spot_bound(mp: MeasuringProcess, eta: np.ndarray, pvm: float,
     ``‖E_s‖ ≤ (1 + f + √((1 + f)² + 4f))/2`` for f = ``pvm``. W's
     defects, the rounding of ``U(1 ⊗ W)`` and of both evaluations add
     at most ``(ℓ + 1)(3ω + 4·dimL²·ε)(‖η′‖² + ‖η‖²)A`` over words of
-    length ≤ ℓ. Infinite when σ does not purify to one vector.
+    length ≤ ℓ, x and ℓ read off :func:`_spot_words`. Infinite when σ
+    does not purify to one vector.
     """
+    _, norm, length = _spot_words(mp.dim_h, len(mp.outcomes.labels))
     pure, eta_p = mp._purification(tol)
     fuzz = 4 * (mp.dim_h * mp.dim_k) ** 2 * _EPS
     omega = zeta = 0.0
@@ -993,26 +946,6 @@ def n_equivalent(mp1: MeasuringProcess, mp2: MeasuringProcess, n: int,
 
 # ---------------------------------------------------------------------------
 # Inner and faithful processes
-
-
-def halmos_unitary(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Block unitary of a partial isometry on an extra qubit leg.
-
-    ``U = V⊗|0><0| + (1-VV*)⊗|0><1| + (1-V*V)⊗|1><0| - V*⊗|1><1|``;
-    unitarity is an algebraic identity when ``V*V`` is a projection.
-    """
-    v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
-    if v.shape != (n, n):
-        raise ValueError("partial isometry must be square")
-    vvd = v @ dagger(v)
-    vdv = dagger(v) @ v
-    _require_within(vdv @ vdv - vdv, tol.bound("loose", n),
-                    "input is not a partial isometry")
-    eye = np.eye(n)
-    e00, e01, e10, e11 = (x for _, _, x in matrix_units(2))
-    return (_kron(v, e00) + _kron(eye - vvd, e01)
-            + _kron(eye - vdv, e10) - _kron(dagger(v), e11))
 
 
 def _canonical_mp(inst: CPInstrument, algebra: FiniteVonNeumannAlgebra,

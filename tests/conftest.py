@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
 
 # One BLAS thread, as CI and perfbench use, unless the caller sets a
 # count: at qdil's matrix sizes a thread pool adds no speed, and under
@@ -28,6 +29,38 @@ if hypothesis is not None:
     hypothesis.settings.register_profile("ci", derandomize=True)
     hypothesis.settings.load_profile(
         os.environ.get("QDIL_HYPOTHESIS_PROFILE", "default"))
+
+
+@dataclasses.dataclass
+class Call:
+    """One call recorded by :func:`record_calls`; ``result`` stays None
+    while the call runs and when it raises."""
+
+    args: tuple
+    kwargs: dict
+    result: object = None
+
+
+def record_calls(monkeypatch, name, *owners):
+    """Wrap ``<owner>.<name>`` on every owner, or with none given on every
+    loaded qdil module that has the name, so that each call appends its
+    :class:`Call` to the one list returned."""
+    if not owners:
+        owners = [m for n, m in list(sys.modules.items())
+                  if n.split(".")[0] == "qdil" and hasattr(m, name)]
+    calls = []
+
+    def recorded(real):
+        def wrapper(*args, **kwargs):
+            call = Call(args, kwargs)
+            calls.append(call)
+            call.result = real(*args, **kwargs)
+            return call.result
+        return wrapper
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, recorded(getattr(owner, name)))
+    return calls
 
 
 def random_cp_instrument(rng, dim_h, n_outcomes, kraus_per_outcome=1,

@@ -1,20 +1,21 @@
 """Each invariant along the dilation chain is checked once, at one tolerance.
 
 Builders check what they build at the caller's tolerance, never at the
-default one, and ``from_instrument`` does not re-check the system it
-builds: its invariants follow from the checks on the instrument.
+default one, and record it in ``validate``; ``from_instrument`` does not
+re-check the system it builds: its invariants follow from the checks on
+the instrument.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
 
-from conftest import random_cp_instrument, scaled_instrument
-from qdil.algebra import diagonal_algebra
+import qdil.dilation
+from conftest import random_cp_instrument, record_calls, scaled_instrument
+from qdil.algebra import FiniteVonNeumannAlgebra, diagonal_algebra
 from qdil.correlations import CorrelationSystem, from_instrument
 from qdil.dilation import (
     MeasuringProcess,
@@ -42,35 +43,50 @@ def checks(monkeypatch):
     return calls
 
 
+# Inputs are loaded, and checked at the default tolerance, beforehand.
+LUDERS, TRINE, DIAG_AMP_DAMP = (load_fixture(name) for name in (
+    "luders-z", "trine-povm", "diag-amp-damp"))
+MODEL = DiscreteVNModel(np.diag([0.0, 1.0]), 3, coupling=0.7)
 BUILDERS = {
     "mp_from_correlations": lambda: mp_from_correlations(
-        from_instrument(load_fixture("luders-z"), tol=TOL), TOL),
+        from_instrument(LUDERS, tol=TOL), TOL),
     "system_of_mp": lambda: system_of_mp(
-        inner_mp_from_kraus(load_fixture("luders-z"), TOL), TOL),
-    "inner_mp_from_kraus": lambda: inner_mp_from_kraus(
-        load_fixture("trine-povm"), TOL),
-    "faithful_mp": lambda: faithful_mp(load_fixture("diag-amp-damp"), TOL),
-    "vn_model.build": lambda: build(
-        DiscreteVNModel(np.diag([0.0, 1.0]), 3, coupling=0.7), TOL),
+        inner_mp_from_kraus(LUDERS, TOL), TOL),
+    "inner_mp_from_kraus": lambda: inner_mp_from_kraus(TRINE, TOL),
+    "faithful_mp": lambda: faithful_mp(DIAG_AMP_DAMP, TOL),
+    "vn_model.build": lambda: build(MODEL, TOL),
 }
 
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
-def test_builders_check_at_the_callers_tolerance(checks, builder):
-    BUILDERS[builder]()
-    assert checks, "the builder checked nothing"
-    assert {tol for _, tol in checks} == {TOL}
+def test_builders_check_at_the_callers_tolerance(monkeypatch, builder):
+    """What a builder returns records TOL, and every bound its gates read
+    is TOL's. An algebra's constructor, which takes no tolerance, reads
+    the default one once, for its basis change."""
+    bounds = record_calls(monkeypatch, "bound", Tolerance)
+    algebras = record_calls(monkeypatch, "__post_init__",
+                            FiniteVonNeumannAlgebra)
+    built = BUILDERS[builder]()
+    assert built.validate == TOL
+    assert bounds, "the builder checked nothing"
+    assert [call.args[0] for call in bounds if call.args[0] != TOL] == [
+        DEFAULT_TOL] * len(algebras)
 
 
-def test_faithful_mp_checks_its_process_once(checks):
+def test_faithful_mp_checks_its_process_once(monkeypatch, checks):
+    """The process read off the record is checked there, its unitarity
+    once, and not again through ``require_valid``."""
+    unitary = record_calls(monkeypatch, "_unitary_defects", qdil.dilation)
     inst = load_fixture("diag-amp-damp")
     mp = faithful_mp(inst, TOL)
-    assert checks == [("MeasuringProcess", TOL)]
+    assert checks == []
+    assert [call.args[0] is mp.u for call in unitary] == [True]
+    assert mp.validate == TOL
     assert mp.algebra is inst.algebra
     # The process keeps validate=tol, so a replaced coupling is re-checked.
     with pytest.raises(ValueError, match="unitary"):
         dataclasses.replace(mp, u=2 * mp.u)
-    assert checks[1:] == [("MeasuringProcess", TOL)]
+    assert checks == [("MeasuringProcess", TOL)]
 
 
 def test_from_instrument_does_not_recheck_its_system(checks):
@@ -166,22 +182,9 @@ def test_a_recorded_check_never_changes_a_verdict(name, fraction, abs_tol):
 
 def test_inner_mp_runs_the_chain_once(monkeypatch):
     """One process built and checked, from the record of the instrument's
-    system; no dilation of a copy, no defect root, no Halmos block."""
-    counts = dict.fromkeys(("_checked_mp", "mp_from_correlations",
-                            "sqrt_psd", "halmos_unitary"), 0)
-
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for module in [m for n, m in list(sys.modules.items())
-                   if n == "qdil" or n.startswith("qdil.")]:
-        for name in counts:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counting(name, getattr(module, name)))
+    system; no dilation of a copy and no defect root."""
+    calls = {name: record_calls(monkeypatch, name) for name in
+             ("_recorded_mp", "mp_from_correlations", "sqrt_psd")}
     inner_mp_from_kraus(load_fixture("trine-povm"))
-    assert counts == {"_checked_mp": 1, "mp_from_correlations": 0,
-                      "sqrt_psd": 0, "halmos_unitary": 0}
+    assert {name: len(c) for name, c in calls.items()} == {
+        "_recorded_mp": 1, "mp_from_correlations": 0, "sqrt_psd": 0}

@@ -47,7 +47,6 @@ from qdil.correlations import (
 from qdil.dilation import (
     commutant_pvm_lift,
     faithful_mp,
-    halmos_unitary,
     induced_instrument_mp,
     inner_mp_from_kraus,
     instrument_representation,
@@ -330,10 +329,6 @@ def dilation_step_cases() -> dict:
             lambda: intertwiner_vector(2 * iso)),
         "intertwiner off the product form": outcome(
             lambda: intertwiner_vector(skew_iso)),
-        "halmos ok": outcome(lambda: halmos_unitary(P0),
-                             lambda u: u.shape[0]),
-        "halmos not a partial isometry": outcome(
-            lambda: halmos_unitary(2 * np.eye(2))),
     }
 
 

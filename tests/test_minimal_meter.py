@@ -13,7 +13,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import qdil.correlations
 from conftest import random_cp_instrument
 from qdil.algebra import full_algebra
 from qdil.correlations import PiMap, from_instrument
@@ -117,15 +116,6 @@ def test_multiplicity_one_ignores_the_seed():
     assert n_equivalent(mp, hand, 4).equivalent
 
 
-# The two representations of B(H) a full-algebra system carries: Π_in and
-# the summed atom map. On a from_instrument system both hold the factors
-# (left, left*, dimK) with left unitary, which are their splits already.
-
-
-def split_maps(sys_c):
-    return sys_c.pi_in, sys_c.letter_map(sys_c.outcomes.labels)
-
-
 def tensor_form(sys_c):
     """``sys_c`` with every letter map stored as its 4-tensor."""
     return dataclasses.replace(
@@ -134,45 +124,66 @@ def tensor_form(sys_c):
         validate=False)
 
 
+# The two representations of B(H) a full-algebra system carries: Π_in and
+# the summed atom map. On a from_instrument system both hold the factors
+# (left, left*, dimK) with left unitary; multiplicity_split reads neither
+# factor and splits the map's tensor, as it does a tensor-stored map.
+
+
+def split_maps(sys_c):
+    return sys_c.pi_in, sys_c.letter_map(sys_c.outcomes.labels)
+
+
 def split_outcome(pi):
-    """``multiplicity_split``'s verdict: its dimK, or its message."""
+    """``multiplicity_split``'s verdict: its dimK and u1, or its message."""
     try:
-        return True, multiplicity_split(pi)[0]
+        return True, multiplicity_split(pi)
     except ValueError as exc:
         return False, str(exc)
 
 
+def same_split(got, want):
+    if got[0] != want[0] or not got[0]:
+        return got == want
+    return got[1][0] == want[1][0] and np.array_equal(got[1][1], want[1][1])
+
+
 @pytest.mark.parametrize("sys_c", systems())
-def test_split_of_stored_factors_calls_no_eigh_and_forms_no_tensor(
-        sys_c, monkeypatch):
-    calls = []
-    eigh, transport = np.linalg.eigh, qdil.correlations._transport
-
-    def counted_eigh(*args, **kwargs):
-        calls.append("eigh")
-        return eigh(*args, **kwargs)
-
-    def counted_transport(*factors):
-        calls.append("tensor")
-        return transport(*factors)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(qdil.correlations, "_transport", counted_transport)
+def test_split_of_stored_factors_is_the_split_of_their_tensor(sys_c):
     for pi in split_maps(sys_c):
         dim_k, u1 = multiplicity_split(pi)
         assert dim_k == sys_c.dim_l // sys_c.dim_h
-        assert u1 is pi.factors[1]
-    assert calls == []
-    # The same maps stored as tensors take the eigh path.
+        assert u1 is not pi.factors[1]
+        assert same_split((True, (dim_k, u1)),
+                          split_outcome(PiMap(pi.tensor)))
+
+
+@pytest.mark.parametrize("f", [0.5, 0.99, 1.01, 2, 200])
+@pytest.mark.parametrize("sys_c", systems())
+def test_split_of_scaled_factors_gives_the_tensor_verdict(sys_c, f):
+    """``left`` scaled by ``c = 1 + f·strict(dimL)`` or by ``√c``, or
+    ``right`` by ``c``: the last two move ``left*left − 1`` or
+    ``right − left*`` to ``f·strict(dimL)``; at f = 200 all are past the
+    split's ``loose(dimL)`` bound. Either way the factored map gives its
+    tensor's verdict, and never returns its stored right factor as u1."""
+    bound = DEFAULT_TOL.bound("strict", sys_c.dim_l)
+    c = 1 + f * bound
     for pi in split_maps(sys_c):
-        multiplicity_split(PiMap(pi.tensor))
-    assert calls.count("eigh") == 2
+        left, right, k = pi.factors
+        for lf, rf in [(c * left, right), (np.sqrt(c) * left, right),
+                       (left, c * right)]:
+            scaled = PiMap.factored(lf, rf, k)
+            got = split_outcome(scaled)
+            assert same_split(got, split_outcome(PiMap(scaled.tensor)))
+            assert got[0] == (f < 200), got
+            assert not got[0] or got[1][1] is not rf
 
 
 @pytest.mark.parametrize("sys_c", systems())
 def test_factored_and_tensor_systems_dilate_alike(sys_c):
-    """The two splits give the process in two frames of C^d: completely
-    equivalent, with the same induced instrument."""
+    """The recorded process and the tensor form's dilation are the
+    process in two frames of C^d: completely equivalent, with the same
+    induced instrument."""
     mp = mp_from_correlations(sys_c)
     mp_t = mp_from_correlations(tensor_form(sys_c))
     assert mp.dim_k == mp_t.dim_k
@@ -183,23 +194,3 @@ def test_factored_and_tensor_systems_dilate_alike(sys_c):
     for s in sys_c.outcomes.labels:
         diff = apply_dual(inst, basis, (s,)) - apply_dual(inst_t, basis, (s,))
         assert spectral_norm(diff) <= DEFAULT_TOL.bound("loose", sys_c.dim_h)
-
-
-@pytest.mark.parametrize("f", [0.5, 0.99, 1.01, 2, 200])
-@pytest.mark.parametrize("sys_c", systems())
-def test_split_of_scaled_factors_gives_the_tensor_verdict(sys_c, f):
-    """``left`` scaled by ``c = 1 + f·strict(dimL)`` or by ``√c``, or
-    ``right`` by ``c``: the last two move ``left*left − 1`` or
-    ``right − left*`` to ``f·strict(dimL)``, across the shortcut's bound
-    at f = 1; at f = 200 all are past the general path's bound too."""
-    bound = DEFAULT_TOL.bound("strict", sys_c.dim_l)
-    c = 1 + f * bound
-    for pi in split_maps(sys_c):
-        left, right, k = pi.factors
-        for i, (lf, rf) in enumerate([(c * left, right),
-                                      (np.sqrt(c) * left, right),
-                                      (left, c * right)]):
-            scaled = PiMap.factored(lf, rf, k)
-            assert split_outcome(scaled) == split_outcome(PiMap(scaled.tensor))
-            if i > 0 and f < 200:
-                assert (multiplicity_split(scaled)[1] is rf) == (f < 1)
