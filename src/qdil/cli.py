@@ -56,6 +56,7 @@ from .instrument import (
 from .operator_core import (
     DEFAULT_TOL,
     Tolerance,
+    _JsonMatrix,
     is_unitary,
     matrix_from_json,
     matrix_to_json,
@@ -71,6 +72,8 @@ from .vn_model import (
 )
 
 __all__ = ["main"]
+
+_UNIQUE_MIN = 2048  # floats below which np.unique costs more than it saves
 
 
 class _InputError(Exception):
@@ -94,8 +97,47 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
 
 
+def _json_pieces(payload: dict):
+    """The compact sorted dump of ``payload`` in pieces: one ``json.dumps``
+    of all but its large matrices (:class:`_JsonMatrix` values of its dicts
+    of ``_UNIQUE_MIN`` floats or more), each formatted when reached."""
+    dump = partial(json.dumps, sort_keys=True, separators=(",", ":"),
+                   check_circular=False)  # a fresh tree: no cycle
+    floats = []
+
+    def mark(node):
+        if isinstance(node, dict):  # in the dump's key order
+            return {key: mark(node[key]) for key in sorted(node)}
+        if isinstance(node, _JsonMatrix) and node.floats.size >= _UNIQUE_MIN:
+            floats.append(node.floats)
+            return "\0"
+        return node
+
+    text = dump(mark(payload))
+    parts = text.split(dump("\0")) if floats else [text]  # slow on digits
+    if len(parts) != len(floats) + 1:  # "\0" is also data
+        return [dump(payload)]
+    return itertools.chain.from_iterable(itertools.zip_longest(
+        parts, map(_matrix_text, floats), fillvalue=""))
+
+
+def _matrix_text(floats: np.ndarray) -> str:
+    """The compact dump of ``floats.tolist()``: one ``float.__repr__`` per
+    magnitude, and ``-`` where the sign bit is set, as ``repr`` has it."""
+    flat = floats.reshape(-1)
+    mags, inv = np.unique(np.abs(flat), return_inverse=True)
+    reprs = np.frompyfunc(float.__repr__, 1, 1)(mags)
+    texts = np.concatenate([reprs, "-" + reprs])[
+        inv + len(reprs) * np.signbit(flat)]
+    template = "[%s,%s]"
+    for n in reversed(floats.shape[:-1]):
+        template = "[" + ",".join([template] * n) + "]"
+    return template % tuple(texts.tolist())
+
+
 def _write_json(path: str, payload: dict) -> None:
-    """Write ``payload`` compactly to ``path``, in place.
+    """Write ``payload`` compactly to ``path``, in place, by the pieces of
+    :func:`_json_pieces`.
 
     An existing file is overwritten from its start and then cut at the
     new end, never truncated to zero first: filesystems that flush a
@@ -105,16 +147,17 @@ def _write_json(path: str, payload: dict) -> None:
     cut, so devices and FIFOs work too. The write is not atomic: a torn
     artifact fails to load as a ``schema`` error.
     """
-    data = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      check_circular=False).encode()  # a fresh tree: no cycle
+    pieces, size = _json_pieces(payload), 0
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
+            for piece in pieces:
+                view = memoryview(piece.encode())
+                size += len(view)
+                while view:
+                    view = view[os.write(fd, view):]
             if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, len(data))
+                os.ftruncate(fd, size)
         finally:
             os.close(fd)
     except OSError as exc:

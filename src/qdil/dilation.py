@@ -138,6 +138,7 @@ class MeasuringProcess:
     e: dict[str, np.ndarray] = field(repr=False)
     u: np.ndarray = field(repr=False)
     validate: bool | Tolerance = True
+    _purified: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         sigma, u = (np.asarray(x, dtype=complex) for x in (self.sigma, self.u))
@@ -183,19 +184,23 @@ class MeasuringProcess:
         The vector is ``None`` when sigma has no eigenvalue above the
         floor; for a mixed sigma it is the normalized purification.
         """
-        vals, vecs = np.linalg.eigh((self.sigma + dagger(self.sigma)) / 2)
-        keep = vals > tol.bound("floor")
-        r = int(np.count_nonzero(keep))
-        if r <= 1:
-            return self, vecs[:, -1] * np.sqrt(vals[-1]) if r else None
-        phi = vecs[:, keep] * np.sqrt(vals[keep])[None, :]
-        eta = phi.reshape(-1)  # index (k, i) row-major = K ⊗ C^r
-        eye_r = np.eye(r)
-        pure = MeasuringProcess(
-            self.dim_h, self.algebra, self.outcomes, self.dim_k * r,
-            proj(eta), {s: _kron(self.e[s], eye_r) for s in self.e},
-            _kron(self.u, eye_r), validate=False)
-        return pure, eta / np.linalg.norm(eta)
+        if tol not in self._purified:  # once per tol; None is self: no cycle
+            vals, vecs = np.linalg.eigh((self.sigma + dagger(self.sigma)) / 2)
+            keep = vals > tol.bound("floor")
+            r = int(np.count_nonzero(keep))
+            pure, eta = None, vecs[:, -1] * np.sqrt(vals[-1]) if r else None
+            if r > 1:
+                phi = vecs[:, keep] * np.sqrt(vals[keep])[None, :]
+                eta = phi.reshape(-1)  # index (k, i) row-major = K ⊗ C^r
+                eye_r = np.eye(r)
+                pure = MeasuringProcess(
+                    self.dim_h, self.algebra, self.outcomes, self.dim_k * r,
+                    proj(eta), {s: _kron(self.e[s], eye_r) for s in self.e},
+                    _kron(self.u, eye_r), validate=False)
+                eta = eta / np.linalg.norm(eta)
+            self._purified[tol] = pure, eta
+        pure, eta = self._purified[tol]
+        return self if pure is None else pure, eta
 
     def purified(self, tol: Tolerance = DEFAULT_TOL) -> "MeasuringProcess":
         """An equivalent process whose meter state is a vector state.

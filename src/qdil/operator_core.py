@@ -496,11 +496,19 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return p / np.trace(p).real
 
 
+class _JsonMatrix(list):
+    """Nested lists that keep their float array, from which the CLI writes."""
+    __slots__ = ("floats",)
+
+
 def matrix_to_json(a) -> list:
     """Encode a matrix or a stack of matrices as nested ``[re, im]`` pairs."""
     m = np.asarray(a, dtype=complex)
     _as_matrix(m.reshape(-1, m.shape[-1]) if m.ndim > 2 else m)  # validates
-    return np.stack([m.real, m.imag], -1).tolist()
+    floats = np.stack([m.real, m.imag], -1)
+    doc = _JsonMatrix(floats.tolist())
+    doc.floats = floats
+    return doc
 
 
 def _json_object(data, what: str, keys=()) -> dict:

@@ -611,6 +611,41 @@ def test_purified_keeps_heisenberg_maps():
                            mixed.heisenberg(m, (s,)), atol=1e-9)
 
 
+def test_purification_is_computed_once_per_process_and_tolerance(
+        monkeypatch):
+    """``_record_spot_bound``, ``induced_instrument_mp`` and ``_system_of``
+    share one ``eigh`` of sigma per tolerance; a copy computes its own,
+    with the same bits."""
+    rng = np.random.default_rng(88)
+    mp = mp_from_correlations(from_instrument(
+        random_cp_instrument(rng, 2, 2)))
+    mixed = MeasuringProcess(
+        mp.dim_h, mp.algebra, mp.outcomes, mp.dim_k,
+        0.5 * mp.sigma + 0.5 * np.eye(mp.dim_k) / mp.dim_k, mp.e, mp.u)
+    hermitian_parts = [(p.sigma + dagger(p.sigma)) / 2 for p in (mp, mixed)]
+    of_sigma = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        of_sigma.append(any(np.array_equal(a, h) for h in hermitian_parts))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for process in (mp, mixed):
+        pure, eta = process._purification(DEFAULT_TOL)
+        induced_instrument_mp(process)
+        qdil.dilation._system_of(process, DEFAULT_TOL)
+        again = process._purification(DEFAULT_TOL)
+        assert again[0] is pure and again[1] is eta
+        process._purification(Tolerance(1e-7, 1e-8))
+        copy = dataclasses.replace(process)
+        copy_pure, copy_eta = copy._purification(DEFAULT_TOL)
+        assert (copy_pure is copy) == (pure is process)
+        assert np.array_equal(copy_eta, eta)
+    # mp's first was computed by mp_from_correlations' spot bound
+    assert sum(of_sigma) == 5
+
+
 def mixed_meter_pair():
     """A dilated process and its twin with a full-rank meter state."""
     rng = np.random.default_rng(90)
