@@ -67,7 +67,9 @@ class FiniteVonNeumannAlgebra:
         w = np.asarray(self.basis_change, dtype=complex)
         if w.shape != (self.dim_h, self.dim_h):
             raise ValueError("basis_change has the wrong shape")
-        if not _within(_unitary_defects(w), DEFAULT_TOL.bound("strict")):
+        # The identity is exactly unitary, so its defects are not formed.
+        if not (np.array_equal(w, np.eye(self.dim_h))
+                or _within(_unitary_defects(w), DEFAULT_TOL.bound("strict"))):
             raise ValueError("basis_change is not unitary")
         object.__setattr__(self, "basis_change", w)
 

@@ -287,30 +287,40 @@ class CorrelationSystem:
                         "v does not intertwine Π_in")
 
 
-def _push_words(sys: CorrelationSystem, words: list, states: np.ndarray,
+def _push_words(sys: CorrelationSystem, words: tuple, states: np.ndarray,
                 adjoint: bool = False) -> np.ndarray:
-    """The stack ``states`` of a list of ``(letters, operators, ...)`` words
-    pushed in place through them (through ``Π(X*)*`` if ``adjoint``) from
-    their last letters: at each position each letter map pushes the stack
-    of its words' operators and states, or a lone word's one operator."""
-    for back in range(1, max(len(letters) for letters, *_ in words) + 1):
-        groups: dict = {}
-        for i, (letters, *_) in enumerate(words):
-            if len(letters) >= back:
-                groups.setdefault(letters[-back], []).append(i)
-        for letter, idx in groups.items():
-            ms = np.stack([words[i][1][-back] for i in idx])
-            pm = sys.letter_map(letter)
-            states[idx] = (pm.adjoint() if adjoint else pm).push(
-                ms[0] if len(idx) == 1 else ms, states[idx])
+    """The stack ``states`` pushed in place through a batch of words (through
+    ``Π(X*)*`` if ``adjoint``) from their last letters.
+
+    A batch is ``(letters, codes, members)``: ``codes[w, c]`` indexes word
+    w's letter in column c of ``letters``, the words right-aligned and
+    padded with −1, and ``members[w, c]`` is its operator (a stack, or
+    for one word an object array of operators). Each letter map is formed
+    once; at each column it pushes the stack of its words' members and
+    states, in ascending word order, or a lone word's one operator.
+    """
+    letters, codes, members = words
+    maps = [sys.letter_map(letter) for letter in letters]
+    if adjoint:
+        maps = [pm.adjoint() for pm in maps]
+    for col in range(codes.shape[1] - 1, -1, -1):
+        order = np.argsort(codes[:, col], kind="stable")
+        starts = np.searchsorted(codes[order, col], np.arange(len(maps) + 1))
+        order, starts = order[starts[0]:], starts - starts[0]  # no padding
+        ms, pushed = members[order, col], states[order]
+        for pm, a, b in zip(maps, starts, starts[1:]):
+            if b > a:
+                pushed[a:b] = pm.push(ms[a] if b - a == 1 else ms[a:b],
+                                      pushed[a:b])
+        states[order] = pushed
     return states
 
 
-def _eval_words(sys: CorrelationSystem, words: list) -> np.ndarray:
-    """The stack of values ``v* Π_{t1}(M_1)···Π_{tk}(M_k) v`` of a list of
-    ``(letters, operators)`` words, by :func:`_push_words` from ``v``."""
+def _eval_words(sys: CorrelationSystem, words: tuple) -> np.ndarray:
+    """The stack of values ``v* Π_{t1}(M_1)···Π_{tk}(M_k) v`` of a batch of
+    words (see :func:`_push_words`), pushed from ``v``."""
     return dagger(sys.v) @ _push_words(
-        sys, words, np.repeat(sys.v[None], len(words), axis=0))
+        sys, words, np.repeat(sys.v[None], len(words[1]), axis=0))
 
 
 def eval_W(sys: CorrelationSystem, t: TimeWord, ms,
@@ -327,7 +337,11 @@ def eval_W(sys: CorrelationSystem, t: TimeWord, ms,
             _require_within(_membership_defects(sys.algebra, m),
                             tol.bound("strict"),
                             "operator slot outside the algebra")
-    return _eval_words(sys, [(letters, ms)])[0]
+    # An object array hands each operator on as it came: a lone word's
+    # push reads a tensor map by einsum, whose rounding follows the
+    # operator's memory order.
+    return _eval_words(sys, (letters, np.arange(len(ms))[None],
+                             np.fromiter(ms, object, len(ms))[None]))[0]
 
 
 @dataclass(frozen=True)
@@ -408,62 +422,73 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     entries: dict[str, AxiomEntry] = {}
-    n_checks = max(8, samples // 8)
-    alphabet = np.array([IN] + list(sys.outcomes.labels), dtype=object)
+    n_checks, d, span = max(8, samples // 8), sys.dim_h, np.arange(depth + 1)
+    alphabet = [IN, *sys.outcomes.labels]
     raw: list[np.ndarray] = []
 
     def words(n: int = n_checks, extra: int = 0):
-        """``n`` words of 1 to ``depth`` letters, their lengths and
-        ``extra`` more members for each word, stacked ``(n, extra)``; the
-        members are views of one stack in ``raw``."""
+        """``n`` words of 1 to ``depth`` letters: their letter codes in
+        ``alphabet`` and the indices of their members in the stack ``raw``
+        gains, right-aligned in ``(n, depth + 1)`` arrays whose first
+        column is padding; their lengths; and ``extra`` more members for
+        each word, stacked ``(n, extra)``, views of that stack."""
         lengths = rng.integers(1, depth + 1, n)
-        ends = np.cumsum(lengths).tolist()
-        letters = alphabet[rng.integers(len(alphabet), size=ends[-1])]
-        raw.append(random_ginibre(rng, (ends[-1] + extra * n) * sys.dim_h,
-                                  sys.dim_h).reshape(-1, sys.dim_h, sys.dim_h))
-        ms = list(raw[-1][:ends[-1]])
-        return ([(letters[a:b].tolist(), ms[a:b])
-                 for a, b in zip([0] + ends, ends)], lengths,
-                raw[-1][ends[-1]:].reshape(n, extra, sys.dim_h, sys.dim_h))
+        ends = np.cumsum(lengths)
+        letters = rng.integers(len(alphabet), size=ends[-1])
+        raw.append(random_ginibre(rng, (ends[-1] + extra * n) * d,
+                                  d).reshape(-1, d, d))
+        at = ends[:, None] - depth - 1 + span
+        at[at < (ends - lengths)[:, None]] = -1
+        return ((np.where(at < 0, -1, letters[at]), raw[-1], at), lengths,
+                raw[-1][ends[-1]:].reshape(n, extra, d, d))
 
     plan_mc1, lengths, extras = words(extra=2)
-    slots = rng.integers(lengths).tolist()
+    slots = rng.integers(lengths)
     alphas = random_ginibre(rng, n_checks, 1).ravel()
-    plan_mc1 = [(letters, ms, slot, a, b, alpha) for (letters, ms), slot,
-                (a, b), alpha in zip(plan_mc1, slots, extras, alphas)]
     plan_mc2, _, _ = words(samples)
-    xis = random_ginibre(rng, samples, sys.dim_h)
-    plan_mc3, _, extras = words(extra=1)
-    plan_mc3 = [(letters, ms, m) for (letters, ms), (m,) in
-                zip(plan_mc3, extras)]
-    plan_mc4, lengths, extras = words(extra=1)
-    plan_mc4 = [(letters, ms, slot, x) for (letters, ms), slot, (x,) in
-                zip(plan_mc4, rng.integers(lengths).tolist(), extras)]
-    plan_mc5, plan_adjoint, plan_closure = (words()[0] for _ in range(3))
+    xis = random_ginibre(rng, samples, d)
+    plan_mc3, lengths_mc3, extras_mc3 = words(extra=1)
+    plan_mc4, lengths_mc4, extras_mc4 = words(extra=1)
+    pos = rng.integers(lengths_mc4)
+    plan_mc5 = words()[0]
+    plan_adjoint, lengths_adjoint, _ = words()
+    plan_closure = words()[0]
     _condition(sys.algebra, raw)
 
-    def probe(name: str, plan, words_of, residual, note: str = "",
+    def batch(plan, *variants) -> tuple:
+        """Each variant of ``plan``'s words, stacked ``(n, variants, ...)``:
+        codes and members gathered from the words' columns ``variant``
+        (column 0 is padding)."""
+        codes, stack, at = plan
+        rows, ms = np.arange(len(at))[:, None], stack[at]
+        return tuple(np.stack([x[rows, v] for v in variants], 1)
+                     for x in (codes, ms))
+
+    def probe(name: str, words, residual, note: str = "",
               worst: float = 0.0, norm=spectral_norm) -> None:
-        """Enter the worst ``norm`` of ``residual(w)``: every item's words
-        ``words_of(*item)`` in one batch, ``w[j]`` their j-th values."""
-        w = _eval_words(sys, [x for item in plan for x in words_of(*item)])
-        w = w.reshape(len(plan), -1, *w.shape[1:]).swapaxes(0, 1)
+        """Enter the worst ``norm`` of ``residual(w)``: every variant of the
+        batch ``words`` pushed at once, ``w[j]`` the values of variant j."""
+        codes, ms = words
+        w = _eval_words(sys, (alphabet, codes.reshape(-1, depth + 1),
+                              ms.reshape(-1, depth + 1, d, d)))
+        w = w.reshape(*codes.shape[:2], d, d).swapaxes(0, 1)
         worst = max(worst, norm(residual(w)))
         entries[name] = AxiomEntry(worst <= tol.bound("loose"), float(worst),
                                    note)
 
     # MC1: separate linearity in each slot.
-    def linearity(letters, ms, slot, a, b, alpha) -> list:
-        return [(letters, ms[:slot] + [m] + ms[slot + 1:])  # m in the slot
-                for m in (alpha * a + b, a, b)]
-
-    alpha = alphas[:, None, None]
-    probe("MC1", plan_mc1, linearity, lambda w: w[0] - (alpha * w[1] + w[2]),
+    r, alpha = np.arange(n_checks), alphas[:, None, None]
+    codes, ms = batch(plan_mc1, span, span, span)
+    ms[r, :, depth + 1 - lengths + slots] = np.stack(
+        [alpha * extras[:, 0] + extras[:, 1], extras[:, 0], extras[:, 1]], 1)
+    probe("MC1", (codes, ms), lambda w: w[0] - (alpha * w[1] + w[2]),
           "linearity probes; ultraweak continuity is vacuous in finite "
           "dimension")
 
     # MC2: positive definiteness of the sampled word Gram matrix. Rows taken
     # as the columns' adjoints would make it PSD whatever the letter maps.
+    codes, stack, at = plan_mc2
+    plan_mc2 = (alphabet, codes, stack[at])
     bases = (xis / np.linalg.norm(xis, axis=1, keepdims=True)) @ sys.v.T
     cols = _push_words(sys, plan_mc2, bases[..., None].copy())[..., 0].T
     rows = _push_words(sys, plan_mc2, bases[..., None], True)[..., 0].conj()
@@ -479,24 +504,28 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
         mc2_res, f"Gram of {samples} sampled words, min eigenvalue {min_eig:.3e}")
 
     # MC3: left module property over the input letter.
-    probe("MC3", plan_mc3, lambda letters, ms, m:
-          [(letters, ms), ([IN] + letters, [m] + ms)],
-          lambda w: np.stack([m for *_, m in plan_mc3]) @ w[0] - w[1])
+    codes, ms = batch(plan_mc3, span, span)
+    codes[r, 1, depth - lengths_mc3] = 0
+    ms[r, 1, depth - lengths_mc3] = extras_mc3[:, 0]
+    probe("MC3", (codes, ms), lambda w: extras_mc3[:, 0] @ w[0] - w[1])
 
-    # MC4: merging adjacent equal letters with the operator product.
-    def merge(letters, ms, pos, x) -> list:
-        return [(letters[:pos + 1] + letters[pos:],
-                 ms[:pos + 1] + [x] + ms[pos + 1:]),
-                (letters, ms[:pos] + [ms[pos] @ x] + ms[pos + 1:])]
-
-    probe("MC4", plan_mc4, merge, lambda w: w[0] - w[1])
+    # MC4: merging adjacent equal letters with the operator product: the
+    # letter at ``pos`` doubled, its copy's member x, against one letter
+    # with member ``M_pos x``.
+    dup = (depth + 1 - lengths_mc4 + pos)[:, None]
+    codes, ms = batch(plan_mc4, np.where(span < dup, span + 1, span), span)
+    ms[r, 0, dup[:, 0]] = extras_mc4[:, 0]
+    ms[r, 1, dup[:, 0]] = ms[r, 1, dup[:, 0]] @ extras_mc4[:, 0]
+    probe("MC4", (codes, ms), lambda w: w[0] - w[1])
 
     # MC5: unit normalization and unit-slot absorption.
-    eye = np.eye(sys.dim_h)
-    res_in, res_s = (spectral_norm(m) for m in _eval_words(
-        sys, [([IN], [eye]), ([tuple(sys.outcomes.labels)], [eye])]) - eye)
-    probe("MC5", plan_mc5, lambda letters, ms:
-          [(letters + [IN], ms + [eye]), (letters, ms)], lambda w: w[0] - w[1],
+    eye = np.eye(d)
+    res_in, res_s = (spectral_norm(m) for m in _eval_words(sys, (
+        [IN, tuple(sys.outcomes.labels)], np.array([[0], [1]]),
+        np.array([[eye], [eye]]))) - eye)
+    codes, ms = batch(plan_mc5, (span + 1) % (depth + 1), span)
+    codes[:, 0, depth], ms[:, 0, depth] = 0, eye
+    probe("MC5", (codes, ms), lambda w: w[0] - w[1],
           f"W_in(1) residual {res_in:.3e}, W_S(1) residual {res_s:.3e}",
           max(res_in, res_s))
 
@@ -509,14 +538,18 @@ def verify_axioms(sys: CorrelationSystem, depth: int, samples: int, seed: int,
         "structural: events evaluate as sums over their atoms; residual is "
         "the atom-unit PVM defect")
 
-    # Adjoint symmetry of the correlation family.
-    probe("adjoint_symmetry", plan_adjoint, lambda letters, ms:
-          [(letters, ms), (letters[::-1], _reverse_slots(ms))],
+    # Adjoint symmetry of the correlation family: each word against its
+    # reverse with adjoined members.
+    lengths = lengths_adjoint[:, None]
+    codes, ms = batch(plan_adjoint, span, np.where(
+        span > depth - lengths, 2 * depth + 1 - lengths - span, 0))
+    ms[:, 1] = ms[:, 1].conj().swapaxes(-1, -2)
+    probe("adjoint_symmetry", (codes, ms),
           lambda w: w[0].conj().swapaxes(1, 2) - w[1])
 
     # Closure: compressions land in the algebra.
-    probe("closure", plan_closure, lambda letters, ms: [(letters, ms)],
-          lambda w: w[0], "sampled W values projected onto the algebra",
+    probe("closure", batch(plan_closure, span), lambda w: w[0],
+          "sampled W values projected onto the algebra",
           norm=lambda values: contains(sys.algebra, values, tol).residual)
     return AxiomReport(entries)
 

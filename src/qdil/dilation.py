@@ -684,33 +684,34 @@ def _record_spot_bound(mp: MeasuringProcess, eta: np.ndarray, pvm: float,
 
 @functools.lru_cache(maxsize=64)
 def _spot_words(dim_h: int, n_atoms: int
-                ) -> tuple[tuple[tuple[tuple[int, ...], np.ndarray], ...],
-                           float, int]:
+                ) -> tuple[tuple[np.ndarray, np.ndarray], float, int]:
     """The spot check's six words from the seeded stream, drawn once.
 
-    Each word is its letter indices (0 the input letter, ``1 + i`` atom
-    i) and its read-only operators ``1 + 0.3·diag(z)``; also returned
-    are the largest operator norm (at least 1) and the longest length.
+    The words are read-only arrays: their letter codes (0 the input
+    letter, ``1 + i`` atom i), right-aligned in a ``(6, 2)`` array padded
+    with −1, and their operators ``1 + 0.3·diag(z)`` in the same places
+    (zero in the padding); also returned are the largest operator norm
+    (at least 1) and the longest length.
     """
     rng = np.random.default_rng(7)
-    words = []
-    for _ in range(6):
+    codes, ms = np.full((6, 2), -1), np.zeros((6, 2, dim_h, dim_h))
+    for word in range(6):
         length = int(rng.integers(1, 3))
-        letters = tuple(int(rng.integers(1 + n_atoms)) for _ in range(length))
-        ms = np.stack([np.eye(dim_h) + 0.3 * np.diag(rng.standard_normal(
-            dim_h)) for _ in range(length)])
-        ms.setflags(write=False)
-        words.append((letters, ms))
-    norm = max(1.0, *(float(np.abs(np.diagonal(ms, axis1=1, axis2=2)).max())
-                      for _, ms in words))
-    return tuple(words), norm, max(len(letters) for letters, _ in words)
+        codes[word, 2 - length:] = [rng.integers(1 + n_atoms)
+                                    for _ in range(length)]
+        for col in range(2 - length, 2):
+            ms[word, col] = np.eye(dim_h) + 0.3 * np.diag(
+                rng.standard_normal(dim_h))
+    codes.setflags(write=False)
+    ms.setflags(write=False)
+    return ((codes, ms), max(1.0, float(np.abs(ms).max())),
+            int((codes >= 0).sum(1).max()))
 
 
 def _spot_residuals(sys: CorrelationSystem, mp: MeasuringProcess, words,
                     tol: Tolerance) -> np.ndarray:
     """The value differences of ``words`` between ``mp`` and ``sys``."""
-    alphabet = [IN, *sys.outcomes.labels]
-    batch = [([alphabet[i] for i in letters], ms) for letters, ms in words]
+    batch = ([IN, *sys.outcomes.labels], *words)
     return _eval_words(_system_of(mp, tol), batch) - _eval_words(sys, batch)
 
 

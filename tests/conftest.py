@@ -63,6 +63,29 @@ def record_calls(monkeypatch, name, *owners):
     return calls
 
 
+def coded_words(words) -> tuple:
+    """A list of ``(letters, operators)`` words as the word evaluator's
+    batch: the distinct letters, their codes right-aligned in an
+    ``(n, ℓ)`` array padded with −1, and the operators in the same
+    places (zero in the padding)."""
+    letters = list(dict.fromkeys(t for word, _ in words for t in word))
+    width, dim = max(len(word) for word, _ in words), len(words[0][1][0])
+    codes = np.full((len(words), width), -1)
+    members = np.zeros((len(words), width, dim, dim), dtype=complex)
+    for w, (word, ms) in enumerate(words):
+        codes[w, width - len(word):] = [letters.index(t) for t in word]
+        members[w, width - len(word):] = ms
+    return letters, codes, members
+
+
+def listed_words(batch) -> list:
+    """The word evaluator's batch as a list of ``(letters, operators)``
+    words."""
+    letters, codes, members = batch
+    return [([letters[k] for k in row[row >= 0]], list(ms[row >= 0]))
+            for row, ms in zip(codes, members)]
+
+
 def random_cp_instrument(rng, dim_h, n_outcomes, kraus_per_outcome=1,
                          algebra=None):
     """Draw a random instrument that is trace preserving by construction.

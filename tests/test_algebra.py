@@ -20,6 +20,27 @@ from qdil.algebra import (
 from qdil.operator_core import random_ginibre, random_unitary, spectral_norm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("w, unitary, formed", [
+    (np.eye(3), True, False),
+    (np.eye(3) + 0j, True, False),
+    (random_unitary(np.random.default_rng(8), 3), True, True),
+    (np.diag([1.0, 1.0, 1.0 + 1e-6]), False, True),
+    (2 * np.eye(3), False, True),
+])
+def test_basis_change_unitarity_is_formed_unless_exactly_identity(
+        monkeypatch, w, unitary, formed):
+    defects = []
+    real = qdil.algebra._unitary_defects
+    monkeypatch.setattr(qdil.algebra, "_unitary_defects",
+                        lambda m: defects.append(m) or real(m))
+    if unitary:
+        FiniteVonNeumannAlgebra(3, ((3, 1),), w)
+    else:
+        with pytest.raises(ValueError, match="basis_change is not unitary"):
+            FiniteVonNeumannAlgebra(3, ((3, 1),), w)
+    assert bool(defects) == formed
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 

@@ -62,15 +62,20 @@ BUILDERS = {
 def test_builders_check_at_the_callers_tolerance(monkeypatch, builder):
     """What a builder returns records TOL, and every bound its gates read
     is TOL's. An algebra's constructor, which takes no tolerance, reads
-    the default one once, for its basis change."""
+    the default one once for a basis change other than the identity, and
+    not at all for the identity, which is exactly unitary."""
     bounds = record_calls(monkeypatch, "bound", Tolerance)
     algebras = record_calls(monkeypatch, "__post_init__",
                             FiniteVonNeumannAlgebra)
     built = BUILDERS[builder]()
     assert built.validate == TOL
     assert bounds, "the builder checked nothing"
+    rotated = [call for call in algebras if not np.array_equal(
+        call.args[0].basis_change, np.eye(call.args[0].dim_h))]
     assert [call.args[0] for call in bounds if call.args[0] != TOL] == [
-        DEFAULT_TOL] * len(algebras)
+        DEFAULT_TOL] * len(rotated)
+    if builder in ("faithful_mp", "vn_model.build"):
+        assert algebras and not rotated
 
 
 def test_faithful_mp_checks_its_process_once(monkeypatch, checks):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qdil.correlations
-from conftest import random_cp_instrument
+from conftest import listed_words, random_cp_instrument
 from qdil.algebra import (
     FiniteVonNeumannAlgebra,
     conditional_expectation,
@@ -358,16 +358,19 @@ def test_axiom_suite_letter_map_applications_do_not_grow_with_samples(
     applied in the batches of ``_eval_words``: at most once per letter and
     word position in each batch, so their number stays within a bound
     that does not depend on ``samples`` while the words evaluated grow.
+    Each walk forms a letter's map once, so ``PiMap.adjoint`` (MC2's rows)
+    runs at most once per letter.
 
     The counts are not equal at every seed: eight words per probe need
     not place every letter at every position.
     """
     sys_c = from_instrument(load_fixture("diag-amp-damp"))
     evaluate, push = qdil.correlations._eval_words, PiMap.push
-    batches, applications, inside = [], [], []
+    adjoint = PiMap.adjoint
+    batches, applications, inside, adjoints = [], [], [], []
 
     def counted_eval(sys, words):
-        batches.append(len(words))
+        batches.append(len(words[1]))
         applications.append(0)
         inside.append(True)
         try:
@@ -382,12 +385,16 @@ def test_axiom_suite_letter_map_applications_do_not_grow_with_samples(
 
     monkeypatch.setattr(qdil.correlations, "_eval_words", counted_eval)
     monkeypatch.setattr(PiMap, "push", counted_push)
+    monkeypatch.setattr(PiMap, "adjoint", lambda self: adjoints.append(
+        self) or adjoint(self))
     counts, words = {}, {}
     for samples in (16, 200):
         batches.clear()
         applications.clear()
+        adjoints.clear()
         assert verify_axioms(sys_c, 3, samples, seed=5).all_pass
         counts[samples], words[samples] = applications[:], sum(batches)
+        assert 0 < len(adjoints) <= 1 + len(sys_c.outcomes.labels)
     # Six probes of words up to depth + 1 letters over 1 + 2 letters, and
     # the two unit words of MC5.
     assert len(counts[16]) == len(counts[200]) == 7
@@ -700,7 +707,7 @@ def capture_mc2(monkeypatch, sys_c, depth, samples, seed=0):
 
     def recorded(sys, words, states, adjoint=False):
         if states.shape[-1] == 1:  # MC2 pushes vectors, the others v
-            pushed.append((words, states[..., 0].copy()))
+            pushed.append((listed_words(words), states[..., 0].copy()))
         return push(sys, words, states, adjoint)
 
     monkeypatch.setattr(qdil.correlations, "_push_words", recorded)
